@@ -5,16 +5,31 @@ declarative case catalog with a verifying CLI."""
 
 __version__ = "1.0.0"
 
-from .character import Verdict, vanishing_verdict, product_verdict
-from .catalog import load_catalog, validate_case, validate_catalog
-from .polyring import AmbientSpace, MultiPoly, ParamField, parse_poly
-from .symmetry import MonomialAutomorphism, TorusGenerator, adjoint_matrix
-from .toric import Polytope, class_to_polytope, futaki_vector, zero_locus_scan
+# Each public name and the submodule defining it.  Submodules load on first
+# use, so that a caller of the toric engine alone does not load the others.
+_EXPORTS = {
+    "Verdict": "character", "vanishing_verdict": "character",
+    "product_verdict": "character",
+    "load_catalog": "catalog", "validate_case": "catalog", "validate_catalog": "catalog",
+    "AmbientSpace": "polyring", "MultiPoly": "polyring", "ParamField": "polyring",
+    "parse_poly": "polyring",
+    "MonomialAutomorphism": "symmetry", "TorusGenerator": "symmetry",
+    "adjoint_matrix": "symmetry",
+    "Polytope": "toric", "class_to_polytope": "toric", "futaki_vector": "toric",
+    "zero_locus_scan": "toric",
+}
 
-__all__ = [
-    "AmbientSpace", "MonomialAutomorphism", "MultiPoly", "ParamField",
-    "Polytope", "TorusGenerator", "Verdict", "__version__", "adjoint_matrix",
-    "class_to_polytope", "futaki_vector", "load_catalog", "parse_poly",
-    "product_verdict", "validate_case", "validate_catalog",
-    "vanishing_verdict", "zero_locus_scan",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

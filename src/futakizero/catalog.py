@@ -214,10 +214,17 @@ def _build_record(case_id, header_line, entries):
         if k not in known:
             raise CatalogError(f"record {case_id}: unknown key {k!r}", ln)
 
+    def scalar(key, convert, value_line):
+        value, line = value_line
+        try:
+            return convert(value)
+        except (ValueError, ZeroDivisionError):
+            raise CatalogError(f"record {case_id}: bad {key} value {value!r}", line) from None
+
     kind, ln = one_of("kind")
     if kind not in KINDS:
         raise CatalogError(f"record {case_id}: unknown kind {kind!r}", ln)
-    theorem = int(one_of("theorem")[0])
+    theorem = scalar("theorem", int, one_of("theorem"))
     expected = _parse_expected(*one_of("expected"), case_id)
     aut = one_of("aut", default="")[0]
     notes = tuple(v for v, _ in all_of("note"))
@@ -246,17 +253,19 @@ def _build_record(case_id, header_line, entries):
     anticanonical = None
     anti_hits = all_of("anticanonical")
     if anti_hits:
-        anticanonical = tuple(Fraction(x.strip()) for x in anti_hits[0][0].split(","))
+        anticanonical = scalar(
+            "anticanonical", lambda v: tuple(Fraction(x.strip()) for x in v.split(",")),
+            anti_hits[0])
 
     torus_rank = None
     tr_hits = all_of("torus_rank")
     if tr_hits:
-        torus_rank = int(tr_hits[0][0])
+        torus_rank = scalar("torus_rank", int, tr_hits[0])
     adjoints = tuple(_parse_adjoint(v, ln, case_id) for v, ln in all_of("adjoint"))
     fixed_dim = None
     fd_hits = all_of("fixed_dim")
     if fd_hits:
-        fixed_dim = int(fd_hits[0][0])
+        fixed_dim = scalar("fixed_dim", int, fd_hits[0])
     aif = None
     aif_hits = all_of("anticanonical_in_fixed")
     if aif_hits:

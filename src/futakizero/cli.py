@@ -301,7 +301,7 @@ def cmd_toric_scan(args, out):
             return EXIT_CATALOG
         loci = _catalog_loci(catalog, args.family)
     try:
-        report = toric.zero_locus_scan(args.family, Fraction(args.step), loci=loci)
+        report = toric.zero_locus_scan(args.family, args.step, loci=loci)
     except toric.ToricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGION
@@ -343,6 +343,23 @@ def _frac_text(v):
 # argument wiring
 # ---------------------------------------------------------------------------
 
+def _positive_int(text):
+    try:
+        value = int(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="futakizero",
@@ -359,7 +376,7 @@ def build_parser():
                        help="family or case id, e.g. 2.24 or 3.10-a")
     group.add_argument("--all", action="store_true", help="verify every record")
     verify.add_argument("--format", choices=("text", "json-lines"), default="text")
-    verify.add_argument("--jobs", type=int, default=None)
+    verify.add_argument("--jobs", type=_positive_int, default=None)
     verify.set_defaults(func=cmd_verify)
 
     toric_parser = sub.add_parser("toric", help="toric Futaki computations")
@@ -371,7 +388,7 @@ def build_parser():
     futaki.set_defaults(func=cmd_toric_futaki)
     scan = toric_sub.add_parser("scan", help="grid scan of the zero locus")
     scan.add_argument("--family", required=True, choices=sorted(toric.FAMILIES))
-    scan.add_argument("--step", default="1/4", help="rational grid step")
+    scan.add_argument("--step", type=_rational, default="1/4", help="rational grid step")
     scan.add_argument("--loci", nargs="*", default=None,
                       help="override candidate locus equations")
     scan.set_defaults(func=cmd_toric_scan)
@@ -384,7 +401,7 @@ def build_parser():
     report = sub.add_parser("report", help="summary table mirroring the verdicts")
     report.add_argument("case", nargs="?", default=None)
     report.add_argument("--format", choices=("text", "json-lines"), default="text")
-    report.add_argument("--jobs", type=int, default=None)
+    report.add_argument("--jobs", type=_positive_int, default=None)
     report.set_defaults(func=cmd_report)
     return parser
 

@@ -9,17 +9,20 @@ polytope builders for the toric catalog members, and zero-locus scans.
 Every integral is evaluated along two independent routes (base-vertex
 triangulation vs divergence theorem over the boundary data) and the public
 operations insist the routes agree exactly.
+
+Construction runs on integers: vertices are solved with integer adjugates
+against lcm-scaled offsets, and incidence, ranks and facet orders are
+computed on the vertices scaled to integers; Fractions are built only for
+the vertices themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from itertools import combinations
-from math import gcd
-
-from .ratlinalg import rref
+from math import gcd, lcm
 
 
 class ToricError(ValueError):
@@ -85,15 +88,21 @@ class Polytope:
         if dim not in (1, 2, 3):
             raise ToricError("only dimensions 1..3 are supported")
         halfspaces = [h if isinstance(h, Halfspace) else Halfspace(*h) for h in halfspaces]
-        if len({h.normal for h in halfspaces}) != len(halfspaces):
+        normals = tuple(h.normal for h in halfspaces)
+        if any(len(n) != dim for n in normals):
+            raise ToricError("dimension mismatch")
+        if len(set(normals)) != len(halfspaces):
             raise ToricError("repeated facet normal")
-        _check_bounded(dim, halfspaces)
-        vertices = _enumerate_vertices(dim, halfspaces)
+        reason = _unbounded_reason(dim, normals)
+        if reason:
+            raise UnboundedError(reason)
+        vertices, tight = _enumerate_vertices(dim, halfspaces)
         if not vertices:
             raise DegenerateError("no vertices: empty or degenerate halfspace system")
-        if _affine_rank(vertices) != dim:
+        points = _lattice_points(vertices)
+        if _affine_rank(points) != dim:
             raise DegenerateError("lower-dimensional input")
-        cycles = _facet_cycles(dim, halfspaces, vertices)
+        cycles = _facet_cycles(dim, halfspaces, points, tight)
         return cls(dim, halfspaces, vertices, cycles)
 
     def facet_vertices(self, f):
@@ -132,11 +141,6 @@ class Polytope:
         return "\n".join(h.render() for h in self.halfspaces) + "\n"
 
 
-def vertices_from_halfspaces(dim, halfspaces):
-    """Exact rational vertices of a valid H-representation."""
-    return Polytope.from_halfspaces(dim, halfspaces).vertices
-
-
 def parse_polytope_text(text, dim=None):
     """One halfspace per line: ``n1 n2 [n3] <= c``; ``#`` comments allowed."""
     halfspaces = []
@@ -165,31 +169,30 @@ def parse_polytope_text(text, dim=None):
 # construction internals
 # ---------------------------------------------------------------------------
 
-def _check_bounded(dim, halfspaces):
-    normals = [h.normal for h in halfspaces]
+@lru_cache(maxsize=64)
+def _unbounded_reason(dim, normals):
+    """Why the normals admit a recession direction, or None if they do not.
+
+    Depends on the normals only, so it is memoised on them."""
     candidates = []
     if dim == 1:
         candidates = [(1,), (-1,)]
+    elif not any(det for _, det, _ in _subset_solves(dim, normals)):
+        return "normals do not span the space"
     elif dim == 2:
         for n in normals:
             candidates.append((-n[1], n[0]))
             candidates.append((n[1], -n[0]))
     else:
-        rows, pivots = rref([[Fraction(x) for x in n] for n in normals])
-        if len(pivots) < 3:
-            raise UnboundedError("normals do not span the space")
         for a, b in combinations(normals, 2):
             c = _cross(a, b)
             if any(c):
                 candidates.append(tuple(c))
                 candidates.append(tuple(-x for x in c))
-    if dim == 2:
-        rows, pivots = rref([[Fraction(x) for x in n] for n in normals])
-        if len(pivots) < 2:
-            raise UnboundedError("normals do not span the space")
     for ray in candidates:
-        if all(sum(n * r for n, r in zip(h.normal, ray)) <= 0 for h in halfspaces):
-            raise UnboundedError(f"recession direction {ray}")
+        if all(sum(n * r for n, r in zip(normal, ray)) <= 0 for normal in normals):
+            return f"recession direction {ray}"
+    return None
 
 
 def _cross(a, b):
@@ -198,47 +201,94 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0]]
 
 
-def _enumerate_vertices(dim, halfspaces):
-    seen = {}
-    constraints = [(h.normal, h.offset) for h in halfspaces]
-    for combo in combinations(range(len(halfspaces)), dim):
-        rows = [list(halfspaces[i].normal) for i in combo]
-        rhs = [halfspaces[i].offset for i in combo]
-        point = _cramer_solve(rows, rhs)
-        if point is None:
-            continue
-        if all(sum(n * x for n, x in zip(normal, point)) <= offset
-               for normal, offset in constraints):
-            seen.setdefault(point, None)
-    return sorted(seen)
-
-
-def _cramer_solve(rows, rhs):
-    det = _det_frac(rows)
-    if det == 0:
-        return None
-    d = len(rows)
+@lru_cache(maxsize=64)
+def _subset_solves(dim, normals):
+    """(subset, det, adjugate) for every dim-subset of the integer normals,
+    the sign folded so that det >= 0; singular subsets have det 0."""
     out = []
-    for j in range(d):
-        replaced = [[rhs[i] if k == j else rows[i][k] for k in range(d)]
-                    for i in range(d)]
-        out.append(_det_frac(replaced) / det)
+    for combo in combinations(range(len(normals)), dim):
+        rows = [normals[i] for i in combo]
+        det = _det_int(rows)
+        sign = -1 if det < 0 else 1
+        out.append((combo, sign * det,
+                    tuple(tuple(sign * x for x in row) for row in _adjugate(rows))))
     return tuple(out)
 
 
+def _enumerate_vertices(dim, halfspaces):
+    """Sorted exact vertices and, for each, the set of facets tight at it.
+
+    Offsets are scaled by the lcm L of their denominators, so a subset with
+    integer adjugate A and determinant det > 0 has the solution
+    num / (det * L) with num = A b, and every test is on integers."""
+    scale = 1
+    for h in halfspaces:
+        scale = lcm(scale, h.offset.denominator)
+    normals = tuple(h.normal for h in halfspaces)
+    offsets = [h.offset.numerator * (scale // h.offset.denominator) for h in halfspaces]
+    constraints = list(zip(normals, offsets))
+    seen = {}
+    for combo, det, adj in _subset_solves(dim, normals):
+        if det == 0:
+            continue
+        rhs = [offsets[i] for i in combo]
+        num = [sum(a * b for a, b in zip(row, rhs)) for row in adj]
+        tight = []
+        for f, (normal, offset) in enumerate(constraints):
+            slack = offset * det - sum(n * x for n, x in zip(normal, num))
+            if slack < 0:
+                break
+            if slack == 0:
+                tight.append(f)
+        else:
+            denom = det * scale
+            point = tuple(Fraction(x, denom) for x in num)
+            seen.setdefault(point, tight)
+    vertices = sorted(seen)
+    return vertices, [seen[v] for v in vertices]
+
+
+def _lattice_points(points):
+    """The points times the lcm of their coordinates' denominators."""
+    scale = 1
+    for p in points:
+        for x in p:
+            scale = lcm(scale, x.denominator)
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+
+
 def _affine_rank(points):
+    """Affine rank of integer points: a greedy basis of their differences."""
     base = points[0]
-    rows = [[Fraction(x) - Fraction(b) for x, b in zip(p, base)] for p in points[1:]]
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    basis = []
+    for p in points[1:]:
+        e = [x - b for x, b in zip(p, base)]
+        if _independent(basis + [e]):
+            basis.append(e)
+            if len(basis) == len(base):
+                break
+    return len(basis)
 
 
-def _facet_cycles(dim, halfspaces, vertices):
+def _independent(vectors):
+    """Whether integer vectors are linearly independent: some maximal minor
+    is nonzero."""
+    cols = range(len(vectors[0]))
+    return any(_det_int([[v[c] for c in subset] for v in vectors])
+               for subset in combinations(cols, len(vectors)))
+
+
+def _facet_cycles(dim, halfspaces, points, tight):
+    """Vertex indices of each facet; in dimension 3 in cyclic order.
+
+    ``points`` are the vertices scaled to integers, ``tight`` the facets
+    tight at each vertex."""
+    incidence = [[] for _ in halfspaces]
+    for i, facets in enumerate(tight):
+        for f in facets:
+            incidence[f].append(i)
     cycles = []
-    for f, h in enumerate(halfspaces):
-        incident = [i for i, v in enumerate(vertices) if h.value(v) == h.offset]
+    for f, (h, incident) in enumerate(zip(halfspaces, incidence)):
         if dim == 1:
             if len(incident) != 1:
                 raise DegenerateError(f"facet {f} does not support a point")
@@ -249,49 +299,41 @@ def _facet_cycles(dim, halfspaces, vertices):
                 raise DegenerateError(f"facet {f} does not support an edge")
             cycles.append(tuple(incident))
             continue
-        if len(incident) < 3 or _affine_rank([vertices[i] for i in incident]) != 2:
+        if len(incident) < 3 or _affine_rank([points[i] for i in incident]) != 2:
             raise DegenerateError(f"facet {f} does not support a 2-face")
-        cycles.append(_order_polygon(h.normal, [(i, vertices[i]) for i in incident]))
+        cycles.append(_order_polygon(h.normal, [(i, points[i]) for i in incident]))
     return cycles
 
 
 def _order_polygon(normal, labelled):
-    """Cyclic order of a convex facet polygon, exact angular sort around the
-    centroid in plane coordinates."""
+    """Cyclic order of a convex facet polygon of integer points: exact
+    angular sort around the centroid, counterclockwise seen from outside,
+    starting at the first point.  Directions from the centroid are scaled by
+    the point count k so that they are integer vectors."""
     k = len(labelled)
-    centroid = tuple(sum(Fraction(p[i]) for _, p in labelled) / k for i in range(3))
-    b1 = tuple(Fraction(labelled[0][1][i]) - centroid[i] for i in range(3))
-    b2 = tuple(Fraction(x) for x in _cross(normal, b1))
-    planar = []
-    for idx, p in labelled:
-        d = tuple(Fraction(p[i]) - centroid[i] for i in range(3))
-        planar.append((idx, _plane_coords(d, b1, b2)))
+    total = [sum(p[i] for _, p in labelled) for i in range(3)]
+    rel = [(idx, [k * x - t for x, t in zip(p, total)]) for idx, p in labelled]
+    b1 = rel[0][1]
+
+    def turn(a, b):
+        # <normal, a x b>: positive when b lies counterclockwise of a
+        return sum(n * c for n, c in zip(normal, _cross(a, b)))
 
     def half(q):
-        return 0 if (q[1] > 0 or (q[1] == 0 and q[0] > 0)) else 1
+        t = turn(b1, q)
+        return 0 if (t > 0 or (t == 0 and sum(x * y for x, y in zip(b1, q)) > 0)) else 1
 
     def compare(a, b):
-        qa, qb = a[1], b[1]
-        ha, hb = half(qa), half(qb)
+        ha, hb = half(a[1]), half(b[1])
         if ha != hb:
             return -1 if ha < hb else 1
-        cross = qa[0] * qb[1] - qa[1] * qb[0]
+        cross = turn(a[1], b[1])
         if cross == 0:
             raise DegenerateError("repeated direction on facet polygon")
         return -1 if cross > 0 else 1
 
-    ordered = sorted(planar, key=cmp_to_key(compare))
+    ordered = sorted(rel, key=cmp_to_key(compare))
     return tuple(idx for idx, _ in ordered)
-
-
-def _plane_coords(d, b1, b2):
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = b1[i] * b2[j] - b1[j] * b2[i]
-        if det != 0:
-            alpha = (d[i] * b2[j] - d[j] * b2[i]) / det
-            beta = (b1[i] * d[j] - b1[j] * d[i]) / det
-            return (alpha, beta)
-    raise DegenerateError("degenerate plane basis")
 
 
 def _inverse_transpose_int(u):
@@ -299,7 +341,7 @@ def _inverse_transpose_int(u):
     det = _det_int(u)
     if abs(det) != 1:
         raise ToricError("matrix is not unimodular")
-    adj = [[_cofactor(u, j, i) for j in range(d)] for i in range(d)]  # adjugate
+    adj = _adjugate(u)
     inv = [[Fraction(adj[i][j], det) for j in range(d)] for i in range(d)]
     return [[int(inv[j][i]) for j in range(d)] for i in range(d)]  # transpose
 
@@ -322,8 +364,10 @@ def _minor(u, i, j):
     return [[u[r][c] for c in range(len(u)) if c != j] for r in range(len(u)) if r != i]
 
 
-def _cofactor(u, i, j):
-    return (-1) ** (i + j) * _det_int(_minor(u, i, j))
+def _adjugate(u):
+    d = len(u)
+    return [[(-1) ** (i + j) * _det_int(_minor(u, j, i)) for j in range(d)]
+            for i in range(d)]
 
 
 # ---------------------------------------------------------------------------

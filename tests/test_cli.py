@@ -12,6 +12,13 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+def usage_exit(argv):
+    """Exit status of a command that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv, out=io.StringIO())
+    return exc.value.code
+
+
 class TestVerify:
     def test_single_case_full_cone(self):
         code, out = run_cli(["verify", "2.24"])
@@ -98,6 +105,16 @@ class TestToric:
         assert any(l.startswith("locus: a = b = c :: confirmed") for l in lines)
         assert any(l.startswith("locus: coverage :: exact") for l in lines)
 
+    def test_bad_step_is_usage_error(self, capsys):
+        for step in ("abc", "1/0"):
+            assert usage_exit(["toric", "scan", "--family", "s6", "--step", step]) == 2
+            assert "expected a rational number" in capsys.readouterr().err
+
+    def test_zero_step_exits_three(self, capsys):
+        code, _ = run_cli(["toric", "scan", "--family", "s6", "--step", "0"])
+        assert code == 3
+        assert "grid step must be positive" in capsys.readouterr().err
+
     def test_scan_classification_for_two_line_blowup(self):
         code, out = run_cli(["toric", "scan", "--family", "bl2lines-p3",
                              "--step", "1/2"])
@@ -144,6 +161,13 @@ class TestDeterminism:
     def test_verify_deterministic(self):
         assert run_cli(["verify", "--all"]) == run_cli(["verify", "--all"])
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_must_be_positive(self, capsys, command, jobs):
+        argv = [command, "--all"] if command == "verify" else [command]
+        assert usage_exit(argv + ["--jobs", jobs]) == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
 
 class TestCatalogCommand:
     def test_validate_ok(self):
@@ -167,3 +191,22 @@ class TestCatalogCommand:
         code, out = run_cli(["--catalog", str(path), "catalog", "validate"])
         assert code == 2
         assert "finding:" in out
+
+    @pytest.mark.parametrize("line,key", [
+        ("theorem =", "theorem"),
+        ("torus_rank = two", "torus_rank"),
+        ("fixed_dim = 1.5", "fixed_dim"),
+        ("anticanonical = 1, 1/0", "anticanonical")])
+    def test_bad_scalar_value_names_its_line(self, tmp_path, capsys, line, key):
+        text = ('version = 1\n[case "9.1"]\nkind = semisimple_full\ntheorem = 1\n'
+                'expected = full_cone\n')
+        if key == "theorem":
+            text = text.replace("theorem = 1", line)
+        else:
+            text += line + "\n"
+        path = tmp_path / "bad.cat"
+        path.write_text(text)
+        code, _ = run_cli(["--catalog", str(path), "catalog", "validate"])
+        assert code == 2
+        lineno = text.splitlines().index(line) + 1
+        assert f"line {lineno}: record 9.1: bad {key} value" in capsys.readouterr().err

@@ -53,6 +53,12 @@ class TestVertices:
                                          Halfspace((0, -1), 0),
                                          Halfspace((-1, -1), -1)])
 
+    def test_normal_of_wrong_dimension_rejected(self):
+        for dim, normals in ((2, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]),
+                             (3, [(1, 0), (0, 1), (-1, -1)])):
+            with pytest.raises(ToricError, match="dimension mismatch"):
+                Polytope.from_halfspaces(dim, [Halfspace(n, 1) for n in normals])
+
     def test_nonprimitive_normal_rejected(self):
         with pytest.raises(ToricError):
             Halfspace((2, 4), 1)
@@ -252,6 +258,25 @@ class TestScan:
         assert report.skipped > 0
 
 
+class TestPackageImport:
+    def test_toric_engine_loads_alone(self):
+        import os
+        import subprocess
+        import sys
+        code = ("import sys, futakizero.toric; "
+                "print(sorted(m for m in sys.modules if m.startswith('futakizero')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                             check=True).stdout
+        assert out.strip() == "['futakizero', 'futakizero.toric']"
+
+    def test_every_public_name_resolves(self):
+        import futakizero
+        for name in futakizero.__all__:
+            assert getattr(futakizero, name) is not None
+        assert futakizero.Polytope is Polytope
+
+
 class TestTextFormat:
     def test_parse_and_render(self):
         text = "# simplex\n-1 0 <= 0\n0 -1 <= 0\n1 1 <= 3\n"
@@ -267,3 +292,210 @@ class TestTextFormat:
     def test_bad_line_rejected(self):
         with pytest.raises(ToricError):
             parse_polytope_text("1 0 1\n")
+
+
+# ---------------------------------------------------------------------------
+# oracle: vertex enumeration by Fraction Cramer solves on every facet subset
+# ---------------------------------------------------------------------------
+
+def _oracle_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _oracle_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def _oracle_cramer(rows, rhs):
+    det = _oracle_det(rows)
+    if det == 0:
+        return None
+    d = len(rows)
+    return tuple(_oracle_det([[rhs[i] if k == j else Fraction(rows[i][k]) for k in range(d)]
+                              for i in range(d)]) / det
+                 for j in range(d))
+
+
+def _oracle_rank(rows):
+    from futakizero.ratlinalg import rref
+    return len(rref([[Fraction(x) for x in r] for r in rows])[1]) if rows else 0
+
+
+def _oracle_affine_rank(points):
+    return _oracle_rank([[x - b for x, b in zip(p, points[0])] for p in points[1:]])
+
+
+def _oracle_cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _oracle_order_polygon(normal, labelled):
+    from functools import cmp_to_key
+    k = len(labelled)
+    centroid = [sum(p[i] for _, p in labelled) / k for i in range(3)]
+    b1 = [labelled[0][1][i] - centroid[i] for i in range(3)]
+    b2 = _oracle_cross([Fraction(n) for n in normal], b1)
+
+    def plane(p):
+        d = [p[i] - centroid[i] for i in range(3)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            det = b1[i] * b2[j] - b1[j] * b2[i]
+            if det != 0:
+                return ((d[i] * b2[j] - d[j] * b2[i]) / det,
+                        (b1[i] * d[j] - b1[j] * d[i]) / det)
+        raise DegenerateError("degenerate plane basis")
+
+    def half(q):
+        return 0 if (q[1] > 0 or (q[1] == 0 and q[0] > 0)) else 1
+
+    def compare(a, b):
+        qa, qb = a[1], b[1]
+        if half(qa) != half(qb):
+            return -1 if half(qa) < half(qb) else 1
+        cross = qa[0] * qb[1] - qa[1] * qb[0]
+        if cross == 0:
+            raise DegenerateError("repeated direction on facet polygon")
+        return -1 if cross > 0 else 1
+
+    planar = sorted(((idx, plane(p)) for idx, p in labelled), key=cmp_to_key(compare))
+    return tuple(idx for idx, _ in planar)
+
+
+def oracle_polytope(dim, halfspaces):
+    """(vertices, facet_cycles) of Polytope.from_halfspaces, on Fractions."""
+    from itertools import combinations
+    if dim not in (1, 2, 3):
+        raise ToricError("only dimensions 1..3 are supported")
+    halfspaces = [h if isinstance(h, Halfspace) else Halfspace(*h) for h in halfspaces]
+    normals = [h.normal for h in halfspaces]
+    if len(set(normals)) != len(halfspaces):
+        raise ToricError("repeated facet normal")
+    if dim > 1 and _oracle_rank(normals) < dim:
+        raise UnboundedError("normals do not span the space")
+    if dim == 1:
+        rays = [(1,), (-1,)]
+    elif dim == 2:
+        rays = [r for n in normals for r in ((-n[1], n[0]), (n[1], -n[0]))]
+    else:
+        rays = [r for a, b in combinations(normals, 2) if any(_oracle_cross(a, b))
+                for r in (tuple(_oracle_cross(a, b)), tuple(-x for x in _oracle_cross(a, b)))]
+    for ray in rays:
+        if all(sum(n * r for n, r in zip(normal, ray)) <= 0 for normal in normals):
+            raise UnboundedError(f"recession direction {ray}")
+    seen = {}
+    for combo in combinations(halfspaces, dim):
+        point = _oracle_cramer([h.normal for h in combo], [h.offset for h in combo])
+        if point is not None and all(h.value(point) <= h.offset for h in halfspaces):
+            seen[point] = None
+    vertices = sorted(seen)
+    if not vertices:
+        raise DegenerateError("no vertices: empty or degenerate halfspace system")
+    if _oracle_affine_rank(vertices) != dim:
+        raise DegenerateError("lower-dimensional input")
+    cycles = []
+    for f, h in enumerate(halfspaces):
+        incident = [i for i, v in enumerate(vertices) if h.value(v) == h.offset]
+        if dim == 1 and len(incident) != 1:
+            raise DegenerateError(f"facet {f} does not support a point")
+        if dim == 2 and len(incident) != 2:
+            raise DegenerateError(f"facet {f} does not support an edge")
+        if dim < 3:
+            cycles.append(tuple(incident))
+            continue
+        if len(incident) < 3 or _oracle_affine_rank([vertices[i] for i in incident]) != 2:
+            raise DegenerateError(f"facet {f} does not support a 2-face")
+        cycles.append(_oracle_order_polygon(h.normal, [(i, vertices[i]) for i in incident]))
+    return tuple(vertices), tuple(cycles)
+
+
+def _outcome(build, *args):
+    try:
+        result = build(*args)
+    except ToricError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, Polytope):
+        return result.vertices, result.facet_cycles
+    return result
+
+
+def _random_system(rng):
+    """A box with random cuts, or (one time in four) arbitrary halfspaces;
+    offsets have denominators up to 12."""
+    from math import gcd
+    dim = rng.randint(1, 3)
+
+    def offset(lo, hi):
+        q = rng.randint(1, 12)
+        return Fraction(rng.randint(lo * q, hi * q), q)
+
+    def normal():
+        while True:
+            n = [rng.randint(-3, 3) for _ in range(dim)]
+            g = gcd(*n)
+            if g:
+                return tuple(x // g for x in n)
+
+    if rng.random() < 0.25:
+        return dim, [Halfspace(normal(), offset(-3, 6)) for _ in range(rng.randint(1, 6))]
+    system = {}
+    for i in range(dim):
+        e = tuple(int(j == i) for j in range(dim))
+        system[e] = offset(1, 4)
+        system[tuple(-x for x in e)] = offset(-1, 1)
+    for _ in range(rng.randint(0, 4)):
+        system.setdefault(normal(), offset(-2, 6))
+    items = list(system.items())
+    rng.shuffle(items)
+    return dim, [Halfspace(n, c) for n, c in items]
+
+
+class TestIntegerKernelOracle:
+    def test_random_systems(self):
+        from itertools import combinations
+
+        from futakizero.toric import _det_int
+        rng = random.Random(20231)
+        kinds = set()
+        negative = 0
+        for _ in range(400):
+            dim, hs = _random_system(rng)
+            expected = _outcome(oracle_polytope, dim, hs)
+            assert _outcome(Polytope.from_halfspaces, dim, hs) == expected, hs
+            kinds.add(expected[0] if isinstance(expected[0], type) else (dim, "ok"))
+            negative += any(_det_int([h.normal for h in combo]) < 0
+                            for combo in combinations(hs, dim))
+        assert {(1, "ok"), (2, "ok"), (3, "ok"), DegenerateError, UnboundedError,
+                ToricError} <= kinds
+        assert negative > 0
+
+    def test_non_simple_vertices_and_empty_systems(self):
+        octahedron = [Halfspace((x, y, z), 1) for x in (1, -1) for y in (1, -1)
+                      for z in (1, -1)]
+        pyramid = [Halfspace((0, 0, -1), 0), Halfspace((1, 0, 1), 1),
+                   Halfspace((-1, 0, 1), 1), Halfspace((0, 1, 1), 1),
+                   Halfspace((0, -1, 1), 1)]
+        # a cut through a vertex of a triangle supports no edge
+        triangle_cut = [Halfspace((-1, 0), 0), Halfspace((0, -1), 0),
+                        Halfspace((1, 1), 3), Halfspace((1, 0), 3)]
+        cases = [(3, octahedron), (3, pyramid), (2, triangle_cut)]
+        for dim, hs in cases + [(dim, []) for dim in (1, 2, 3)]:
+            expected = _outcome(oracle_polytope, dim, hs)
+            assert _outcome(Polytope.from_halfspaces, dim, hs) == expected
+        assert len(oracle_polytope(3, octahedron)[0]) == 6
+        assert len(oracle_polytope(3, pyramid)[1][0]) == 4
+
+    @pytest.mark.parametrize("family,points", [("s6", 1331), ("bl2lines-p3", 225)])
+    def test_scan_grids(self, monkeypatch, family, points):
+        real = Polytope.from_halfspaces.__func__
+        systems = []
+
+        def recording(cls, dim, halfspaces):
+            systems.append((dim, list(halfspaces)))
+            return real(cls, dim, halfspaces)
+
+        monkeypatch.setattr(Polytope, "from_halfspaces", classmethod(recording))
+        report = zero_locus_scan(family, Fraction(1, 4))
+        monkeypatch.undo()
+        assert len(report.points) + report.skipped == len(systems) == points
+        for dim, hs in systems:
+            assert (_outcome(Polytope.from_halfspaces, dim, hs)
+                    == _outcome(oracle_polytope, dim, hs))

@@ -176,7 +176,10 @@ def load_catalog(path=None, text=None):
         value = value.strip()
         if current is None:
             if key == "version":
-                version = int(value)
+                try:
+                    version = int(value)
+                except ValueError:
+                    raise CatalogError(f"bad version value {value!r}", lineno) from None
                 segments.append(("version", version))
                 continue
             raise CatalogError(f"key {key!r} outside any record", lineno)
@@ -299,7 +302,10 @@ def _parse_expected(value, line, case_id):
     if value == "see_toric":
         return ("see_toric",)
     if value.startswith("subcone(") and value.endswith(")"):
-        return ("subcone", int(value[len("subcone("):-1]))
+        try:
+            return ("subcone", int(value[len("subcone("):-1]))
+        except ValueError:
+            pass
     raise CatalogError(f"record {case_id}: bad expected verdict {value!r}", line)
 
 

@@ -62,9 +62,6 @@ class PPoly:
     def degree_in(self, i):
         return max((expo[i] for expo in self.terms), default=0)
 
-    def total_degree(self):
-        return max((sum(expo) for expo in self.terms), default=0)
-
     def __eq__(self, other):
         return isinstance(other, PPoly) and self.names == other.names and self.terms == other.terms
 
@@ -135,11 +132,11 @@ class PPoly:
                 for n, e in zip(self.names, expo) if e > 0
             )
             if not mono:
-                body = _render_fraction(abs(c))
+                body = render_fraction(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
-                body = f"{_render_fraction(abs(c))}*{mono}"
+                body = f"{render_fraction(abs(c))}*{mono}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -150,7 +147,7 @@ class PPoly:
         return f"PPoly({self.render()!r})"
 
 
-def _render_fraction(q):
+def render_fraction(q):
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -444,11 +441,18 @@ class RatFunc:
 
 
 def _reduce(num, den):
+    # gcd(num, den) is 1 when either side is constant, so only a
+    # non-constant pair pays for poly_gcd and the two exact divisions.
     if num.is_zero():
         return num, PPoly.const(num.names, 1)
-    g = poly_gcd(num, den)
-    num = exact_div(num, g)
-    den = exact_div(den, g)
+    num_const, den_const = num.is_constant(), den.is_constant()
+    if num_const and den_const:
+        q = num.constant_value() / den.constant_value()
+        return PPoly.const(num.names, q.numerator), PPoly.const(num.names, q.denominator)
+    if not (num_const or den_const):
+        g = poly_gcd(num, den)
+        num = exact_div(num, g)
+        den = exact_div(den, g)
     cn, num = _int_content_and_primitive(num)
     cd, den = _int_content_and_primitive(den)
     scale = cn / cd

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .parampoly import RatFunc, rational_roots
-from .ratlinalg import kernel_basis_generic, solve_generic
+from .parampoly import RatFunc, rational_roots, render_fraction
+from .ratlinalg import solve_generic
 
 
 class PolyError(ValueError):
@@ -93,6 +93,9 @@ class ParamField:
 
     names: tuple = ()
     excluded: dict = field(default_factory=dict)  # name -> tuple of Fractions
+    # RatFunc is immutable, so each field builds its zero and one once
+    _zero: RatFunc = field(init=False, repr=False, compare=False)
+    _one: RatFunc = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -102,9 +105,14 @@ class ParamField:
         for n in self.excluded:
             if n not in self.names:
                 raise PolyError(f"exclusions for undeclared parameter {n!r}")
+        object.__setattr__(self, "_zero", RatFunc.const(self.names, 0))
+        object.__setattr__(self, "_one", RatFunc.const(self.names, 1))
+
+    def zero(self):
+        return self._zero
 
     def one(self):
-        return RatFunc.const(self.names, 1)
+        return self._one
 
     def const(self, value):
         return RatFunc.const(self.names, value)
@@ -192,7 +200,7 @@ class MultiPoly:
         self._same_ring(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, self.params.const(0)) + c
+            terms[e] = terms.get(e, self.params.zero()) + c
         return MultiPoly(self.ambient, self.params, terms)
 
     def __sub__(self, other):
@@ -212,7 +220,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, self.params.const(0)) + c1 * c2
+                terms[e] = terms.get(e, self.params.zero()) + c1 * c2
         return MultiPoly(self.ambient, self.params, terms, check=False)
 
     __rmul__ = __mul__
@@ -286,22 +294,18 @@ def _render_term(coeff, mono):
     if coeff.is_constant():
         v = coeff.constant_value()
         if not mono:
-            return _frac_text(v)
+            return render_fraction(v)
         if v == 1:
             return mono
         if v == -1:
             return f"-{mono}"
-        return f"{_frac_text(v)}*{mono}"
+        return f"{render_fraction(v)}*{mono}"
     if coeff.den.is_constant() and len(coeff.num.terms) == 1:
         # bare monomial scalar such as a or 2*a
         body = coeff.render()
         return f"{body}*{mono}" if mono else body
     body = f"({coeff.render()})"
     return f"{body}*{mono}" if mono else body
-
-
-def _frac_text(v):
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +442,7 @@ class _Parser:
     def _add(self, a, b):
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            terms[e] = terms.get(e, self.params.const(0)) + c
+            terms[e] = terms.get(e, self.params.zero()) + c
         return MultiPoly(self.ambient, self.params, terms, check=False)
 
     def _neg(self, a):
@@ -457,12 +461,12 @@ class _Parser:
 def _as_scalar(p):
     """RatFunc value of a coordinate-free polynomial, else None."""
     if not p.terms:
-        return p.params.const(0)
+        return p.params.zero()
     if len(p.terms) != 1:
         items = list(p.terms.items())
         if any(any(k > 0 for k in e) for e, _ in items):
             return None
-        total = p.params.const(0)
+        total = p.params.zero()
         for _, c in items:
             total = total + c
         return total
@@ -521,7 +525,7 @@ def in_span(p, gens, params=None):
         if g.ambient != p.ambient:
             raise PolyError("ambient mismatch in span check")
     monomials = sorted({e for g in gens for e in g.terms} | set(p.terms), reverse=True)
-    zero = params.const(0)
+    zero = params.zero()
     rows = [[g.terms.get(m, zero) for g in gens] for m in monomials]
     rhs = [p.terms.get(m, zero) for m in monomials]
     solution = solve_generic(rows, rhs, lambda x: x.is_zero())
@@ -545,12 +549,3 @@ def reconstruct(gens, solution):
         part = g.scale(c)
         total = part if total is None else total + part
     return total
-
-
-def span_kernel(gens, params):
-    """Linear dependencies among gens over Q(params) (used for sanity checks)."""
-    monomials = sorted({e for g in gens for e in g.terms}, reverse=True)
-    zero = params.const(0)
-    rows = [[g.terms.get(m, zero) for g in gens] for m in monomials]
-    return kernel_basis_generic(rows, len(gens), params.const(1), zero,
-                                lambda x: x.is_zero())

@@ -192,6 +192,19 @@ class TestCatalogCommand:
         assert code == 2
         assert "finding:" in out
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("version = 1", "version = x", "line 1: bad version value 'x'"),
+        ("expected = full_cone", "expected = subcone(x)",
+         "line 5: record 9.1: bad expected verdict 'subcone(x)'")])
+    def test_bad_version_or_subcone_exits_two(self, tmp_path, capsys, old, new, message):
+        text = ('version = 1\n[case "9.1"]\nkind = semisimple_full\ntheorem = 1\n'
+                'expected = full_cone\n').replace(old, new)
+        path = tmp_path / "bad.cat"
+        path.write_text(text)
+        code, _ = run_cli(["--catalog", str(path), "catalog", "validate"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("line,key", [
         ("theorem =", "theorem"),
         ("torus_rank = two", "torus_rank"),

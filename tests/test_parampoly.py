@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from futakizero.parampoly import (ParamPolyError, PPoly, RatFunc, exact_div,
-                                  poly_gcd, rational_roots)
+from futakizero import parampoly
+from futakizero.catalog import load_catalog, validate_catalog
+from futakizero.parampoly import (ParamPolyError, PPoly, RatFunc, _int_content_and_primitive,
+                                  _leading, exact_div, poly_gcd, rational_roots)
 
 
 def upoly(*coeffs):
@@ -78,6 +80,92 @@ class TestRatFunc:
         assert r.evaluate({"s": Fraction(3)}) == Fraction(2)
         with pytest.raises(ZeroDivisionError):
             r.evaluate({"s": Fraction(1)})
+
+
+def always_gcd_reduce(num, den):
+    """Oracle: the canonical form through poly_gcd and exact_div on every pair,
+    constant sides included."""
+    if num.is_zero():
+        return num, PPoly.const(num.names, 1)
+    g = poly_gcd(num, den)
+    num = exact_div(num, g)
+    den = exact_div(den, g)
+    cn, num = _int_content_and_primitive(num)
+    cd, den = _int_content_and_primitive(den)
+    scale = cn / cd
+    _, lead = _leading(den)
+    if lead < 0:
+        den = -den
+        scale = -scale
+    return num.scaled(scale.numerator), den.scaled(scale.denominator)
+
+
+def random_coeff(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 6))
+
+
+def random_ppoly(rng, names, max_terms=3, max_deg=2):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        expo = tuple(rng.randint(0, max_deg) for _ in names)
+        terms[expo] = random_coeff(rng)
+    return PPoly(names, terms)
+
+
+def reduce_corpus(seed, names, count):
+    """Seeded (num, den) pairs: zero, constants, constant/poly in both orders
+    and poly/poly with and without a common factor."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        const = PPoly.const(names, random_coeff(rng))
+        other = PPoly.const(names, random_coeff(rng))
+        pairs.append((PPoly.zero(names), other))
+        pairs.append((const, other))
+        if not names:
+            continue
+        poly = random_ppoly(rng, names)
+        pairs.append((const, poly))
+        pairs.append((poly, const))
+        f, g, h = (random_ppoly(rng, names) for _ in range(3))
+        pairs.append((f, g))
+        pairs.append((f * h, g * h.scaled(random_coeff(rng))))
+        pairs.append((h.scaled(random_coeff(rng)), h))
+    return [(n, d) for n, d in pairs if not d.is_zero()]
+
+
+class TestCanonicalFormOracle:
+    @pytest.mark.parametrize("names,count", [((), 200), (("a",), 120), (("a", "b"), 60)])
+    def test_matches_always_gcd_reduction(self, names, count):
+        pairs = reduce_corpus(len(names), names, count)
+        kinds = {(n.is_zero(), n.is_constant(), d.is_constant()) for n, d in pairs}
+        expected_kinds = {(True, True, True), (False, True, True)}
+        if names:
+            expected_kinds |= {(False, True, False), (False, False, True),
+                               (False, False, False)}
+        assert kinds == expected_kinds
+        for num, den in pairs:
+            want_num, want_den = always_gcd_reduce(num, den)
+            r = RatFunc(num, den)
+            assert (r.num.names, r.den.names) == (names, names)
+            assert r.num.terms == want_num.terms, (num, den)
+            assert r.den.terms == want_den.terms, (num, den)
+
+    def test_shipped_catalog_runs_gcd_only_on_nonconstant_pairs(self, monkeypatch):
+        calls = []
+        real_gcd = parampoly.poly_gcd
+
+        def guarded(p, q):
+            assert not p.is_constant() and not q.is_constant(), (p, q)
+            calls.append(p.names)
+            return real_gcd(p, q)
+
+        monkeypatch.setattr(parampoly, "poly_gcd", guarded)
+        catalog = load_catalog()
+        assert calls == []
+        # the span solves of validation do reduce poly/poly ratios
+        assert validate_catalog(catalog) == []
+        assert calls
 
 
 class TestRationalRoots:

@@ -319,7 +319,11 @@ def _parse_params(hits, case_id):
             raise CatalogError(f"record {case_id}: bad parameter name {name!r}", line)
         names.append(name)
         if tail:
-            excluded[name] = tuple(Fraction(x.strip()) for x in tail.split(","))
+            try:
+                excluded[name] = tuple(Fraction(x.strip()) for x in tail.split(","))
+            except (ValueError, ZeroDivisionError):
+                raise CatalogError(f"record {case_id}: bad excluded value in {value!r}",
+                                   line) from None
     return ParamField(tuple(names), excluded)
 
 

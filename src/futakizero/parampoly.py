@@ -9,7 +9,7 @@ and golden tests stay byte-stable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class ParamPolyError(ValueError):
@@ -69,6 +69,8 @@ class PPoly:
         return hash((self.names, tuple(sorted(self.terms.items()))))
 
     def _binop(self, other, sign):
+        if not isinstance(other, PPoly):
+            other = PPoly.const(self.names, other)
         terms = dict(self.terms)
         for expo, c in other.terms.items():
             terms[expo] = terms.get(expo, Fraction(0)) + sign * c
@@ -77,8 +79,13 @@ class PPoly:
     def __add__(self, other):
         return self._binop(other, 1)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self._binop(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._binop(other, 1)
 
     def __neg__(self):
         return PPoly(self.names, {e: -c for e, c in self.terms.items()})
@@ -95,6 +102,10 @@ class PPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """Division by a nonzero scalar."""
+        return self.scaled(1 / Fraction(other))
+
     def __pow__(self, k):
         result = PPoly.const(self.names, 1)
         for _ in range(k):
@@ -106,15 +117,28 @@ class PPoly:
         return PPoly(self.names, {e: c * factor for e, c in self.terms.items()})
 
     def evaluate(self, values):
-        """Evaluate at a dict name -> Fraction."""
+        """Evaluate at a dict name -> Fraction.
+
+        The sum runs on integers over one common denominator: the lcm of the
+        coefficient denominators times each value's denominator raised to the
+        variable's top degree."""
         point = [Fraction(values[n]) for n in self.names]
-        total = Fraction(0)
+        tops = [0] * len(point)
+        scale = 1
         for expo, c in self.terms.items():
-            v = c
-            for x, e in zip(point, expo):
-                v *= x ** e
+            tops = [max(t, e) for t, e in zip(tops, expo)]
+            scale = lcm(scale, c.denominator)
+        nums = [_powers(x.numerator, t) for x, t in zip(point, tops)]
+        dens = [_powers(x.denominator, t) for x, t in zip(point, tops)]
+        total = 0
+        for expo, c in self.terms.items():
+            v = c.numerator * (scale // c.denominator)
+            for num, den, t, e in zip(nums, dens, tops, expo):
+                v *= num[e] * den[t - e]
             total += v
-        return total
+        for den, t in zip(dens, tops):
+            scale *= den[t]
+        return Fraction(total, scale)
 
     def sorted_terms(self):
         # display order: grade first, then earlier names first
@@ -145,6 +169,14 @@ class PPoly:
 
     def __repr__(self):
         return f"PPoly({self.render()!r})"
+
+
+def _powers(x, top):
+    """[x^0, x^1, ..., x^top]."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
 
 
 def render_fraction(q):

@@ -3,12 +3,18 @@
 Halfspace representations with primitive integer outer normals, exact
 vertex/volume/moment computation, the lattice-normalized boundary measure
 (dmu = dsigma ^ d<u,.>, computed with lattice determinants only, no
-radicals), the Donaldson-type functional L(f), Futaki vectors, moment
-polytope builders for the toric catalog members, and zero-locus scans.
+radicals), the Donaldson-type functional L(f), Futaki vectors, the toric
+catalog families declared as affine halfspace rows, and zero-locus scans.
 
 Every integral is evaluated along two independent routes (base-vertex
 triangulation vs divergence theorem over the boundary data) and the public
-operations insist the routes agree exactly.
+operations insist the routes agree exactly.  The routes are written once, over
+Fractions or over polynomials in the family parameters.
+
+Scans group grid points by combinatorial cell.  On a cell the vertices are
+affine in the parameters, so the Futaki numerators are polynomials, derived
+once per cell (both routes must agree symbolically, and numerically with the
+Fraction routes at the cell's sample point) and evaluated at every point.
 
 Construction runs on integers: vertices are solved with integer adjugates
 against lcm-scaled offsets, and incidence, ranks and facet orders are
@@ -104,6 +110,10 @@ class Polytope:
             raise DegenerateError("lower-dimensional input")
         cycles = _facet_cycles(dim, halfspaces, points, tight)
         return cls(dim, halfspaces, vertices, cycles)
+
+    # the integral routes take absolute values through this; a symbolic cell
+    # reads the sign at its sample point instead
+    magnitude = staticmethod(abs)
 
     def facet_vertices(self, f):
         return [self.vertices[i] for i in self.facet_cycles[f]]
@@ -208,7 +218,7 @@ def _subset_solves(dim, normals):
     out = []
     for combo in combinations(range(len(normals)), dim):
         rows = [normals[i] for i in combo]
-        det = _det_int(rows)
+        det = _det(rows)
         sign = -1 if det < 0 else 1
         out.append((combo, sign * det,
                     tuple(tuple(sign * x for x in row) for row in _adjugate(rows))))
@@ -274,7 +284,7 @@ def _independent(vectors):
     """Whether integer vectors are linearly independent: some maximal minor
     is nonzero."""
     cols = range(len(vectors[0]))
-    return any(_det_int([[v[c] for c in subset] for v in vectors])
+    return any(_det([[v[c] for c in subset] for v in vectors])
                for subset in combinations(cols, len(vectors)))
 
 
@@ -338,7 +348,7 @@ def _order_polygon(normal, labelled):
 
 def _inverse_transpose_int(u):
     d = len(u)
-    det = _det_int(u)
+    det = _det(u)
     if abs(det) != 1:
         raise ToricError("matrix is not unimodular")
     adj = _adjugate(u)
@@ -346,7 +356,8 @@ def _inverse_transpose_int(u):
     return [[int(inv[j][i]) for j in range(d)] for i in range(d)]  # transpose
 
 
-def _det_int(u):
+def _det(u):
+    """Determinant by cofactor expansion; entries are ints, Fractions or PPoly."""
     d = len(u)
     if d == 0:
         return 1
@@ -356,7 +367,7 @@ def _det_int(u):
         return u[0][0] * u[1][1] - u[0][1] * u[1][0]
     total = 0
     for j in range(d):
-        total += (-1) ** j * u[0][j] * _det_int(_minor(u, 0, j))
+        total += (-1) ** j * u[0][j] * _det([r[:j] + r[j + 1:] for r in u[1:]])
     return total
 
 
@@ -366,44 +377,33 @@ def _minor(u, i, j):
 
 def _adjugate(u):
     d = len(u)
-    return [[(-1) ** (i + j) * _det_int(_minor(u, j, i)) for j in range(d)]
+    return [[(-1) ** (i + j) * _det(_minor(u, j, i)) for j in range(d)]
             for i in range(d)]
 
 
 # ---------------------------------------------------------------------------
 # exact integrals
 # ---------------------------------------------------------------------------
+#
+# The routes are written once over a field: vertex coordinates and offsets are
+# Fractions on a Polytope, or PPoly on a cell of the ``cells`` module.  Each
+# absolute value goes through ``p.magnitude``, which reads the sign at the
+# cell's sample point; for Fractions that point is the value itself.
 
-def _primitive_direction(delta):
-    denom = 1
-    for x in delta:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in delta]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    return tuple(n // g for n in ints)
-
-
-def _edge_sigma(v, w):
-    """Lattice length of an edge: the factor L with w - v = L * primitive."""
-    delta = [Fraction(b) - Fraction(a) for a, b in zip(v, w)]
-    t = _primitive_direction(delta)
-    for x, ti in zip(delta, t):
-        if ti != 0:
-            return abs(x / ti)
-    raise ToricError("zero-length edge")
+def _edge_sigma(p, normal, v, w):
+    """Lattice length of an edge on the facet with this normal: the factor L
+    with w - v = L * t, t = (-n1, n0) the primitive perpendicular of the
+    primitive normal."""
+    t = (-normal[1], normal[0])
+    j = 0 if t[0] else 1
+    return p.magnitude((w[j] - v[j]) / t[j])
 
 
-def _triangle_sigma(normal, a, b, c):
+def _triangle_sigma(p, normal, a, b, c):
     """Lattice area of a facet triangle: |k|/2 with (b-a)x(c-a) = k * normal."""
-    e1 = [Fraction(x) - Fraction(y) for x, y in zip(b, a)]
-    e2 = [Fraction(x) - Fraction(y) for x, y in zip(c, a)]
-    cr = _cross(e1, e2)
-    for ci, ni in zip(cr, normal):
-        if ni != 0:
-            return abs(ci / Fraction(ni))
-    raise ToricError("degenerate facet triangle")
+    cr = _cross([x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)])
+    j = next(i for i, n in enumerate(normal) if n)
+    return p.magnitude(cr[j] / normal[j]) / 2
 
 
 def _facet_measures_fan(p, f, origin_mode):
@@ -414,34 +414,28 @@ def _facet_measures_fan(p, f, origin_mode):
         return cached
     verts = p.facet_vertices(f)
     d = p.dim
+    normal = p.halfspaces[f].normal
     if d == 1:
-        v = verts[0]
-        result = (Fraction(1), [Fraction(x) for x in v])
+        result = (Fraction(1), list(verts[0]))
     elif d == 2:
         v, w = verts
-        sigma = _edge_sigma(v, w)
-        mid = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(v, w)]
-        result = (sigma, [sigma * x for x in mid])
+        sigma = _edge_sigma(p, normal, v, w)
+        result = (sigma, [sigma * (a + b) / 2 for a, b in zip(v, w)])
     else:
-        normal = p.halfspaces[f].normal
         k = len(verts)
         if origin_mode == "vertex":
             apex = verts[0]
             fan = [(verts[i], verts[i + 1]) for i in range(1, k - 1)]
         else:
-            apex = tuple(sum(Fraction(v[i]) for v in verts) / k for i in range(3))
+            apex = tuple(sum(v[i] for v in verts) / k for i in range(3))
             fan = [(verts[i], verts[(i + 1) % k]) for i in range(k)]
         mass = Fraction(0)
         moment = [Fraction(0)] * 3
         for b, c in fan:
-            area = _triangle_sigma(normal, apex, b, c) / 2
-            if area == 0:
-                continue
-            centroid = [(Fraction(apex[i]) + Fraction(b[i]) + Fraction(c[i])) / 3
-                        for i in range(3)]
+            area = _triangle_sigma(p, normal, apex, b, c)
             mass += area
             for i in range(3):
-                moment[i] += area * centroid[i]
+                moment[i] += area * (apex[i] + b[i] + c[i]) / 3
         result = (mass, moment)
     p._cache[("facet", f, origin_mode)] = result
     return result
@@ -465,11 +459,10 @@ def _solid_route_triangulation(p):
     moment = [Fraction(0)] * d
     if d == 1:
         a, b = p.vertices[0][0], p.vertices[-1][0]
-        vol = abs(b - a)
-        mid = (a + b) / 2
-        return vol, (vol * mid,)
-    for f, h in enumerate(p.halfspaces):
-        if h.value(base) == h.offset:
+        vol = p.magnitude(b - a)
+        return vol, (vol * (a + b) / 2,)
+    for f, cycle in enumerate(p.facet_cycles):
+        if 0 in cycle:      # the facet contains the base vertex
             continue
         verts = p.facet_vertices(f)
         if d == 2:
@@ -477,16 +470,11 @@ def _solid_route_triangulation(p):
         else:
             simplices = [(verts[0], verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)]
         for simplex in simplices:
-            rows = [[Fraction(x) - Fraction(bx) for x, bx in zip(v, base)] for v in simplex]
-            det = _det_frac(rows)
-            v = abs(det) / _factorial(d)
-            if v == 0:
-                continue
-            pts = [base] + list(simplex)
-            centroid = [sum(Fraction(pt[i]) for pt in pts) / (d + 1) for i in range(d)]
+            det = _det([[x - bx for x, bx in zip(s, base)] for s in simplex])
+            v = p.magnitude(det) / _factorial(d)
             vol += v
             for i in range(d):
-                moment[i] += v * centroid[i]
+                moment[i] += v * (base[i] + sum(s[i] for s in simplex)) / (d + 1)
     return vol, tuple(moment)
 
 
@@ -500,18 +488,6 @@ def _solid_route_divergence(p):
         for i in range(d):
             moment[i] += h.offset * mom[i]
     return vol / d, tuple(x / (d + 1) for x in moment)
-
-
-def _det_frac(rows):
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    if d == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Fraction(0)
-    for j in range(d):
-        total += (-1) ** j * rows[0][j] * _det_frac([r[:j] + r[j + 1:] for r in rows[1:]])
-    return total
 
 
 def _factorial(n):
@@ -593,25 +569,47 @@ def futaki_vector(p):
 
 
 def product_polytope(p, q):
-    d = p.dim + q.dim
-    hs = [Halfspace(h.normal + (0,) * q.dim, h.offset) for h in p.halfspaces]
-    hs += [Halfspace((0,) * p.dim + h.normal, h.offset) for h in q.halfspaces]
-    return Polytope.from_halfspaces(d, hs)
+    rows = _product_rows([(h.normal, h.offset) for h in p.halfspaces],
+                         [(h.normal, h.offset) for h in q.halfspaces])
+    return Polytope.from_halfspaces(p.dim + q.dim, [Halfspace(n, c) for n, c in rows])
+
+
+def _product_rows(first, second):
+    """Facet rows (normal, offset) of a product: each factor's normals padded
+    with zeros for the other factor's coordinates."""
+    pad_first, pad_second = (0,) * len(second[0][0]), (0,) * len(first[0][0])
+    return (tuple((n + pad_first, c) for n, c in first)
+            + tuple((pad_second + n, c) for n, c in second))
 
 
 # ---------------------------------------------------------------------------
-# catalog polytope builders
+# catalog polytope families
 # ---------------------------------------------------------------------------
+
+def _aff(const=0, **coefficients):
+    """An offset affine in the parameters: (constant, ((name, coefficient), ...))."""
+    return Fraction(const), tuple(coefficients.items())
+
 
 @dataclass(frozen=True)
 class ToricFamily:
+    """Moment polytopes declared as data: one row (primitive integer outer
+    normal, offset affine in the parameters) per facet."""
+
     name: str
     param_names: tuple
-    facet_count: int
+    rows: tuple
     anticanonical: dict
-    builder: object
     scan_upper: dict        # exclusive upper grid bound per scanned parameter
     fixed_for_scan: dict    # parameters pinned during scans
+
+    @property
+    def dim(self):
+        return len(self.rows[0][0])
+
+    def offsets(self, values):
+        """Facet offsets at ``values``: name -> Fraction, or PPoly."""
+        return [sum((c * values[n] for n, c in terms), const) for _, (const, terms) in self.rows]
 
     def build(self, **params):
         missing = [n for n in self.param_names if n not in params]
@@ -622,82 +620,51 @@ class ToricFamily:
             raise ToricError(f"unknown parameters {extra} for family {self.name}")
         values = {n: Fraction(params[n]) for n in self.param_names}
         try:
-            polytope = self.builder(**values)
+            return Polytope.from_halfspaces(
+                self.dim, [Halfspace(normal, offset) for (normal, _), offset
+                           in zip(self.rows, self.offsets(values))])
         except (DegenerateError, UnboundedError) as exc:
             raise KahlerRegionError(
                 f"parameters outside the Kähler region for {self.name}: {exc}") from exc
-        if len(polytope.halfspaces) != self.facet_count:
-            raise KahlerRegionError(
-                f"parameters outside the Kähler region for {self.name}: "
-                f"expected {self.facet_count} facets")
-        return polytope
 
 
-def _hs(*rows):
-    return [Halfspace(tuple(r[:-1]), r[-1]) for r in rows]
+def _interval(name):
+    """[0, name] on the line."""
+    return (((-1,), _aff()), ((1,), _aff(**{name: 1})))
 
 
-def _build_p1(a):
-    return Polytope.from_halfspaces(1, _hs((-1, 0), (1, a)))
+_P2 = (((-1, 0), _aff()), ((0, -1), _aff()), ((1, 1), _aff(h=1)))
+_P1XP1 = _product_rows(_interval("a"), _interval("b"))
+# the corner-cut hexagon {x, y >= 0, x + y <= 3, x + y >= a, x <= 3 - b, y <= 3 - c}
+_S6 = (((-1, 0), _aff()), ((0, -1), _aff()), ((1, 1), _aff(3)),
+       ((-1, -1), _aff(a=-1)), ((1, 0), _aff(3, b=-1)), ((0, 1), _aff(3, c=-1)))
+# the size-h simplex truncated along two opposite edges with depths a and b
+_BL2LINES = (((-1, 0, 0), _aff()), ((0, -1, 0), _aff()), ((0, 0, -1), _aff()),
+             ((1, 1, 1), _aff(h=1)), ((0, 1, 1), _aff(h=1, a=-1)), ((0, -1, -1), _aff(b=-1)))
 
 
-def _build_p2(h):
-    return Polytope.from_halfspaces(2, _hs((-1, 0, 0), (0, -1, 0), (1, 1, h)))
+def _family(name, param_names, rows, anticanonical, scan_upper, fixed_for_scan=None):
+    def fractions(values):
+        return {n: Fraction(v) for n, v in values.items()}
+    return ToricFamily(name, param_names, rows,
+                       fractions(anticanonical), fractions(scan_upper),
+                       fractions(fixed_for_scan or {}))
 
 
-def _build_p1xp1(a, b):
-    return Polytope.from_halfspaces(2, _hs((-1, 0, 0), (1, 0, a), (0, -1, 0), (0, 1, b)))
-
-
-def _build_p1xp2(a, h):
-    return product_polytope(_build_p1(a), _build_p2(h))
-
-
-def _build_p1cubed(a, b, c):
-    return product_polytope(_build_p1xp1(a, b), _build_p1(c))
-
-
-def _build_s6(a, b, c):
-    return Polytope.from_halfspaces(2, _hs(
-        (-1, 0, 0), (0, -1, 0), (1, 1, 3), (-1, -1, -a), (1, 0, 3 - b), (0, 1, 3 - c)))
-
-
-def _build_p1xs6(t, a, b, c):
-    return product_polytope(_build_p1(t), _build_s6(a, b, c))
-
-
-def _build_bl2lines(h, a, b):
-    return Polytope.from_halfspaces(3, _hs(
-        (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0),
-        (1, 1, 1, h), (0, 1, 1, h - a), (0, -1, -1, -b)))
-
-
-FAMILIES = {
-    "p1": ToricFamily("p1", ("a",), 2, {"a": Fraction(2)}, _build_p1,
-                      {"a": Fraction(3)}, {}),
-    "p2": ToricFamily("p2", ("h",), 3, {"h": Fraction(3)}, _build_p2,
-                      {"h": Fraction(3)}, {}),
-    "p1xp1": ToricFamily("p1xp1", ("a", "b"), 4, {"a": Fraction(2), "b": Fraction(2)},
-                         _build_p1xp1, {"a": Fraction(3), "b": Fraction(3)}, {}),
-    "p1xp2": ToricFamily("p1xp2", ("a", "h"), 5, {"a": Fraction(2), "h": Fraction(3)},
-                         _build_p1xp2, {"a": Fraction(3), "h": Fraction(3)}, {}),
-    "p1cubed": ToricFamily("p1cubed", ("a", "b", "c"),
-                           6, {"a": Fraction(2), "b": Fraction(2), "c": Fraction(2)},
-                           _build_p1cubed, {"a": Fraction(3), "b": Fraction(3),
-                                            "c": Fraction(3)}, {}),
-    "s6": ToricFamily("s6", ("a", "b", "c"),
-                      6, {"a": Fraction(1), "b": Fraction(1), "c": Fraction(1)},
-                      _build_s6, {"a": Fraction(3), "b": Fraction(3), "c": Fraction(3)}, {}),
-    "p1xs6": ToricFamily("p1xs6", ("t", "a", "b", "c"),
-                         8, {"t": Fraction(2), "a": Fraction(1), "b": Fraction(1),
-                             "c": Fraction(1)},
-                         _build_p1xs6, {"a": Fraction(3), "b": Fraction(3), "c": Fraction(3)},
-                         {"t": Fraction(2)}),
-    "bl2lines-p3": ToricFamily("bl2lines-p3", ("h", "a", "b"),
-                               6, {"h": Fraction(4), "a": Fraction(1), "b": Fraction(1)},
-                               _build_bl2lines, {"a": Fraction(4), "b": Fraction(4)},
-                               {"h": Fraction(4)}),
-}
+FAMILIES = {f.name: f for f in (
+    _family("p1", ("a",), _interval("a"), {"a": 2}, {"a": 3}),
+    _family("p2", ("h",), _P2, {"h": 3}, {"h": 3}),
+    _family("p1xp1", ("a", "b"), _P1XP1, {"a": 2, "b": 2}, {"a": 3, "b": 3}),
+    _family("p1xp2", ("a", "h"), _product_rows(_interval("a"), _P2), {"a": 2, "h": 3},
+            {"a": 3, "h": 3}),
+    _family("p1cubed", ("a", "b", "c"), _product_rows(_P1XP1, _interval("c")),
+            {"a": 2, "b": 2, "c": 2}, {"a": 3, "b": 3, "c": 3}),
+    _family("s6", ("a", "b", "c"), _S6, {"a": 1, "b": 1, "c": 1}, {"a": 3, "b": 3, "c": 3}),
+    _family("p1xs6", ("t", "a", "b", "c"), _product_rows(_interval("t"), _S6),
+            {"t": 2, "a": 1, "b": 1, "c": 1}, {"a": 3, "b": 3, "c": 3}, {"t": 2}),
+    _family("bl2lines-p3", ("h", "a", "b"), _BL2LINES, {"h": 4, "a": 1, "b": 1},
+            {"a": 4, "b": 4}, {"h": 4}),
+)}
 
 
 def class_to_polytope(family, **params):
@@ -746,8 +713,12 @@ class ScanReport:
 def zero_locus_scan(family, step, loci=(), fixed=None):
     """Exact zero test of the Futaki vector over a rational grid.
 
-    Out-of-region grid points are skipped and counted.  Candidate linear
-    equations (catalog data) are fitted against the computed zero set.
+    Out-of-region grid points are skipped and counted.  In-region points are
+    grouped by combinatorial cell (the tight-facet sets of the vertices).  On
+    a cell the vertices are affine in the scanned parameters, so the Futaki
+    numerators are polynomials: they are derived once, at the cell's first
+    point, and a point is zero exactly when they all vanish there.  Candidate
+    linear equations (catalog data) are fitted against the computed zero set.
     """
     fam = FAMILIES.get(family)
     if fam is None:
@@ -770,6 +741,7 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
         grids.append(values)
     points = []
     skipped = 0
+    numerators_by_cell = {}     # cell key -> Futaki numerators over Q[scan parameters]
     for combo in _lex_product(grids):
         params = dict(pinned)
         params.update({n: v for n, v in zip(scan_names, combo)})
@@ -778,8 +750,18 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
         except KahlerRegionError:
             skipped += 1
             continue
-        vec = futaki_vector(polytope)
-        points.append(ScanPoint(tuple((n, params[n]) for n in scan_names), vec.is_zero()))
+        tight = _tight_sets(polytope)
+        key = frozenset(tight)
+        if key not in numerators_by_cell:
+            from . import cells     # the symbolic engine, loaded on first use
+            numerators_by_cell[key] = cells.numerators(fam, polytope, tight, params, scan_names)
+        numerators = numerators_by_cell[key]
+        values = dict(zip(scan_names, combo))
+        if numerators is None:
+            zero = futaki_vector(polytope).is_zero()
+        else:
+            zero = all(n.evaluate(values) == 0 for n in numerators)
+        points.append(ScanPoint(tuple(values.items()), zero))
     fits = []
     on_some_locus = [False] * len(points)
     for eq in loci:
@@ -799,6 +781,15 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     zero_everywhere = bool(points) and all(pt.zero for pt in points)
     return ScanReport(family, step, tuple(points), skipped, tuple(fits), covered,
                       zero_everywhere)
+
+
+def _tight_sets(polytope):
+    """The facets tight at each vertex, as frozensets in vertex order."""
+    tight = [set() for _ in polytope.vertices]
+    for f, cycle in enumerate(polytope.facet_cycles):
+        for i in cycle:
+            tight[i].add(f)
+    return [frozenset(t) for t in tight]
 
 
 def _lex_product(grids):

@@ -195,7 +195,11 @@ class TestCatalogCommand:
     @pytest.mark.parametrize("old,new,message", [
         ("version = 1", "version = x", "line 1: bad version value 'x'"),
         ("expected = full_cone", "expected = subcone(x)",
-         "line 5: record 9.1: bad expected verdict 'subcone(x)'")])
+         "line 5: record 9.1: bad expected verdict 'subcone(x)'"),
+        ("kind = semisimple_full", "kind = semisimple_full\nparam = t excludes x",
+         "line 4: record 9.1: bad excluded value in 't excludes x'"),
+        ("kind = semisimple_full", "kind = semisimple_full\nparam = t excludes 1, 1/0",
+         "line 4: record 9.1: bad excluded value in 't excludes 1, 1/0'")])
     def test_bad_version_or_subcone_exits_two(self, tmp_path, capsys, old, new, message):
         text = ('version = 1\n[case "9.1"]\nkind = semisimple_full\ntheorem = 1\n'
                 'expected = full_cone\n').replace(old, new)

@@ -168,6 +168,38 @@ class TestCanonicalFormOracle:
         assert calls
 
 
+def _oracle_evaluate(p, values):
+    """PPoly.evaluate term by term in Fractions."""
+    total = Fraction(0)
+    for expo, c in p.terms.items():
+        v = c
+        for name, e in zip(p.names, expo):
+            v *= Fraction(values[name]) ** e
+        total += v
+    return total
+
+
+class TestEvaluateOracle:
+    def test_matches_fraction_evaluation(self):
+        rng = random.Random(977)
+        for names in ((), ("a",), ("a", "b"), ("a", "b", "c")):
+            for _ in range(150):
+                terms = {tuple(rng.randint(0, 4) for _ in names):
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                         for _ in range(rng.randint(0, 8))}
+                p = PPoly(names, terms)
+                values = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for n in names}
+                assert p.evaluate(values) == _oracle_evaluate(p, values)
+        assert PPoly.zero(("a",)).evaluate({"a": 3}) == 0
+
+    def test_scalar_arithmetic(self):
+        a = PPoly.var(("a",), "a")
+        assert 1 + a == a + 1 == PPoly(("a",), {(0,): Fraction(1), (1,): Fraction(1)})
+        assert 1 - a == -(a - 1)
+        assert (a + 3) / 6 == (a + 3) * Fraction(1, 6)
+        assert sum([a, a], Fraction(0)) == 2 * a
+
+
 class TestRationalRoots:
     def test_quadratic_with_double_root(self):
         p = upoly(-1, 0, 1) * upoly(1, 1)

@@ -96,7 +96,7 @@ class TestIntegrals:
         verts = p.facet_vertices(idx)
         assert sorted(verts) == [(0, 0), (2, 4)]
         from futakizero.toric import _edge_sigma
-        assert _edge_sigma(*verts) == 2
+        assert _edge_sigma(p, edge.normal, *verts) == 2
 
 
 class TestDonaldsonFunctional:
@@ -154,6 +154,21 @@ class TestBuilders:
             class_to_polytope("s6", a=2, b=2, c=2)
         with pytest.raises(KahlerRegionError):
             class_to_polytope("bl2lines-p3", h=4, a=3, b=2)
+
+    def test_product_rows_match_product_polytope(self):
+        cases = [("p1xp2", ("p1", {"a": 2}), ("p2", {"h": Fraction(5, 2)}),
+                  {"a": 2, "h": Fraction(5, 2)}),
+                 ("p1cubed", ("p1xp1", {"a": 1, "b": 3}), ("p1", {"a": Fraction(1, 2)}),
+                  {"a": 1, "b": 3, "c": Fraction(1, 2)}),
+                 ("p1xs6", ("p1", {"a": 2}), ("s6", {"a": 1, "b": 1, "c": Fraction(1, 2)}),
+                  {"t": 2, "a": 1, "b": 1, "c": Fraction(1, 2)})]
+        for family, (f1, p1), (f2, p2), params in cases:
+            expected = product_polytope(class_to_polytope(f1, **p1),
+                                        class_to_polytope(f2, **p2))
+            built = class_to_polytope(family, **params)
+            assert built.halfspaces == expected.halfspaces
+            assert built.vertices == expected.vertices
+            assert built.facet_cycles == expected.facet_cycles
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ToricError):
@@ -452,7 +467,7 @@ class TestIntegerKernelOracle:
     def test_random_systems(self):
         from itertools import combinations
 
-        from futakizero.toric import _det_int
+        from futakizero.toric import _det
         rng = random.Random(20231)
         kinds = set()
         negative = 0
@@ -461,7 +476,7 @@ class TestIntegerKernelOracle:
             expected = _outcome(oracle_polytope, dim, hs)
             assert _outcome(Polytope.from_halfspaces, dim, hs) == expected, hs
             kinds.add(expected[0] if isinstance(expected[0], type) else (dim, "ok"))
-            negative += any(_det_int([h.normal for h in combo]) < 0
+            negative += any(_det([h.normal for h in combo]) < 0
                             for combo in combinations(hs, dim))
         assert {(1, "ok"), (2, "ok"), (3, "ok"), DegenerateError, UnboundedError,
                 ToricError} <= kinds
@@ -499,3 +514,159 @@ class TestIntegerKernelOracle:
         for dim, hs in systems:
             assert (_outcome(Polytope.from_halfspaces, dim, hs)
                     == _outcome(oracle_polytope, dim, hs))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-point scan, a numeric Futaki vector at every in-region point
+# ---------------------------------------------------------------------------
+
+def oracle_scan(family, step, loci=()):
+    """ScanReport of zero_locus_scan computed point by point."""
+    from futakizero.toric import LocusFit, ScanPoint, ScanReport, _locus_holds
+    fam = FAMILIES[family]
+    pinned = dict(fam.fixed_for_scan)
+    names = [n for n in fam.param_names if n not in pinned]
+    grids = [[k * step for k in range(1, int(fam.scan_upper[n] / step) + 2)
+              if k * step < fam.scan_upper[n]] for n in names]
+    combos = [()]
+    for grid in grids:
+        combos = [c + (v,) for c in combos for v in grid]
+    points, skipped = [], 0
+    for combo in combos:
+        params = dict(pinned, **dict(zip(names, combo)))
+        try:
+            polytope = fam.build(**params)
+        except KahlerRegionError:
+            skipped += 1
+            continue
+        points.append(ScanPoint(tuple(zip(names, combo)), futaki_vector(polytope).is_zero()))
+    fits, on_some = [], set()
+    for eq in loci:
+        on = [i for i, pt in enumerate(points) if _locus_holds(eq, dict(pt.values, **pinned))]
+        on_some.update(on)
+        fits.append(LocusFit(eq, all(points[i].zero for i in on), len(on)))
+    covered = all(i in on_some for i, pt in enumerate(points) if pt.zero) if loci else True
+    return ScanReport(family, step, tuple(points), skipped, tuple(fits), covered,
+                      bool(points) and all(pt.zero for pt in points))
+
+
+HEXAGON_LOCI = ("c = 3 - a - b", "a = b = c")
+SCAN_LOCI = {"s6": HEXAGON_LOCI, "p1xs6": HEXAGON_LOCI, "bl2lines-p3": ("a = b",),
+             "p1xp1": ("a = b",)}
+
+
+def _cut_cube():
+    """[0,2]^3 cut by b <= x + y + z <= c: several combinatorial cells on one
+    grid, the slices b = 2 and c = 4 with non-simple vertices, and zeros on
+    the centrally symmetric members b + c = 6 and on c = b + 2."""
+    from futakizero.toric import ToricFamily, _aff
+    rows = (((-1, 0, 0), _aff()), ((0, -1, 0), _aff()), ((0, 0, -1), _aff()),
+            ((1, 0, 0), _aff(2)), ((0, 1, 0), _aff(2)), ((0, 0, 1), _aff(2)),
+            ((-1, -1, -1), _aff(b=-1)), ((1, 1, 1), _aff(c=1)))
+    return ToricFamily("cut-cube", ("b", "c"), rows, {},
+                       {"b": Fraction(3), "c": Fraction(6)}, {})
+
+
+class TestCellScanOracle:
+    @pytest.mark.parametrize("family,step", [(f, Fraction(1, 4)) for f in FAMILIES]
+                             + [("s6", Fraction(1, 3)), ("bl2lines-p3", Fraction(1, 3))])
+    def test_catalog_families(self, family, step):
+        loci = SCAN_LOCI.get(family, ())
+        assert zero_locus_scan(family, step, loci=loci) == oracle_scan(family, step, loci)
+
+    @staticmethod
+    def record_cells(monkeypatch):
+        from futakizero import cells as cell_engine
+        real = cell_engine.numerators
+        cells = []
+
+        def recording(fam, polytope, tight, params, scan_names):
+            numerators = real(fam, polytope, tight, params, scan_names)
+            cells.append((tight, numerators))
+            return numerators
+
+        monkeypatch.setattr(cell_engine, "numerators", recording)
+        return cells
+
+    def test_several_cells_on_one_grid(self, monkeypatch):
+        monkeypatch.setitem(FAMILIES, "cut-cube", _cut_cube())
+        cells = self.record_cells(monkeypatch)
+        step, loci = Fraction(1, 2), ("b + c = 6", "c = b + 2")
+        report = zero_locus_scan("cut-cube", step, loci=loci)
+        assert report == oracle_scan("cut-cube", step, loci)
+        assert len(cells) == len({frozenset(tight) for tight, _ in cells}) >= 5
+        # vertices on four facets at b = 2 or c = 4 only: slices, tested point by point
+        slices = [tight for tight, numerators in cells if numerators is None]
+        assert slices and all(any(len(t) > 3 for t in tight) for tight in slices)
+        assert sum(numerators is not None for _, numerators in cells) >= 3
+        assert report.covered and all(f.on_locus_all_zero for f in report.loci)
+        assert not report.zero_everywhere
+
+    def test_non_simple_vertex_of_every_member(self, monkeypatch):
+        from futakizero.toric import ToricFamily, _aff
+        # a square pyramid: four facets meet at the apex for every a
+        rows = (((0, 0, -1), _aff()),) + tuple(
+            (normal, _aff(a=1)) for normal in ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)))
+        monkeypatch.setitem(FAMILIES, "pyramid", ToricFamily(
+            "pyramid", ("a",), rows, {}, {"a": Fraction(3)}, {}))
+        cells = self.record_cells(monkeypatch)
+        report = zero_locus_scan("pyramid", Fraction(1, 4))
+        assert report == oracle_scan("pyramid", Fraction(1, 4))
+        [(tight, numerators)] = cells
+        assert numerators is not None and max(len(t) for t in tight) == 4
+
+    def test_sample_disagreement_raises(self, monkeypatch):
+        from futakizero import toric
+        real = toric.futaki_vector
+
+        def shifted(p):
+            return toric.FutakiVector(tuple(c + 1 for c in real(p).components))
+
+        monkeypatch.setattr(toric, "futaki_vector", shifted)
+        with pytest.raises(ToricError, match="disagree with the numeric Futaki vector"):
+            zero_locus_scan("s6", Fraction(1, 2))
+
+    def test_symbolic_route_disagreement_raises(self, monkeypatch):
+        from futakizero import toric
+        real = toric._solid_route_divergence
+
+        def shifted(p):
+            vol, mom = real(p)
+            return vol, (mom[0] + 1,) + mom[1:]
+
+        monkeypatch.setattr(toric, "_solid_route_divergence", shifted)
+        with pytest.raises(ToricError, match="solid integral routes disagree"):
+            zero_locus_scan("bl2lines-p3", Fraction(1, 2))
+
+
+class TestCellNumerators:
+    """The catalog loci divide every Futaki numerator of the scanned cell."""
+
+    @staticmethod
+    def numerators(family, **params):
+        from futakizero.cells import numerators
+        from futakizero.toric import _tight_sets
+        fam = FAMILIES[family]
+        params = {n: Fraction(v) for n, v in params.items()}
+        polytope = fam.build(**params)
+        names = [n for n in fam.param_names if n not in fam.fixed_for_scan]
+        return numerators(fam, polytope, _tight_sets(polytope), params, names)
+
+    def test_hexagon_numerators_vanish_on_anticanonical_degree(self):
+        from futakizero.parampoly import PPoly, exact_div
+        numerators = self.numerators("s6", a=1, b=1, c=Fraction(1, 2))
+        a, b, c = (PPoly.var(("a", "b", "c"), n) for n in "abc")
+        for n in numerators:
+            assert not n.is_zero()
+            exact_div(n, a + b + c - 3)
+
+    def test_two_line_blowup_numerators_vanish_on_diagonal_and_parabola(self):
+        from futakizero.parampoly import ParamPolyError, PPoly, exact_div
+        numerators = self.numerators("bl2lines-p3", h=4, a=1, b=2)
+        a, b = (PPoly.var(("a", "b"), n) for n in "ab")
+        parabola = (a - b) * (a - b) - 8 * (a + b) + 16
+        for n in numerators:
+            assert not n.is_zero()
+            exact_div(exact_div(n, a - b), parabola)
+            with pytest.raises(ParamPolyError):
+                exact_div(n, a + b - 3)

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .polyring import AmbientSpace, ParamField, PolyError, parse_poly
+from .polyring import AmbientSpace, ParamField, PolyError, parse_equations, parse_poly
 from .ratlinalg import QMatrix
 from .symmetry import (MonomialAutomorphism, ParamCurve,
                        SubvarietyPresentation, SymmetryError, TorusGenerator,
                        torus_eigencheck)
+from .toric import FAMILIES
 
 FAMILY_LIST = (
     "2.20", "2.21", "2.22", "2.24", "2.27", "2.29", "2.32", "2.34",
@@ -533,6 +534,7 @@ def validate_case(record):
         findings.extend(_validate_abstract(record))
     elif record.kind == "product":
         findings.extend(_validate_product(record))
+    findings.extend(_validate_loci(record))
     if record.kind in ("polynomial", "toric-crosscheck"):
         expected_labels = record.ambient.nfactors + len(record.centers)
         if len(record.h11_labels) != expected_labels:
@@ -619,6 +621,24 @@ def _validate_product(record):
     for f in record.product_factors:
         if f.verdict_tag == "families" and not f.family_dims:
             findings.append(f"factor {f.name}: families verdict without dimensions")
+    return findings
+
+
+def _validate_loci(record):
+    """Every locus must parse over the parameters of each family it is
+    scanned on: the record's toric family and its factors'."""
+    findings = []
+    scanned = [record.toric_family] + [f.toric_family for f in record.product_factors]
+    for name in filter(None, scanned):
+        family = FAMILIES.get(name)
+        if family is None:
+            findings.append(f"unknown toric family {name!r}")
+            continue
+        for eq in record.loci:
+            try:
+                parse_equations(eq, family.param_names)
+            except PolyError as exc:
+                findings.append(f"bad locus equation {eq!r} on {name}: {exc}")
     return findings
 
 

@@ -197,34 +197,6 @@ def _dedupe_families(families):
     return out
 
 
-def subsets_monotone(system):
-    """Check Fix and K monotonicity over nested subsets (test support)."""
-    usable = [c for c in system.constraints if c.usable()]
-    rank = system.torus_rank
-    picard = system.h11.picard_rank
-    results = {}
-    for size in range(len(usable) + 1):
-        for subset in combinations(range(len(usable)), size):
-            chosen = [usable[i] for i in subset]
-            fix = _fixed_classes(chosen, picard)
-            if rank == 0:
-                kdim = 0
-            elif not chosen:
-                kdim = rank
-            else:
-                stacked = [c.adjoint.transpose() - QMatrix.identity(rank) for c in chosen]
-                kdim = len(intersect_kernels(stacked))
-            results[subset] = (len(fix), kdim)
-    ok = True
-    for small in results:
-        for big in results:
-            if set(small) <= set(big):
-                fs, ks = results[small]
-                fb, kb = results[big]
-                ok = ok and fb <= fs and kb <= ks
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # abstract records and products
 # ---------------------------------------------------------------------------

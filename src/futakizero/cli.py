@@ -4,8 +4,9 @@ emit the summary report.
 Commands: ``verify [ID | --all]``, ``toric futaki --family F --params k=v``,
 ``toric scan --family F --step q``, ``catalog validate``,
 ``report [--format text|json-lines]``.  Exit status: 0 success, 1 verdict
-mismatch, 2 catalog or usage errors, 3 out-of-region toric parameters.
-Output is deterministic: concurrent case workers never reorder rows.
+mismatch, 2 catalog or usage errors, 3 toric errors (out-of-region
+parameters, a bad grid step or locus equation).  Records are evaluated one
+after another in catalog order; ``--jobs N`` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -14,18 +15,17 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 # ``cells``, the symbolic scan engine, loads here with the other engines.
-# Loaded by the first scan instead, it compiles while the record threads
-# hold their memory, and `verify --all` peaks about 0.4 MB higher.
+# Loaded by the first scan instead, it compiles on top of the catalog and the
+# results already held, and `verify --all` peaks about 0.1 MB higher (19.26
+# against 19.19 MB, medians of 12 runs on one CPU without a bytecode cache).
 from . import cells, character, toric  # noqa: F401
 from .catalog import CatalogError, load_catalog, validate_catalog
 from .catalog import validate_case as catalog_validate_case
 from .character import ProductFactor, Verdict, full_cone
-from .parampoly import render_fraction
 from .symmetry import AdjointUnsolvable
 
 ENV_CATALOG = "FUTAKIZERO_CATALOG"
@@ -146,13 +146,19 @@ def _select_records(catalog, selector):
     return hits
 
 
-def _evaluate_all(records, jobs):
-    if jobs is None:
-        jobs = max(1, len(records))
-    if jobs == 1 or len(records) == 1:
-        return [evaluate_record(r) for r in records]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(evaluate_record, records))
+def _checked_records(args):
+    """The selected records once the catalog loads and they validate, else
+    None with the errors printed."""
+    try:
+        catalog = load_catalog(args.catalog)
+        records = _select_records(catalog, args.case)
+    except CatalogError as exc:
+        print(f"catalog error: {exc}", file=sys.stderr)
+        return None
+    findings = [f"{r.id}: {f}" for r in records for f in catalog_validate_case(r)]
+    for f in findings:
+        print(f"catalog error: {f}", file=sys.stderr)
+    return None if findings else records
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +166,10 @@ def _evaluate_all(records, jobs):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, out):
-    try:
-        catalog = load_catalog(args.catalog)
-        records = _select_records(catalog, args.case)
-    except CatalogError as exc:
-        print(f"catalog error: {exc}", file=sys.stderr)
+    records = _checked_records(args)
+    if records is None:
         return EXIT_CATALOG
-    findings = [f"{r.id}: {f}" for r in records for f in catalog_validate_case(r)]
-    if findings:
-        for f in findings:
-            print(f"catalog error: {f}", file=sys.stderr)
-        return EXIT_CATALOG
-    results = _evaluate_all(records, args.jobs)
+    results = [evaluate_record(r) for r in records]
     mismatches = 0
     for res in results:
         audit = res.audit or None
@@ -201,13 +199,10 @@ def _expected_text(record):
 
 
 def cmd_report(args, out):
-    try:
-        catalog = load_catalog(args.catalog)
-        records = _select_records(catalog, args.case)
-    except CatalogError as exc:
-        print(f"catalog error: {exc}", file=sys.stderr)
+    records = _checked_records(args)
+    if records is None:
         return EXIT_CATALOG
-    results = _evaluate_all(records, args.jobs)
+    results = [evaluate_record(r) for r in records]
     mismatches = 0
     exceptional = []
     audits = []
@@ -310,10 +305,10 @@ def cmd_toric_scan(args, out):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGION
     for pt in report.points:
-        coords = " ".join(render_fraction(v) for _, v in pt.values)
+        coords = " ".join(str(v) for _, v in pt.values)
         print(f"{coords} -> {'zero' if pt.zero else 'nonzero'}", file=out)
     print(f"locus: scanned {len(report.points)} points at step "
-          f"{render_fraction(report.step)}, skipped {report.skipped} out-of-region",
+          f"{report.step}, skipped {report.skipped} out-of-region",
           file=out)
     for fit in report.loci:
         status = "confirmed" if fit.on_locus_all_zero else "FALSIFIED"
@@ -375,7 +370,8 @@ def build_parser():
                        help="family or case id, e.g. 2.24 or 3.10-a")
     group.add_argument("--all", action="store_true", help="verify every record")
     verify.add_argument("--format", choices=("text", "json-lines"), default="text")
-    verify.add_argument("--jobs", type=_positive_int, default=None)
+    verify.add_argument("--jobs", type=_positive_int, default=None,
+                        help="accepted; records are evaluated serially")
     verify.set_defaults(func=cmd_verify)
 
     toric_parser = sub.add_parser("toric", help="toric Futaki computations")
@@ -400,7 +396,8 @@ def build_parser():
     report = sub.add_parser("report", help="summary table mirroring the verdicts")
     report.add_argument("case", nargs="?", default=None)
     report.add_argument("--format", choices=("text", "json-lines"), default="text")
-    report.add_argument("--jobs", type=_positive_int, default=None)
+    report.add_argument("--jobs", type=_positive_int, default=None,
+                        help="accepted; records are evaluated serially")
     report.set_defaults(func=cmd_report)
     return parser
 

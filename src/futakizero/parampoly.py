@@ -156,11 +156,11 @@ class PPoly:
                 for n, e in zip(self.names, expo) if e > 0
             )
             if not mono:
-                body = render_fraction(abs(c))
+                body = str(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
-                body = f"{render_fraction(abs(c))}*{mono}"
+                body = f"{abs(c)}*{mono}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -177,11 +177,6 @@ def _powers(x, top):
     for _ in range(top):
         out.append(out[-1] * x)
     return out
-
-
-def render_fraction(q):
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _int_content_and_primitive(p):

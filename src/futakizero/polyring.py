@@ -6,7 +6,8 @@ coordinate/parameter names.  Division is restricted to coordinate-free
 divisors (enough for rational literals and parameter scalars such as
 ``y0/(1-s)``).  Canonical form: terms sorted by descending lex exponent
 vector, reduced nonzero coefficients, one multidegree for the whole
-polynomial.
+polynomial.  Locus equations over the parameters alone go through the same
+parser (``parse_equations``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .parampoly import RatFunc, rational_roots, render_fraction
+from .parampoly import RatFunc, rational_roots
 from .ratlinalg import solve_generic
 
 
@@ -294,12 +295,12 @@ def _render_term(coeff, mono):
     if coeff.is_constant():
         v = coeff.constant_value()
         if not mono:
-            return render_fraction(v)
+            return str(v)
         if v == 1:
             return mono
         if v == -1:
             return f"-{mono}"
-        return f"{render_fraction(v)}*{mono}"
+        return f"{v}*{mono}"
     if coeff.den.is_constant() and len(coeff.num.terms) == 1:
         # bare monomial scalar such as a or 2*a
         body = coeff.render()
@@ -488,6 +489,27 @@ def parse_poly(text, ambient, params=None):
     return MultiPoly(ambient, params, raw.terms)
 
 
+# no token can name these coordinates, so every symbol of an equation must
+# be one of its parameters
+_NO_COORDINATES = AmbientSpace(((1, ("", " ")),))
+
+
+def parse_equations(text, names):
+    """The differences side_k - side_0 of ``lhs = rhs [= ...]``, as PPoly in
+    ``names``.  Raises PolyError unless every side is a polynomial in them."""
+    parts = text.split("=")
+    if len(parts) < 2:
+        raise ParseError(f"{text!r} is not an equation")
+    params = ParamField(names)
+    sides = []
+    for part in parts:
+        value = _as_scalar(_Parser(part, _NO_COORDINATES, params).parse())
+        if not value.den.is_constant():
+            raise ParseError(f"{part.strip()!r} is not a polynomial in {', '.join(names)}")
+        sides.append(value.num / value.den.constant_value())
+    return [side - sides[0] for side in sides[1:]]
+
+
 def multidegree(p):
     return p.multidegree()
 
@@ -508,9 +530,6 @@ class SpanSolution:
     coefficients: tuple
     denominator_roots: tuple       # rational parameter values killing a denominator
     has_irrational_denominator: bool
-
-    def nonzero_indices(self):
-        return [i for i, c in enumerate(self.coefficients) if not c.is_zero()]
 
 
 def in_span(p, gens, params=None):
@@ -540,12 +559,3 @@ def in_span(p, gens, params=None):
         roots.update(rs)
         irrational = irrational or irr
     return SpanSolution(tuple(solution), tuple(sorted(roots)), irrational)
-
-
-def reconstruct(gens, solution):
-    """Sum coeff_i * gens_i for an in_span solution (exactness checks)."""
-    total = None
-    for g, c in zip(gens, solution.coefficients):
-        part = g.scale(c)
-        total = part if total is None else total + part
-    return total

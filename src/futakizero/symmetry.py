@@ -118,10 +118,6 @@ class MonomialAutomorphism:
         return tuple(self.ambient.factor_of(self.perm[next(iter(self.ambient.block(f)))])
                      for f in range(self.ambient.nfactors))
 
-    def apply_point(self, point):
-        """Image of a point given as a list of RatFunc coordinates."""
-        return [self.scalars[i] * point[self.perm[i]] for i in range(len(point))]
-
     def pullback(self, p):
         """p o tau in canonical form (ring homomorphism substitution)."""
         if p.ambient != self.ambient:
@@ -232,12 +228,6 @@ class ParamCurve:
     def from_texts(cls, texts, ambient, params):
         coords = tuple(parse_poly(t, CURVE_AMBIENT, params) for t in texts)
         return cls(ambient, params, coords)
-
-    def factor_degree(self, f):
-        for i in self.ambient.block(f):
-            if not self.coords[i].is_zero():
-                return self.coords[i].multidegree()[0]
-        raise SymmetryError("empty factor")
 
     def substituted(self, p):
         """Value of the ambient polynomial p along the curve."""
@@ -370,7 +360,8 @@ def _match_with_form(moved, target, swap):
                 return None
             for e_rhs, c_rhs in rhs.terms.items():
                 e_lhs = _form_image(e_rhs, swap)
-                expo = _gamma_exponent(e_rhs, swap)
+                # both reparametrization forms feed gamma to the curve's s-slot
+                expo = e_rhs[1]
                 ratio = lhs.terms[e_lhs] / c_rhs
                 if base is None:
                     base = (expo, ratio)
@@ -390,12 +381,6 @@ def _match_with_form(moved, target, swap):
 def _form_image(e, swap):
     a, b = e
     return (b, a) if swap else (a, b)
-
-
-def _gamma_exponent(e, swap):
-    # both reparametrization forms feed gamma to the curve's s-slot
-    del swap
-    return e[1]
 
 
 def _gamma_candidates(constraints):

@@ -72,9 +72,7 @@ class Halfspace:
 
     def render(self):
         nums = " ".join(str(n) for n in self.normal)
-        c = self.offset
-        ctext = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        return f"{nums} <= {ctext}"
+        return f"{nums} <= {self.offset}"
 
 
 class Polytope:
@@ -555,12 +553,7 @@ class FutakiVector:
         return all(c == 0 for c in self.components)
 
     def render(self):
-        return "(" + ", ".join(_frac_text(c) for c in self.components) + ")"
-
-
-def _frac_text(c):
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
 def futaki_vector(p):
@@ -706,9 +699,6 @@ class ScanReport:
     covered: bool            # every zero point lies on some candidate locus
     zero_everywhere: bool
 
-    def zero_points(self):
-        return [p for p in self.points if p.zero]
-
 
 def zero_locus_scan(family, step, loci=(), fixed=None):
     """Exact zero test of the Futaki vector over a rational grid.
@@ -718,7 +708,7 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     a cell the vertices are affine in the scanned parameters, so the Futaki
     numerators are polynomials: they are derived once, at the cell's first
     point, and a point is zero exactly when they all vanish there.  Candidate
-    linear equations (catalog data) are fitted against the computed zero set.
+    locus equations (catalog data) are fitted against the computed zero set.
     """
     fam = FAMILIES.get(family)
     if fam is None:
@@ -726,6 +716,7 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     step = Fraction(step)
     if step <= 0:
         raise ToricError("grid step must be positive")
+    equations = _locus_equations(loci, fam.param_names)
     pinned = dict(fam.fixed_for_scan)
     if fixed:
         pinned.update({k: Fraction(v) for k, v in fixed.items()})
@@ -764,13 +755,13 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
         points.append(ScanPoint(tuple(values.items()), zero))
     fits = []
     on_some_locus = [False] * len(points)
-    for eq in loci:
+    for eq, differences in zip(loci, equations):
         on_count = 0
         all_zero = True
         for i, pt in enumerate(points):
             values = dict(pt.values)
             values.update(pinned)
-            if _locus_holds(eq, values):
+            if all(d.evaluate(values) == 0 for d in differences):
                 on_count += 1
                 on_some_locus[i] = True
                 if not pt.zero:
@@ -781,6 +772,18 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     zero_everywhere = bool(points) and all(pt.zero for pt in points)
     return ScanReport(family, step, tuple(points), skipped, tuple(fits), covered,
                       zero_everywhere)
+
+
+def _locus_equations(loci, names):
+    """Each locus equation as the differences of its sides over Q[names]."""
+    from .polyring import PolyError, parse_equations     # loaded on first use
+    equations = []
+    for eq in loci:
+        try:
+            equations.append(parse_equations(eq, names))
+        except PolyError as exc:
+            raise ToricError(f"bad locus equation {eq!r}: {exc}") from exc
+    return equations
 
 
 def _tight_sets(polytope):
@@ -799,85 +802,3 @@ def _lex_product(grids):
     for head in grids[0]:
         for tail in _lex_product(grids[1:]):
             yield (head,) + tail
-
-
-def _locus_holds(equation, values):
-    sides = equation.split("=")
-    if len(sides) < 2:
-        raise ToricError(f"bad locus equation {equation!r}")
-    evaluated = [_eval_linear(side, values) for side in sides]
-    return all(v == evaluated[0] for v in evaluated[1:])
-
-
-def _eval_linear(text, values):
-    tokens = _linear_tokens(text)
-    pos = [0]
-
-    def expr():
-        value = term()
-        while pos[0] < len(tokens) and tokens[pos[0]] in "+-":
-            op = tokens[pos[0]]
-            pos[0] += 1
-            rhs = term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term():
-        value = atom()
-        while pos[0] < len(tokens) and tokens[pos[0]] in "*/":
-            op = tokens[pos[0]]
-            pos[0] += 1
-            rhs = atom()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def atom():
-        tok = tokens[pos[0]]
-        if tok == "-":
-            pos[0] += 1
-            return -atom()
-        if tok == "(":
-            pos[0] += 1
-            value = expr()
-            if tokens[pos[0]] != ")":
-                raise ToricError(f"unbalanced parenthesis in {text!r}")
-            pos[0] += 1
-            return value
-        pos[0] += 1
-        if tok.replace("/", "").isdigit():
-            return Fraction(tok)
-        if tok in values:
-            return Fraction(values[tok])
-        raise ToricError(f"unknown symbol {tok!r} in locus equation")
-
-    value = expr()
-    if pos[0] != len(tokens):
-        raise ToricError(f"trailing input in locus equation {text!r}")
-    return value
-
-
-def _linear_tokens(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "/"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ToricError(f"bad character {ch!r} in locus equation")
-    return tokens

@@ -91,6 +91,17 @@ class TestValidate:
         findings = validate_case(broken)
         assert any("order" in f for f in findings)
 
+    def test_loci_checked_on_every_scanned_family(self):
+        text = default_catalog_text()
+        bad_locus = text.replace("locus = a = b = c\n", "locus = a = b = t\n", 1)
+        assert bad_locus != text
+        # t is a parameter of p1xs6 but not of the scanned s6 factor
+        assert validate_case(load_catalog(text=bad_locus).by_id("5.3")) == [
+            "bad locus equation 'a = b = t' on s6: unknown symbol 't'"]
+        unknown = text.replace("toric_family = bl2lines-p3\n", "toric_family = nope\n", 1)
+        assert validate_case(load_catalog(text=unknown).by_id("3.25")) == [
+            "unknown toric family 'nope'"]
+
     def test_theorem_partition_matches_expected_verdicts(self, catalog):
         for record in catalog.records:
             if record.family in EXCEPTION_FAMILIES:

@@ -1,19 +1,48 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from futakizero.character import (CharacterError, ConstraintSystem, H11Basis,
-                                  ProductFactor, SymmetryConstraint,
+                                  ProductFactor, SymmetryConstraint, _fixed_classes,
                                   analyze_polynomial_case, abstract_verdict,
                                   h11_action, product_verdict,
-                                  replay_certificate, subsets_monotone,
-                                  vanishing_verdict, verdict_line)
+                                  replay_certificate, vanishing_verdict,
+                                  verdict_line)
 from futakizero.polyring import AmbientSpace, ParamField, parse_poly
-from futakizero.ratlinalg import QMatrix, in_column_span
+from futakizero.ratlinalg import QMatrix, in_column_span, intersect_kernels
 from futakizero.symmetry import (MonomialAutomorphism, SubvarietyPresentation,
                                  TorusGenerator)
 
 PF = ParamField()
+
+
+def subsets_monotone(system):
+    """Check Fix and K monotonicity over nested subsets."""
+    usable = [c for c in system.constraints if c.usable()]
+    rank = system.torus_rank
+    picard = system.h11.picard_rank
+    results = {}
+    for size in range(len(usable) + 1):
+        for subset in combinations(range(len(usable)), size):
+            chosen = [usable[i] for i in subset]
+            fix = _fixed_classes(chosen, picard)
+            if rank == 0:
+                kdim = 0
+            elif not chosen:
+                kdim = rank
+            else:
+                stacked = [c.adjoint.transpose() - QMatrix.identity(rank) for c in chosen]
+                kdim = len(intersect_kernels(stacked))
+            results[subset] = (len(fix), kdim)
+    ok = True
+    for small in results:
+        for big in results:
+            if set(small) <= set(big):
+                fs, ks = results[small]
+                fb, kb = results[big]
+                ok = ok and fb <= fs and kb <= ks
+    return ok
 P2xP2 = AmbientSpace.product(("x", "y", "z"), ("u", "v", "w"))
 
 

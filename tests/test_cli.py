@@ -123,6 +123,14 @@ class TestToric:
         assert "locus: classification ::" in out
 
 
+    @pytest.mark.parametrize("locus", ["a =", "a = (b", "a = 1/0", "a = 1//2", "a/b = 1"])
+    def test_bad_locus_exits_three(self, capsys, locus):
+        code, _ = run_cli(["toric", "scan", "--family", "p1xp1", "--step", "1",
+                           "--loci", locus])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: bad locus equation {locus!r}")
+
+
 class TestReport:
     def test_exception_list_footer(self):
         code, out = run_cli(["report"])
@@ -191,6 +199,19 @@ class TestCatalogCommand:
         code, out = run_cli(["--catalog", str(path), "catalog", "validate"])
         assert code == 2
         assert "finding:" in out
+
+    @pytest.mark.parametrize("argv", [["catalog", "validate"], ["verify", "3.25"],
+                                      ["report", "3.25"]])
+    def test_bad_locus_exits_two(self, tmp_path, capsys, argv):
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        broken = text.replace("locus = a = b\n", "locus = a = (b\n", 1)
+        assert broken != text
+        path = tmp_path / "broken.cat"
+        path.write_text(broken)
+        code, out = run_cli(["--catalog", str(path)] + argv)
+        assert code == 2
+        assert "3.25: bad locus equation 'a = (b' on bl2lines-p3" in out + capsys.readouterr().err
 
     @pytest.mark.parametrize("old,new,message", [
         ("version = 1", "version = x", "line 1: bad version value 'x'"),

@@ -5,7 +5,7 @@ import pytest
 
 from futakizero.polyring import (AmbientSpace, InhomogeneousError, MultiPoly,
                                  ParamField, ParseError, PolyError, in_span,
-                                 multidegree, parse_poly, reconstruct)
+                                 multidegree, parse_equations, parse_poly)
 
 from conftest import random_ambient, random_automorphism, random_poly
 
@@ -14,6 +14,15 @@ P2xP2 = AmbientSpace.product(("x", "y", "z"), ("u", "v", "w"))
 TRIPLE = AmbientSpace.product(("x0", "x1", "x2"), ("y0", "y1", "y2"),
                               ("z0", "z1", "z2"))
 P1CUBED = AmbientSpace.product(("x0", "x1"), ("y0", "y1"), ("z0", "z1"))
+
+
+def reconstruct(gens, solution):
+    """Sum coeff_i * gens_i for an in_span solution."""
+    total = None
+    for g, c in zip(gens, solution.coefficients):
+        part = g.scale(c)
+        total = part if total is None else total + part
+    return total
 
 
 class TestParse:
@@ -141,6 +150,22 @@ class TestInSpan:
             assert sol is not None
             rebuilt = reconstruct(gens, sol)
             assert (rebuilt - target).is_zero()
+
+
+class TestEquations:
+    def test_differences_of_the_sides(self):
+        names = ("a", "b", "c")
+        diffs = parse_equations("a = b = (3 - c)/2", names)
+        assert [d.render() for d in diffs] == ["-a + b", "3/2 - a - 1/2*c"]
+        assert [d.evaluate({"a": 1, "b": 1, "c": 1}) for d in diffs] == [0, 0]
+
+    @pytest.mark.parametrize("text,message", [
+        ("a", "not an equation"), ("a = ", "unexpected token"),
+        ("a = 1/0", "division by zero"), ("a/b = 1", "not a polynomial"),
+        ("x = 1", "unknown symbol 'x'")])
+    def test_rejects_all_but_polynomials_in_the_names(self, text, message):
+        with pytest.raises(PolyError, match=message):
+            parse_equations(text, ("a", "b"))
 
 
 class TestRingHomomorphism:

@@ -220,10 +220,7 @@ def _build_record(case_id, header_line, entries):
 
     def scalar(key, convert, value_line):
         value, line = value_line
-        try:
-            return convert(value)
-        except (ValueError, ZeroDivisionError):
-            raise CatalogError(f"record {case_id}: bad {key} value {value!r}", line) from None
+        return _convert(convert, value, f"{key} value", line, case_id)
 
     kind, ln = one_of("kind")
     if kind not in KINDS:
@@ -281,7 +278,7 @@ def _build_record(case_id, header_line, entries):
     anticanonical_params = {}
     ap_hits = all_of("anticanonical_params")
     if ap_hits:
-        anticanonical_params = _parse_param_values(ap_hits[0][0], ap_hits[0][1])
+        anticanonical_params = _parse_param_values(*ap_hits[0], case_id)
     expected_adjoint = one_of("expected_adjoint", default="")[0]
     expected_toric = one_of("expected_toric", default="")[0]
 
@@ -295,6 +292,14 @@ def _build_record(case_id, header_line, entries):
         toric_family=toric_family, anticanonical_params=anticanonical_params,
         expected_adjoint=expected_adjoint, expected_toric=expected_toric,
         entries=tuple((k, v) for k, v, _ in entries))
+
+
+def _convert(convert, text, what, line, case_id):
+    """``convert(text)``; a bad number is a CatalogError naming its line."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise CatalogError(f"record {case_id}: bad {what} {text!r}", line) from None
 
 
 def _parse_expected(value, line, case_id):
@@ -396,7 +401,7 @@ def _parse_center(value, line, case_id, ambient, params):
     rest = value.strip()
     if rest.startswith("stage "):
         head, _, rest = rest.partition(":")
-        stage = int(head.strip()[len("stage "):])
+        stage = _convert(int, head.strip()[len("stage "):], "center stage", line, case_id)
         rest = rest.strip()
     curve = None
     ideal = ()
@@ -424,7 +429,7 @@ def _parse_torus(value, line, case_id, ambient):
     body, rest = _take_call(value, "weights")
     if body is None or rest:
         raise CatalogError(f"record {case_id}: torus must be weights(...)", line)
-    weights = tuple(int(x.strip()) for x in _split_args(body))
+    weights = tuple(_convert(int, x, "torus weight", line, case_id) for x in _split_args(body))
     if ambient is None:
         raise CatalogError(f"record {case_id}: torus without an ambient", line)
     if len(weights) != len(ambient.coords):
@@ -443,10 +448,11 @@ def _parse_finite(value, line, case_id, ambient, params):
     name = parts[0]
     if not parts[1].startswith("order "):
         raise CatalogError(f"record {case_id}: expected order clause", line)
-    order = int(parts[1][len("order "):])
+    order = _convert(int, parts[1][len("order "):], "finite order", line, case_id)
     if not (parts[2].startswith("factors = (") and parts[2].endswith(")")):
         raise CatalogError(f"record {case_id}: expected factors = (...) clause", line)
-    declared = tuple(int(x) for x in parts[2][len("factors = ("):-1].split())
+    declared = tuple(_convert(int, x, "factors entry", line, case_id)
+                     for x in parts[2][len("factors = ("):-1].split())
     body, rest = _take_call(parts[3], "map")
     if body is None or rest:
         raise CatalogError(f"record {case_id}: expected map(...) clause", line)
@@ -469,7 +475,8 @@ def _parse_adjoint(value, line, case_id):
     if body is None or tail:
         raise CatalogError(f"record {case_id}: adjoint must be name : matrix(...)", line)
     rows = [r.strip() for r in body.split(";")]
-    entries = [[Fraction(x) for x in row.split()] for row in rows]
+    entries = [[_convert(Fraction, x, "matrix entry", line, case_id) for x in row.split()]
+               for row in rows]
     return (name.strip(), QMatrix.from_rows(entries))
 
 
@@ -488,9 +495,10 @@ def _parse_factor(value, line, case_id):
             tag = "full_cone"
         elif part.startswith("families "):
             tag = "families"
-            dims = tuple(int(x.strip()) for x in part[len("families "):].split(","))
+            dims = tuple(_convert(int, x.strip(), "families entry", line, case_id)
+                         for x in part[len("families "):].split(","))
         elif part.startswith("rank "):
-            rank = int(part[len("rank "):])
+            rank = _convert(int, part[len("rank "):], "factor rank", line, case_id)
         elif part.startswith("toric "):
             toric = part[len("toric "):]
         elif part.startswith("anticanonical_in_families "):
@@ -503,13 +511,13 @@ def _parse_factor(value, line, case_id):
     return ProductFactorSpec(name, tag, rank, dims, toric, anticanonical_in_families)
 
 
-def _parse_param_values(value, line):
+def _parse_param_values(value, line, case_id):
     out = {}
     for chunk in value.split(","):
         key, _, v = chunk.partition("=")
         if not v:
             raise CatalogError(f"bad parameter assignment {chunk!r}", line)
-        out[key.strip()] = Fraction(v.strip())
+        out[key.strip()] = _convert(Fraction, v.strip(), "parameter value", line, case_id)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Futaki numerators of a toric family on one combinatorial cell, over Q[params].
+"""Futaki numerators and chambers of a toric family's combinatorial cells, over Q[params].
 
 A cell is the set of parameter values at which the vertices of the family's
 polytope lie on the same facets.  On a cell each vertex is the solution of a
@@ -8,12 +8,22 @@ integral routes of ``toric`` run unchanged on these polynomial coordinates;
 the only decisions they take, absolute values, read the sign at the cell's
 sample point.
 
-``toric.zero_locus_scan`` imports this module on its first cell, so that
+A cell whose vertices are all simple (each on exactly ``dim`` facets) also has
+a chamber: the parameter values at which every slack ``offset_f - n_f . v`` of
+a facet f not tight at a vertex v is positive.  The slacks are affine in the
+parameters, and ``scan_grid`` decides membership in a known chamber, and with
+it the cell and the Kähler region, on integers without building a polytope.
+
+``toric.zero_locus_scan`` imports this module on its first scan, so that
 ``import futakizero.toric`` alone loads no symbolic engine; the CLI imports
 it up front with the other engines.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from math import gcd, lcm, prod
+from operator import mul
 
 from . import toric
 from .parampoly import PPoly
@@ -46,15 +56,55 @@ def numerators(fam, polytope, tight, params, scan_names):
     on the cell of ``polytope``, the cell's sample, built at ``params`` with
     ``tight`` the facets tight at each of its vertices.
 
-    Each vertex is solved, with the integer adjugate of a nonsingular subset
-    of its tight facets, against the affine offsets; pinned parameters enter
-    as constants.  Both route pairs must agree as polynomials, and the
-    numerators must agree with the numeric Futaki vector at the sample.
+    Both route pairs must agree as polynomials, and the numerators must agree
+    with the numeric Futaki vector at the sample.
 
     None when a vertex's other tight facets are not tight identically in the
     parameters: the cell is then a slice of parameter space (such as c = 4
     for a box cut by x + y + z <= c through its edge), where no polynomial
     identity holds, and each of its points is tested numerically."""
+    solved = _vertices(fam, polytope, tight, params, scan_names)
+    if solved is None:
+        return None
+    vertices, offsets = solved
+    sample = {n: params[n] for n in scan_names}
+    cell = _CellPolytope(polytope.dim, [_SymbolicFacet(h.normal, c) for h, c
+                                        in zip(polytope.halfspaces, offsets)],
+                         vertices, polytope.facet_cycles, sample)
+    vol, mom, mass, smoment = toric._integral_data(cell)
+    result = tuple(s * vol - m * mass for s, m in zip(smoment, mom))
+    numeric = toric.futaki_vector(polytope).components
+    num_vol, _, num_mass, _ = toric._integral_data(polytope)
+    if any(n.evaluate(sample) != c * num_vol * num_mass for n, c in zip(result, numeric)):
+        raise toric.ToricError(f"cell numerators of {fam.name} disagree with the numeric "
+                               f"Futaki vector at {sample}")
+    return result
+
+
+def slack_forms(fam, polytope, tight, params, scan_names):
+    """The chamber of the cell of ``polytope`` (arguments as for
+    ``numerators``): ``offset_f - n_f . v`` over Q[scan_names] for each vertex
+    v and each facet f not tight at v.  None when some vertex lies on more
+    than ``dim`` facets.
+
+    Where every form is positive, each vertex of the cell is a feasible simple
+    vertex and every edge from it ends at another vertex of the cell, so by
+    Balinski's theorem (the graph of a polytope is connected) these are all
+    the vertices, with the same tight facets: the polytope builds and lies in
+    this cell."""
+    if any(len(on) != polytope.dim for on in tight):
+        return None
+    vertices, offsets = _vertices(fam, polytope, tight, params, scan_names)
+    normals = [h.normal for h in polytope.halfspaces]
+    return [offsets[f] - sum(n * x for n, x in zip(normals[f], v))
+            for on, v in zip(tight, vertices) for f in range(len(normals)) if f not in on]
+
+
+def _vertices(fam, polytope, tight, params, scan_names):
+    """(vertices, facet offsets) of the cell over Q[scan_names], or None on a
+    slice.  Each vertex is solved, with the integer adjugate of a nonsingular
+    subset of its tight facets, against the affine offsets; pinned parameters
+    enter as constants."""
     names = tuple(scan_names)
     zero = PPoly.zero(names)
     symbols = {n: PPoly.var(names, n) if n in names else params[n] for n in fam.param_names}
@@ -70,14 +120,116 @@ def numerators(fam, polytope, tight, params, scan_names):
             if not (sum((n * x for n, x in zip(normals[f], vertex)), zero) - offsets[f]).is_zero():
                 return None
         vertices.append(vertex)
-    sample = {n: params[n] for n in names}
-    cell = _CellPolytope(polytope.dim, [_SymbolicFacet(n, c) for n, c in zip(normals, offsets)],
-                         vertices, polytope.facet_cycles, sample)
-    vol, mom, mass, smoment = toric._integral_data(cell)
-    result = tuple(s * vol - m * mass for s, m in zip(smoment, mom))
-    numeric = toric.futaki_vector(polytope).components
-    num_vol, _, num_mass, _ = toric._integral_data(polytope)
-    if any(n.evaluate(sample) != c * num_vol * num_mass for n, c in zip(result, numeric)):
-        raise toric.ToricError(f"cell numerators of {fam.name} disagree with the numeric "
-                               f"Futaki vector at {sample}")
-    return result
+    return vertices, offsets
+
+
+def scan_grid(fam, scan_names, pinned, grids, denominator):
+    """(ScanPoint per in-region grid point in lexicographic order, count of
+    grid points outside the Kähler region) for ``zero_locus_scan``.
+
+    ``grids`` holds the values of each scanned parameter, all multiples of
+    1/``denominator``; a point is handled as the integer numerators of its
+    values over that denominator.  A point in the chamber of a known cell is
+    evaluated with the cell's numerators and no build (see ``slack_forms``).
+    Any other point is built: it is skipped outside the region, and otherwise
+    opens a new cell or joins a cell without a chamber (a slice, or one with
+    a non-simple vertex).
+
+    When the rows split the coordinates into blocks of dimension at most 2,
+    a point outside the known chamber is skipped without a build.  There the
+    polytope is a product of polygons and intervals, and a polygon whose
+    every facet supports an edge has its edges in the cyclic order of their
+    normals, so the whole Kähler region is a single cell: the known one."""
+    planar = _blocks_at_most_planar(fam.rows)
+    integer_grids = [[v.numerator * (denominator // v.denominator) for v in grid]
+                     for grid in grids]
+    cells = {}          # cell key -> integer numerator forms, None on a slice
+    chambers = []       # (integer slack forms, integer numerator forms) per chamber
+    points = []
+    skipped = 0
+    for values, m in zip(product(*grids), product(*integer_grids)):
+        forms = next((forms for slacks, forms in chambers
+                      if all(_positive(s, m) for s in slacks)), None)
+        if forms is None:
+            if planar and chambers:
+                skipped += 1
+                continue
+            params = dict(pinned, **dict(zip(scan_names, values)))
+            try:
+                polytope = fam.build(**params)
+            except toric.KahlerRegionError:
+                skipped += 1
+                continue
+            tight = _tight_sets(polytope)
+            key = frozenset(tight)
+            if key not in cells:
+                nums = numerators(fam, polytope, tight, params, scan_names)
+                cells[key] = None
+                if nums is not None:
+                    cells[key] = [_integer_form(n, denominator) for n in nums]
+                    slacks = slack_forms(fam, polytope, tight, params, scan_names)
+                    if slacks is not None:
+                        chambers.append((_affine_forms(slacks, denominator), cells[key]))
+            forms = cells[key]
+        zero = (toric.futaki_vector(polytope).is_zero() if forms is None
+                else all(_value(form, m) == 0 for form in forms))
+        points.append(toric.ScanPoint(tuple(zip(scan_names, values)), zero))
+    return points, skipped
+
+
+def _integer_form(poly, denominator):
+    """(coefficient, exponents) pairs of the integer polynomial
+    Z(m) = L * D^deg * poly(m / D), D the grid denominator and L the lcm of
+    the coefficient denominators: Z has the sign of poly at m / D."""
+    degree = max((sum(e) for e in poly.terms), default=0)
+    scale = lcm(1, *(c.denominator for c in poly.terms.values()))
+    return [(c.numerator * (scale // c.denominator) * denominator ** (degree - sum(e)), e)
+            for e, c in poly.terms.items()]
+
+
+def _affine_forms(slacks, denominator):
+    """The distinct slack forms as integer pairs (constant, coefficients) with
+    constant + coefficients . m of the sign of the slack at m / D, each
+    divided by the gcd of its integers."""
+    forms = {}
+    for slack in slacks:
+        const, coeffs = 0, [0] * len(slack.names)
+        for c, e in _integer_form(slack, denominator):
+            if any(e):
+                coeffs[e.index(1)] = c
+            else:
+                const = c
+        g = gcd(const, *coeffs)
+        forms.setdefault((const // g, tuple(c // g for c in coeffs)), None)
+    return list(forms)
+
+
+def _positive(form, m):
+    const, coeffs = form
+    return const + sum(map(mul, coeffs, m)) > 0
+
+
+def _value(form, m):
+    return sum(c * prod(map(pow, m, e)) for c, e in form)
+
+
+def _blocks_at_most_planar(rows):
+    """Whether no coordinate block is more than 2-dimensional, the blocks
+    being the classes of coordinates linked by a row normal."""
+    blocks = []
+    for normal, _ in rows:
+        block = {i for i, n in enumerate(normal) if n}
+        for other in [b for b in blocks if b & block]:
+            blocks.remove(other)
+            block |= other
+        blocks.append(block)
+    return max(len(b) for b in blocks) <= 2
+
+
+def _tight_sets(polytope):
+    """The facets tight at each vertex, as frozensets in vertex order."""
+    tight = [set() for _ in polytope.vertices]
+    for f, cycle in enumerate(polytope.facet_cycles):
+        for i in cycle:
+            tight[i].add(f)
+    return [frozenset(t) for t in tight]

@@ -314,6 +314,8 @@ def _render_term(coeff, mono):
 # ---------------------------------------------------------------------------
 
 _TOKEN_CHARS = set("+-*/^()")
+_DIGITS = set("0123456789")     # str.isdigit also admits digits int() refuses, such as "²"
+MAX_EXPONENT = 64       # the largest exponent of ``^``; the shipped catalog's is 5
 
 
 def _tokenize(text):
@@ -328,9 +330,9 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -345,6 +347,13 @@ def _tokenize(text):
         raise ParseError(f"unexpected character {ch!r} at position {i}")
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _integer(digits):
+    try:
+        return int(digits)
+    except ValueError:      # longer than int()'s limit on decimal digits
+        raise ParseError(f"integer literal of {len(digits)} digits is too long") from None
 
 
 class _Parser:
@@ -408,9 +417,11 @@ class _Parser:
             if self.peek()[0] == "-":
                 self.take()
                 negative = True
-            expo = int(self.take("int")[1])
+            expo = _integer(self.take("int")[1])
             if negative:
                 raise ParseError("negative exponents are not in the grammar")
+            if expo > MAX_EXPONENT:     # the power below costs one product per unit
+                raise ParseError(f"exponent {expo} exceeds the bound {MAX_EXPONENT}")
             result = MultiPoly.constant(self.ambient, self.params, 1)
             for _ in range(expo):
                 result = result * base
@@ -426,7 +437,7 @@ class _Parser:
             return value
         if tok[0] == "int":
             self.take()
-            return MultiPoly.constant(self.ambient, self.params, int(tok[1]))
+            return MultiPoly.constant(self.ambient, self.params, _integer(tok[1]))
         if tok[0] == "name":
             self.take()
             name = tok[1]

@@ -15,6 +15,8 @@ Scans group grid points by combinatorial cell.  On a cell the vertices are
 affine in the parameters, so the Futaki numerators are polynomials, derived
 once per cell (both routes must agree symbolically, and numerically with the
 Fraction routes at the cell's sample point) and evaluated at every point.
+A point inside a known cell's chamber, cut out by affine slack inequalities,
+is decided without building its polytope (module ``cells``).
 
 Construction runs on integers: vertices are solved with integer adjugates
 against lcm-scaled offsets, and incidence, ranks and facet orders are
@@ -707,8 +709,15 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     grouped by combinatorial cell (the tight-facet sets of the vertices).  On
     a cell the vertices are affine in the scanned parameters, so the Futaki
     numerators are polynomials: they are derived once, at the cell's first
-    point, and a point is zero exactly when they all vanish there.  Candidate
-    locus equations (catalog data) are fitted against the computed zero set.
+    point, and a point is zero exactly when they all vanish there.
+
+    A point is built only when no known cell's chamber (its affine slack
+    inequalities, checked on integers) contains it; inside a chamber the cell
+    and the region are decided without a build.  When the family's rows split
+    into coordinate blocks of dimension at most 2, the region is one cell, so
+    a point outside its chamber is skipped without a build (``cells.scan_grid``
+    gives the proofs).  Candidate locus equations (catalog data) are fitted
+    against the computed zero set.
     """
     fam = FAMILIES.get(family)
     if fam is None:
@@ -730,29 +739,8 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
             values.append(k * step)
             k += 1
         grids.append(values)
-    points = []
-    skipped = 0
-    numerators_by_cell = {}     # cell key -> Futaki numerators over Q[scan parameters]
-    for combo in _lex_product(grids):
-        params = dict(pinned)
-        params.update({n: v for n, v in zip(scan_names, combo)})
-        try:
-            polytope = fam.build(**params)
-        except KahlerRegionError:
-            skipped += 1
-            continue
-        tight = _tight_sets(polytope)
-        key = frozenset(tight)
-        if key not in numerators_by_cell:
-            from . import cells     # the symbolic engine, loaded on first use
-            numerators_by_cell[key] = cells.numerators(fam, polytope, tight, params, scan_names)
-        numerators = numerators_by_cell[key]
-        values = dict(zip(scan_names, combo))
-        if numerators is None:
-            zero = futaki_vector(polytope).is_zero()
-        else:
-            zero = all(n.evaluate(values) == 0 for n in numerators)
-        points.append(ScanPoint(tuple(values.items()), zero))
+    from . import cells     # the symbolic engine, loaded on first use
+    points, skipped = cells.scan_grid(fam, scan_names, pinned, grids, step.denominator)
     fits = []
     on_some_locus = [False] * len(points)
     for eq, differences in zip(loci, equations):
@@ -784,21 +772,3 @@ def _locus_equations(loci, names):
         except PolyError as exc:
             raise ToricError(f"bad locus equation {eq!r}: {exc}") from exc
     return equations
-
-
-def _tight_sets(polytope):
-    """The facets tight at each vertex, as frozensets in vertex order."""
-    tight = [set() for _ in polytope.vertices]
-    for f, cycle in enumerate(polytope.facet_cycles):
-        for i in cycle:
-            tight[i].add(f)
-    return [frozenset(t) for t in tight]
-
-
-def _lex_product(grids):
-    if not grids:
-        yield ()
-        return
-    for head in grids[0]:
-        for tail in _lex_product(grids[1:]):
-            yield (head,) + tail

@@ -123,7 +123,8 @@ class TestToric:
         assert "locus: classification ::" in out
 
 
-    @pytest.mark.parametrize("locus", ["a =", "a = (b", "a = 1/0", "a = 1//2", "a/b = 1"])
+    @pytest.mark.parametrize("locus", ["a =", "a = (b", "a = 1/0", "a = 1//2", "a/b = 1",
+                                       "a = b^100000000"])
     def test_bad_locus_exits_three(self, capsys, locus):
         code, _ = run_cli(["toric", "scan", "--family", "p1xp1", "--step", "1",
                            "--loci", locus])
@@ -229,6 +230,35 @@ class TestCatalogCommand:
         code, _ = run_cli(["--catalog", str(path), "catalog", "validate"])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("center = stage 2 : ideal(x1, x2", "center = stage z : ideal(x1, x2",
+         "bad center stage 'z'"),
+        ("torus = weights(3, 5, 7", "torus = weights(3, x, 7", "bad torus weight 'x'"),
+        ("finite = tau : order 2 : factors = (1) : map(x3",
+         "finite = tau : order z : factors = (1) : map(x3", "bad finite order 'z'"),
+        ("finite = tau : order 2 : factors = (1) : map(x3",
+         "finite = tau : order 2 : factors = (l) : map(x3", "bad factors entry 'l'"),
+        ("factor = s6 : families 3, 2 :", "factor = s6 : families 3, z :",
+         "bad families entry 'z'"),
+        ("factor = p1 : full_cone : rank 1", "factor = p1 : full_cone : rank l",
+         "bad factor rank 'l'"),
+        ("adjoint = tau : matrix(-1)", "adjoint = tau : matrix(-l)", "bad matrix entry '-l'"),
+        ("anticanonical_params = a=2, h=3", "anticanonical_params = a=2, h=z",
+         "bad parameter value 'z'"),
+        ("variety = x4*x5 - x0*x2 + x1^2\n", "variety = x4*x5 - x0*x2 + x1^200000000\n",
+         "exponent 200000000 exceeds the bound 64")])
+    def test_bad_number_in_shipped_catalog_exits_two(self, tmp_path, capsys, old, new,
+                                                     message):
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        lineno = text[:text.index(old)].count("\n") + 1
+        path = tmp_path / "broken.cat"
+        path.write_text(text.replace(old, new, 1))
+        code, _ = run_cli(["--catalog", str(path), "catalog", "validate"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line {lineno}: record " in err and message in err
 
     @pytest.mark.parametrize("line,key", [
         ("theorem =", "theorem"),

@@ -55,6 +55,9 @@ class TestParse:
         p = parse_poly("1/2*x + y/(1 - s)", P4, pf)
         assert len(p.terms) == 2
 
+    def test_exponent_bound_is_inclusive(self):
+        assert parse_poly("x^64", P4) == parse_poly("x^32*x^032", P4)
+
     def test_division_by_coordinate_rejected(self):
         with pytest.raises(ParseError):
             parse_poly("x/y", P4)
@@ -162,7 +165,9 @@ class TestEquations:
     @pytest.mark.parametrize("text,message", [
         ("a", "not an equation"), ("a = ", "unexpected token"),
         ("a = 1/0", "division by zero"), ("a/b = 1", "not a polynomial"),
-        ("x = 1", "unknown symbol 'x'")])
+        ("x = 1", "unknown symbol 'x'"), ("a = b^65", "exponent 65 exceeds the bound 64"),
+        ("a = b^100000000", "exponent 100000000 exceeds the bound 64"),
+        ("a = \u00b2", "unexpected character"), ("a = " + "1" * 5000, "5000 digits is too long")])
     def test_rejects_all_but_polynomials_in_the_names(self, text, message):
         with pytest.raises(PolyError, match=message):
             parse_equations(text, ("a", "b"))

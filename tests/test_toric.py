@@ -499,17 +499,23 @@ class TestIntegerKernelOracle:
         assert len(oracle_polytope(3, pyramid)[1][0]) == 4
 
     @pytest.mark.parametrize("family,points", [("s6", 1331), ("bl2lines-p3", 225)])
-    def test_scan_grids(self, monkeypatch, family, points):
-        real = Polytope.from_halfspaces.__func__
+    def test_scan_grids(self, family, points):
+        # the halfspace system of every grid point of the scan, built directly:
+        # the scan itself builds only points outside its known chambers
+        fam = FAMILIES[family]
+        names = [n for n in fam.param_names if n not in fam.fixed_for_scan]
+        step = Fraction(1, 4)
+        combos = [()]
+        for n in names:
+            combos = [c + (k * step,) for c in combos
+                      for k in range(1, int(fam.scan_upper[n] / step) + 1)
+                      if k * step < fam.scan_upper[n]]
         systems = []
-
-        def recording(cls, dim, halfspaces):
-            systems.append((dim, list(halfspaces)))
-            return real(cls, dim, halfspaces)
-
-        monkeypatch.setattr(Polytope, "from_halfspaces", classmethod(recording))
-        report = zero_locus_scan(family, Fraction(1, 4))
-        monkeypatch.undo()
+        for combo in combos:
+            values = dict(fam.fixed_for_scan, **dict(zip(names, combo)))
+            systems.append((fam.dim, [Halfspace(normal, offset) for (normal, _), offset
+                                      in zip(fam.rows, fam.offsets(values))]))
+        report = zero_locus_scan(family, step)
         assert len(report.points) + report.skipped == len(systems) == points
         for dim, hs in systems:
             assert (_outcome(Polytope.from_halfspaces, dim, hs)
@@ -730,7 +736,7 @@ class TestCellNumerators:
     @staticmethod
     def numerators(family, **params):
         from futakizero.cells import numerators
-        from futakizero.toric import _tight_sets
+        from futakizero.cells import _tight_sets
         fam = FAMILIES[family]
         params = {n: Fraction(v) for n, v in params.items()}
         polytope = fam.build(**params)
@@ -755,3 +761,74 @@ class TestCellNumerators:
             exact_div(exact_div(n, a - b), parabola)
             with pytest.raises(ParamPolyError):
                 exact_div(n, a + b - 3)
+
+
+class TestChambers:
+    """The chamber of each family's anticanonical cell decides the cell, and on
+    families of polygons and intervals the Kähler region, as ``fam.build``
+    does."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_chamber_against_build(self, family):
+        from futakizero.cells import _blocks_at_most_planar, _tight_sets, slack_forms
+        fam = FAMILIES[family]
+        pinned = dict(fam.fixed_for_scan)
+        names = [n for n in fam.param_names if n not in pinned]
+        sample = dict(fam.anticanonical, **pinned)
+        polytope = fam.build(**sample)
+        key = frozenset(_tight_sets(polytope))
+        slacks = slack_forms(fam, polytope, _tight_sets(polytope), sample, names)
+        rng = random.Random(f"chamber-{family}")
+
+        def random_value(n):
+            den = rng.randint(1, 12)
+            return Fraction(rng.randint(0, int(fam.scan_upper[n] * den)), den)
+
+        points = [{n: random_value(n) for n in names} for _ in range(160)]
+        walls = 0
+        while walls < 40:
+            # a point where one slack vanishes: solve it for one of its parameters
+            slack = rng.choice(slacks)
+            values = {n: random_value(n) for n in names}
+            units = {n: tuple(int(m == n) for m in names) for n in names}
+            movable = [n for n in names if slack.terms.get(units[n])]
+            if not movable:
+                continue
+            n = rng.choice(movable)
+            values[n] = 0
+            values[n] = -slack.evaluate(values) / slack.terms[units[n]]
+            assert slack.evaluate(values) == 0
+            points.append(values)
+            walls += 1
+        planar = _blocks_at_most_planar(fam.rows)
+        seen = set()
+        for values in points:
+            inside = all(s.evaluate(values) > 0 for s in slacks)
+            try:
+                built = frozenset(_tight_sets(fam.build(**values, **pinned)))
+            except KahlerRegionError:
+                built = None
+            if inside:
+                assert built == key, values
+            if planar and built is not None:
+                assert inside, values
+            seen.add((inside, built is not None))
+        assert (True, True) in seen and (False, False) in seen
+        assert planar == (family != "bl2lines-p3")
+
+    @pytest.mark.parametrize("family,step,builds,skipped", [
+        ("s6", Fraction(1, 4), 1, 1041), ("s6", Fraction(1, 8), 1, 9318),
+        ("bl2lines-p3", Fraction(1, 4), 121, 120)])
+    def test_scan_builds_only_outside_known_chambers(self, monkeypatch, family, step,
+                                                     builds, skipped):
+        from futakizero.toric import ToricFamily
+        real = ToricFamily.build
+        calls = []
+
+        def counting(self, **params):
+            calls.append(params)
+            return real(self, **params)
+
+        monkeypatch.setattr(ToricFamily, "build", counting)
+        report = zero_locus_scan(family, step)
+        assert (len(calls), report.skipped) == (builds, skipped)

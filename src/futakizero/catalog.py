@@ -16,7 +16,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .polyring import AmbientSpace, ParamField, PolyError, parse_equations, parse_poly
-from .ratlinalg import QMatrix
+from .ratlinalg import LinAlgError, QMatrix
 from .symmetry import (MonomialAutomorphism, ParamCurve,
                        SubvarietyPresentation, SymmetryError, TorusGenerator,
                        torus_eigencheck)
@@ -246,6 +246,8 @@ def _build_record(case_id, header_line, entries):
                   for v, ln in all_of("torus"))
     finite = tuple(_parse_finite(v, ln, case_id, ambient, params)
                    for v, ln in all_of("finite"))
+    if ambient is None and kind in ("polynomial", "toric-crosscheck"):
+        raise CatalogError(f"record {case_id}: missing key 'ambient'", header_line)
 
     h11 = ()
     h11_hits = all_of("h11")
@@ -397,6 +399,8 @@ def _take_call(text, name):
 
 
 def _parse_center(value, line, case_id, ambient, params):
+    if ambient is None:
+        raise CatalogError(f"record {case_id}: center without an ambient", line)
     stage = 1
     rest = value.strip()
     if rest.startswith("stage "):
@@ -440,6 +444,8 @@ def _parse_torus(value, line, case_id, ambient):
 
 
 def _parse_finite(value, line, case_id, ambient, params):
+    if ambient is None:
+        raise CatalogError(f"record {case_id}: finite symmetry without an ambient", line)
     parts = [p.strip() for p in value.split(" : ")]
     if len(parts) != 4:
         raise CatalogError(
@@ -477,7 +483,10 @@ def _parse_adjoint(value, line, case_id):
     rows = [r.strip() for r in body.split(";")]
     entries = [[_convert(Fraction, x, "matrix entry", line, case_id) for x in row.split()]
                for row in rows]
-    return (name.strip(), QMatrix.from_rows(entries))
+    try:
+        return (name.strip(), QMatrix.from_rows(entries))
+    except LinAlgError as exc:
+        raise CatalogError(f"record {case_id}: adjoint {name.strip()}: {exc}", line) from exc
 
 
 def _parse_factor(value, line, case_id):

@@ -177,6 +177,30 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
     return points, skipped
 
 
+def locus_test(differences, pinned, denominator):
+    """Whether the scanned values of a grid point, all multiples of
+    1/``denominator``, satisfy the locus equation whose sides differ by
+    ``differences`` (PPoly in the family's parameters).  The pinned values
+    are substituted once; each point is then tested on integers, at the
+    numerators of its values over ``denominator``."""
+    forms = []
+    for d in differences:
+        scanned = tuple(n for n in d.names if n not in pinned)
+        terms = {}
+        for expo, c in d.terms.items():
+            for n, e in zip(d.names, expo):
+                if n in pinned:
+                    c *= pinned[n] ** e
+            key = tuple(e for n, e in zip(d.names, expo) if n not in pinned)
+            terms[key] = terms.get(key, 0) + c
+        forms.append(_integer_form(PPoly(scanned, terms), denominator))
+
+    def on_locus(values):
+        m = [v.numerator * (denominator // v.denominator) for _, v in values]
+        return all(_value(form, m) == 0 for form in forms)
+    return on_locus
+
+
 def _integer_form(poly, denominator):
     """(coefficient, exponents) pairs of the integer polynomial
     Z(m) = L * D^deg * poly(m / D), D the grid denominator and L the lcm of

@@ -8,7 +8,9 @@ and golden tests stay byte-stable.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 
@@ -357,9 +359,13 @@ def _positive_primitive(p):
 
 class RatFunc:
     """Reduced ratio of integer-coefficient PPoly; denominator lex-leading
-    coefficient positive, gcd(num, den) = 1, joint integer content 1."""
+    coefficient positive, gcd(num, den) = 1, joint integer content 1.
 
-    __slots__ = ("num", "den")
+    A constant also keeps its value, one reduced Fraction (None when not
+    constant): arithmetic on two constants runs on those values and builds
+    the canonical pair directly, with no polynomial product."""
+
+    __slots__ = ("num", "den", "_value")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -371,10 +377,12 @@ class RatFunc:
         num, den = _reduce(num, den)
         self.num = num
         self.den = den
+        self._value = (num.constant_value() / den.constant_value()
+                       if num.is_constant() and den.is_constant() else None)
 
     @classmethod
     def const(cls, names, value):
-        return cls(PPoly.const(names, value))
+        return _constant(tuple(names), Fraction(value))
 
     @classmethod
     def var(cls, names, name):
@@ -388,62 +396,76 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_one(self):
-        return self == RatFunc.const(self.names, 1)
+        return self._value == 1
 
     def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
+        return self._value is not None
 
     def constant_value(self):
-        return self.num.constant_value() / self.den.constant_value()
+        if self._value is None:
+            raise ParamPolyError("not a constant rational function")
+        return self._value
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(self.names, other)
-        return (isinstance(other, RatFunc) and self.num == other.num
-                and self.den == other.den)
+            return self._value == other
+        if not isinstance(other, RatFunc):
+            return False
+        if self._value is not None or other._value is not None:
+            return self._value == other._value and self.names == other.names
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __add__(self, other):
+    def _binary(self, other, on_values, on_pairs):
+        """``on_values`` on two constant values, else ``on_pairs`` on the pair."""
         other = self._coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        if self._value is not None and other._value is not None:
+            return _constant(self.names, on_values(self._value, other._value))
+        return on_pairs(self, other)
+
+    def __add__(self, other):
+        return self._binary(other, operator.add, lambda x, y: RatFunc(
+            x.num * y.den + y.num * x.den, x.den * y.den))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._binary(other, operator.sub, lambda x, y: RatFunc(
+            x.num * y.den - y.num * x.den, x.den * y.den))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
+        if self._value is not None:
+            return _constant(self.names, -self._value)
         return RatFunc(-self.num, self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return self._binary(other, operator.mul, lambda x, y: RatFunc(
+            x.num * y.num, x.den * y.den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
+        if other == 0:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self._binary(other, operator.truediv, lambda x, y: RatFunc(
+            x.num * y.den, x.den * y.num))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def inverse(self):
-        return RatFunc.const(self.names, 1) / self
+        return 1 / self
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, (int, Fraction)):
-            return RatFunc.const(self.names, other)
+            return _constant(self.names, Fraction(other))
         raise TypeError(f"cannot coerce {other!r} into Q(params)")
 
     def evaluate(self, values):
@@ -453,6 +475,8 @@ class RatFunc:
         return self.num.evaluate(values) / den
 
     def render(self):
+        if self._value is not None:
+            return str(self._value)
         if self.den == PPoly.const(self.names, 1):
             return self.num.render()
         num = self.num.render()
@@ -465,6 +489,22 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.render()!r})"
+
+
+def _constant(names, value):
+    """The RatFunc of a Fraction: the canonical pair of a constant is its
+    reduced numerator over its denominator, and 0 over 1."""
+    r = object.__new__(RatFunc)
+    r.num = _integer_poly(names, value.numerator)
+    r.den = _integer_poly(names, value.denominator)
+    r._value = value
+    return r
+
+
+@lru_cache(maxsize=4096)
+def _integer_poly(names, n):
+    """The constant PPoly n; shared, as nothing mutates a PPoly."""
+    return PPoly.const(names, n)
 
 
 def _reduce(num, den):

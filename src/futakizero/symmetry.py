@@ -183,7 +183,7 @@ class MonomialAutomorphism:
             name = coords[self.perm[i]]
             if c.is_one():
                 images.append(name)
-            elif c.is_constant() and c.constant_value() == -1:
+            elif c == -1:
                 images.append(f"-{name}")
             else:
                 body = c.render()

@@ -744,12 +744,11 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     fits = []
     on_some_locus = [False] * len(points)
     for eq, differences in zip(loci, equations):
+        on_locus = cells.locus_test(differences, pinned, step.denominator)
         on_count = 0
         all_zero = True
         for i, pt in enumerate(points):
-            values = dict(pt.values)
-            values.update(pinned)
-            if all(d.evaluate(values) == 0 for d in differences):
+            if on_locus(pt.values):
                 on_count += 1
                 on_some_locus[i] = True
                 if not pt.zero:

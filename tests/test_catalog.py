@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -152,3 +153,65 @@ def _specialize_automorphism(tau, point):
     empty = ParamField()
     scalars = tuple(empty.const(c.evaluate(point)) for c in tau.scalars)
     return MonomialAutomorphism(tau.ambient, tau.perm, scalars, empty)
+
+
+def _header_and_records(text):
+    """The lines before the first record, and each record's text."""
+    first = text.index('\n[case "') + 1
+    return text[:first], ['[case "' + r for r in text[first:].split('[case "')[1:]]
+
+
+_FUZZ_ALPHABET = "0123456789abcdehilmnorstxz()=:,;|+-*/^ _\n"
+
+
+def _single_edit_mutants(seed, count):
+    """Seeded single-character edits (replace, delete or insert) of one
+    shipped record at a time, each with the catalog header only."""
+    header, records = _header_and_records(default_catalog_text())
+    rng = random.Random(seed)
+    for _ in range(count):
+        record = rng.choice(records)
+        i = rng.randrange(len(record))
+        op = rng.choice("rdi")
+        ch = rng.choice(_FUZZ_ALPHABET)
+        if op == "r":
+            yield header + record[:i] + ch + record[i + 1:]
+        elif op == "d":
+            yield header + record[:i] + record[i + 1:]
+        else:
+            yield header + record[:i] + ch + record[i:]
+
+
+def _record_with(case_id, old, new):
+    header, records = _header_and_records(default_catalog_text())
+    record = next(r for r in records if r.startswith(f'[case "{case_id}"]'))
+    assert old in record
+    return header + record.replace(old, new, 1)
+
+
+def _escapes(texts):
+    """(exception, text) for each text that ends load and validation in
+    anything but a CatalogError."""
+    escapes = []
+    for text in texts:
+        try:
+            validate_catalog(load_catalog(text=text))
+        except CatalogError:
+            pass
+        except Exception as exc:   # any other exception is an escape
+            escapes.append((repr(exc), text))
+    return escapes
+
+
+class TestFuzz:
+    def test_single_character_edits_raise_only_catalog_errors(self):
+        assert _escapes(_single_edit_mutants(2023, 1000)) == []
+
+    @pytest.mark.parametrize("case_id,old,new,message", [
+        # the newline before ambient deleted: the line joins the aut value
+        ("2.22", "\nambient", "ambient", "center without an ambient"),
+        ("3.9", "matrix(-1)", "matrix(-1;)", "ragged rows"),
+        ("2.27", "kind = semisimple_full", "kind = polynomial", "missing key 'ambient'")])
+    def test_found_escapes_are_catalog_errors(self, case_id, old, new, message):
+        with pytest.raises(CatalogError, match=message):
+            validate_catalog(load_catalog(text=_record_with(case_id, old, new)))

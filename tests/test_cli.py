@@ -260,6 +260,31 @@ class TestCatalogCommand:
         err = capsys.readouterr().err
         assert f"line {lineno}: record " in err and message in err
 
+    @pytest.mark.parametrize("edits,argv,at,message", [
+        ([("ambient = z0 z1 z2 z3\n", "")], ["verify", "2.22"],
+         "center = curve(r*s^3", "record 2.22: center without an ambient"),
+        ([("ambient = z0 z1 z2 z3\n", ""), ("center = curve(r*s^3, r^4, s^4, s*r^3)\n", ""),
+          ("torus = weights(1, 4, 0, 3)\n", "")], ["verify", "2.22"],
+         "finite = tau : order 2 : factors = (1) : map(z3",
+         "record 2.22: finite symmetry without an ambient"),
+        ([("adjoint = tau : matrix(-1)", "adjoint = tau : matrix(-1;)")],
+         ["catalog", "validate"], "adjoint = tau : matrix(-1;)",
+         "record 3.9: adjoint tau: ragged rows")],
+        ids=["no-ambient-center", "no-ambient-finite", "ragged-adjoint"])
+    def test_malformed_shipped_record_exits_two(self, tmp_path, capsys, edits, argv, at,
+                                                message):
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new, 1)
+        lineno = text[:text.index(at)].count("\n") + 1
+        path = tmp_path / "broken.cat"
+        path.write_text(text)
+        code, _ = run_cli(["--catalog", str(path), *argv])
+        assert code == 2
+        assert f"line {lineno}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line,key", [
         ("theorem =", "theorem"),
         ("torus_rank = two", "torus_rank"),

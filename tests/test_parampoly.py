@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -134,6 +135,33 @@ def reduce_corpus(seed, names, count):
     return [(n, d) for n, d in pairs if not d.is_zero()]
 
 
+CONSTANTS = (0, 1, -1, 7, Fraction(-3, 4), Fraction(5, 2))
+
+# each operator with its general formula: polynomial products reduced by
+# RatFunc(num, den), whatever the operands
+OPERATOR_ORACLES = (
+    (operator.add, lambda x, y: RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)),
+    (operator.sub, lambda x, y: RatFunc(x.num * y.den - y.num * x.den, x.den * y.den)),
+    (operator.mul, lambda x, y: RatFunc(x.num * y.num, x.den * y.den)),
+    (operator.truediv, lambda x, y: RatFunc(x.num * y.den, x.den * y.num)),
+)
+
+
+def assert_canonical(got, want):
+    """Same canonical pair, and the stored constant read off the pair."""
+    assert (got.num.names, got.num.terms) == (want.num.names, want.num.terms), (got, want)
+    assert got.den.terms == want.den.terms, (got, want)
+    constant = want.num.is_constant() and want.den.is_constant()
+    assert got.is_constant() == constant
+    if constant:
+        value = want.num.constant_value() / want.den.constant_value()
+        assert got.constant_value() == value and got == value
+        assert got.is_one() == (value == 1)
+    else:
+        assert not got.is_one() and got != 0
+    assert got == want
+
+
 class TestCanonicalFormOracle:
     @pytest.mark.parametrize("names,count", [((), 200), (("a",), 120), (("a", "b"), 60)])
     def test_matches_always_gcd_reduction(self, names, count):
@@ -151,6 +179,30 @@ class TestCanonicalFormOracle:
             assert r.num.terms == want_num.terms, (num, den)
             assert r.den.terms == want_den.terms, (num, den)
 
+    @pytest.mark.parametrize("names,count", [((), 12), (("a",), 3), (("a", "b"), 2)])
+    def test_operators_match_reduce_oracle(self, names, count):
+        constants = [RatFunc.const(names, v) for v in CONSTANTS]
+        elements = constants + [RatFunc(n, d) for n, d in reduce_corpus(7, names, count)]
+        assert any(not x.is_constant() for x in elements) == bool(names)
+        for x in elements:
+            assert_canonical(-x, RatFunc(-x.num, x.den))
+            for y in elements:
+                for op, oracle in OPERATOR_ORACLES:
+                    if op is operator.truediv and y.is_zero():
+                        with pytest.raises(ZeroDivisionError):
+                            op(x, y)
+                        continue
+                    assert_canonical(op(x, y), oracle(x, y))
+            for k in CONSTANTS:
+                k_field = RatFunc(PPoly.const(names, k))
+                for op, oracle in OPERATOR_ORACLES:
+                    if not (op is operator.truediv and x.is_zero()):
+                        assert_canonical(op(k, x), oracle(k_field, x))
+                    if not (op is operator.truediv and k == 0):
+                        assert_canonical(op(x, k), oracle(x, k_field))
+        for k in CONSTANTS:
+            assert_canonical(RatFunc.const(names, k), RatFunc(PPoly.const(names, k)))
+
     def test_shipped_catalog_runs_gcd_only_on_nonconstant_pairs(self, monkeypatch):
         calls = []
         real_gcd = parampoly.poly_gcd
@@ -166,6 +218,26 @@ class TestCanonicalFormOracle:
         # the span solves of validation do reduce poly/poly ratios
         assert validate_catalog(catalog) == []
         assert calls
+
+
+class TestConstantWork:
+    def test_verify_all_reduces_few_pairs(self, monkeypatch):
+        # 17 of the 20 symbolic records declare no parameter: their field
+        # arithmetic is on constants and never reaches _reduce (8,279 calls
+        # if every result went through it)
+        import io
+
+        from futakizero.cli import main
+        calls = []
+        real_reduce = parampoly._reduce
+
+        def counted(num, den):
+            calls.append(num.names)
+            return real_reduce(num, den)
+
+        monkeypatch.setattr(parampoly, "_reduce", counted)
+        assert main(["verify", "--all"], out=io.StringIO()) == 0
+        assert 0 < len(calls) <= 400
 
 
 def _oracle_evaluate(p, values):

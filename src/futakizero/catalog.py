@@ -19,7 +19,7 @@ from .polyring import AmbientSpace, ParamField, PolyError, parse_equations, pars
 from .ratlinalg import LinAlgError, QMatrix
 from .symmetry import (MonomialAutomorphism, ParamCurve,
                        SubvarietyPresentation, SymmetryError, TorusGenerator,
-                       torus_eigencheck)
+                       check_variety_invariant, torus_eigencheck)
 from .toric import FAMILIES
 
 FAMILY_LIST = (
@@ -86,7 +86,6 @@ class CaseRecord:
     anticanonical_params: dict = field(default_factory=dict)
     expected_adjoint: str = ""
     expected_toric: str = ""
-    entries: tuple = ()                # raw (key, value) pairs in file order
 
     @property
     def family(self):
@@ -195,14 +194,17 @@ def load_catalog(path=None, text=None):
     return Catalog(version, records, tuple(segments))
 
 
+_REQUIRED = object()     # the default of a key that must be given
+
+
 def _build_record(case_id, header_line, entries):
     def all_of(key):
         return [(v, ln) for k, v, ln in entries if k == key]
 
-    def one_of(key, default=None):
+    def one_of(key, default=_REQUIRED):
         hits = all_of(key)
         if not hits:
-            if default is None:
+            if default is _REQUIRED:
                 raise CatalogError(f"record {case_id}: missing key {key!r}", header_line)
             return default, header_line
         if len(hits) > 1:
@@ -218,14 +220,18 @@ def _build_record(case_id, header_line, entries):
         if k not in known:
             raise CatalogError(f"record {case_id}: unknown key {k!r}", ln)
 
-    def scalar(key, convert, value_line):
-        value, line = value_line
-        return _convert(convert, value, f"{key} value", line, case_id)
+    def optional(key, parse, default=None):
+        """``parse(value, line)`` of a key given at most once, else ``default``."""
+        value, line = one_of(key, default=None)
+        return default if value is None else parse(value, line)
+
+    def number(key, convert):
+        return lambda value, line: _convert(convert, value, f"{key} value", line, case_id)
 
     kind, ln = one_of("kind")
     if kind not in KINDS:
         raise CatalogError(f"record {case_id}: unknown kind {kind!r}", ln)
-    theorem = scalar("theorem", int, one_of("theorem"))
+    theorem = number("theorem", int)(*one_of("theorem"))
     expected = _parse_expected(*one_of("expected"), case_id)
     aut = one_of("aut", default="")[0]
     notes = tuple(v for v, _ in all_of("note"))
@@ -233,10 +239,7 @@ def _build_record(case_id, header_line, entries):
     semisimple = one_of("semisimple", default="")[0]
 
     params = _parse_params(all_of("param"), case_id)
-    ambient = None
-    ambient_hits = all_of("ambient")
-    if ambient_hits:
-        ambient = _parse_ambient(*ambient_hits[0], case_id, params)
+    ambient = optional("ambient", lambda v, ln: _parse_ambient(v, ln, case_id, params))
 
     variety = tuple(_parse_value(parse_poly, v, ln, case_id, ambient, params)
                     for v, ln in all_of("variety"))
@@ -249,38 +252,20 @@ def _build_record(case_id, header_line, entries):
     if ambient is None and kind in ("polynomial", "toric-crosscheck"):
         raise CatalogError(f"record {case_id}: missing key 'ambient'", header_line)
 
-    h11 = ()
-    h11_hits = all_of("h11")
-    if h11_hits:
-        h11 = tuple(x.strip() for x in h11_hits[0][0].split(","))
-    anticanonical = None
-    anti_hits = all_of("anticanonical")
-    if anti_hits:
-        anticanonical = scalar(
-            "anticanonical", lambda v: tuple(Fraction(x.strip()) for x in v.split(",")),
-            anti_hits[0])
+    h11 = optional("h11", lambda v, ln: tuple(x.strip() for x in v.split(",")), ())
+    anticanonical = optional("anticanonical", number(
+        "anticanonical", lambda v: tuple(Fraction(x.strip()) for x in v.split(","))))
 
-    torus_rank = None
-    tr_hits = all_of("torus_rank")
-    if tr_hits:
-        torus_rank = scalar("torus_rank", int, tr_hits[0])
+    torus_rank = optional("torus_rank", number("torus_rank", int))
     adjoints = tuple(_parse_adjoint(v, ln, case_id) for v, ln in all_of("adjoint"))
-    fixed_dim = None
-    fd_hits = all_of("fixed_dim")
-    if fd_hits:
-        fixed_dim = scalar("fixed_dim", int, fd_hits[0])
-    aif = None
-    aif_hits = all_of("anticanonical_in_fixed")
-    if aif_hits:
-        aif = _parse_bool(aif_hits[0][0], aif_hits[0][1])
+    fixed_dim = optional("fixed_dim", number("fixed_dim", int))
+    aif = optional("anticanonical_in_fixed", _parse_bool)
 
     factors = tuple(_parse_factor(v, ln, case_id) for v, ln in all_of("factor"))
     loci = tuple(v for v, _ in all_of("locus"))
     toric_family = one_of("toric_family", default="")[0]
-    anticanonical_params = {}
-    ap_hits = all_of("anticanonical_params")
-    if ap_hits:
-        anticanonical_params = _parse_param_values(*ap_hits[0], case_id)
+    anticanonical_params = optional(
+        "anticanonical_params", lambda v, ln: _parse_param_values(v, ln, case_id), {})
     expected_adjoint = one_of("expected_adjoint", default="")[0]
     expected_toric = one_of("expected_toric", default="")[0]
 
@@ -292,8 +277,7 @@ def _build_record(case_id, header_line, entries):
         torus_rank=torus_rank, adjoints=adjoints, fixed_dim=fixed_dim,
         anticanonical_in_fixed=aif, product_factors=factors, loci=loci,
         toric_family=toric_family, anticanonical_params=anticanonical_params,
-        expected_adjoint=expected_adjoint, expected_toric=expected_toric,
-        entries=tuple((k, v) for k, v, _ in entries))
+        expected_adjoint=expected_adjoint, expected_toric=expected_toric)
 
 
 def _convert(convert, text, what, line, case_id):
@@ -325,6 +309,8 @@ def _parse_params(hits, case_id):
         name = head.strip()
         if not name.isidentifier():
             raise CatalogError(f"record {case_id}: bad parameter name {name!r}", line)
+        if name in names:
+            raise CatalogError(f"record {case_id}: repeated parameter {name!r}", line)
         names.append(name)
         if tail:
             try:
@@ -565,8 +551,6 @@ def validate_case(record):
 
 
 def _validate_polynomialish(record):
-    from .symmetry import check_variety_invariant
-
     findings = []
     for v_index, v in enumerate(record.torus):
         for g_index, g in enumerate(record.variety):

@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .ratlinalg import QMatrix, in_column_span, intersect_kernels
-from .symmetry import CenterMatchError, adjoint_matrix, AdjointUnsolvable, match_centers
+from .symmetry import (CenterMatchError, adjoint_matrix, AdjointUnsolvable,
+                       check_variety_invariant, match_centers)
 
 
 class CharacterError(ValueError):
@@ -283,8 +284,6 @@ class CaseAnalysis:
 def analyze_polynomial_case(record):
     """Run the invariance machinery and the verdict for a polynomial-style
     record (also used by the toric-crosscheck kind)."""
-    from .symmetry import check_variety_invariant  # local to avoid import cycle noise
-
     diagnostics = []
     analyses = []
     constraints = []
@@ -326,8 +325,6 @@ def analyze_polynomial_case(record):
 def replay_certificate(record, certificate):
     """Re-run the cited checks and kernel computations from scratch; returns
     the reproduced verdict tag (FullCone certificates must replay)."""
-    from .symmetry import check_variety_invariant
-
     stages = [c.stage for c in record.centers]
     presentations = [c.presentation for c in record.centers]
     chosen = [entry for entry in record.finite if entry[0] in certificate]

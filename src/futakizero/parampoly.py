@@ -119,28 +119,16 @@ class PPoly:
         return PPoly(self.names, {e: c * factor for e, c in self.terms.items()})
 
     def evaluate(self, values):
-        """Evaluate at a dict name -> Fraction.
-
-        The sum runs on integers over one common denominator: the lcm of the
-        coefficient denominators times each value's denominator raised to the
-        variable's top degree."""
+        """Evaluate at a dict name -> Fraction: a plain Fraction sum of the
+        terms (the zero-locus scans evaluate on integers in ``cells``)."""
         point = [Fraction(values[n]) for n in self.names]
-        tops = [0] * len(point)
-        scale = 1
+        total = Fraction(0)
         for expo, c in self.terms.items():
-            tops = [max(t, e) for t, e in zip(tops, expo)]
-            scale = lcm(scale, c.denominator)
-        nums = [_powers(x.numerator, t) for x, t in zip(point, tops)]
-        dens = [_powers(x.denominator, t) for x, t in zip(point, tops)]
-        total = 0
-        for expo, c in self.terms.items():
-            v = c.numerator * (scale // c.denominator)
-            for num, den, t, e in zip(nums, dens, tops, expo):
-                v *= num[e] * den[t - e]
+            v = c
+            for x, e in zip(point, expo):
+                v *= x ** e
             total += v
-        for den, t in zip(dens, tops):
-            scale *= den[t]
-        return Fraction(total, scale)
+        return total
 
     def sorted_terms(self):
         # display order: grade first, then earlier names first
@@ -173,14 +161,6 @@ class PPoly:
         return f"PPoly({self.render()!r})"
 
 
-def _powers(x, top):
-    """[x^0, x^1, ..., x^top]."""
-    out = [1]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
-
-
 def _int_content_and_primitive(p):
     """Largest Fraction c with p = c * (primitive integer-coefficient poly)."""
     if p.is_zero():
@@ -189,7 +169,7 @@ def _int_content_and_primitive(p):
     den_lcm = 1
     for c in p.terms.values():
         num_gcd = gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+        den_lcm = lcm(den_lcm, c.denominator)
     content = Fraction(num_gcd, den_lcm)
     return content, p.scaled(1 / content)
 
@@ -512,11 +492,7 @@ def _reduce(num, den):
     # non-constant pair pays for poly_gcd and the two exact divisions.
     if num.is_zero():
         return num, PPoly.const(num.names, 1)
-    num_const, den_const = num.is_constant(), den.is_constant()
-    if num_const and den_const:
-        q = num.constant_value() / den.constant_value()
-        return PPoly.const(num.names, q.numerator), PPoly.const(num.names, q.denominator)
-    if not (num_const or den_const):
+    if not (num.is_constant() or den.is_constant()):
         g = poly_gcd(num, den)
         num = exact_div(num, g)
         den = exact_div(den, g)

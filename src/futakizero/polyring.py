@@ -474,14 +474,8 @@ def _as_scalar(p):
     """RatFunc value of a coordinate-free polynomial, else None."""
     if not p.terms:
         return p.params.zero()
-    if len(p.terms) != 1:
-        items = list(p.terms.items())
-        if any(any(k > 0 for k in e) for e, _ in items):
-            return None
-        total = p.params.zero()
-        for _, c in items:
-            total = total + c
-        return total
+    if len(p.terms) != 1:     # a coordinate-free polynomial has one term at most
+        return None
     e, c = next(iter(p.terms.items()))
     if any(k > 0 for k in e):
         return None
@@ -525,11 +519,6 @@ def multidegree(p):
     return p.multidegree()
 
 
-def pullback(p, automorphism):
-    """p composed with a monomial automorphism, in canonical form."""
-    return automorphism.pullback(p)
-
-
 # ---------------------------------------------------------------------------
 # span membership over Q(params)
 # ---------------------------------------------------------------------------
@@ -558,7 +547,7 @@ def in_span(p, gens, params=None):
     zero = params.zero()
     rows = [[g.terms.get(m, zero) for g in gens] for m in monomials]
     rhs = [p.terms.get(m, zero) for m in monomials]
-    solution = solve_generic(rows, rhs, lambda x: x.is_zero())
+    solution = solve_generic(rows, rhs)
     if solution is None:
         return None
     roots = set()

@@ -1,9 +1,9 @@
-"""Exact dense linear algebra over Q and, generically, over any exact field.
+"""Exact dense linear algebra over Q and Q(params).
 
 Everything is arbitrary-precision `fractions.Fraction`; no floating point is
-used anywhere.  The generic elimination helpers also run over Q(params)
-elements (anything with field operators and an `is-zero` predicate), which is
-how the polynomial span solves reuse this code.
+used anywhere.  One elimination serves both fields: it needs only the field
+operators and tests entries with ``== 0``, which a `Fraction` and a Q(params)
+`RatFunc` both answer exactly, so the polynomial span solves reuse it.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ class LinAlgError(ValueError):
     pass
 
 
-def _frac_is_zero(x):
-    return x == 0
-
-
-def rref(rows, iszero=_frac_is_zero):
+def rref(rows):
     """Reduced row echelon form (in place on a copied list of lists).
 
     Pivot = first nonzero entry of the first unreduced row in each column
@@ -34,7 +30,7 @@ def rref(rows, iszero=_frac_is_zero):
     for col in range(ncols):
         hit = None
         for r in range(target, len(rows)):
-            if not iszero(rows[r][col]):
+            if rows[r][col] != 0:
                 hit = r
                 break
         if hit is None:
@@ -43,7 +39,7 @@ def rref(rows, iszero=_frac_is_zero):
         inv = rows[target][col]
         rows[target] = [v / inv for v in rows[target]]
         for r in range(len(rows)):
-            if r != target and not iszero(rows[r][col]):
+            if r != target and rows[r][col] != 0:
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[target])]
         pivots.append(col)
@@ -53,33 +49,7 @@ def rref(rows, iszero=_frac_is_zero):
     return rows, pivots
 
 
-def kernel_basis_generic(rows, ncols, one, zero, iszero):
-    """Basis of the right null space over an arbitrary exact field.
-
-    Vectors come back in ascending order of their free column; the first
-    nonzero entry of each is the field's one.
-    """
-    reduced, pivots = rref(rows, iszero)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][f]
-        basis.append(_normalize_leading(vec, iszero))
-    return basis
-
-
-def _normalize_leading(vec, iszero):
-    for v in vec:
-        if not iszero(v):
-            return [x / v for x in vec]
-    return vec
-
-
-def solve_generic(rows, rhs, iszero):
+def solve_generic(rows, rhs):
     """One exact solution of A x = b, or None if inconsistent.
 
     Free variables are set to zero.  `rows` is a list of rows of A; `rhs` the
@@ -89,9 +59,9 @@ def solve_generic(rows, rhs, iszero):
         return []
     ncols = len(rows[0])
     if ncols == 0:
-        return [] if all(iszero(b) for b in rhs) else None
+        return [] if all(b == 0 for b in rhs) else None
     augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented, iszero)
+    reduced, pivots = rref(augmented)
     if ncols in pivots:
         return None
     zero = rows[0][0] - rows[0][0]
@@ -194,10 +164,21 @@ class QMatrix:
 
 
 def kernel_basis(m):
-    """Exact basis of {v : m v = 0}; empty matrix means the full space."""
-    return [tuple(v) for v in
-            kernel_basis_generic(m.row_list(), m.cols, Fraction(1), Fraction(0),
-                                 _frac_is_zero)]
+    """Exact basis of {v : m v = 0}; empty matrix means the full space.
+
+    Vectors come back in ascending order of their free column; the first
+    nonzero entry of each is 1.
+    """
+    reduced, pivots = rref(m.row_list())
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        vec = [Fraction(0)] * m.cols
+        vec[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][f]
+        lead = next(v for v in vec if v != 0)
+        basis.append(tuple(x / lead for x in vec))
+    return basis
 
 
 def fixed_subspace(m):
@@ -209,7 +190,7 @@ def fixed_subspace(m):
 
 def solve(m, rhs):
     """One solution of m x = rhs over Q, or None."""
-    return solve_generic(m.row_list(), [Fraction(b) for b in rhs], _frac_is_zero)
+    return solve_generic(m.row_list(), [Fraction(b) for b in rhs])
 
 
 def intersect_kernels(matrices):
@@ -228,4 +209,4 @@ def in_column_span(vectors, target):
     if not vectors:
         return None if any(Fraction(t) != 0 for t in target) else []
     rows = [[Fraction(v[i]) for v in vectors] for i in range(len(target))]
-    return solve_generic(rows, [Fraction(t) for t in target], _frac_is_zero)
+    return solve_generic(rows, [Fraction(t) for t in target])

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 
 class ToricError(ValueError):
@@ -117,9 +117,6 @@ class Polytope:
 
     def facet_vertices(self, f):
         return [self.vertices[i] for i in self.facet_cycles[f]]
-
-    def contains(self, point):
-        return all(h.value(point) <= h.offset for h in self.halfspaces)
 
     def translated(self, t):
         t = [Fraction(x) for x in t]
@@ -471,7 +468,7 @@ def _solid_route_triangulation(p):
             simplices = [(verts[0], verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)]
         for simplex in simplices:
             det = _det([[x - bx for x, bx in zip(s, base)] for s in simplex])
-            v = p.magnitude(det) / _factorial(d)
+            v = p.magnitude(det) / factorial(d)
             vol += v
             for i in range(d):
                 moment[i] += v * (base[i] + sum(s[i] for s in simplex)) / (d + 1)
@@ -488,13 +485,6 @@ def _solid_route_divergence(p):
         for i in range(d):
             moment[i] += h.offset * mom[i]
     return vol / d, tuple(x / (d + 1) for x in moment)
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _integral_data(p):

@@ -124,6 +124,18 @@ class TestValidate:
                     assert any(not record.params.admits(n, root)
                                for n in record.params.names), (record.id, name)
 
+    @pytest.mark.parametrize("param,findings", [
+        ("a", ["symmetry tau: span-solve denominators vanish at non-excluded values "
+               "[Fraction(2, 1)]"]),
+        ("a excludes 2", [])])
+    def test_span_denominators_checked_against_exclusions(self, param, findings):
+        # tau pulls x1^2 back to x0^2 = 1/(a - 2) * (a - 2)*x0^2
+        text = ('version = 1\n[case "x.1"]\nkind = polynomial\ntheorem = 1\n'
+                f'expected = full_cone\nparam = {param}\nambient = x0 x1\n'
+                'variety = (a - 2)*x0^2\nvariety = x1^2\n'
+                'finite = tau : order 2 : factors = (1) : map(x1, x0)\nh11 = h\n')
+        assert validate_case(load_catalog(text=text).by_id("x.1")) == findings
+
     def test_sampled_parameter_crosscheck(self, catalog):
         # deterministic sample values: first admissible of (1/2, 2, 3, 1/3, 5...)
         from futakizero.symmetry import check_variety_invariant

@@ -285,6 +285,30 @@ class TestCatalogCommand:
         assert code == 2
         assert f"line {lineno}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case_id,old,new,message", [
+        # a first, wrong fixed_dim used to win silently: verify exited 1 with
+        # MISMATCH case=3.9 expected=subcone(2) computed=subcone(9)
+        ("3.9", "fixed_dim = 2\n", "fixed_dim = 9\nfixed_dim = 2\n",
+         "repeated key 'fixed_dim'"),
+        ("2.21", "param = t excludes -1, 0, 1\n", "param = t\nparam = t excludes -1, 0, 1\n",
+         "repeated parameter 't'")], ids=["fixed_dim", "param"])
+    @pytest.mark.parametrize("argv", [["catalog", "validate"], ["verify", "--all"]],
+                             ids=["validate", "verify"])
+    def test_repeated_key_or_parameter_exits_two(self, tmp_path, capsys, case_id, old, new,
+                                                 message, argv):
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        case = text.index(f'[case "{case_id}"]')
+        assert text.index(old, case) < text.index("[case", case + 1)
+        text = text[:case] + text[case:].replace(old, new, 1)
+        # the second of the two lines is the one named
+        lineno = text[:text.index(new, case)].count("\n") + 2
+        path = tmp_path / "repeated.cat"
+        path.write_text(text)
+        code, _ = run_cli(["--catalog", str(path), *argv])
+        assert code == 2
+        assert f"line {lineno}: record {case_id}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line,key", [
         ("theorem =", "theorem"),
         ("torus_rank = two", "torus_rank"),

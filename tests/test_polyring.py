@@ -123,6 +123,15 @@ class TestInSpan:
         sol = in_span(tau.pullback(eq1), [eq1, eq2, eq3], pf)
         assert [c.render() for c in sol.coefficients] == ["0", "1", "0"]
 
+    def test_nonconstant_pivot_records_denominator_root(self):
+        # the elimination pivots on the non-constant entry a - 2
+        amb = AmbientSpace.product(("x0", "x1"))
+        pf = ParamField(("a",))
+        sol = in_span(parse_poly("x0", amb, pf), [parse_poly("(a - 2)*x0", amb, pf)], pf)
+        assert [c.render() for c in sol.coefficients] == ["1/(-2 + a)"]
+        assert sol.denominator_roots == (Fraction(2),)
+        assert not sol.has_irrational_denominator
+
     def test_not_in_span(self):
         amb = AmbientSpace.product(("x0", "x1", "x2", "x3"))
         assert in_span(parse_poly("x0", amb), [parse_poly("x1", amb)]) is None

@@ -11,7 +11,6 @@ round-trips byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -20,7 +19,6 @@ from .ratlinalg import LinAlgError, QMatrix
 from .symmetry import (MonomialAutomorphism, ParamCurve,
                        SubvarietyPresentation, SymmetryError, TorusGenerator,
                        check_variety_invariant, torus_eigencheck)
-from .toric import FAMILIES
 
 FAMILY_LIST = (
     "2.20", "2.21", "2.22", "2.24", "2.27", "2.29", "2.32", "2.34",
@@ -42,50 +40,67 @@ class CatalogError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
 class Center:
-    stage: int
-    presentation: SubvarietyPresentation
+    __slots__ = ("stage", "presentation")
+
+    def __init__(self, stage, presentation):
+        self.stage = stage
+        self.presentation = presentation    # SubvarietyPresentation
 
 
-@dataclass(frozen=True)
 class ProductFactorSpec:
-    name: str
-    verdict_tag: str          # full_cone | families
-    rank: int
-    family_dims: tuple = ()
-    toric_family: str = ""
-    anticanonical_in_families: bool = True
+    __slots__ = ("name", "verdict_tag", "rank", "family_dims", "toric_family",
+                 "anticanonical_in_families")
+
+    def __init__(self, name, verdict_tag, rank, family_dims=(), toric_family="",
+                 anticanonical_in_families=True):
+        self.name = name
+        self.verdict_tag = verdict_tag      # full_cone | families
+        self.rank = rank
+        self.family_dims = family_dims
+        self.toric_family = toric_family
+        self.anticanonical_in_families = anticanonical_in_families
 
 
-@dataclass
 class CaseRecord:
-    id: str
-    kind: str
-    theorem: int
-    expected: tuple                    # ("full_cone",) | ("subcone", d) | ("see_toric",)
-    aut: str = ""
-    notes: tuple = ()
-    provenance: tuple = ()
-    ambient: AmbientSpace = None
-    params: ParamField = None
-    variety: tuple = ()
-    centers: tuple = ()
-    torus: tuple = ()
-    finite: tuple = ()                 # (name, order, MonomialAutomorphism)
-    semisimple: str = ""
-    h11_labels: tuple = ()
-    anticanonical: tuple = None
-    torus_rank: int = None             # abstract records
-    adjoints: tuple = ()               # (name, QMatrix)
-    fixed_dim: int = None
-    anticanonical_in_fixed: bool = None
-    product_factors: tuple = ()
-    loci: tuple = ()
-    toric_family: str = ""
-    anticanonical_params: dict = field(default_factory=dict)
-    expected_adjoint: str = ""
-    expected_toric: str = ""
+    __slots__ = ("id", "kind", "theorem", "expected", "aut", "notes", "provenance",
+                 "ambient", "params", "variety", "centers", "torus", "finite", "semisimple",
+                 "h11_labels", "anticanonical", "torus_rank", "adjoints", "fixed_dim",
+                 "anticanonical_in_fixed", "product_factors", "loci", "toric_family",
+                 "anticanonical_params", "expected_adjoint", "expected_toric")
+
+    def __init__(self, id, kind, theorem, expected, aut="", notes=(), provenance=(),
+                 ambient=None, params=None, variety=(), centers=(), torus=(), finite=(),
+                 semisimple="", h11_labels=(), anticanonical=None, torus_rank=None,
+                 adjoints=(), fixed_dim=None, anticanonical_in_fixed=None,
+                 product_factors=(), loci=(), toric_family="", anticanonical_params=None,
+                 expected_adjoint="", expected_toric=""):
+        self.id = id
+        self.kind = kind
+        self.theorem = theorem
+        self.expected = expected        # ("full_cone",) | ("subcone", d) | ("see_toric",)
+        self.aut = aut
+        self.notes = notes
+        self.provenance = provenance
+        self.ambient = ambient          # AmbientSpace
+        self.params = params            # ParamField
+        self.variety = variety
+        self.centers = centers
+        self.torus = torus
+        self.finite = finite            # (name, order, MonomialAutomorphism)
+        self.semisimple = semisimple
+        self.h11_labels = h11_labels
+        self.anticanonical = anticanonical
+        self.torus_rank = torus_rank    # abstract records
+        self.adjoints = adjoints        # (name, QMatrix)
+        self.fixed_dim = fixed_dim
+        self.anticanonical_in_fixed = anticanonical_in_fixed
+        self.product_factors = product_factors
+        self.loci = loci
+        self.toric_family = toric_family
+        self.anticanonical_params = anticanonical_params or {}
+        self.expected_adjoint = expected_adjoint
+        self.expected_toric = expected_toric
 
     @property
     def family(self):
@@ -98,11 +113,13 @@ class CaseRecord:
         raise KeyError(name)
 
 
-@dataclass
 class Catalog:
-    version: int
-    records: tuple
-    segments: tuple                    # render stream
+    __slots__ = ("version", "records", "segments")
+
+    def __init__(self, version, records, segments):
+        self.version = version
+        self.records = records
+        self.segments = segments        # render stream
 
     def by_id(self, case_id):
         for r in self.records:
@@ -631,6 +648,7 @@ def _validate_loci(record):
     findings = []
     scanned = [record.toric_family] + [f.toric_family for f in record.product_factors]
     for name in filter(None, scanned):
+        from .toric import FAMILIES     # the toric engine, loaded only for toric records
         family = FAMILIES.get(name)
         if family is None:
             findings.append(f"unknown toric family {name!r}")

@@ -12,7 +12,6 @@ ideal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,42 +24,46 @@ class CharacterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class H11Basis:
     """One hyperplane class per ambient factor, then one exceptional class
     per blow-up center, in catalog order."""
 
-    labels: tuple
+    __slots__ = ("labels",)
+
+    def __init__(self, labels):
+        self.labels = labels
 
     @property
     def picard_rank(self):
         return len(self.labels)
 
 
-@dataclass(frozen=True)
 class SymmetryConstraint:
-    name: str
-    adjoint: object          # QMatrix, AdjointUnsolvable, or None (rank 0)
-    h11_matrix: object       # QMatrix permutation or None (abstract records)
+    __slots__ = ("name", "adjoint", "h11_matrix")
+
+    def __init__(self, name, adjoint, h11_matrix):
+        self.name = name
+        self.adjoint = adjoint          # QMatrix, AdjointUnsolvable, or None (rank 0)
+        self.h11_matrix = h11_matrix    # QMatrix permutation or None (abstract records)
 
     def usable(self):
         return not isinstance(self.adjoint, AdjointUnsolvable)
 
 
-@dataclass(frozen=True)
 class ConstraintSystem:
-    torus_rank: int
-    semisimple: str
-    h11: H11Basis
-    constraints: tuple       # SymmetryConstraint per finite symmetry
+    __slots__ = ("torus_rank", "semisimple", "h11", "constraints")
 
-    def __post_init__(self):
-        for c in self.constraints:
+    def __init__(self, torus_rank, semisimple, h11, constraints):
+        for c in constraints:
             if isinstance(c.adjoint, QMatrix) and (
-                    c.adjoint.rows != self.torus_rank or c.adjoint.cols != self.torus_rank):
+                    c.adjoint.rows != torus_rank or c.adjoint.cols != torus_rank):
                 raise CharacterError(f"adjoint matrix of {c.name} has the wrong size")
             if c.h11_matrix is not None and not _is_permutation(c.h11_matrix):
                 raise CharacterError(f"H11 action of {c.name} is not a permutation matrix")
+        self.torus_rank = torus_rank
+        self.semisimple = semisimple
+        self.h11 = h11
+        self.constraints = constraints  # SymmetryConstraint per finite symmetry
 
 
 def _is_permutation(m):
@@ -92,24 +95,30 @@ def h11_action(tau, centers, stages=None):
     return QMatrix.from_rows(entries), rho
 
 
-@dataclass(frozen=True)
 class FixedFamily:
     """A class subspace on which the character provably vanishes."""
 
-    dim: int
-    basis: tuple             # vectors in the H11 basis; () for product records
-    subset: tuple            # symmetry names used
-    description: str = ""
+    __slots__ = ("dim", "basis", "subset", "description")
+
+    def __init__(self, dim, basis, subset, description=""):
+        self.dim = dim
+        self.basis = basis      # vectors in the H11 basis; () for product records
+        self.subset = subset    # symmetry names used
+        self.description = description
 
 
-@dataclass(frozen=True)
 class Verdict:
-    tag: str                     # full_cone | subcone | inconclusive
-    fixed_dim: int = None
-    families: tuple = ()
-    certificate: tuple = None
-    diagnostics: tuple = ()
-    anticanonical_in_fixed: bool = None
+    __slots__ = ("tag", "fixed_dim", "families", "certificate", "diagnostics",
+                 "anticanonical_in_fixed")
+
+    def __init__(self, tag, fixed_dim=None, families=(), certificate=None, diagnostics=(),
+                 anticanonical_in_fixed=None):
+        self.tag = tag          # full_cone | subcone | inconclusive
+        self.fixed_dim = fixed_dim
+        self.families = families
+        self.certificate = certificate
+        self.diagnostics = diagnostics
+        self.anticanonical_in_fixed = anticanonical_in_fixed
 
     def is_full_cone(self):
         return self.tag == "full_cone"
@@ -220,18 +229,23 @@ def abstract_verdict(torus_rank, adjoints, fixed_dim, picard_rank,
                    certificate=names, anticanonical_in_fixed=anticanonical_in_fixed)
 
 
-@dataclass(frozen=True)
 class ProductFactor:
-    name: str
-    verdict_tag: str         # full_cone | families
-    rank: int
-    family_dims: tuple = ()
-    anticanonical_in_families: bool = True
+    __slots__ = ("name", "verdict_tag", "rank", "family_dims", "anticanonical_in_families")
+
+    def __init__(self, name, verdict_tag, rank, family_dims=(),
+                 anticanonical_in_families=True):
+        self.name = name
+        self.verdict_tag = verdict_tag  # full_cone | families
+        self.rank = rank
+        self.family_dims = family_dims
+        self.anticanonical_in_families = anticanonical_in_families
 
 
 def product_verdict(factors):
     """Vanishing locus of a product = product of the factor loci inside the
-    direct-sum class space; FullCone iff every factor is FullCone."""
+    direct-sum class space; FullCone iff every factor is FullCone.  A factor
+    is anything with the attributes of ``ProductFactor``, such as the
+    catalog's ``ProductFactorSpec``."""
     if not factors:
         raise CharacterError("empty product")
     if all(f.verdict_tag == "full_cone" for f in factors):
@@ -262,23 +276,29 @@ def product_verdict(factors):
 # per-case analysis driver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SymmetryAnalysis:
-    name: str
-    variety_invariant: object     # InvarianceResult or None
-    center_permutation: tuple     # rho or None
-    h11_matrix: object
-    adjoint: object
-    notes: tuple = ()
+    __slots__ = ("name", "variety_invariant", "center_permutation", "h11_matrix", "adjoint",
+                 "notes")
+
+    def __init__(self, name, variety_invariant, center_permutation, h11_matrix, adjoint,
+                 notes=()):
+        self.name = name
+        self.variety_invariant = variety_invariant      # InvarianceResult or None
+        self.center_permutation = center_permutation    # rho or None
+        self.h11_matrix = h11_matrix
+        self.adjoint = adjoint
+        self.notes = notes
 
 
-@dataclass(frozen=True)
 class CaseAnalysis:
-    case_id: str
-    system: ConstraintSystem
-    verdict: Verdict
-    symmetries: tuple
-    diagnostics: tuple
+    __slots__ = ("case_id", "system", "verdict", "symmetries", "diagnostics")
+
+    def __init__(self, case_id, system, verdict, symmetries, diagnostics):
+        self.case_id = case_id
+        self.system = system
+        self.verdict = verdict
+        self.symmetries = symmetries
+        self.diagnostics = diagnostics
 
 
 def analyze_polynomial_case(record):

@@ -15,17 +15,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-# ``cells``, the symbolic scan engine, loads here with the other engines.
-# Loaded by the first scan instead, it compiles on top of the catalog and the
-# results already held, and `verify --all` peaks about 0.1 MB higher (19.26
-# against 19.19 MB, medians of 12 runs on one CPU without a bytecode cache).
-from . import cells, character, toric  # noqa: F401
+# ``toric`` and ``cells`` load in the functions that use them, so most
+# single-record commands never compile them.  Loaded mid-run, they leave the
+# peak of `verify --all` within noise: 19.37 MB, against 19.34 MB with both
+# imported here and the classes built by ``dataclasses`` (perfbench
+# ``peak_rss_mb``, medians of 10 runs on one CPU without a bytecode cache).
+from . import character
 from .catalog import CatalogError, load_catalog, validate_catalog
 from .catalog import validate_case as catalog_validate_case
-from .character import ProductFactor, Verdict, full_cone
+from .character import full_cone
 from .symmetry import AdjointUnsolvable
 
 ENV_CATALOG = "FUTAKIZERO_CATALOG"
@@ -37,13 +37,15 @@ EXIT_CATALOG = 2
 EXIT_REGION = 3
 
 
-@dataclass
 class CaseResult:
-    record: object
-    verdict: Verdict
-    consistent: bool
-    audit: str = ""
-    detail: str = ""
+    __slots__ = ("record", "verdict", "consistent", "audit", "detail")
+
+    def __init__(self, record, verdict, consistent, audit="", detail=""):
+        self.record = record
+        self.verdict = verdict
+        self.consistent = consistent
+        self.audit = audit
+        self.detail = detail
 
 
 def evaluate_record(record):
@@ -79,6 +81,7 @@ def _plain_consistent(record, verdict):
 def _anticanonical_zero(record):
     if not record.toric_family or not record.anticanonical_params:
         return True, ""
+    from . import toric
     polytope = toric.class_to_polytope(record.toric_family,
                                        **record.anticanonical_params)
     vec = toric.futaki_vector(polytope)
@@ -88,15 +91,13 @@ def _anticanonical_zero(record):
 
 
 def _evaluate_product(record):
-    factors = [ProductFactor(f.name, f.verdict_tag, f.rank, f.family_dims,
-                             f.anticanonical_in_families)
-               for f in record.product_factors]
-    verdict = character.product_verdict(factors)
+    verdict = character.product_verdict(record.product_factors)
     consistent = _plain_consistent(record, verdict)
     details = []
     for f in record.product_factors:
         if not f.toric_family:
             continue
+        from . import toric
         report = toric.zero_locus_scan(f.toric_family, DEFAULT_SCAN_STEP,
                                        loci=record.loci)
         outcome = classify_scan(report)
@@ -124,6 +125,7 @@ def _evaluate_crosscheck(record):
                 if isinstance(a.adjoint, AdjointUnsolvable)]
     adjoint_outcome = "unsolvable" if len(unsolved) == len(analysis.symmetries) \
         else ("partial" if unsolved else "solvable")
+    from . import toric
     report = toric.zero_locus_scan(record.toric_family, DEFAULT_SCAN_STEP,
                                    loci=record.loci)
     toric_outcome = classify_scan(report)
@@ -272,11 +274,18 @@ def _parse_param_args(text):
         key, _, v = chunk.partition("=")
         if not v:
             raise ValueError(f"bad parameter assignment {chunk!r}")
-        values[key.strip()] = Fraction(v.strip())
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"repeated parameter {key!r}")
+        try:
+            values[key] = Fraction(v.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad parameter value {v.strip()!r}") from None
     return values
 
 
 def cmd_toric_futaki(args, out):
+    from . import toric
     try:
         params = _parse_param_args(args.params)
         polytope = toric.class_to_polytope(args.family, **params)
@@ -291,6 +300,7 @@ def cmd_toric_futaki(args, out):
 
 
 def cmd_toric_scan(args, out):
+    from . import toric
     loci = args.loci
     if loci is None:
         try:
@@ -354,6 +364,20 @@ def _rational(text):
         raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}") from None
 
 
+class _FamilyNames:
+    """The ``--family`` choices: the toric family names, read from the toric
+    engine when argparse first checks or lists them, so that the commands
+    without that option do not load the engine."""
+
+    def __contains__(self, name):
+        from .toric import FAMILIES
+        return name in FAMILIES
+
+    def __iter__(self):
+        from .toric import FAMILIES
+        return iter(sorted(FAMILIES))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="futakizero",
@@ -377,12 +401,14 @@ def build_parser():
     toric_parser = sub.add_parser("toric", help="toric Futaki computations")
     toric_sub = toric_parser.add_subparsers(dest="toric_command", required=True)
     futaki = toric_sub.add_parser("futaki", help="Futaki vector of one polytope")
-    futaki.add_argument("--family", required=True, choices=sorted(toric.FAMILIES))
+    # set after add_argument, which formats the choices to check the metavar and
+    # so would load the toric engine for every command
+    futaki.add_argument("--family", required=True).choices = _FamilyNames()
     futaki.add_argument("--params", required=True,
                         help="comma-separated k=v rational assignments")
     futaki.set_defaults(func=cmd_toric_futaki)
     scan = toric_sub.add_parser("scan", help="grid scan of the zero locus")
-    scan.add_argument("--family", required=True, choices=sorted(toric.FAMILIES))
+    scan.add_argument("--family", required=True).choices = _FamilyNames()
     scan.add_argument("--step", type=_rational, default="1/4", help="rational grid step")
     scan.add_argument("--loci", nargs="*", default=None,
                       help="override candidate locus equations")

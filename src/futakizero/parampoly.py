@@ -202,7 +202,7 @@ def exact_div(p, q):
     return quotient
 
 
-def _coeffs_in_main_var(p, nvars):
+def _coeffs_in_main_var(p):
     """Split p in Q[x0,...,x_{k-1}] as a list of coefficients of x0^i, each a
     PPoly in the remaining names."""
     rest = p.names[1:]
@@ -229,9 +229,9 @@ def _uni_degree(coeffs):
     return -1
 
 
-def _pseudo_rem(f, g, names):
+def _pseudo_rem(f, g):
     """Pseudo-remainder of f by g, both coefficient lists over PPoly."""
-    df, dg = _uni_degree(f), _uni_degree(g)
+    dg = _uni_degree(g)
     lc_g = g[dg]
     r = list(f)
     while _uni_degree(r) >= dg:
@@ -290,8 +290,8 @@ def _gcd_rec(p, q):
     if p.degree_in(0) == 0 and q.degree_in(0) == 0:
         sub = _gcd_rec(_drop_main(p), _drop_main(q))
         return _lift_main(sub, names)
-    f = _coeffs_in_main_var(p, len(names))
-    g = _coeffs_in_main_var(q, len(names))
+    f = _coeffs_in_main_var(p)
+    g = _coeffs_in_main_var(q)
     if _uni_degree(f) < _uni_degree(g):
         f, g = g, f
     cont_f = _content_poly(f)
@@ -299,7 +299,7 @@ def _gcd_rec(p, q):
     f = [exact_div(c, cont_f) for c in f]
     g = [exact_div(c, cont_g) for c in g]
     while True:
-        r = _pseudo_rem(f, g, names)
+        r = _pseudo_rem(f, g)
         if _uni_degree(r) < 0:
             break
         cont_r = _content_poly(r)
@@ -396,6 +396,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it hashes as that value
+        if self._value is not None:
+            return hash(self._value)
         return hash((self.num, self.den))
 
     def _binary(self, other, on_values, on_pairs):

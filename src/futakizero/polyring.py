@@ -12,7 +12,6 @@ parser (``parse_equations``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .parampoly import RatFunc, rational_roots
@@ -31,18 +30,17 @@ class InhomogeneousError(PolyError):
     pass
 
 
-@dataclass(frozen=True)
 class AmbientSpace:
     """Product of projective spaces; one (dimension, coordinate names) pair
     per factor, names globally unique."""
 
-    factors: tuple  # tuple of (dim, tuple-of-names)
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors):
+        if not factors:
             raise PolyError("ambient needs at least one factor")
         seen = set()
-        for dim, names in self.factors:
+        for dim, names in factors:
             if dim < 1:
                 raise PolyError("factor dimension must be >= 1")
             if len(names) != dim + 1:
@@ -51,6 +49,18 @@ class AmbientSpace:
                 if n in seen:
                     raise PolyError(f"duplicate coordinate name {n!r}")
                 seen.add(n)
+        self.factors = factors  # tuple of (dim, tuple-of-names)
+
+    # polynomials compare and hash their ambient, nearly always the same object
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, AmbientSpace):
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
 
     @classmethod
     def product(cls, *factor_names):
@@ -87,27 +97,22 @@ class AmbientSpace:
         return " x ".join(f"P{dim}" for dim, _ in self.factors)
 
 
-@dataclass(frozen=True)
 class ParamField:
     """Declared parameters with excluded rational values (catalog smoothness
     constraints such as a not in {-1, 1})."""
 
-    names: tuple = ()
-    excluded: dict = field(default_factory=dict)  # name -> tuple of Fractions
-    # RatFunc is immutable, so each field builds its zero and one once
-    _zero: RatFunc = field(init=False, repr=False, compare=False)
-    _one: RatFunc = field(init=False, repr=False, compare=False)
+    __slots__ = ("names", "excluded", "_zero", "_one")
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(
-            self, "excluded",
-            {n: tuple(Fraction(v) for v in vs) for n, vs in dict(self.excluded).items()})
+    def __init__(self, names=(), excluded=()):
+        self.names = tuple(names)
+        self.excluded = {n: tuple(Fraction(v) for v in vs)     # name -> tuple of Fractions
+                         for n, vs in dict(excluded).items()}
         for n in self.excluded:
             if n not in self.names:
                 raise PolyError(f"exclusions for undeclared parameter {n!r}")
-        object.__setattr__(self, "_zero", RatFunc.const(self.names, 0))
-        object.__setattr__(self, "_one", RatFunc.const(self.names, 1))
+        # RatFunc is immutable, so each field builds its zero and one once
+        self._zero = RatFunc.const(self.names, 0)
+        self._one = RatFunc.const(self.names, 1)
 
     def zero(self):
         return self._zero
@@ -523,13 +528,16 @@ def multidegree(p):
 # span membership over Q(params)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SpanSolution:
     """p = sum coeff_i * gens_i with exact Q(params) coefficients."""
 
-    coefficients: tuple
-    denominator_roots: tuple       # rational parameter values killing a denominator
-    has_irrational_denominator: bool
+    __slots__ = ("coefficients", "denominator_roots", "has_irrational_denominator")
+
+    def __init__(self, coefficients, denominator_roots, has_irrational_denominator):
+        self.coefficients = coefficients
+        # rational parameter values killing a denominator
+        self.denominator_roots = denominator_roots
+        self.has_irrational_denominator = has_irrational_denominator
 
 
 def in_span(p, gens, params=None):

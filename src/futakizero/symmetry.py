@@ -9,11 +9,10 @@ centers, curve parametrizations) and the adjoint action on torus generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .parampoly import RatFunc
-from .polyring import AmbientSpace, MultiPoly, ParamField, in_span, parse_poly
+from .polyring import AmbientSpace, MultiPoly, in_span, parse_poly
 from .ratlinalg import QMatrix, solve
 
 
@@ -32,18 +31,17 @@ class CenterMatchError(SymmetryError):
 CURVE_AMBIENT = AmbientSpace.product(("r", "s"))
 
 
-@dataclass(frozen=True)
 class TorusGenerator:
     """Integer weight per homogeneous coordinate, canonicalized so the first
     coordinate of each factor has weight zero."""
 
-    ambient: AmbientSpace
-    weights: tuple
+    __slots__ = ("ambient", "weights")
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.ambient.coords):
+    def __init__(self, ambient, weights):
+        if len(weights) != len(ambient.coords):
             raise SymmetryError("one weight per homogeneous coordinate required")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        self.ambient = ambient
+        self.weights = tuple(int(w) for w in weights)
 
     def canonical(self):
         out = list(self.weights)
@@ -63,31 +61,31 @@ class TorusGenerator:
         return sum(w * k for w, k in zip(self.weights, expo))
 
 
-@dataclass(frozen=True)
 class MonomialAutomorphism:
     """tau(x)_i = scalars[i] * x_{perm[i]}; factor_map[f] is the source factor
     feeding image factor f."""
 
-    ambient: AmbientSpace
-    perm: tuple
-    scalars: tuple
-    params: ParamField
+    __slots__ = ("ambient", "perm", "scalars", "params")
 
-    def __post_init__(self):
-        n = len(self.ambient.coords)
-        if sorted(self.perm) != list(range(n)):
+    def __init__(self, ambient, perm, scalars, params):
+        n = len(ambient.coords)
+        if sorted(perm) != list(range(n)):
             raise SymmetryError("coordinate map is not a bijection")
-        if len(self.scalars) != n:
+        if len(scalars) != n:
             raise SymmetryError("one scalar per coordinate required")
-        if any(c.is_zero() for c in self.scalars):
+        if any(c.is_zero() for c in scalars):
             raise SymmetryError("zero scalar in monomial automorphism")
-        for f in range(self.ambient.nfactors):
-            sources = {self.ambient.factor_of(self.perm[i]) for i in self.ambient.block(f)}
+        for f in range(ambient.nfactors):
+            sources = {ambient.factor_of(perm[i]) for i in ambient.block(f)}
             if len(sources) != 1:
                 raise SymmetryError(f"image factor {f} mixes source factors")
             src = sources.pop()
-            if self.ambient.factors[f][0] != self.ambient.factors[src][0]:
+            if ambient.factors[f][0] != ambient.factors[src][0]:
                 raise SymmetryError("factor bijection must preserve dimensions")
+        self.ambient = ambient
+        self.perm = perm
+        self.scalars = scalars
+        self.params = params
 
     @classmethod
     def identity(cls, ambient, params):
@@ -204,25 +202,25 @@ def _invert(perm):
 # subvariety presentations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ParamCurve:
     """Map P^1 -> ambient given per coordinate by a homogeneous polynomial in
     (r, s); coordinates within a factor share their (r, s)-degree."""
 
-    ambient: AmbientSpace
-    params: ParamField
-    coords: tuple  # MultiPoly over CURVE_AMBIENT
+    __slots__ = ("ambient", "params", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != len(self.ambient.coords):
+    def __init__(self, ambient, params, coords):
+        if len(coords) != len(ambient.coords):
             raise SymmetryError("curve needs one component per ambient coordinate")
-        for f in range(self.ambient.nfactors):
-            degrees = {self.coords[i].multidegree()[0]
-                       for i in self.ambient.block(f) if not self.coords[i].is_zero()}
+        for f in range(ambient.nfactors):
+            degrees = {coords[i].multidegree()[0]
+                       for i in ambient.block(f) if not coords[i].is_zero()}
             if not degrees:
                 raise SymmetryError(f"curve is identically zero on factor {f}")
             if len(degrees) != 1:
                 raise SymmetryError(f"mixed (r,s)-degrees on factor {f}")
+        self.ambient = ambient
+        self.params = params
+        self.coords = coords  # MultiPoly over CURVE_AMBIENT
 
     @classmethod
     def from_texts(cls, texts, ambient, params):
@@ -254,7 +252,6 @@ class ParamCurve:
         return f"curve({', '.join(c.render() for c in self.coords)})"
 
 
-@dataclass(frozen=True)
 class SubvarietyPresentation:
     """Blow-up center: ideal generators, a P^1 parametrization, or both.
 
@@ -263,12 +260,13 @@ class SubvarietyPresentation:
     stable even when the center is); the ideal is used for cross-validation.
     """
 
-    ideal: tuple = ()
-    curve: object = None
+    __slots__ = ("ideal", "curve")
 
-    def __post_init__(self):
-        if not self.ideal and self.curve is None:
+    def __init__(self, ideal=(), curve=None):
+        if not ideal and curve is None:
             raise SymmetryError("empty presentation")
+        self.ideal = ideal
+        self.curve = curve
 
     def kind(self):
         if self.curve is not None and self.ideal:
@@ -276,12 +274,19 @@ class SubvarietyPresentation:
         return "curve" if self.curve is not None else "ideal"
 
 
-@dataclass(frozen=True)
 class Reparam:
     """[r:s] -> [r : gamma s], composed with the swap when flagged."""
 
-    swap: bool
-    gamma: Fraction
+    __slots__ = ("swap", "gamma")
+
+    def __init__(self, swap, gamma):
+        self.swap = swap
+        self.gamma = gamma
+
+    def __eq__(self, other):
+        if not isinstance(other, Reparam):
+            return NotImplemented
+        return self.swap == other.swap and self.gamma == other.gamma
 
     def describe(self):
         base = "swap" if self.swap else "identity"
@@ -290,12 +295,14 @@ class Reparam:
         return f"{base} . scale({self.gamma})"
 
 
-@dataclass(frozen=True)
 class InvarianceResult:
-    invariant: bool
-    matrix: tuple          # rows: in_span coefficient vectors (RatFunc)
-    denominator_roots: tuple
-    failing_index: int = None
+    __slots__ = ("invariant", "matrix", "denominator_roots", "failing_index")
+
+    def __init__(self, invariant, matrix, denominator_roots, failing_index=None):
+        self.invariant = invariant
+        self.matrix = matrix      # rows: in_span coefficient vectors (RatFunc)
+        self.denominator_roots = denominator_roots
+        self.failing_index = failing_index
 
     def describe(self):
         if self.invariant:
@@ -319,10 +326,12 @@ def check_variety_invariant(gens, tau):
     return InvarianceResult(True, tuple(rows), tuple(sorted(roots)))
 
 
-@dataclass(frozen=True)
 class Equivariance:
-    reparam: Reparam
-    factor_scalars: tuple  # RatFunc per ambient factor
+    __slots__ = ("reparam", "factor_scalars")
+
+    def __init__(self, reparam, factor_scalars):
+        self.reparam = reparam
+        self.factor_scalars = factor_scalars  # RatFunc per ambient factor
 
 
 def check_curve_equivariance(curve, tau):
@@ -505,10 +514,12 @@ def _presentations_match(target_i, source_j, tau):
     return False
 
 
-@dataclass(frozen=True)
 class EigencheckResult:
-    ok: bool
-    detail: str = ""
+    __slots__ = ("ok", "detail")
+
+    def __init__(self, ok, detail=""):
+        self.ok = ok
+        self.detail = detail
 
 
 def torus_eigencheck(target, v):
@@ -548,13 +559,15 @@ def _curve_eigencheck(curve, v):
     return EigencheckResult(True)
 
 
-@dataclass(frozen=True)
 class AdjointUnsolvable:
     """tau does not normalize the chosen torus complement; carries the first
     generator whose permuted weights leave the span."""
 
-    generator_index: int
-    permuted_weights: tuple
+    __slots__ = ("generator_index", "permuted_weights")
+
+    def __init__(self, generator_index, permuted_weights):
+        self.generator_index = generator_index
+        self.permuted_weights = permuted_weights
 
     def describe(self):
         return (f"adjoint solve failed: permuted weights {self.permuted_weights} of "

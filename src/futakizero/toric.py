@@ -26,7 +26,6 @@ the vertices themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
@@ -49,15 +48,13 @@ class KahlerRegionError(ToricError):
     """Class parameters outside the Kähler region: a facet degenerates."""
 
 
-@dataclass(frozen=True)
 class Halfspace:
     """<normal, x> <= offset with a primitive integer normal."""
 
-    normal: tuple
-    offset: Fraction
+    __slots__ = ("normal", "offset")
 
-    def __post_init__(self):
-        normal = tuple(int(n) for n in self.normal)
+    def __init__(self, normal, offset):
+        normal = tuple(int(n) for n in normal)
         if all(n == 0 for n in normal):
             raise ToricError("zero normal")
         g = 0
@@ -65,8 +62,13 @@ class Halfspace:
             g = gcd(g, abs(n))
         if g != 1:
             raise ToricError(f"normal {normal} is not primitive")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        self.normal = normal
+        self.offset = Fraction(offset)
+
+    def __eq__(self, other):
+        if not isinstance(other, Halfspace):
+            return NotImplemented
+        return self.normal == other.normal and self.offset == other.offset
 
     def value(self, point):
         # normals are ints and points Fractions; int*Fraction is exact
@@ -534,12 +536,14 @@ def donaldson_L(p, affine):
     return boundary_part - (mass / vol) * solid_part
 
 
-@dataclass(frozen=True)
 class FutakiVector:
     """Sigma barycenter of the boundary minus mu barycenter of the solid;
     zero exactly when the toric Futaki character vanishes."""
 
-    components: tuple
+    __slots__ = ("components",)
+
+    def __init__(self, components):
+        self.components = components
 
     def is_zero(self):
         return all(c == 0 for c in self.components)
@@ -576,17 +580,20 @@ def _aff(const=0, **coefficients):
     return Fraction(const), tuple(coefficients.items())
 
 
-@dataclass(frozen=True)
 class ToricFamily:
     """Moment polytopes declared as data: one row (primitive integer outer
     normal, offset affine in the parameters) per facet."""
 
-    name: str
-    param_names: tuple
-    rows: tuple
-    anticanonical: dict
-    scan_upper: dict        # exclusive upper grid bound per scanned parameter
-    fixed_for_scan: dict    # parameters pinned during scans
+    __slots__ = ("name", "param_names", "rows", "anticanonical", "scan_upper",
+                 "fixed_for_scan")
+
+    def __init__(self, name, param_names, rows, anticanonical, scan_upper, fixed_for_scan):
+        self.name = name
+        self.param_names = param_names
+        self.rows = rows
+        self.anticanonical = anticanonical
+        self.scan_upper = scan_upper  # exclusive upper grid bound per scanned parameter
+        self.fixed_for_scan = fixed_for_scan  # parameters pinned during scans
 
     @property
     def dim(self):
@@ -668,28 +675,51 @@ def anticanonical_parameters(family):
 # zero-locus scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ScanPoint:
-    values: tuple   # (name, Fraction) pairs in scan order
-    zero: bool
+    __slots__ = ("values", "zero")
+
+    def __init__(self, values, zero):
+        self.values = values    # (name, Fraction) pairs in scan order
+        self.zero = zero
+
+    def __eq__(self, other):
+        if not isinstance(other, ScanPoint):
+            return NotImplemented
+        return self.values == other.values and self.zero == other.zero
 
 
-@dataclass(frozen=True)
 class LocusFit:
-    equation: str
-    on_locus_all_zero: bool
-    points_on_locus: int
+    __slots__ = ("equation", "on_locus_all_zero", "points_on_locus")
+
+    def __init__(self, equation, on_locus_all_zero, points_on_locus):
+        self.equation = equation
+        self.on_locus_all_zero = on_locus_all_zero
+        self.points_on_locus = points_on_locus
+
+    def __eq__(self, other):
+        if not isinstance(other, LocusFit):
+            return NotImplemented
+        return ((self.equation, self.on_locus_all_zero, self.points_on_locus)
+                == (other.equation, other.on_locus_all_zero, other.points_on_locus))
 
 
-@dataclass(frozen=True)
 class ScanReport:
-    family: str
-    step: Fraction
-    points: tuple
-    skipped: int
-    loci: tuple              # LocusFit per candidate equation
-    covered: bool            # every zero point lies on some candidate locus
-    zero_everywhere: bool
+    __slots__ = ("family", "step", "points", "skipped", "loci", "covered",
+                 "zero_everywhere")
+
+    def __init__(self, family, step, points, skipped, loci, covered, zero_everywhere):
+        self.family = family
+        self.step = step
+        self.points = points
+        self.skipped = skipped
+        self.loci = loci            # LocusFit per candidate equation
+        self.covered = covered      # every zero point lies on some candidate locus
+        self.zero_everywhere = zero_everywhere
+
+    def __eq__(self, other):
+        if not isinstance(other, ScanReport):
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in ScanReport.__slots__)
 
 
 def zero_locus_scan(family, step, loci=(), fixed=None):

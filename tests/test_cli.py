@@ -95,6 +95,15 @@ class TestToric:
         assert code == 3
         assert "region" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params,message", [
+        ("a=abc", "bad parameter value 'abc'"),
+        ("a=1/0", "bad parameter value '1/0'"),
+        ("a=1, a=2", "repeated parameter 'a'")])
+    def test_bad_params_exit_three(self, capsys, params, message):
+        code, out = run_cli(["toric", "futaki", "--family", "p1", "--params", params])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_scan_output_shape(self):
         code, out = run_cli(["toric", "scan", "--family", "s6", "--step", "1/2"])
         assert code == 0
@@ -327,3 +336,32 @@ class TestCatalogCommand:
         assert code == 2
         lineno = text.splitlines().index(line) + 1
         assert f"line {lineno}: record 9.1: bad {key} value" in capsys.readouterr().err
+
+
+class TestStartup:
+    """A command loads only what it uses: modules are counted, nothing is timed."""
+
+    WATCHED = ("dataclasses", "inspect", "futakizero.toric", "futakizero.cells")
+
+    def loaded(self, code):
+        import os
+        import subprocess
+        import sys
+        code += (f"; import sys; "
+                 f"print(sorted(m for m in {self.WATCHED!r} if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("FUTAKIZERO_CATALOG", None)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        return out.strip()
+
+    def test_cli_import_loads_no_generated_code_or_toric_engine(self):
+        assert self.loaded("import futakizero.cli") == "[]"
+
+    @pytest.mark.parametrize("case,watched", [
+        ("2.24", "[]"),
+        ("3.25", "['futakizero.cells', 'futakizero.toric']")])
+    def test_verify_loads_toric_engine_only_for_toric_records(self, case, watched):
+        command = ("import io; from futakizero.cli import main; "
+                   f"assert main(['verify', {case!r}], out=io.StringIO()) == 0")
+        assert self.loaded(command) == watched

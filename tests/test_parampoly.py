@@ -76,6 +76,15 @@ class TestRatFunc:
         assert r.den == upoly(0, 2) or r.den == upoly(0, 1)
         assert not r.render().startswith("(-")
 
+    @pytest.mark.parametrize("value", [1, Fraction(-3, 4)])
+    def test_constant_hashes_as_its_value(self, value):
+        for number in (value, Fraction(value)):
+            const = RatFunc.const(("a",), number)
+            assert const == number and hash(const) == hash(number)
+            assert len({const, number}) == 1 and number in {const} and const in {number}
+        s = RatFunc(upoly(0, 1))
+        assert len({s, RatFunc(upoly(0, 2), upoly(2))}) == 1
+
     def test_evaluate(self):
         r = RatFunc(upoly(1, 1), upoly(-1, 1))     # (1+s)/(s-1)
         assert r.evaluate({"s": Fraction(3)}) == Fraction(2)

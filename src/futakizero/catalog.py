@@ -67,7 +67,8 @@ class CaseRecord:
                  "ambient", "params", "variety", "centers", "torus", "finite", "semisimple",
                  "h11_labels", "anticanonical", "torus_rank", "adjoints", "fixed_dim",
                  "anticanonical_in_fixed", "product_factors", "loci", "toric_family",
-                 "anticanonical_params", "expected_adjoint", "expected_toric")
+                 "anticanonical_params", "expected_adjoint", "expected_toric",
+                 "_invariances")
 
     def __init__(self, id, kind, theorem, expected, aut="", notes=(), provenance=(),
                  ambient=None, params=None, variety=(), centers=(), torus=(), finite=(),
@@ -101,10 +102,21 @@ class CaseRecord:
         self.anticanonical_params = anticanonical_params or {}
         self.expected_adjoint = expected_adjoint
         self.expected_toric = expected_toric
+        self._invariances = None
 
     @property
     def family(self):
         return self.id.split("-")[0]
+
+    def invariances(self):
+        """The InvarianceResult of each finite symmetry on the variety, in
+        ``finite`` order (None for each without a variety), computed on the
+        first call: validation and analysis read the same span solves."""
+        if self._invariances is None:
+            self._invariances = tuple(
+                check_variety_invariant(self.variety, tau) if self.variety else None
+                for _, _, tau in self.finite)
+        return self._invariances
 
     def finite_by_name(self, name):
         for entry in self.finite:
@@ -529,7 +541,10 @@ def _parse_param_values(value, line, case_id):
         key, _, v = chunk.partition("=")
         if not v:
             raise CatalogError(f"bad parameter assignment {chunk!r}", line)
-        out[key.strip()] = _convert(Fraction, v.strip(), "parameter value", line, case_id)
+        key = key.strip()
+        if key in out:
+            raise CatalogError(f"record {case_id}: repeated parameter {key!r}", line)
+        out[key] = _convert(Fraction, v.strip(), "parameter value", line, case_id)
     return out
 
 
@@ -598,17 +613,15 @@ def _validate_polynomialish(record):
                 if not pres.curve.substituted(g).is_zero():
                     findings.append(f"center {c_index}: curve leaves the variety "
                                     f"(generator {g_index})")
-    for name, order, tau in record.finite:
+    for (name, order, tau), inv in zip(record.finite, record.invariances()):
         if not tau.order_divides(order):
             findings.append(f"symmetry {name} does not have declared order {order}")
-        if record.variety:
-            inv = check_variety_invariant(record.variety, tau)
-            if inv.invariant:
-                uncovered = [r for r in inv.denominator_roots
-                             if not _root_excluded(record.params, r)]
-                if uncovered:
-                    findings.append(f"symmetry {name}: span-solve denominators vanish "
-                                    f"at non-excluded values {uncovered}")
+        if inv is not None and inv.invariant:
+            uncovered = [r for r in inv.denominator_roots
+                         if not _root_excluded(record.params, r)]
+            if uncovered:
+                findings.append(f"symmetry {name}: span-solve denominators vanish "
+                                f"at non-excluded values {uncovered}")
     return findings
 
 

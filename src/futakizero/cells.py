@@ -15,14 +15,14 @@ parameters, and ``scan_grid`` decides membership in a known chamber, and with
 it the cell and the Kähler region, on integers without building a polytope.
 
 ``toric.zero_locus_scan`` imports this module on its first scan, so that
-``import futakizero.toric`` alone loads no symbolic engine; the CLI imports
-it up front with the other engines.
+``import futakizero.toric`` alone loads no symbolic engine, and a command
+that runs no scan never loads it.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
 from . import toric
@@ -187,7 +187,7 @@ def locus_test(differences, pinned, denominator):
     for d in differences:
         scanned = tuple(n for n in d.names if n not in pinned)
         terms = {}
-        for expo, c in d.terms.items():
+        for expo, c in d.num.items():       # d.den times d: the same zeros
             for n, e in zip(d.names, expo):
                 if n in pinned:
                     c *= pinned[n] ** e
@@ -203,12 +203,10 @@ def locus_test(differences, pinned, denominator):
 
 def _integer_form(poly, denominator):
     """(coefficient, exponents) pairs of the integer polynomial
-    Z(m) = L * D^deg * poly(m / D), D the grid denominator and L the lcm of
-    the coefficient denominators: Z has the sign of poly at m / D."""
-    degree = max((sum(e) for e in poly.terms), default=0)
-    scale = lcm(1, *(c.denominator for c in poly.terms.values()))
-    return [(c.numerator * (scale // c.denominator) * denominator ** (degree - sum(e)), e)
-            for e, c in poly.terms.items()]
+    Z(m) = poly.den * D^deg * poly(m / D), D the grid denominator: Z has the
+    sign of poly at m / D."""
+    degree = max((sum(e) for e in poly.num), default=0)
+    return [(c * denominator ** (degree - sum(e)), e) for e, c in poly.num.items()]
 
 
 def _affine_forms(slacks, denominator):

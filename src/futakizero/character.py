@@ -229,23 +229,11 @@ def abstract_verdict(torus_rank, adjoints, fixed_dim, picard_rank,
                    certificate=names, anticanonical_in_fixed=anticanonical_in_fixed)
 
 
-class ProductFactor:
-    __slots__ = ("name", "verdict_tag", "rank", "family_dims", "anticanonical_in_families")
-
-    def __init__(self, name, verdict_tag, rank, family_dims=(),
-                 anticanonical_in_families=True):
-        self.name = name
-        self.verdict_tag = verdict_tag  # full_cone | families
-        self.rank = rank
-        self.family_dims = family_dims
-        self.anticanonical_in_families = anticanonical_in_families
-
-
 def product_verdict(factors):
     """Vanishing locus of a product = product of the factor loci inside the
-    direct-sum class space; FullCone iff every factor is FullCone.  A factor
-    is anything with the attributes of ``ProductFactor``, such as the
-    catalog's ``ProductFactorSpec``."""
+    direct-sum class space; FullCone iff every factor is FullCone.  The
+    factors are the catalog's ``ProductFactorSpec`` entries of a product
+    record."""
     if not factors:
         raise CharacterError("empty product")
     if all(f.verdict_tag == "full_cone" for f in factors):
@@ -309,13 +297,10 @@ def analyze_polynomial_case(record):
     constraints = []
     stages = [c.stage for c in record.centers]
     presentations = [c.presentation for c in record.centers]
-    for name, order, tau in record.finite:
+    for (name, order, tau), inv in zip(record.finite, record.invariances()):
         notes = []
-        inv = None
-        if record.variety:
-            inv = check_variety_invariant(record.variety, tau)
-            if not inv.invariant:
-                notes.append(f"variety check inconclusive: {inv.describe()}")
+        if inv is not None and not inv.invariant:
+            notes.append(f"variety check inconclusive: {inv.describe()}")
         rho = None
         h11_matrix = None
         try:

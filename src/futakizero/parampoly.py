@@ -3,7 +3,10 @@
 Coefficients of multihomogeneous polynomials, scalars of monomial maps and
 span-solve results all live in Q(a, s, t, ...).  Elements are kept as reduced
 ratios of integer-coefficient polynomials so that printed forms are canonical
-and golden tests stay byte-stable.
+and golden tests stay byte-stable.  A polynomial of Q[params] is itself kept
+as integer coefficients over one denominator, so that its arithmetic runs on
+Python ints (Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+ch. 2).
 """
 
 from __future__ import annotations
@@ -11,72 +14,88 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 class ParamPolyError(ValueError):
     pass
 
 
-def _prune(terms):
-    return {e: c for e, c in terms.items() if c != 0}
-
-
 class PPoly:
-    """Polynomial with Fraction coefficients in a fixed ordered tuple of names."""
+    """Polynomial over Q in a fixed ordered tuple of names, stored as integer
+    coefficients over one denominator: ``num`` maps exponent tuples to
+    nonzero ints, ``den`` is a positive int, and gcd(den, *num) = 1, zero
+    being {} over 1.  The form is canonical, so == and hash read the fields.
 
-    __slots__ = ("names", "terms")
+    ``PPoly(names, terms)`` takes exponent -> int or Fraction; ``terms`` is
+    the read-only Fraction view of the coefficients."""
+
+    __slots__ = ("names", "num", "den")
 
     def __init__(self, names, terms):
+        # the lcm of the reduced denominators is already in lowest terms
+        terms = {e: Fraction(c) for e, c in terms.items() if c}
+        den = lcm(1, *(c.denominator for c in terms.values()))
         self.names = tuple(names)
-        self.terms = _prune(terms)
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        self.den = den
 
     @classmethod
     def zero(cls, names):
-        return cls(names, {})
+        return _raw(tuple(names), {}, 1)
 
     @classmethod
     def const(cls, names, value):
         value = Fraction(value)
         if value == 0:
             return cls.zero(names)
-        return cls(names, {(0,) * len(names): value})
+        return _raw(tuple(names), {(0,) * len(names): value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, names, name):
         i = tuple(names).index(name)
         expo = tuple(1 if j == i else 0 for j in range(len(names)))
-        return cls(names, {expo: Fraction(1)})
+        return _raw(tuple(names), {expo: 1}, 1)
+
+    @property
+    def terms(self):
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def is_constant(self):
-        return all(all(e == 0 for e in expo) for expo in self.terms)
+        return not any(map(any, self.num))
 
     def constant_value(self):
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ParamPolyError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(sum(self.num.values()), self.den)
 
     def degree_in(self, i):
-        return max((expo[i] for expo in self.terms), default=0)
+        return max((expo[i] for expo in self.num), default=0)
 
     def __eq__(self, other):
-        return isinstance(other, PPoly) and self.names == other.names and self.terms == other.terms
+        return (isinstance(other, PPoly) and self.names == other.names
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.names, tuple(sorted(self.terms.items()))))
+        return hash((self.names, self.den, frozenset(self.num.items())))
 
     def _binop(self, other, sign):
         if not isinstance(other, PPoly):
             other = PPoly.const(self.names, other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + sign * c
-        return PPoly(self.names, terms)
+        den = lcm(self.den, other.den)
+        m = den // self.den
+        num = {e: c * m for e, c in self.num.items()} if m != 1 else dict(self.num)
+        m = sign * (den // other.den)
+        for expo, c in other.num.items():
+            c = num.get(expo, 0) + m * c
+            if c:
+                num[expo] = c
+            else:
+                del num[expo]
+        return _reduced(self.names, num, den)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -90,17 +109,18 @@ class PPoly:
         return (-self)._binop(other, 1)
 
     def __neg__(self):
-        return PPoly(self.names, {e: -c for e, c in self.terms.items()})
+        return _raw(self.names, {e: -c for e, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PPoly.const(self.names, other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return PPoly(self.names, terms)
+        if not isinstance(other, PPoly):
+            return self.scaled(other)
+        num = {}
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
+                e = tuple(map(operator.add, e1, e2))
+                num[e] = num.get(e, 0) + c1 * c2
+        return _reduced(self.names, {e: c for e, c in num.items() if c},
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -116,19 +136,27 @@ class PPoly:
 
     def scaled(self, factor):
         factor = Fraction(factor)
-        return PPoly(self.names, {e: c * factor for e, c in self.terms.items()})
+        if factor == 0:
+            return PPoly.zero(self.names)
+        k = factor.numerator
+        return _reduced(self.names, {e: c * k for e, c in self.num.items()},
+                        self.den * factor.denominator)
 
     def evaluate(self, values):
-        """Evaluate at a dict name -> Fraction: a plain Fraction sum of the
-        terms (the zero-locus scans evaluate on integers in ``cells``)."""
+        """Evaluate at a dict name -> Fraction: one integer sum over the common
+        denominator of the point, divided once."""
         point = [Fraction(values[n]) for n in self.names]
-        total = Fraction(0)
-        for expo, c in self.terms.items():
-            v = c
-            for x, e in zip(point, expo):
-                v *= x ** e
-            total += v
-        return total
+        tops = [max(column) for column in zip(*self.num)]
+        # powers[i][e] = p_i^e * q_i^(top_i - e) for the value p_i/q_i of name i
+        powers = [[x.numerator ** e * x.denominator ** (top - e) for e in range(top + 1)]
+                  for x, top in zip(point, tops)]
+        total = 0
+        for expo, c in self.num.items():
+            for row, e in zip(powers, expo):
+                c *= row[e]
+            total += c
+        return Fraction(total, self.den * prod(x.denominator ** top
+                                               for x, top in zip(point, tops)))
 
     def sorted_terms(self):
         # display order: grade first, then earlier names first
@@ -161,22 +189,38 @@ class PPoly:
         return f"PPoly({self.render()!r})"
 
 
+def _raw(names, num, den):
+    """The PPoly of fields already in lowest terms."""
+    p = object.__new__(PPoly)
+    p.names = names
+    p.num = num
+    p.den = den
+    return p
+
+
+def _reduced(names, num, den):
+    """The PPoly of nonzero ints ``num`` over ``den`` > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return _raw(names, num, den)
+
+
 def _int_content_and_primitive(p):
     """Largest Fraction c with p = c * (primitive integer-coefficient poly)."""
     if p.is_zero():
         return Fraction(1), p
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-        den_lcm = lcm(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    return content, p.scaled(1 / content)
+    g = gcd(*p.num.values())
+    return Fraction(g, p.den), _raw(p.names, {e: c // g for e, c in p.num.items()}, 1)
 
 
 def _leading(p):
-    expo = max(p.terms)
-    return expo, p.terms[expo]
+    """(exponent, numerator) of the lex-leading term; the numerator has the
+    coefficient's sign."""
+    expo = max(p.num)
+    return expo, p.num[expo]
 
 
 def _monomial_divides(e1, e2):
@@ -184,22 +228,33 @@ def _monomial_divides(e1, e2):
 
 
 def exact_div(p, q):
-    """Exact polynomial division p / q; raises ParamPolyError if not exact."""
+    """Exact polynomial division p / q; raises ParamPolyError if not exact.
+
+    With q = c * Q for Q primitive, a quotient of p's integer numerator by Q
+    in Q[params] has integer coefficients (Gauss's lemma), so the long
+    division runs on ints and stops at the first step that is not exact."""
     if q.is_zero():
         raise ParamPolyError("division by zero polynomial")
-    names = p.names
-    quotient = PPoly.zero(names)
-    rest = p
+    content, q = _int_content_and_primitive(q)
     qe, qc = _leading(q)
-    while not rest.is_zero():
-        re, rc = _leading(rest)
-        if not _monomial_divides(qe, re):
+    rest = dict(p.num)
+    quotient = {}
+    while rest:
+        re = max(rest)
+        m, r = divmod(rest[re], qc)
+        if r or not _monomial_divides(qe, re):
             raise ParamPolyError("inexact polynomial division")
-        me = tuple(a - b for a, b in zip(re, qe))
-        mono = PPoly(names, {me: rc / qc})
-        quotient = quotient + mono
-        rest = rest - mono * q
-    return quotient
+        me = tuple(map(operator.sub, re, qe))
+        quotient[me] = m
+        for expo, c in q.num.items():
+            expo = tuple(map(operator.add, expo, me))
+            c = rest.get(expo, 0) - m * c
+            if c:
+                rest[expo] = c
+            else:
+                del rest[expo]
+    return _reduced(p.names, {e: c * content.denominator for e, c in quotient.items()},
+                    p.den * content.numerator)
 
 
 def _coeffs_in_main_var(p):
@@ -207,19 +262,20 @@ def _coeffs_in_main_var(p):
     PPoly in the remaining names."""
     rest = p.names[1:]
     by_deg = {}
-    for expo, c in p.terms.items():
-        d = expo[0]
-        by_deg.setdefault(d, {})[expo[1:]] = c
+    for expo, c in p.num.items():
+        by_deg.setdefault(expo[0], {})[expo[1:]] = c
     top = max(by_deg, default=0)
-    return [PPoly(rest, by_deg.get(i, {})) for i in range(top + 1)]
+    return [_reduced(rest, by_deg.get(i, {}), p.den) for i in range(top + 1)]
 
 
 def _from_coeffs(coeffs, names):
-    terms = {}
+    den = lcm(1, *(c.den for c in coeffs))
+    num = {}
     for i, c in enumerate(coeffs):
-        for expo, v in c.terms.items():
-            terms[(i,) + expo] = v
-    return PPoly(names, terms)
+        m = den // c.den
+        for expo, v in c.num.items():
+            num[(i,) + expo] = v * m
+    return _reduced(names, num, den)
 
 
 def _uni_degree(coeffs):
@@ -320,11 +376,11 @@ def _strip(coeffs):
 
 
 def _drop_main(p):
-    return PPoly(p.names[1:], {expo[1:]: c for expo, c in p.terms.items()})
+    return _raw(p.names[1:], {expo[1:]: c for expo, c in p.num.items()}, p.den)
 
 
 def _lift_main(p, names):
-    return PPoly(names, {(0,) + expo: c for expo, c in p.terms.items()})
+    return _raw(names, {(0,) + expo: c for expo, c in p.num.items()}, p.den)
 
 
 def _positive_primitive(p):
@@ -464,9 +520,9 @@ class RatFunc:
             return self.num.render()
         num = self.num.render()
         den = self.den.render()
-        if len(self.num.terms) > 1:
+        if len(self.num.num) > 1:
             num = f"({num})"
-        if len(self.den.terms) > 1 or not self.den.is_constant():
+        if len(self.den.num) > 1 or not self.den.is_constant():
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -524,11 +580,9 @@ def rational_roots(p):
         return [], True
     i = active[0]
     _, p = _int_content_and_primitive(p)
-    coeffs = {}
-    for expo, c in p.terms.items():
-        coeffs[expo[i]] = coeffs.get(expo[i], Fraction(0)) + c
+    coeffs = {expo[i]: c for expo, c in p.num.items()}
     top = max(coeffs)
-    dense = [int(coeffs.get(k, 0)) for k in range(top + 1)]
+    dense = [coeffs.get(k, 0) for k in range(top + 1)]
     roots = set()
     low = next(k for k in range(top + 1) if dense[k] != 0)
     if low > 0:

@@ -306,7 +306,7 @@ def _render_term(coeff, mono):
         if v == -1:
             return f"-{mono}"
         return f"{v}*{mono}"
-    if coeff.den.is_constant() and len(coeff.num.terms) == 1:
+    if coeff.den.is_constant() and len(coeff.num.num) == 1:
         # bare monomial scalar such as a or 2*a
         body = coeff.render()
         return f"{body}*{mono}" if mono else body

@@ -3,8 +3,9 @@ from itertools import combinations
 
 import pytest
 
+from futakizero.catalog import ProductFactorSpec
 from futakizero.character import (CharacterError, ConstraintSystem, H11Basis,
-                                  ProductFactor, SymmetryConstraint, _fixed_classes,
+                                  SymmetryConstraint, _fixed_classes,
                                   analyze_polynomial_case, abstract_verdict,
                                   h11_action, product_verdict,
                                   replay_certificate, vanishing_verdict,
@@ -150,22 +151,22 @@ class TestAbstractVerdict:
 
 class TestProductVerdict:
     def test_all_full_cone(self):
-        verdict = product_verdict([ProductFactor("p1", "full_cone", 1),
-                                   ProductFactor("p2", "full_cone", 1)])
+        verdict = product_verdict([ProductFactorSpec("p1", "full_cone", 1),
+                                   ProductFactorSpec("p2", "full_cone", 1)])
         assert verdict.tag == "full_cone"
 
     def test_locus_factor_composes_dimensions(self):
         verdict = product_verdict([
-            ProductFactor("p1", "full_cone", 1),
-            ProductFactor("s6", "families", 4, (3, 2))])
+            ProductFactorSpec("p1", "full_cone", 1),
+            ProductFactorSpec("s6", "families", 4, (3, 2))])
         assert verdict.tag == "subcone"
         assert verdict.fixed_dim == 4
         assert verdict.anticanonical_in_fixed is True
 
     def test_single_factor_unchanged(self):
-        full = product_verdict([ProductFactor("p2", "full_cone", 1)])
+        full = product_verdict([ProductFactorSpec("p2", "full_cone", 1)])
         assert full.tag == "full_cone"
-        partial = product_verdict([ProductFactor("s6", "families", 4, (3, 2))])
+        partial = product_verdict([ProductFactorSpec("s6", "families", 4, (3, 2))])
         assert partial.tag == "subcone"
         assert partial.fixed_dim == 3
 
@@ -187,6 +188,34 @@ class TestCatalogVerdicts:
                 continue
             assert replay_certificate(record, analysis.verdict.certificate) \
                 == "full_cone", record.id
+
+    def test_each_invariance_solved_once_and_replay_solves_its_own(self, monkeypatch):
+        import io
+
+        from futakizero import catalog, character, symmetry
+        from futakizero.cli import main
+        calls = []
+        real = symmetry.check_variety_invariant
+
+        def counted(gens, tau):
+            calls.append((gens, tau))
+            return real(gens, tau)
+
+        for module in (catalog, character, symmetry):
+            monkeypatch.setattr(module, "check_variety_invariant", counted)
+        assert main(["verify", "--all"], out=io.StringIO()) == 0
+        # validation and analysis share one solve per record and symmetry
+        assert len({(id(g), id(t)) for g, t in calls}) == len(calls) == 17
+        records = catalog.load_catalog().records
+        assert sum(len(r.finite) for r in records if r.variety) == 17
+        record = next(r for r in records if r.variety and len(r.finite) > 1)
+        calls.clear()
+        analysis = analyze_polynomial_case(record)
+        assert len(calls) == len(record.finite)
+        assert catalog.validate_case(record) == [] and len(calls) == len(record.finite)
+        certificate = analysis.verdict.certificate
+        assert replay_certificate(record, certificate) == "full_cone"
+        assert len(calls) == len(record.finite) + len(certificate)
 
     def test_two_distinct_families_for_triple_intersection(self, catalog):
         analysis = analyze_polynomial_case(catalog.by_id("3.13"))

@@ -300,7 +300,10 @@ class TestCatalogCommand:
         ("3.9", "fixed_dim = 2\n", "fixed_dim = 9\nfixed_dim = 2\n",
          "repeated key 'fixed_dim'"),
         ("2.21", "param = t excludes -1, 0, 1\n", "param = t\nparam = t excludes -1, 0, 1\n",
-         "repeated parameter 't'")], ids=["fixed_dim", "param"])
+         "repeated parameter 't'"),
+        # the last value used to win silently: the record loaded with a = 1
+        ("2.34", "anticanonical_params = a=2, h=3\n", "anticanonical_params = a=2, h=3, a=1\n",
+         "repeated parameter 'a'")], ids=["fixed_dim", "param", "anticanonical_params"])
     @pytest.mark.parametrize("argv", [["catalog", "validate"], ["verify", "--all"]],
                              ids=["validate", "verify"])
     def test_repeated_key_or_parameter_exits_two(self, tmp_path, capsys, case_id, old, new,
@@ -310,8 +313,8 @@ class TestCatalogCommand:
         case = text.index(f'[case "{case_id}"]')
         assert text.index(old, case) < text.index("[case", case + 1)
         text = text[:case] + text[case:].replace(old, new, 1)
-        # the second of the two lines is the one named
-        lineno = text[:text.index(new, case)].count("\n") + 2
+        # the last line of the replacement is the one named
+        lineno = text[:text.index(new, case) + len(new) - 1].count("\n") + 1
         path = tmp_path / "repeated.cat"
         path.write_text(text)
         code, _ = run_cli(["--catalog", str(path), *argv])

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -7,7 +8,8 @@ import pytest
 from futakizero import parampoly
 from futakizero.catalog import load_catalog, validate_catalog
 from futakizero.parampoly import (ParamPolyError, PPoly, RatFunc, _int_content_and_primitive,
-                                  _leading, exact_div, poly_gcd, rational_roots)
+                                  _leading, _pseudo_rem, _strip, _uni_degree, exact_div,
+                                  poly_gcd, rational_roots)
 
 
 def upoly(*coeffs):
@@ -279,6 +281,251 @@ class TestEvaluateOracle:
         assert 1 - a == -(a - 1)
         assert (a + 3) / 6 == (a + 3) * Fraction(1, 6)
         assert sum([a, a], Fraction(0)) == 2 * a
+
+
+class FractionPPoly:
+    """Oracle: PPoly as an exponent -> Fraction dict, the form it had before
+    integer coefficients over one denominator (render is shared: it reads
+    only ``terms``)."""
+
+    __slots__ = ("names", "terms")
+
+    def __init__(self, names, terms):
+        self.names = tuple(names)
+        self.terms = {e: Fraction(c) for e, c in terms.items() if c != 0}
+
+    @classmethod
+    def const(cls, names, value):
+        return cls(names, {(0,) * len(names): value})
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_constant(self):
+        return all(all(e == 0 for e in expo) for expo in self.terms)
+
+    def constant_value(self):
+        assert self.is_constant()
+        return next(iter(self.terms.values()), Fraction(0))
+
+    def degree_in(self, i):
+        return max((expo[i] for expo in self.terms), default=0)
+
+    def __eq__(self, other):
+        return self.names == other.names and self.terms == other.terms
+
+    def _binop(self, other, sign):
+        if not isinstance(other, FractionPPoly):
+            other = FractionPPoly.const(self.names, other)
+        terms = dict(self.terms)
+        for expo, c in other.terms.items():
+            terms[expo] = terms.get(expo, Fraction(0)) + sign * c
+        return FractionPPoly(self.names, terms)
+
+    def __add__(self, other):
+        return self._binop(other, 1)
+
+    def __sub__(self, other):
+        return self._binop(other, -1)
+
+    def __neg__(self):
+        return FractionPPoly(self.names, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPPoly):
+            other = FractionPPoly.const(self.names, other)
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+        return FractionPPoly(self.names, terms)
+
+    def __truediv__(self, other):
+        return self.scaled(1 / Fraction(other))
+
+    def __pow__(self, k):
+        result = FractionPPoly.const(self.names, 1)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def scaled(self, factor):
+        return FractionPPoly(self.names, {e: c * Fraction(factor) for e, c in self.terms.items()})
+
+    evaluate = _oracle_evaluate
+    sorted_terms = PPoly.sorted_terms
+    render = PPoly.render
+
+
+def oracle_content_and_primitive(p):
+    if p.is_zero():
+        return Fraction(1), p
+    num_gcd, den_lcm = 0, 1
+    for c in p.terms.values():
+        num_gcd = math.gcd(num_gcd, abs(c.numerator))
+        den_lcm = math.lcm(den_lcm, c.denominator)
+    content = Fraction(num_gcd, den_lcm)
+    return content, p.scaled(1 / content)
+
+
+def oracle_exact_div(p, q):
+    quotient = FractionPPoly(p.names, {})
+    rest = p
+    qe = max(q.terms)
+    while not rest.is_zero():
+        re = max(rest.terms)
+        if not all(a <= b for a, b in zip(qe, re)):
+            raise ParamPolyError("inexact polynomial division")
+        mono = FractionPPoly(p.names, {tuple(a - b for a, b in zip(re, qe)):
+                                       rest.terms[re] / q.terms[qe]})
+        quotient = quotient + mono
+        rest = rest - mono * q
+    return quotient
+
+
+def oracle_positive_primitive(p):
+    if p.is_zero():
+        return p
+    _, p = oracle_content_and_primitive(p)
+    return -p if p.terms[max(p.terms)] < 0 else p
+
+
+def oracle_gcd(p, q):
+    """poly_gcd as it ran on Fraction dicts: recursive primitive pseudo-remainder
+    sequences in the first name over the others."""
+    if p.is_zero() or q.is_zero():
+        return oracle_positive_primitive(q if p.is_zero() else p)
+    if not p.names:
+        return FractionPPoly.const(p.names, 1)
+    return oracle_positive_primitive(oracle_gcd_rec(oracle_content_and_primitive(p)[1],
+                                                    oracle_content_and_primitive(q)[1]))
+
+
+def oracle_gcd_rec(p, q):
+    if p.is_zero() or q.is_zero():
+        return q if p.is_zero() else p
+    names = p.names
+    if not names:
+        a, b = p.constant_value(), q.constant_value()
+        return FractionPPoly.const(names, abs(Fraction(
+            math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+            a.denominator * b.denominator)))
+    if p.degree_in(0) == 0 and q.degree_in(0) == 0:
+        sub = oracle_gcd_rec(*(FractionPPoly(names[1:], {e[1:]: c for e, c in x.terms.items()})
+                               for x in (p, q)))
+        return FractionPPoly(names, {(0,) + e: c for e, c in sub.terms.items()})
+
+    def split(x):
+        by_deg = {}
+        for expo, c in x.terms.items():
+            by_deg.setdefault(expo[0], {})[expo[1:]] = c
+        return [FractionPPoly(names[1:], by_deg.get(i, {}))
+                for i in range(max(by_deg, default=0) + 1)]
+
+    def content(coeffs):
+        g = FractionPPoly(names[1:], {})
+        for c in coeffs:
+            g = oracle_gcd_rec(g, c)
+            if g.is_constant() and not g.is_zero():
+                break
+        return FractionPPoly.const(names[1:], 1) if g.is_zero() else g
+
+    f, g = split(p), split(q)
+    if _uni_degree(f) < _uni_degree(g):
+        f, g = g, f
+    cont_f, cont_g = content(f), content(g)
+    f = [oracle_exact_div(c, cont_f) for c in f]
+    g = [oracle_exact_div(c, cont_g) for c in g]
+    while True:
+        r = _pseudo_rem(f, g)
+        if _uni_degree(r) < 0:
+            break
+        cont_r = content(r)
+        r = [oracle_exact_div(c, cont_r) for c in r]
+        f, g = g, r
+    cont = oracle_gcd_rec(cont_f, cont_g)
+    terms = {(i,) + e: v for i, c in enumerate(_strip(g)) for e, v in (c * cont).terms.items()}
+    return oracle_content_and_primitive(FractionPPoly(names, terms))[1]
+
+
+def oracle_corpus(seed, names, count):
+    """Seeded (PPoly, FractionPPoly) pairs of equal terms: zero, constants
+    and fractional coefficients."""
+    rng = random.Random(seed)
+    pairs = []
+    for k in range(count):
+        if k % 5 == 0:
+            terms = {}
+        elif k % 5 == 1 or not names:
+            terms = {(0,) * len(names): random_coeff(rng)}
+        else:
+            terms = {tuple(rng.randint(0, 2) for _ in names):
+                     random_coeff(rng) if rng.random() < 0.5 else rng.randint(-6, 6)
+                     for _ in range(rng.randint(1, 4))}
+        pairs.append((PPoly(names, terms), FractionPPoly(names, terms)))
+    return pairs
+
+
+def same(got, want):
+    return got.names == want.names and got.terms == want.terms
+
+
+NAME_TUPLES = ((), ("a",), ("a", "b"), ("a", "b", "c"))
+
+
+class TestIntegerFormOracle:
+    @pytest.mark.parametrize("names", NAME_TUPLES)
+    def test_arithmetic_matches_fraction_dicts(self, names):
+        corpus = oracle_corpus(len(names), names, 30)
+        rng = random.Random(5)
+        for p, fp in corpus:
+            assert p.den > 0 and math.gcd(p.den, *p.num.values()) == 1
+            assert all(p.num.values()) and (p.num or p.den == 1)
+            assert same(-p, -fp)
+            assert same(p ** 2, fp ** 2) and same(p ** 0, fp ** 0)
+            assert p.render() == fp.render()
+            k = random_coeff(rng)
+            assert same(p.scaled(k), fp.scaled(k)) and same(p / k, fp / k)
+            assert same(p * 0, fp * 0) and same(p.scaled(0), fp.scaled(0))
+            values = {n: random_coeff(rng) for n in names}
+            assert p.evaluate(values) == fp.evaluate(values)
+            for q, fq in corpus:
+                for op in (operator.add, operator.sub, operator.mul):
+                    assert same(op(p, q), op(fp, fq)), (p, q, op)
+                assert (p == q) == (fp == fq)
+                if p == q:
+                    assert hash(p) == hash(q)
+            for k in CONSTANTS:
+                assert same(p + k, fp + k) and same(k + p, fp + k)
+                assert same(p - k, fp - k) and same(k - p, -fp + k)
+                assert same(p * k, fp * k) and same(k * p, fp * k)
+
+    @pytest.mark.parametrize("names", NAME_TUPLES)
+    def test_canonical_form(self, names):
+        for p, fp in oracle_corpus(len(names) + 10, names, 40):
+            for k in (3, Fraction(-2, 7)):
+                r = (p * k) / k
+                assert r == p and hash(r) == hash(p) and (r.num, r.den) == (p.num, p.den)
+                assert r == p + p - p and hash(p + p - p) == hash(p)
+
+    @pytest.mark.parametrize("names", NAME_TUPLES[1:])
+    def test_exact_div_and_gcd_match_fraction_dicts(self, names):
+        corpus = [pair for pair in oracle_corpus(len(names) + 20, names, 25)
+                  if not pair[0].is_zero()]
+        for (f, ff), (g, fg), (h, fh) in zip(corpus, corpus[1:], corpus[2:]):
+            assert same(exact_div(f * h, h), oracle_exact_div(ff * fh, fh))
+            assert same(poly_gcd(f * h, g * h), oracle_gcd(ff * fh, fg * fh))
+            assert same(poly_gcd(f, g), oracle_gcd(ff, fg))
+            # exact or not: both raise, or both give the same quotient
+            other = f * h + PPoly.var(names, names[-1])
+            try:
+                want = oracle_exact_div(FractionPPoly(names, other.terms), fh)
+            except ParamPolyError:
+                with pytest.raises(ParamPolyError):
+                    exact_div(other, h)
+            else:
+                assert same(exact_div(other, h), want)
 
 
 class TestRationalRoots:

@@ -278,6 +278,9 @@ def _build_record(case_id, header_line, entries):
                   for v, ln in all_of("torus"))
     finite = tuple(_parse_finite(v, ln, case_id, ambient, params)
                    for v, ln in all_of("finite"))
+    for i, ((name, _, _), (_, ln)) in enumerate(zip(finite, all_of("finite"))):
+        if any(name == other for other, _, _ in finite[:i]):
+            raise CatalogError(f"record {case_id}: repeated finite symmetry {name!r}", ln)
     if ambient is None and kind in ("polynomial", "toric-crosscheck"):
         raise CatalogError(f"record {case_id}: missing key 'ambient'", header_line)
 

@@ -131,16 +131,21 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
     1/``denominator``; a point is handled as the integer numerators of its
     values over that denominator.  A point in the chamber of a known cell is
     evaluated with the cell's numerators and no build (see ``slack_forms``).
-    Any other point is built: it is skipped outside the region, and otherwise
-    opens a new cell or joins a cell without a chamber (a slice, or one with
-    a non-simple vertex).
+    A point where an emptiness form is at most 0 (see ``emptiness_forms``)
+    is empty or lower-dimensional, and is skipped without a build.  Any other
+    point is built: it is skipped outside the region, and otherwise opens a
+    new cell or joins a cell without a chamber (a slice, or one with a
+    non-simple vertex).
 
     When the rows split the coordinates into blocks of dimension at most 2,
     a point outside the known chamber is skipped without a build.  There the
     polytope is a product of polygons and intervals, and a polygon whose
     every facet supports an edge has its edges in the cyclic order of their
-    normals, so the whole Kähler region is a single cell: the known one."""
+    normals, so the whole Kähler region is a single cell: the known one.
+    This also covers the full-dimensional points where some facet supports
+    no (dim-1)-face, which no emptiness form detects."""
     planar = _blocks_at_most_planar(fam.rows)
+    empty = emptiness_forms(fam, pinned, scan_names, denominator)
     integer_grids = [[v.numerator * (denominator // v.denominator) for v in grid]
                      for grid in grids]
     cells = {}          # cell key -> integer numerator forms, None on a slice
@@ -151,7 +156,7 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
         forms = next((forms for slacks, forms in chambers
                       if all(_positive(s, m) for s in slacks)), None)
         if forms is None:
-            if planar and chambers:
+            if planar and chambers or not all(_positive(e, m) for e in empty):
                 skipped += 1
                 continue
             params = dict(pinned, **dict(zip(scan_names, values)))
@@ -175,6 +180,44 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
                 else all(_value(form, m) == 0 for form in forms))
         points.append(toric.ScanPoint(tuple(zip(scan_names, values)), zero))
     return points, skipped
+
+
+def emptiness_forms(fam, pinned, scan_names, denominator):
+    """Integer affine forms (as for ``_affine_forms``) such that the family's
+    polytope {x : n_f . x <= offset_f} is empty or lower-dimensional exactly
+    where one of them is at most 0.
+
+    Each form is sum lambda_f * offset_f for a lambda >= 0 with
+    sum lambda_f * n_f = 0 whose support is a minimal dependent set of
+    normals, so at most dim + 1 facets.  Such a lambda is read from the
+    integer adjugate A of a nonsingular dim-subset S and one more facet g:
+    n_g = sum over f in S of mu_f * n_f with mu = n_g A / det, so lambda is
+    det at g and -mu_f * det on S, kept when no entry is negative.  If the
+    form is negative, summing the facet inequalities with weights lambda
+    gives 0 <= form < 0, so the polytope is empty; if it is 0, every facet of
+    the support is tight on the whole polytope.  Conversely, a polytope with
+    empty interior has some lambda >= 0, not 0, with sum lambda_f * n_f = 0
+    and sum lambda_f * offset_f <= 0 (Farkas' lemma, in Motzkin's strict
+    form); lambda is a positive sum of extreme rays of that cone
+    (Carathéodory), the minimal dependent sets, and one of them is then at
+    most 0 too."""
+    names = tuple(scan_names)
+    zero = PPoly.zero(names)
+    symbols = {n: PPoly.var(names, n) if n in names else pinned[n] for n in fam.param_names}
+    offsets = fam.offsets(symbols)
+    normals = tuple(normal for normal, _ in fam.rows)
+    circuits = set()
+    for combo, det, adj in toric._subset_solves(fam.dim, normals):
+        if not det:
+            continue
+        for g in range(len(normals)):
+            lam = [-sum(n * row[k] for n, row in zip(normals[g], adj)) for k in range(fam.dim)]
+            if g not in combo and min(lam) >= 0:
+                lam.append(det)
+                common = gcd(*lam)
+                circuits.add(tuple((f, c // common) for f, c in zip((*combo, g), lam) if c))
+    return _affine_forms([sum((c * offsets[f] for f, c in lam), zero)
+                          for lam in sorted(circuits)], denominator)
 
 
 def locus_test(differences, pinned, denominator):
@@ -221,7 +264,7 @@ def _affine_forms(slacks, denominator):
                 coeffs[e.index(1)] = c
             else:
                 const = c
-        g = gcd(const, *coeffs)
+        g = gcd(const, *coeffs) or 1       # a zero form stays zero
         forms.setdefault((const // g, tuple(c // g for c in coeffs)), None)
     return list(forms)
 

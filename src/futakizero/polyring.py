@@ -32,24 +32,30 @@ class InhomogeneousError(PolyError):
 
 class AmbientSpace:
     """Product of projective spaces; one (dimension, coordinate names) pair
-    per factor, names globally unique."""
+    per factor, names globally unique.  Lookup tables are built once."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "coords", "nfactors", "_index", "_blocks")
 
     def __init__(self, factors):
         if not factors:
             raise PolyError("ambient needs at least one factor")
-        seen = set()
+        index = {}
+        blocks = []
         for dim, names in factors:
             if dim < 1:
                 raise PolyError("factor dimension must be >= 1")
             if len(names) != dim + 1:
                 raise PolyError(f"factor of dimension {dim} needs {dim + 1} coordinates")
+            blocks.append(range(len(index), len(index) + dim + 1))
             for n in names:
-                if n in seen:
+                if n in index:
                     raise PolyError(f"duplicate coordinate name {n!r}")
-                seen.add(n)
+                index[n] = len(index)
         self.factors = factors  # tuple of (dim, tuple-of-names)
+        self.coords = tuple(index)
+        self.nfactors = len(factors)
+        self._index = index
+        self._blocks = tuple(blocks)
 
     # polynomials compare and hash their ambient, nearly always the same object
     def __eq__(self, other):
@@ -66,31 +72,20 @@ class AmbientSpace:
     def product(cls, *factor_names):
         return cls(tuple((len(names) - 1, tuple(names)) for names in factor_names))
 
-    @property
-    def coords(self):
-        return tuple(n for _, names in self.factors for n in names)
-
-    @property
-    def nfactors(self):
-        return len(self.factors)
-
     def factor_of(self, index):
-        offset = 0
-        for f, (dim, names) in enumerate(self.factors):
-            if index < offset + dim + 1:
+        for f, block in enumerate(self._blocks):
+            if index in block:
                 return f
-            offset += dim + 1
         raise PolyError("coordinate index out of range")
 
     def block(self, f):
         """Global coordinate index range of factor f."""
-        offset = sum(d + 1 for d, _ in self.factors[:f])
-        return range(offset, offset + self.factors[f][0] + 1)
+        return self._blocks[f]
 
     def coord_index(self, name):
         try:
-            return self.coords.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise PolyError(f"unknown coordinate {name!r}") from None
 
     def describe(self):
@@ -176,14 +171,13 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, ambient, params, value):
-        nz = len(ambient.coords)
-        return cls(ambient, params, {(0,) * nz: params.const(value)})
+        return cls(ambient, params, {(0,) * len(ambient.coords): params.const(value)}, False)
 
     @classmethod
     def coordinate(cls, ambient, params, name):
         i = ambient.coord_index(name)
         expo = tuple(int(j == i) for j in range(len(ambient.coords)))
-        return cls(ambient, params, {expo: params.one()})
+        return cls(ambient, params, {expo: params.one()}, False)     # one term: homogeneous
 
     def is_zero(self):
         return not self.terms
@@ -540,24 +534,26 @@ class SpanSolution:
         self.has_irrational_denominator = has_irrational_denominator
 
 
-def in_span(p, gens, params=None):
-    """Express p as a Q(params)-linear combination of gens, or None.
+def in_span(targets, gens, params=None):
+    """Express each of ``targets`` as a Q(params)-linear combination of gens:
+    a SpanSolution per target, None for one outside the span.
 
-    Exact elimination over the fraction field; the returned solution records
-    the rational parameter values where any coefficient denominator vanishes.
+    One exact elimination over the fraction field serves every target
+    (``solve_generic``); each solution records the rational parameter values
+    where any coefficient denominator vanishes.
     """
     if params is None:
-        params = p.params
-    for g in gens:
-        if g.ambient != p.ambient:
-            raise PolyError("ambient mismatch in span check")
-    monomials = sorted({e for g in gens for e in g.terms} | set(p.terms), reverse=True)
+        params = targets[0].params
+    if any(g.ambient != p.ambient for g in gens for p in targets):
+        raise PolyError("ambient mismatch in span check")
+    monomials = sorted({e for q in (*gens, *targets) for e in q.terms}, reverse=True)
     zero = params.zero()
     rows = [[g.terms.get(m, zero) for g in gens] for m in monomials]
-    rhs = [p.terms.get(m, zero) for m in monomials]
-    solution = solve_generic(rows, rhs)
-    if solution is None:
-        return None
+    columns = [[p.terms.get(m, zero) for m in monomials] for p in targets]
+    return [None if s is None else _span_solution(s) for s in solve_generic(rows, columns)]
+
+
+def _span_solution(solution):
     roots = set()
     irrational = False
     for c in solution:

@@ -15,16 +15,21 @@ class LinAlgError(ValueError):
     pass
 
 
-def rref(rows):
+def rref(rows, ncols=None):
     """Reduced row echelon form (in place on a copied list of lists).
 
     Pivot = first nonzero entry of the first unreduced row in each column
-    (exact arithmetic needs no pivot heuristics).  Returns (rows, pivot_cols).
+    (exact arithmetic needs no pivot heuristics).  Only the first ``ncols``
+    columns (default: all) take pivots; later ones, right-hand sides b of
+    A x = b, follow the row operations.  A row below the rank is then y
+    (A | b) with y A = 0, so a nonzero b entry there proves A x = b
+    unsolvable, and with none the pivot rows give x.  Returns (rows, pivot_cols).
     """
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
-    ncols = len(rows[0])
+    if ncols is None:
+        ncols = len(rows[0])
     pivots = []
     target = 0
     for col in range(ncols):
@@ -49,26 +54,29 @@ def rref(rows):
     return rows, pivots
 
 
-def solve_generic(rows, rhs):
-    """One exact solution of A x = b, or None if inconsistent.
+def solve_generic(rows, targets):
+    """One exact solution of A x = b for each right-hand column b in
+    ``targets``, None for each b outside the column span of A.
 
-    Free variables are set to zero.  `rows` is a list of rows of A; `rhs` the
-    right-hand column.
+    `rows` is a list of rows of A.  One elimination serves every target: the
+    targets ride along as columns after A, pivots are taken in A only, and a
+    target is inconsistent when it has a nonzero entry below the rank (see
+    ``rref``).  Free variables are set to zero.
     """
     if not rows:
-        return []
+        return [[] for _ in targets]
     ncols = len(rows[0])
     if ncols == 0:
-        return [] if all(b == 0 for b in rhs) else None
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
-        return None
+        return [[] if all(b == 0 for b in rhs) else None for rhs in targets]
+    augmented = [list(r) + [rhs[i] for rhs in targets] for i, r in enumerate(rows)]
+    reduced, pivots = rref(augmented, ncols)
     zero = rows[0][0] - rows[0][0]
-    solution = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        solution[pc] = reduced[r][ncols]
-    return solution
+    solutions = []
+    for col in range(ncols, len(augmented[0])):
+        values = dict(zip(pivots, (r[col] for r in reduced)))
+        consistent = all(r[col] == 0 for r in reduced[len(pivots):])
+        solutions.append([values.get(c, zero) for c in range(ncols)] if consistent else None)
+    return solutions
 
 
 class QMatrix:
@@ -190,16 +198,15 @@ def fixed_subspace(m):
 
 def solve(m, rhs):
     """One solution of m x = rhs over Q, or None."""
-    return solve_generic(m.row_list(), [Fraction(b) for b in rhs])
+    return solve_generic(m.row_list(), [[Fraction(b) for b in rhs]])[0]
 
 
 def intersect_kernels(matrices):
     """Kernel basis of the stacked system, i.e. the intersection of kernels."""
-    live = [m for m in matrices]
-    if not live:
+    if not matrices:
         raise LinAlgError("no matrices to intersect")
-    stacked = live[0]
-    for m in live[1:]:
+    stacked = matrices[0]
+    for m in matrices[1:]:
         stacked = stacked.stack(m)
     return kernel_basis(stacked)
 
@@ -209,4 +216,4 @@ def in_column_span(vectors, target):
     if not vectors:
         return None if any(Fraction(t) != 0 for t in target) else []
     rows = [[Fraction(v[i]) for v in vectors] for i in range(len(target))]
-    return solve_generic(rows, [Fraction(t) for t in target])
+    return solve_generic(rows, [[Fraction(t) for t in target]])[0]

@@ -315,15 +315,12 @@ def check_variety_invariant(gens, tau):
 
     A failed span check is inconclusive, never a proof of non-invariance.
     """
-    rows = []
-    roots = set()
-    for idx, g in enumerate(gens):
-        sol = in_span(tau.pullback(g), list(gens), tau.params)
-        if sol is None:
-            return InvarianceResult(False, (), (), failing_index=idx)
-        rows.append(sol.coefficients)
-        roots.update(sol.denominator_roots)
-    return InvarianceResult(True, tuple(rows), tuple(sorted(roots)))
+    solutions = in_span([tau.pullback(g) for g in gens], gens, tau.params)
+    if None in solutions:
+        return InvarianceResult(False, (), (), failing_index=solutions.index(None))
+    roots = {r for sol in solutions for r in sol.denominator_roots}
+    return InvarianceResult(True, tuple(sol.coefficients for sol in solutions),
+                            tuple(sorted(roots)))
 
 
 class Equivariance:
@@ -506,11 +503,8 @@ def _presentations_match(target_i, source_j, tau):
         return check_curve_match(target_i.curve, source_j.curve, tau) is not None
     if target_i.kind() == "ideal" and source_j.kind() == "ideal":
         pulled = [tau.pullback(g) for g in source_j.ideal]
-        fwd = all(in_span(p, list(target_i.ideal), tau.params) is not None for p in pulled)
-        if not fwd:
-            return False
-        back = all(in_span(g, pulled, tau.params) is not None for g in target_i.ideal)
-        return back
+        return (None not in in_span(pulled, target_i.ideal, tau.params)
+                and None not in in_span(target_i.ideal, pulled, tau.params))
     return False
 
 

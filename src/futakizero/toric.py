@@ -733,11 +733,13 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
 
     A point is built only when no known cell's chamber (its affine slack
     inequalities, checked on integers) contains it; inside a chamber the cell
-    and the region are decided without a build.  When the family's rows split
-    into coordinate blocks of dimension at most 2, the region is one cell, so
-    a point outside its chamber is skipped without a build (``cells.scan_grid``
-    gives the proofs).  Candidate locus equations (catalog data) are fitted
-    against the computed zero set.
+    and the region are decided without a build.  A point outside is skipped
+    without a build where a Farkas certificate (a nonnegative combination of
+    the facet rows with zero normal and nonpositive offset, on at most dim + 1
+    facets by Carathéodory) proves it empty or lower-dimensional, and when
+    the family's rows split into coordinate blocks of dimension at most 2
+    (``cells.scan_grid`` gives the proofs).  Candidate locus equations
+    (catalog data) are fitted against the computed zero set.
     """
     fam = FAMILIES.get(family)
     if fam is None:

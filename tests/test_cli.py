@@ -45,6 +45,27 @@ class TestVerify:
         assert code == 0
         assert "34 case records, 0 mismatches" in out
 
+    def test_all_records_work_counts(self, monkeypatch):
+        # one elimination per span question, no build for a certified empty
+        # grid point: 2 scans' first cells and 4 anticanonical checks
+        from futakizero import polyring, ratlinalg, symmetry, toric
+        counts = {"rref": 0, "in_span": 0, "build": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ratlinalg, "rref", counted("rref", ratlinalg.rref))
+        in_span = counted("in_span", polyring.in_span)
+        for module in (polyring, symmetry):
+            monkeypatch.setattr(module, "in_span", in_span)
+        monkeypatch.setattr(toric.ToricFamily, "build",
+                            counted("build", toric.ToricFamily.build))
+        assert main(["verify", "--all"], out=io.StringIO()) == 0
+        assert counts == {"rref": 194, "in_span": 81, "build": 6}
+
     def test_json_lines_stream(self):
         code, out = run_cli(["verify", "2.24", "--format", "json-lines"])
         assert code == 0
@@ -303,7 +324,12 @@ class TestCatalogCommand:
          "repeated parameter 't'"),
         # the last value used to win silently: the record loaded with a = 1
         ("2.34", "anticanonical_params = a=2, h=3\n", "anticanonical_params = a=2, h=3, a=1\n",
-         "repeated parameter 'a'")], ids=["fixed_dim", "param", "anticanonical_params"])
+         "repeated parameter 'a'"),
+        # the certificate used to read sigma+sigma, citing neither map alone
+        ("2.24", "tau : order 2 : factors = (1 2) : map(x",
+         "sigma : order 2 : factors = (1 2) : map(x",
+         "repeated finite symmetry 'sigma'")],
+        ids=["fixed_dim", "param", "anticanonical_params", "finite"])
     @pytest.mark.parametrize("argv", [["catalog", "validate"], ["verify", "--all"]],
                              ids=["validate", "verify"])
     def test_repeated_key_or_parameter_exits_two(self, tmp_path, capsys, case_id, old, new,

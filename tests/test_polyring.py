@@ -120,28 +120,28 @@ class TestInSpan:
         from futakizero.symmetry import MonomialAutomorphism
         tau = MonomialAutomorphism.from_images(
             ["z1", "z0", "z2", "y1", "y0", "y2", "x1", "x0", "x2"], TRIPLE, pf)
-        sol = in_span(tau.pullback(eq1), [eq1, eq2, eq3], pf)
+        sol = in_span([tau.pullback(eq1)], [eq1, eq2, eq3], pf)[0]
         assert [c.render() for c in sol.coefficients] == ["0", "1", "0"]
 
     def test_nonconstant_pivot_records_denominator_root(self):
         # the elimination pivots on the non-constant entry a - 2
         amb = AmbientSpace.product(("x0", "x1"))
         pf = ParamField(("a",))
-        sol = in_span(parse_poly("x0", amb, pf), [parse_poly("(a - 2)*x0", amb, pf)], pf)
+        sol = in_span([parse_poly("x0", amb, pf)], [parse_poly("(a - 2)*x0", amb, pf)], pf)[0]
         assert [c.render() for c in sol.coefficients] == ["1/(-2 + a)"]
         assert sol.denominator_roots == (Fraction(2),)
         assert not sol.has_irrational_denominator
 
     def test_not_in_span(self):
         amb = AmbientSpace.product(("x0", "x1", "x2", "x3"))
-        assert in_span(parse_poly("x0", amb), [parse_poly("x1", amb)]) is None
+        assert in_span([parse_poly("x0", amb)], [parse_poly("x1", amb)]) == [None]
 
     def test_invariant_parameter_quadric(self):
         pf = ParamField(("a",), {"a": (-1, 0, 1)})
         qa = parse_poly("w^2 + x*y + z*t + a*(x*t + y*z)", P4, pf)
         from futakizero.symmetry import MonomialAutomorphism
         varsigma = MonomialAutomorphism.from_images(["y", "x", "t", "z", "w"], P4, pf)
-        sol = in_span(varsigma.pullback(qa), [qa], pf)
+        sol = in_span([varsigma.pullback(qa)], [qa], pf)[0]
         assert [c.render() for c in sol.coefficients] == ["1"]
         assert sol.denominator_roots == ()
 
@@ -158,10 +158,34 @@ class TestInSpan:
                 target = part if target is None else target + part
             if target is None or target.is_zero():
                 continue
-            sol = in_span(target, gens)
+            sol = in_span([target], gens)[0]
             assert sol is not None
             rebuilt = reconstruct(gens, sol)
             assert (rebuilt - target).is_zero()
+
+
+    def test_batched_targets_match_single_targets(self):
+        # targets in the span, outside it and zero, with monomials of their own
+        rng = random.Random(29)
+        for _ in range(25):
+            amb = random_ambient(rng)
+            deg = tuple(rng.randint(0, 2) for _ in range(amb.nfactors))
+            gens = [random_poly(rng, amb, degree=deg) for _ in range(rng.randint(1, 3))]
+            targets = [MultiPoly.zero(amb, ParamField())]
+            for _ in range(rng.randint(0, 4)):
+                target = random_poly(rng, amb, degree=deg)
+                if rng.random() < 0.5:
+                    target = gens[0] * Fraction(rng.randint(1, 3)) - gens[-1]
+                targets.append(target)
+            batched = in_span(targets, gens)
+            assert len(batched) == len(targets)
+            for target, got in zip(targets, batched):
+                [single] = in_span([target], gens)
+                assert (got is None) == (single is None)
+                if got is not None:
+                    assert got.coefficients == single.coefficients
+                    assert (reconstruct(gens, got) - target).is_zero()
+        assert in_span([], gens, ParamField()) == []
 
 
 class TestEquations:

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from futakizero.ratlinalg import (LinAlgError, QMatrix, fixed_subspace,
-                                  in_column_span, kernel_basis, solve)
+                                  in_column_span, kernel_basis, solve, solve_generic)
 
 
 def permutation_matrix(perm):
@@ -136,3 +136,95 @@ class TestExactArithmetic:
         b = QMatrix.from_rows([[0, 1], [1, 0]])
         assert (a @ b).row_list() == [[2, 1], [4, 3]]
         assert a.transpose().row_list() == [[1, 3], [2, 4]]
+
+
+def _one_column_solve(rows, rhs):
+    """The single right-hand-side solve, kept as the oracle: A | b reduced
+    with pivots in every column, b inconsistent iff its column takes one."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    if ncols == 0:
+        return [] if all(b == 0 for b in rhs) else None
+    reduced = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(ncols + 1):
+        hit = next((r for r in range(len(pivots), len(reduced)) if reduced[r][col] != 0), None)
+        if hit is None:
+            continue
+        top = len(pivots)
+        reduced[top], reduced[hit] = reduced[hit], reduced[top]
+        reduced[top] = [v / reduced[top][col] for v in reduced[top]]
+        for r in range(len(reduced)):
+            if r != top and reduced[r][col] != 0:
+                reduced[r] = [a - reduced[r][col] * b for a, b in zip(reduced[r], reduced[top])]
+        pivots.append(col)
+        if len(pivots) == len(reduced):
+            break
+    if ncols in pivots:
+        return None
+    solution = [rows[0][0] - rows[0][0]] * ncols
+    for r, pc in enumerate(pivots):
+        solution[pc] = reduced[r][ncols]
+    return solution
+
+
+def _random_system(rng, entry, size):
+    """(rows, targets): rank-deficient rows and zero columns now and then;
+    targets in the column span, outside it, zero, or none at all."""
+    nrows, ncols, rank = rng.randint(1, size), rng.randint(0, size), rng.randint(0, size)
+    basis = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = [[sum((c * b[j] for c, b in zip(mix, basis)), entry() * 0) for j in range(ncols)]
+            for mix in ([entry() for _ in basis] for _ in range(nrows))]
+    for j in range(ncols):
+        if rng.random() < 0.2:
+            for r in rows:
+                r[j] = r[j] * 0
+    targets = []
+    for _ in range(rng.choice((0, 1, 1, 2, 3, 5))):
+        kind = rng.random()
+        if kind < 0.5:
+            x = [entry() for _ in range(ncols)]
+            targets.append([sum((a * b for a, b in zip(r, x)), entry() * 0) for r in rows])
+        elif kind < 0.6:
+            targets.append([entry() * 0 for _ in rows])
+        else:
+            targets.append([entry() for _ in rows])
+    return rows, targets
+
+
+class TestBatchedSolveOracle:
+    """One elimination for k right-hand sides equals k one-column solves."""
+
+    @staticmethod
+    def check(rng, entry, count, size):
+        consistent = inconsistent = 0
+        for _ in range(count):
+            rows, targets = _random_system(rng, entry, size)
+            solutions = solve_generic(rows, targets)
+            assert len(solutions) == len(targets)
+            for rhs, got in zip(targets, solutions):
+                assert got == _one_column_solve(rows, rhs), (rows, rhs)
+                consistent += got is not None
+                inconsistent += got is None
+        assert consistent > count // 4 and inconsistent > count // 8
+
+    def test_rationals(self):
+        rng = random.Random(41)
+        self.check(rng, lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)), 400, 5)
+
+    def test_parameter_field(self):
+        from futakizero.parampoly import RatFunc
+        rng = random.Random(43)
+        names = ("a", "b")
+        pool = [RatFunc.const(names, c) for c in (0, 1, -2, Fraction(1, 3))]
+        pool += [RatFunc.var(names, n) for n in names]
+        pool += [pool[4] - 2, pool[4] + pool[5]]
+        self.check(rng, lambda: rng.choice(pool), 120, 3)
+
+    def test_no_targets_and_empty_shapes(self):
+        rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        assert solve_generic(rows, []) == []
+        assert solve_generic([], [[], []]) == [[], []]
+        assert solve_generic([[], []], [[0, 0], [0, 1]]) == [[], None]
+        assert solve_generic(rows, [[1, 2], [1, 3]]) == [[Fraction(1), Fraction(0)], None]

@@ -47,6 +47,13 @@ class TestVarietyInvariance:
         assert res.failing_index == 0
         assert "inconclusive" in res.describe()
 
+    def test_failing_index_is_the_first_generator_outside_the_span(self):
+        # all pullbacks are solved in one elimination; generators 1 and 2 leave the span
+        gens = [parse_poly(t, P3) for t in ("x2", "x0", "x1 + x3")]
+        swap = MonomialAutomorphism.from_images(["x1", "x0", "x2", "x3"], P3, PF)
+        res = check_variety_invariant(gens, swap)
+        assert not res.invariant and res.failing_index == 1
+
     def test_five_quadrics_under_involution(self):
         gens = [parse_poly(t, P6) for t in V5_QUADRICS]
         tau = MonomialAutomorphism.from_images(

@@ -818,7 +818,7 @@ class TestChambers:
 
     @pytest.mark.parametrize("family,step,builds,skipped", [
         ("s6", Fraction(1, 4), 1, 1041), ("s6", Fraction(1, 8), 1, 9318),
-        ("bl2lines-p3", Fraction(1, 4), 121, 120)])
+        ("bl2lines-p3", Fraction(1, 4), 1, 120), ("bl2lines-p3", Fraction(1, 8), 1, 496)])
     def test_scan_builds_only_outside_known_chambers(self, monkeypatch, family, step,
                                                      builds, skipped):
         from futakizero.toric import ToricFamily
@@ -832,3 +832,44 @@ class TestChambers:
         monkeypatch.setattr(ToricFamily, "build", counting)
         report = zero_locus_scan(family, step)
         assert (len(calls), report.skipped) == (builds, skipped)
+
+
+class TestEmptinessCertificates:
+    """A grid point has an emptiness form at most 0 exactly when ``fam.build``
+    finds the polytope empty or lower-dimensional."""
+
+    SAMPLED = 400       # points of the 1/6 grids of more than 2,000 points
+
+    @pytest.mark.parametrize("step", [Fraction(1, 4), Fraction(1, 6)], ids=["step4", "step6"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES) + ["cut-cube"])
+    def test_forms_against_build(self, monkeypatch, family, step):
+        from futakizero.cells import _positive, emptiness_forms
+        monkeypatch.setitem(FAMILIES, "cut-cube", _cut_cube())
+        fam = FAMILIES[family]
+        pinned = dict(fam.fixed_for_scan)
+        names = [n for n in fam.param_names if n not in pinned]
+        forms = emptiness_forms(fam, pinned, names, step.denominator)
+        combos = [()]
+        for n in names:
+            combos = [c + (k * step,) for c in combos
+                      for k in range(1, int(fam.scan_upper[n] / step) + 1)
+                      if k * step < fam.scan_upper[n]]
+        if step == Fraction(1, 6) and len(combos) > 2000:
+            combos = random.Random(f"empty-{family}").sample(combos, self.SAMPLED)
+        tally = {}
+        for combo in combos:
+            m = [v.numerator * (step.denominator // v.denominator) for v in combo]
+            certified = not all(_positive(form, m) for form in forms)
+            try:
+                fam.build(**pinned, **dict(zip(names, combo)))
+                empty = False
+            except KahlerRegionError as exc:
+                empty = "no vertices" in str(exc) or "lower-dimensional" in str(exc)
+            assert certified == empty, combo
+            tally[certified] = tally.get(certified, 0) + 1
+        if step == Fraction(1, 4) and family in ("s6", "bl2lines-p3"):
+            # the scans of verify --all: all 120 rejections of bl2lines-p3 are
+            # certified, and 220 of the 1,041 of s6
+            assert tally[True] == {"s6": 220, "bl2lines-p3": 120}[family]
+        if family in ("s6", "p1xs6", "bl2lines-p3", "cut-cube"):
+            assert tally.get(True)

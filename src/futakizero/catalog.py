@@ -270,7 +270,7 @@ def _build_record(case_id, header_line, entries):
     params = _parse_params(all_of("param"), case_id)
     ambient = optional("ambient", lambda v, ln: _parse_ambient(v, ln, case_id, params))
 
-    variety = tuple(_parse_value(parse_poly, v, ln, case_id, ambient, params)
+    variety = tuple(_parse_poly(v, ln, case_id, ambient, params)
                     for v, ln in all_of("variety"))
     centers = tuple(_parse_center(v, ln, case_id, ambient, params)
                     for v, ln in all_of("center"))
@@ -372,13 +372,18 @@ def _parse_ambient(value, line, case_id, params):
     return ambient
 
 
-def _parse_value(fn, value, line, case_id, ambient, params):
+def _parse_poly(value, line, case_id, ambient, params):
+    """A ``variety`` equation or ``ideal`` generator: a zero polynomial would
+    cut out nothing, and every span question on it is trivially solved."""
     if ambient is None:
         raise CatalogError(f"record {case_id}: polynomial data without an ambient", line)
     try:
-        return fn(value, ambient, params)
+        poly = parse_poly(value, ambient, params)
     except PolyError as exc:
         raise CatalogError(f"record {case_id}: {exc}", line) from exc
+    if poly.is_zero():
+        raise CatalogError(f"record {case_id}: {value.strip()!r} is the zero polynomial", line)
+    return poly
 
 
 def _split_args(body):
@@ -438,7 +443,7 @@ def _parse_center(value, line, case_id, ambient, params):
             rest = rest[len("with "):]
     if rest.startswith("ideal("):
         body, rest = _take_call(rest, "ideal")
-        ideal = tuple(_parse_value(parse_poly, t, line, case_id, ambient, params)
+        ideal = tuple(_parse_poly(t, line, case_id, ambient, params)
                       for t in _split_args(body))
     if rest:
         raise CatalogError(f"record {case_id}: trailing center data {rest!r}", line)

@@ -10,9 +10,10 @@ sample point.
 
 A cell whose vertices are all simple (each on exactly ``dim`` facets) also has
 a chamber: the parameter values at which every slack ``offset_f - n_f . v`` of
-a facet f not tight at a vertex v is positive.  The slacks are affine in the
-parameters, and ``scan_grid`` decides membership in a known chamber, and with
-it the cell and the Kähler region, on integers without building a polytope.
+a facet f not tight at a vertex v is positive.  The Kähler region is cut out by
+integer region forms read off the circuits of the facet normals.  Both are
+affine in the parameters, and ``scan_grid`` decides the region, and inside it
+membership in a known chamber, on integers without building a polytope.
 
 ``toric.zero_locus_scan`` imports this module on its first scan, so that
 ``import futakizero.toric`` alone loads no symbolic engine, and a command
@@ -129,23 +130,16 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
 
     ``grids`` holds the values of each scanned parameter, all multiples of
     1/``denominator``; a point is handled as the integer numerators of its
-    values over that denominator.  A point in the chamber of a known cell is
-    evaluated with the cell's numerators and no build (see ``slack_forms``).
-    A point where an emptiness form is at most 0 (see ``emptiness_forms``)
-    is empty or lower-dimensional, and is skipped without a build.  Any other
-    point is built: it is skipped outside the region, and otherwise opens a
-    new cell or joins a cell without a chamber (a slice, or one with a
-    non-simple vertex).
-
-    When the rows split the coordinates into blocks of dimension at most 2,
-    a point outside the known chamber is skipped without a build.  There the
-    polytope is a product of polygons and intervals, and a polygon whose
-    every facet supports an edge has its edges in the cyclic order of their
-    normals, so the whole Kähler region is a single cell: the known one.
-    This also covers the full-dimensional points where some facet supports
-    no (dim-1)-face, which no emptiness form detects."""
-    planar = _blocks_at_most_planar(fam.rows)
-    empty = emptiness_forms(fam, pinned, scan_names, denominator)
+    values over that denominator.  A point where a region form is at most 0
+    (see ``region_forms``) is outside the Kähler region, and is skipped
+    without a build.  A point in the chamber of a known cell is evaluated with
+    the cell's numerators and no build (see ``slack_forms``).  Any other point
+    is in the region and is built: it opens a new cell or joins a cell
+    without a chamber (a slice, or one with a non-simple vertex)."""
+    # grid values are positive, so a form with no negative integer is
+    # positive at every point unless it is 0
+    region = [(c, k) for c, k in region_forms(fam, pinned, scan_names, denominator)
+              if min((c, *k)) < 0 or not any((c, *k))]
     integer_grids = [[v.numerator * (denominator // v.denominator) for v in grid]
                      for grid in grids]
     cells = {}          # cell key -> integer numerator forms, None on a slice
@@ -153,18 +147,14 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
     points = []
     skipped = 0
     for values, m in zip(product(*grids), product(*integer_grids)):
+        if not all(_positive(r, m) for r in region):
+            skipped += 1
+            continue
         forms = next((forms for slacks, forms in chambers
                       if all(_positive(s, m) for s in slacks)), None)
         if forms is None:
-            if planar and chambers or not all(_positive(e, m) for e in empty):
-                skipped += 1
-                continue
             params = dict(pinned, **dict(zip(scan_names, values)))
-            try:
-                polytope = fam.build(**params)
-            except toric.KahlerRegionError:
-                skipped += 1
-                continue
+            polytope = fam.build(**params)
             tight = _tight_sets(polytope)
             key = frozenset(tight)
             if key not in cells:
@@ -182,25 +172,28 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
     return points, skipped
 
 
-def emptiness_forms(fam, pinned, scan_names, denominator):
-    """Integer affine forms (as for ``_affine_forms``) such that the family's
-    polytope {x : n_f . x <= offset_f} is empty or lower-dimensional exactly
-    where one of them is at most 0.
+def region_forms(fam, pinned, scan_names, denominator):
+    """Integer affine forms (as for ``_affine_forms``) such that
+    ``fam.build`` rejects the family's polytope {x : n_f . x <= offset_f}
+    exactly where one of them is at most 0.
 
-    Each form is sum lambda_f * offset_f for a lambda >= 0 with
-    sum lambda_f * n_f = 0 whose support is a minimal dependent set of
-    normals, so at most dim + 1 facets.  Such a lambda is read from the
-    integer adjugate A of a nonsingular dim-subset S and one more facet g:
-    n_g = sum over f in S of mu_f * n_f with mu = n_g A / det, so lambda is
-    det at g and -mu_f * det on S, kept when no entry is negative.  If the
-    form is negative, summing the facet inequalities with weights lambda
-    gives 0 <= form < 0, so the polytope is empty; if it is 0, every facet of
-    the support is tight on the whole polytope.  Conversely, a polytope with
-    empty interior has some lambda >= 0, not 0, with sum lambda_f * n_f = 0
-    and sum lambda_f * offset_f <= 0 (Farkas' lemma, in Motzkin's strict
-    form); lambda is a positive sum of extreme rays of that cone
-    (Carathéodory), the minimal dependent sets, and one of them is then at
-    most 0 too."""
+    The build succeeds exactly when every facet f supports a (dim-1)-face of
+    a full-dimensional polytope, that is when for every f some x has
+    n_f . x = offset_f and n_g . x < offset_g for every g != f.  By Motzkin's
+    transposition theorem that system has no solution exactly when some
+    lambda, not 0, with lambda_g >= 0 for g != f, lambda_f of either sign and
+    sum lambda_g * n_g = 0 has sum lambda_g * offset_g <= 0; and lambda is
+    then a positive sum of extreme rays of that pointed cone (Carathéodory),
+    the circuits (minimal dependent sets of normals, so on at most dim + 1
+    facets) with no negative weight off f, one of which is at most 0 too.
+    So the forms are sum lambda_g * offset_g over the circuits lambda with at
+    most one negative weight.
+
+    A circuit is read from the integer adjugate A of a nonsingular
+    dim-subset S and one more facet g: n_g = sum over f in S of mu_f * n_f
+    with mu = n_g A / det, so lambda is det at g and -mu_f * det on S.  The
+    normals of a bounded family span, so every circuit appears this way, with
+    each facet of positive weight as g."""
     names = tuple(scan_names)
     zero = PPoly.zero(names)
     symbols = {n: PPoly.var(names, n) if n in names else pinned[n] for n in fam.param_names}
@@ -212,7 +205,7 @@ def emptiness_forms(fam, pinned, scan_names, denominator):
             continue
         for g in range(len(normals)):
             lam = [-sum(n * row[k] for n, row in zip(normals[g], adj)) for k in range(fam.dim)]
-            if g not in combo and min(lam) >= 0:
+            if g not in combo and sum(x < 0 for x in lam) <= 1:
                 lam.append(det)
                 common = gcd(*lam)
                 circuits.add(tuple((f, c // common) for f, c in zip((*combo, g), lam) if c))
@@ -276,19 +269,6 @@ def _positive(form, m):
 
 def _value(form, m):
     return sum(c * prod(map(pow, m, e)) for c, e in form)
-
-
-def _blocks_at_most_planar(rows):
-    """Whether no coordinate block is more than 2-dimensional, the blocks
-    being the classes of coordinates linked by a row normal."""
-    blocks = []
-    for normal, _ in rows:
-        block = {i for i, n in enumerate(normal) if n}
-        for other in [b for b in blocks if b & block]:
-            blocks.remove(other)
-            block |= other
-        blocks.append(block)
-    return max(len(b) for b in blocks) <= 2
 
 
 def _tight_sets(polytope):

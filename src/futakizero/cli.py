@@ -6,7 +6,7 @@ Commands: ``verify [ID | --all]``, ``toric futaki --family F --params k=v``,
 ``report [--format text|json-lines]``.  Exit status: 0 success, 1 verdict
 mismatch, 2 catalog or usage errors, 3 toric errors (out-of-region
 parameters, a bad grid step or locus equation).  Records are evaluated one
-after another in catalog order; ``--jobs N`` is accepted and has no effect.
+after another in catalog order.
 """
 
 from __future__ import annotations
@@ -347,16 +347,6 @@ def _catalog_loci(catalog, family):
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _positive_int(text):
-    try:
-        value = int(text)
-        if value > 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-
-
 def _rational(text):
     try:
         return Fraction(text)
@@ -394,8 +384,6 @@ def build_parser():
                        help="family or case id, e.g. 2.24 or 3.10-a")
     group.add_argument("--all", action="store_true", help="verify every record")
     verify.add_argument("--format", choices=("text", "json-lines"), default="text")
-    verify.add_argument("--jobs", type=_positive_int, default=None,
-                        help="accepted; records are evaluated serially")
     verify.set_defaults(func=cmd_verify)
 
     toric_parser = sub.add_parser("toric", help="toric Futaki computations")
@@ -422,8 +410,6 @@ def build_parser():
     report = sub.add_parser("report", help="summary table mirroring the verdicts")
     report.add_argument("case", nargs="?", default=None)
     report.add_argument("--format", choices=("text", "json-lines"), default="text")
-    report.add_argument("--jobs", type=_positive_int, default=None,
-                        help="accepted; records are evaluated serially")
     report.set_defaults(func=cmd_report)
     return parser
 

@@ -15,8 +15,9 @@ Scans group grid points by combinatorial cell.  On a cell the vertices are
 affine in the parameters, so the Futaki numerators are polynomials, derived
 once per cell (both routes must agree symbolically, and numerically with the
 Fraction routes at the cell's sample point) and evaluated at every point.
-A point inside a known cell's chamber, cut out by affine slack inequalities,
-is decided without building its polytope (module ``cells``).
+The Kähler region is cut out by affine circuit forms, and a point inside a
+known cell's chamber, cut out by affine slack inequalities, is decided
+without building its polytope (module ``cells``).
 
 Construction runs on integers: vertices are solved with integer adjugates
 against lcm-scaled offsets, and incidence, ranks and facet orders are
@@ -731,15 +732,15 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     numerators are polynomials: they are derived once, at the cell's first
     point, and a point is zero exactly when they all vanish there.
 
-    A point is built only when no known cell's chamber (its affine slack
-    inequalities, checked on integers) contains it; inside a chamber the cell
-    and the region are decided without a build.  A point outside is skipped
-    without a build where a Farkas certificate (a nonnegative combination of
-    the facet rows with zero normal and nonpositive offset, on at most dim + 1
-    facets by Carathéodory) proves it empty or lower-dimensional, and when
-    the family's rows split into coordinate blocks of dimension at most 2
-    (``cells.scan_grid`` gives the proofs).  Candidate locus equations
-    (catalog data) are fitted against the computed zero set.
+    The region is decided on integers without a build: a point is outside
+    exactly where one of the family's region forms is at most 0.  Each is a
+    combination of the facet rows along a circuit of their normals with at
+    most one negative weight, and proves by Motzkin's theorem that the
+    polytope is empty or flat or that some facet supports no (dim-1)-face
+    (``cells.region_forms`` gives the proof).  An in-region point is built
+    only when no known cell's chamber (its affine slack inequalities,
+    checked on integers) contains it.  Candidate locus equations (catalog
+    data) are fitted against the computed zero set.
     """
     fam = FAMILIES.get(family)
     if fam is None:

@@ -142,6 +142,15 @@ class Catalog:
     def families(self):
         return tuple(dict.fromkeys(r.family for r in self.records))
 
+    def toric_loci(self, toric_family):
+        """The candidate zero-locus equations of the first record that scans
+        this toric family, itself or as a product factor; () if none."""
+        for record in self.records:
+            if record.loci and (record.toric_family == toric_family or any(
+                    f.toric_family == toric_family for f in record.product_factors)):
+                return record.loci
+        return ()
+
     def render(self):
         out = []
         for seg in self.segments:

@@ -105,11 +105,12 @@ def _vertices(fam, polytope, tight, params, scan_names):
     """(vertices, facet offsets) of the cell over Q[scan_names], or None on a
     slice.  Each vertex is solved, with the integer adjugate of a nonsingular
     subset of its tight facets, against the affine offsets; pinned parameters
-    enter as constants."""
+    enter as constants.  Every offset is a PPoly, constant ones too, so that
+    both integral routes give PPoly even with every parameter pinned."""
     names = tuple(scan_names)
     zero = PPoly.zero(names)
     symbols = {n: PPoly.var(names, n) if n in names else params[n] for n in fam.param_names}
-    offsets = fam.offsets(symbols)
+    offsets = [zero + c for c in fam.offsets(symbols)]
     normals = tuple(h.normal for h in polytope.halfspaces)
     solves = toric._subset_solves(polytope.dim, normals)
     vertices = []

@@ -8,6 +8,11 @@ character restricted to the torus lies in K_S = intersection of
 ker(A_tau^T - I); K_S = 0 forces vanishing on Fix(S) inside the Kähler cone.
 Semisimple summands contribute no unknowns (a character kills the derived
 ideal).
+
+``evaluate_record`` gives a catalog record its verdict by kind (symmetry
+analysis, recorded adjoints, a semisimple algebra, a product of factors with
+toric scans, or symmetry analysis audited by a toric scan) and checks it
+against the record's expected verdict.
 """
 
 from __future__ import annotations
@@ -24,20 +29,6 @@ class CharacterError(ValueError):
     pass
 
 
-class H11Basis:
-    """One hyperplane class per ambient factor, then one exceptional class
-    per blow-up center, in catalog order."""
-
-    __slots__ = ("labels",)
-
-    def __init__(self, labels):
-        self.labels = labels
-
-    @property
-    def picard_rank(self):
-        return len(self.labels)
-
-
 class SymmetryConstraint:
     __slots__ = ("name", "adjoint", "h11_matrix")
 
@@ -51,9 +42,9 @@ class SymmetryConstraint:
 
 
 class ConstraintSystem:
-    __slots__ = ("torus_rank", "semisimple", "h11", "constraints")
+    __slots__ = ("torus_rank", "picard_rank", "constraints")
 
-    def __init__(self, torus_rank, semisimple, h11, constraints):
+    def __init__(self, torus_rank, picard_rank, constraints):
         for c in constraints:
             if isinstance(c.adjoint, QMatrix) and (
                     c.adjoint.rows != torus_rank or c.adjoint.cols != torus_rank):
@@ -61,8 +52,7 @@ class ConstraintSystem:
             if c.h11_matrix is not None and not _is_permutation(c.h11_matrix):
                 raise CharacterError(f"H11 action of {c.name} is not a permutation matrix")
         self.torus_rank = torus_rank
-        self.semisimple = semisimple
-        self.h11 = h11
+        self.picard_rank = picard_rank  # one hyperplane class per factor, one per center
         self.constraints = constraints  # SymmetryConstraint per finite symmetry
 
 
@@ -130,20 +120,18 @@ def full_cone(certificate, diagnostics=()):
                    anticanonical_in_fixed=True)
 
 
-def vanishing_verdict(system, anticanonical=None, semisimple_full=False):
+def vanishing_verdict(system, anticanonical=None):
     """Verdict over all subsets of the case's finite symmetries.
 
     FullCone when some subset fixes all of H^{1,1} with trivial character
     kernel; otherwise the maximal vanishing subspaces; otherwise inconclusive
-    with diagnostics.  semisimple_full short-circuits.
+    with diagnostics.
     """
-    if semisimple_full:
-        return full_cone(("semisimple",))
     diagnostics = [c.name + ": " + c.adjoint.describe()
                    for c in system.constraints if not c.usable()]
     usable = [c for c in system.constraints if c.usable()]
     rank = system.torus_rank
-    picard = system.h11.picard_rank
+    picard = system.picard_rank
     vanishing = []
     names = [c.name for c in usable]
     for size in range(len(usable) + 1):
@@ -314,11 +302,9 @@ def analyze_polynomial_case(record):
             diagnostics.extend(f"{name}: {n}" for n in notes)
             continue
         constraints.append(SymmetryConstraint(name, adjoint, h11_matrix))
-    system = ConstraintSystem(
-        torus_rank=len(record.torus),
-        semisimple=record.semisimple or "",
-        h11=H11Basis(tuple(record.h11_labels)),
-        constraints=tuple(constraints))
+    system = ConstraintSystem(torus_rank=len(record.torus),
+                              picard_rank=len(record.h11_labels),
+                              constraints=tuple(constraints))
     verdict = vanishing_verdict(system, anticanonical=record.anticanonical)
     verdict = Verdict(verdict.tag, verdict.fixed_dim, verdict.families,
                       verdict.certificate,
@@ -344,10 +330,110 @@ def replay_certificate(record, certificate):
         if isinstance(adjoint, AdjointUnsolvable):
             return "inconclusive"
         constraints.append(SymmetryConstraint(name, adjoint, h11_matrix))
-    system = ConstraintSystem(
-        torus_rank=len(record.torus), semisimple=record.semisimple or "",
-        h11=H11Basis(tuple(record.h11_labels)), constraints=tuple(constraints))
+    system = ConstraintSystem(torus_rank=len(record.torus),
+                              picard_rank=len(record.h11_labels),
+                              constraints=tuple(constraints))
     return vanishing_verdict(system, anticanonical=record.anticanonical).tag
+
+
+# ---------------------------------------------------------------------------
+# record evaluation by kind
+# ---------------------------------------------------------------------------
+#
+# ``toric`` loads in the functions that use it, so that evaluating a record
+# without a toric family never compiles the toric engine.
+
+DEFAULT_SCAN_STEP = Fraction(1, 4)
+
+
+class CaseResult:
+    __slots__ = ("record", "verdict", "consistent", "audit", "detail")
+
+    def __init__(self, record, verdict, consistent, audit="", detail=""):
+        self.record = record
+        self.verdict = verdict
+        self.consistent = consistent
+        self.audit = audit
+        self.detail = detail
+
+
+def evaluate_record(record):
+    """Full evaluation of one catalog record, including toric cross-checks."""
+    if record.kind == "product":
+        return _evaluate_product(record)
+    if record.kind == "toric-crosscheck":
+        return _evaluate_crosscheck(record)
+    if record.kind == "polynomial":
+        verdict = analyze_polynomial_case(record).verdict
+    elif record.kind == "abstract":
+        verdict = abstract_verdict(
+            record.torus_rank, record.adjoints, record.fixed_dim,
+            len(record.h11_labels) if record.h11_labels else record.fixed_dim + 1,
+            record.anticanonical_in_fixed)
+    else:   # the kind left: a semisimple symmetry algebra, which every character kills
+        verdict = full_cone(("semisimple",))
+    return CaseResult(record, verdict, _plain_consistent(record, verdict))
+
+
+def _plain_consistent(record, verdict):
+    if record.expected == ("full_cone",):
+        return verdict.tag == "full_cone"
+    if record.expected[0] == "subcone":
+        return (verdict.tag == "subcone"
+                and verdict.fixed_dim == record.expected[1]
+                and verdict.anticanonical_in_fixed is True)
+    return False
+
+
+def _anticanonical_zero(record):
+    if not record.toric_family or not record.anticanonical_params:
+        return True, ""
+    from . import toric
+    polytope = toric.class_to_polytope(record.toric_family,
+                                       **record.anticanonical_params)
+    vec = toric.futaki_vector(polytope)
+    if vec.is_zero():
+        return True, ""
+    return False, f"anticanonical Futaki vector is {vec.render()}"
+
+
+def _evaluate_product(record):
+    verdict = product_verdict(record.product_factors)
+    consistent = _plain_consistent(record, verdict)
+    details = []
+    for f in record.product_factors:
+        if not f.toric_family:
+            continue
+        from . import toric
+        outcome = toric.zero_locus_scan(f.toric_family, DEFAULT_SCAN_STEP,
+                                        loci=record.loci).classify()
+        if outcome not in ("on_locus", "locus_and_more", "identically_zero"):
+            consistent = False
+        details.append(f"{f.toric_family} scan: {outcome}")
+    anti_ok, anti_detail = _anticanonical_zero(record)
+    if not anti_ok:
+        consistent = False
+        details.append(anti_detail)
+    return CaseResult(record, verdict, consistent, detail="; ".join(details))
+
+
+def _evaluate_crosscheck(record):
+    analysis = analyze_polynomial_case(record)
+    unsolved = [a.name for a in analysis.symmetries
+                if isinstance(a.adjoint, AdjointUnsolvable)]
+    adjoint_outcome = "unsolvable" if len(unsolved) == len(analysis.symmetries) \
+        else ("partial" if unsolved else "solvable")
+    from . import toric
+    toric_outcome = toric.zero_locus_scan(record.toric_family, DEFAULT_SCAN_STEP,
+                                          loci=record.loci).classify()
+    anti_ok, anti_detail = _anticanonical_zero(record)
+    theorem1 = "agrees" if toric_outcome == "identically_zero" else "disagrees"
+    audit = f"adjoint={adjoint_outcome};toric={toric_outcome};theorem1={theorem1}"
+    consistent = (adjoint_outcome == record.expected_adjoint
+                  and toric_outcome == record.expected_toric
+                  and anti_ok)
+    return CaseResult(record, analysis.verdict, consistent, audit=audit,
+                      detail=anti_detail)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Command-line driver: verify cases, run toric computations and scans, and
-emit the summary report.
+"""Command-line driver: parse the arguments, run the library and format its
+results.
 
 Commands: ``verify [ID | --all]``, ``toric futaki --family F --params k=v``,
 ``toric scan --family F --step q``, ``catalog validate``,
 ``report [--format text|json-lines]``.  Exit status: 0 success, 1 verdict
 mismatch, 2 catalog or usage errors, 3 toric errors (out-of-region
-parameters, a bad grid step or locus equation).  Records are evaluated one
-after another in catalog order.
+parameters, a bad grid step or locus equation).  Records are evaluated by
+``character.evaluate_record``, one after another in catalog order; this
+module holds no evaluation policy.
 """
 
 from __future__ import annotations
@@ -22,121 +23,16 @@ from fractions import Fraction
 # peak of `verify --all` within noise: 19.37 MB, against 19.34 MB with both
 # imported here and the classes built by ``dataclasses`` (perfbench
 # ``peak_rss_mb``, medians of 10 runs on one CPU without a bytecode cache).
-from . import character
 from .catalog import CatalogError, load_catalog, validate_catalog
 from .catalog import validate_case as catalog_validate_case
-from .character import full_cone
-from .symmetry import AdjointUnsolvable
+from .character import DEFAULT_SCAN_STEP, evaluate_record, verdict_json_fields, verdict_line
 
 ENV_CATALOG = "FUTAKIZERO_CATALOG"
-DEFAULT_SCAN_STEP = Fraction(1, 4)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CATALOG = 2
 EXIT_REGION = 3
-
-
-class CaseResult:
-    __slots__ = ("record", "verdict", "consistent", "audit", "detail")
-
-    def __init__(self, record, verdict, consistent, audit="", detail=""):
-        self.record = record
-        self.verdict = verdict
-        self.consistent = consistent
-        self.audit = audit
-        self.detail = detail
-
-
-def evaluate_record(record):
-    """Full evaluation of one record, including toric cross-checks."""
-    if record.kind == "semisimple_full":
-        verdict = full_cone(("semisimple",))
-        return CaseResult(record, verdict, record.expected == ("full_cone",))
-    if record.kind == "abstract":
-        verdict = character.abstract_verdict(
-            record.torus_rank, record.adjoints, record.fixed_dim,
-            len(record.h11_labels) if record.h11_labels else record.fixed_dim + 1,
-            record.anticanonical_in_fixed)
-        return CaseResult(record, verdict, _plain_consistent(record, verdict))
-    if record.kind == "product":
-        return _evaluate_product(record)
-    if record.kind == "toric-crosscheck":
-        return _evaluate_crosscheck(record)
-    analysis = character.analyze_polynomial_case(record)
-    return CaseResult(record, analysis.verdict,
-                      _plain_consistent(record, analysis.verdict))
-
-
-def _plain_consistent(record, verdict):
-    if record.expected == ("full_cone",):
-        return verdict.tag == "full_cone"
-    if record.expected[0] == "subcone":
-        return (verdict.tag == "subcone"
-                and verdict.fixed_dim == record.expected[1]
-                and verdict.anticanonical_in_fixed is True)
-    return False
-
-
-def _anticanonical_zero(record):
-    if not record.toric_family or not record.anticanonical_params:
-        return True, ""
-    from . import toric
-    polytope = toric.class_to_polytope(record.toric_family,
-                                       **record.anticanonical_params)
-    vec = toric.futaki_vector(polytope)
-    if vec.is_zero():
-        return True, ""
-    return False, f"anticanonical Futaki vector is {vec.render()}"
-
-
-def _evaluate_product(record):
-    verdict = character.product_verdict(record.product_factors)
-    consistent = _plain_consistent(record, verdict)
-    details = []
-    for f in record.product_factors:
-        if not f.toric_family:
-            continue
-        from . import toric
-        report = toric.zero_locus_scan(f.toric_family, DEFAULT_SCAN_STEP,
-                                       loci=record.loci)
-        outcome = classify_scan(report)
-        if outcome not in ("on_locus", "locus_and_more", "identically_zero"):
-            consistent = False
-        details.append(f"{f.toric_family} scan: {outcome}")
-    anti_ok, anti_detail = _anticanonical_zero(record)
-    if not anti_ok:
-        consistent = False
-        details.append(anti_detail)
-    return CaseResult(record, verdict, consistent, detail="; ".join(details))
-
-
-def classify_scan(report):
-    if report.zero_everywhere:
-        return "identically_zero"
-    if report.loci and all(f.on_locus_all_zero for f in report.loci):
-        return "on_locus" if report.covered else "locus_and_more"
-    return "off_locus"
-
-
-def _evaluate_crosscheck(record):
-    analysis = character.analyze_polynomial_case(record)
-    unsolved = [a.name for a in analysis.symmetries
-                if isinstance(a.adjoint, AdjointUnsolvable)]
-    adjoint_outcome = "unsolvable" if len(unsolved) == len(analysis.symmetries) \
-        else ("partial" if unsolved else "solvable")
-    from . import toric
-    report = toric.zero_locus_scan(record.toric_family, DEFAULT_SCAN_STEP,
-                                   loci=record.loci)
-    toric_outcome = classify_scan(report)
-    anti_ok, anti_detail = _anticanonical_zero(record)
-    theorem1 = "agrees" if toric_outcome == "identically_zero" else "disagrees"
-    audit = f"adjoint={adjoint_outcome};toric={toric_outcome};theorem1={theorem1}"
-    consistent = (adjoint_outcome == record.expected_adjoint
-                  and toric_outcome == record.expected_toric
-                  and anti_ok)
-    return CaseResult(record, analysis.verdict, consistent, audit=audit,
-                      detail=anti_detail)
 
 
 def _select_records(catalog, selector):
@@ -167,24 +63,37 @@ def _checked_records(args):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args, out):
+def _evaluated(args):
+    """(CaseResult per selected record, number of mismatches), or None once
+    the catalog errors are printed."""
     records = _checked_records(args)
     if records is None:
-        return EXIT_CATALOG
+        return None
     results = [evaluate_record(r) for r in records]
-    mismatches = 0
+    return results, sum(not res.consistent for res in results)
+
+
+def _verdict_text(tag, dim=None):
+    """``subcone(d)``, or the bare tag of any other verdict."""
+    return f"subcone({dim})" if tag == "subcone" else tag
+
+
+def cmd_verify(args, out):
+    evaluated = _evaluated(args)
+    if evaluated is None:
+        return EXIT_CATALOG
+    results, mismatches = evaluated
     for res in results:
         audit = res.audit or None
+        expected = _verdict_text(*res.record.expected)
         if args.format == "json-lines":
-            fields = character.verdict_json_fields(res.record.id, res.verdict, audit)
-            fields.append(("expected", _expected_text(res.record)))
+            fields = verdict_json_fields(res.record.id, res.verdict, audit)
+            fields.append(("expected", expected))
             fields.append(("consistent", res.consistent))
             print(json.dumps(dict(fields)), file=out)
         else:
-            print(character.verdict_line(res.record.id, res.verdict, audit), file=out)
+            print(verdict_line(res.record.id, res.verdict, audit), file=out)
         if not res.consistent:
-            mismatches += 1
-            expected = _expected_text(res.record)
             print(f"MISMATCH case={res.record.id} expected={expected} "
                   f"computed={res.verdict.tag}({res.verdict.fixed_dim}) {res.detail}",
                   file=out)
@@ -194,34 +103,23 @@ def cmd_verify(args, out):
     return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 
 
-def _expected_text(record):
-    if record.expected[0] == "subcone":
-        return f"subcone({record.expected[1]})"
-    return record.expected[0]
-
-
 def cmd_report(args, out):
-    records = _checked_records(args)
-    if records is None:
+    evaluated = _evaluated(args)
+    if evaluated is None:
         return EXIT_CATALOG
-    results = [evaluate_record(r) for r in records]
-    mismatches = 0
+    results, mismatches = evaluated
     exceptional = []
     audits = []
     rows = []
     for res in results:
-        computed = res.verdict.tag
-        if res.verdict.tag == "subcone":
-            computed = f"subcone({res.verdict.fixed_dim})"
-        match = "ok" if res.consistent else "MISMATCH"
-        if not res.consistent:
-            mismatches += 1
         if res.record.kind == "toric-crosscheck":
             audits.append((res.record.id, res.audit))
         elif not res.verdict.is_full_cone():
             exceptional.append(res.record.family)
-        rows.append((res.record.id, res.record.aut, computed,
-                     _expected_text(res.record), match))
+        rows.append((res.record.id, res.record.aut,
+                     _verdict_text(res.verdict.tag, res.verdict.fixed_dim),
+                     _verdict_text(*res.record.expected),
+                     "ok" if res.consistent else "MISMATCH"))
     if args.format == "json-lines":
         for row in rows:
             print(json.dumps({"case": row[0], "aut": row[1], "computed": row[2],
@@ -308,7 +206,7 @@ def cmd_toric_scan(args, out):
         except CatalogError as exc:
             print(f"catalog error: {exc}", file=sys.stderr)
             return EXIT_CATALOG
-        loci = _catalog_loci(catalog, args.family)
+        loci = catalog.toric_loci(args.family)
     try:
         report = toric.zero_locus_scan(args.family, args.step, loci=loci)
     except toric.ToricError as exc:
@@ -329,18 +227,8 @@ def cmd_toric_scan(args, out):
         print(f"locus: coverage :: {coverage}", file=out)
     else:
         print("locus: none declared", file=out)
-    print(f"locus: classification :: {classify_scan(report)}", file=out)
+    print(f"locus: classification :: {report.classify()}", file=out)
     return EXIT_OK
-
-
-def _catalog_loci(catalog, family):
-    for record in catalog.records:
-        if record.toric_family == family and record.loci:
-            return record.loci
-        for f in record.product_factors:
-            if f.toric_family == family and record.loci:
-                return record.loci
-    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +285,8 @@ def build_parser():
     futaki.set_defaults(func=cmd_toric_futaki)
     scan = toric_sub.add_parser("scan", help="grid scan of the zero locus")
     scan.add_argument("--family", required=True).choices = _FamilyNames()
-    scan.add_argument("--step", type=_rational, default="1/4", help="rational grid step")
+    scan.add_argument("--step", type=_rational, default=DEFAULT_SCAN_STEP,
+                      help="rational grid step")
     scan.add_argument("--loci", nargs="*", default=None,
                       help="override candidate locus equations")
     scan.set_defaults(func=cmd_toric_scan)

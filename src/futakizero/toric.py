@@ -347,13 +347,12 @@ def _order_polygon(normal, labelled):
 
 
 def _inverse_transpose_int(u):
-    d = len(u)
     det = _det(u)
     if abs(det) != 1:
         raise ToricError("matrix is not unimodular")
     adj = _adjugate(u)
-    inv = [[Fraction(adj[i][j], det) for j in range(d)] for i in range(d)]
-    return [[int(inv[j][i]) for j in range(d)] for i in range(d)]  # transpose
+    # U^-1 = adj / det = det * adj, as det = +-1
+    return [[det * row[i] for row in adj] for i in range(len(u))]
 
 
 def _det(u):
@@ -367,12 +366,12 @@ def _det(u):
         return u[0][0] * u[1][1] - u[0][1] * u[1][0]
     total = 0
     for j in range(d):
-        total += (-1) ** j * u[0][j] * _det([r[:j] + r[j + 1:] for r in u[1:]])
+        total += (-1) ** j * u[0][j] * _det(_minor(u, 0, j))
     return total
 
 
 def _minor(u, i, j):
-    return [[u[r][c] for c in range(len(u)) if c != j] for r in range(len(u)) if r != i]
+    return [r[:j] + r[j + 1:] for k, r in enumerate(u) if k != i]
 
 
 def _adjugate(u):
@@ -721,6 +720,15 @@ class ScanReport:
         if not isinstance(other, ScanReport):
             return NotImplemented
         return all(getattr(self, n) == getattr(other, n) for n in ScanReport.__slots__)
+
+    def classify(self):
+        """identically_zero, on_locus (the candidate loci hold exactly the
+        zeros), locus_and_more (zeros off the loci too) or off_locus."""
+        if self.zero_everywhere:
+            return "identically_zero"
+        if self.loci and all(f.on_locus_all_zero for f in self.loci):
+            return "on_locus" if self.covered else "locus_and_more"
+        return "off_locus"
 
 
 def zero_locus_scan(family, step, loci=(), fixed=None):

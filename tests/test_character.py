@@ -3,11 +3,11 @@ from itertools import combinations
 
 import pytest
 
-from futakizero.catalog import ProductFactorSpec
-from futakizero.character import (CharacterError, ConstraintSystem, H11Basis,
+from futakizero.catalog import ProductFactorSpec, load_catalog
+from futakizero.character import (CharacterError, ConstraintSystem,
                                   SymmetryConstraint, _fixed_classes,
                                   analyze_polynomial_case, abstract_verdict,
-                                  h11_action, product_verdict,
+                                  evaluate_record, h11_action, product_verdict,
                                   replay_certificate, vanishing_verdict,
                                   verdict_line)
 from futakizero.polyring import AmbientSpace, ParamField, parse_poly
@@ -22,7 +22,7 @@ def subsets_monotone(system):
     """Check Fix and K monotonicity over nested subsets."""
     usable = [c for c in system.constraints if c.usable()]
     rank = system.torus_rank
-    picard = system.h11.picard_rank
+    picard = system.picard_rank
     results = {}
     for size in range(len(usable) + 1):
         for subset in combinations(range(len(usable)), size):
@@ -52,7 +52,7 @@ def system_2_24():
     a_tau = QMatrix.from_rows([[1, -1], [0, -1]])
     ident = QMatrix.identity(2)
     return ConstraintSystem(
-        torus_rank=2, semisimple="", h11=H11Basis(("h1", "h2")),
+        torus_rank=2, picard_rank=2,
         constraints=(SymmetryConstraint("sigma", a_sigma, ident),
                      SymmetryConstraint("tau", a_tau, ident)))
 
@@ -103,7 +103,7 @@ class TestVanishingVerdict:
         a_tau = QMatrix.from_rows([[-1]])
         perm = QMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
         system = ConstraintSystem(
-            torus_rank=1, semisimple="sl2", h11=H11Basis(("h", "E1", "E2")),
+            torus_rank=1, picard_rank=3,
             constraints=(SymmetryConstraint("tau", a_tau, perm),))
         verdict = vanishing_verdict(system, anticanonical=(3, -2, -2))
         assert verdict.tag == "subcone"
@@ -114,23 +114,22 @@ class TestVanishingVerdict:
         assert (Fraction(0), Fraction(1), Fraction(1)) in basis
 
     def test_no_symmetries_is_inconclusive(self):
-        system = ConstraintSystem(torus_rank=1, semisimple="",
-                                  h11=H11Basis(("h", "E")), constraints=())
+        system = ConstraintSystem(torus_rank=1, picard_rank=2, constraints=())
         verdict = vanishing_verdict(system)
         assert verdict.tag == "inconclusive"
         assert verdict.diagnostics
 
     def test_semisimple_short_circuit(self):
-        system = ConstraintSystem(torus_rank=0, semisimple="sln",
-                                  h11=H11Basis(("h",)), constraints=())
-        verdict = vanishing_verdict(system, semisimple_full=True)
+        record = load_catalog(text='version = 1\n[case "9.1"]\nkind = semisimple_full\n'
+                                    'theorem = 1\nexpected = full_cone\n').records[0]
+        verdict = evaluate_record(record).verdict
         assert verdict.tag == "full_cone"
         assert verdict.certificate == ("semisimple",)
 
     def test_permutation_invariant_enforced(self):
         bad = QMatrix.from_rows([[1, 1], [0, 1]])
         with pytest.raises(CharacterError):
-            ConstraintSystem(torus_rank=1, semisimple="", h11=H11Basis(("a", "b")),
+            ConstraintSystem(torus_rank=1, picard_rank=2,
                              constraints=(SymmetryConstraint(
                                  "tau", QMatrix.from_rows([[-1]]), bad),))
 

@@ -272,6 +272,21 @@ class TestScan:
         report = zero_locus_scan("s6", Fraction(1, 2))
         assert report.skipped > 0
 
+    @pytest.mark.parametrize("family,fixed", [
+        ("p1", {"a": 1}),
+        ("s6", {"a": 1, "b": 1, "c": 1}),
+        ("s6", {"a": 1, "b": Fraction(1, 2), "c": 1}),
+        ("p1xs6", {"a": 1, "b": 1, "c": 1}),
+        ("p1xs6", {"a": 1})])
+    def test_pinned_scan_agrees_with_builds(self, family, fixed):
+        # with every parameter pinned both integral routes still run over Q[]
+        fam = FAMILIES[family]
+        report = zero_locus_scan(family, Fraction(1, 4), fixed=fixed)
+        assert report.points
+        for pt in report.points:
+            params = {**fam.fixed_for_scan, **fixed, **dict(pt.values)}
+            assert pt.zero == futaki_vector(fam.build(**params)).is_zero(), params
+
 
 class TestPackageImport:
     def test_toric_engine_loads_alone(self):

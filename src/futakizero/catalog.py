@@ -7,6 +7,12 @@ image of every coordinate in ambient order with an explicit
 ``factors = (permutation)`` clause.  ``param a excludes -1, 1`` declares a
 parameter.  The shipped catalog is stored canonically, so print(load(path))
 round-trips byte for byte.
+
+A malformed catalog raises CatalogError, ``line N: record ID: message``
+inside a record: ``_build_record`` alone adds the record and the line, the
+value parsers raise bare errors.  ``validate_case`` holds every per-record
+rule, the theorem partition included, so ``verify``, ``report`` and
+``catalog validate`` apply the same ones.
 """
 
 from __future__ import annotations
@@ -182,8 +188,11 @@ def load_catalog(path=None, text=None):
         if path is None:
             text = default_catalog_text()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise CatalogError(f"cannot read {path}: {exc}") from exc
     segments = []
     version = None
     raw_records = []   # (id, line, [(key, value, line)])
@@ -236,79 +245,84 @@ _REQUIRED = object()     # the default of a key that must be given
 
 
 def _build_record(case_id, header_line, entries):
+    """The record of one ``[case]`` block.  This is the one place that names
+    the record and the entry's line in an error: the value parsers raise a
+    bare CatalogError, PolyError or SymmetryError."""
+    def fail(message, line):
+        return CatalogError(f"record {case_id}: {message}", line)
+
+    def parsed(parse, value, line, *context):
+        try:
+            return parse(value, *context)
+        except (CatalogError, PolyError, SymmetryError) as exc:
+            raise fail(exc, line) from exc
+
     def all_of(key):
         return [(v, ln) for k, v, ln in entries if k == key]
 
-    def one_of(key, default=_REQUIRED):
+    def each(key, parse, *context):
+        return tuple(parsed(parse, v, ln, *context) for v, ln in all_of(key))
+
+    def one(key, parse=None, *context, default=_REQUIRED):
+        """The value of a key given at most once, through ``parse``;
+        ``default`` when the key is absent."""
         hits = all_of(key)
+        if len(hits) > 1:
+            raise fail(f"repeated key {key!r}", hits[1][1])
         if not hits:
             if default is _REQUIRED:
-                raise CatalogError(f"record {case_id}: missing key {key!r}", header_line)
-            return default, header_line
-        if len(hits) > 1:
-            raise CatalogError(f"record {case_id}: repeated key {key!r}", hits[1][1])
-        return hits[0]
+                raise fail(f"missing key {key!r}", header_line)
+            return default
+        value, line = hits[0]
+        return value if parse is None else parsed(parse, value, line, *context)
 
-    known = {"kind", "theorem", "expected", "aut", "note", "provenance", "ambient",
-             "param", "variety", "center", "torus", "finite", "semisimple", "h11",
-             "anticanonical", "torus_rank", "adjoint", "fixed_dim",
-             "anticanonical_in_fixed", "factor", "locus", "toric_family",
-             "anticanonical_params", "expected_adjoint", "expected_toric"}
+    def distinct(key, named, what):
+        """Reject the first ``key`` entry whose name an earlier one took."""
+        for i, ((name, *_), (_, line)) in enumerate(zip(named, all_of(key))):
+            if any(name == other for other, *_ in named[:i]):
+                raise fail(f"repeated {what} {name!r}", line)
+
     for k, _, ln in entries:
-        if k not in known:
-            raise CatalogError(f"record {case_id}: unknown key {k!r}", ln)
+        if k not in _KEYS:
+            raise fail(f"unknown key {k!r}", ln)
 
-    def optional(key, parse, default=None):
-        """``parse(value, line)`` of a key given at most once, else ``default``."""
-        value, line = one_of(key, default=None)
-        return default if value is None else parse(value, line)
-
-    def number(key, convert):
-        return lambda value, line: _convert(convert, value, f"{key} value", line, case_id)
-
-    kind, ln = one_of("kind")
-    if kind not in KINDS:
-        raise CatalogError(f"record {case_id}: unknown kind {kind!r}", ln)
-    theorem = number("theorem", int)(*one_of("theorem"))
-    expected = _parse_expected(*one_of("expected"), case_id)
-    aut = one_of("aut", default="")[0]
+    kind = one("kind", _parse_kind)
+    theorem = one("theorem", _convert, int, "theorem value")
+    expected = one("expected", _parse_expected)
+    aut = one("aut", default="")
     notes = tuple(v for v, _ in all_of("note"))
     provenance = tuple(v for v, _ in all_of("provenance"))
-    semisimple = one_of("semisimple", default="")[0]
+    semisimple = one("semisimple", default="")
 
-    params = _parse_params(all_of("param"), case_id)
-    ambient = optional("ambient", lambda v, ln: _parse_ambient(v, ln, case_id, params))
+    declared = each("param", _parse_param)
+    distinct("param", declared, "parameter")
+    params = ParamField(tuple(name for name, _ in declared),
+                        {name: values for name, values in declared if values})
+    ambient = one("ambient", _parse_ambient, params, default=None)
 
-    variety = tuple(_parse_poly(v, ln, case_id, ambient, params)
-                    for v, ln in all_of("variety"))
-    centers = tuple(_parse_center(v, ln, case_id, ambient, params)
-                    for v, ln in all_of("center"))
-    torus = tuple(_parse_torus(v, ln, case_id, ambient)
-                  for v, ln in all_of("torus"))
-    finite = tuple(_parse_finite(v, ln, case_id, ambient, params)
-                   for v, ln in all_of("finite"))
-    for i, ((name, _, _), (_, ln)) in enumerate(zip(finite, all_of("finite"))):
-        if any(name == other for other, _, _ in finite[:i]):
-            raise CatalogError(f"record {case_id}: repeated finite symmetry {name!r}", ln)
+    variety = each("variety", _parse_poly, ambient, params)
+    centers = each("center", _parse_center, ambient, params)
+    torus = each("torus", _parse_torus, ambient)
+    finite = each("finite", _parse_finite, ambient, params)
+    distinct("finite", finite, "finite symmetry")
     if ambient is None and kind in ("polynomial", "toric-crosscheck"):
-        raise CatalogError(f"record {case_id}: missing key 'ambient'", header_line)
+        raise fail("missing key 'ambient'", header_line)
 
-    h11 = optional("h11", lambda v, ln: tuple(x.strip() for x in v.split(",")), ())
-    anticanonical = optional("anticanonical", number(
-        "anticanonical", lambda v: tuple(Fraction(x.strip()) for x in v.split(","))))
+    h11 = one("h11", lambda v: tuple(x.strip() for x in v.split(",")), default=())
+    anticanonical = one("anticanonical", _convert, lambda v: tuple(
+        Fraction(x.strip()) for x in v.split(",")), "anticanonical value", default=None)
 
-    torus_rank = optional("torus_rank", number("torus_rank", int))
-    adjoints = tuple(_parse_adjoint(v, ln, case_id) for v, ln in all_of("adjoint"))
-    fixed_dim = optional("fixed_dim", number("fixed_dim", int))
-    aif = optional("anticanonical_in_fixed", _parse_bool)
+    torus_rank = one("torus_rank", _convert, int, "torus_rank value", default=None)
+    adjoints = each("adjoint", _parse_adjoint)
+    fixed_dim = one("fixed_dim", _convert, int, "fixed_dim value", default=None)
+    aif = one("anticanonical_in_fixed", _parse_bool, default=None)
 
-    factors = tuple(_parse_factor(v, ln, case_id) for v, ln in all_of("factor"))
+    factors = each("factor", _parse_factor)
     loci = tuple(v for v, _ in all_of("locus"))
-    toric_family = one_of("toric_family", default="")[0]
-    anticanonical_params = optional(
-        "anticanonical_params", lambda v, ln: _parse_param_values(v, ln, case_id), {})
-    expected_adjoint = one_of("expected_adjoint", default="")[0]
-    expected_toric = one_of("expected_toric", default="")[0]
+    toric_family = one("toric_family", default="")
+    anticanonical_params = one("anticanonical_params", parse_assignments, default={})
+    expected_adjoint = one("expected_adjoint", default="")
+    expected_toric = one("expected_toric", default="")
 
     return CaseRecord(
         id=case_id, kind=kind, theorem=theorem, expected=expected, aut=aut,
@@ -321,15 +335,27 @@ def _build_record(case_id, header_line, entries):
         expected_adjoint=expected_adjoint, expected_toric=expected_toric)
 
 
-def _convert(convert, text, what, line, case_id):
-    """``convert(text)``; a bad number is a CatalogError naming its line."""
+_KEYS = {"kind", "theorem", "expected", "aut", "note", "provenance", "ambient", "param",
+         "variety", "center", "torus", "finite", "semisimple", "h11", "anticanonical",
+         "torus_rank", "adjoint", "fixed_dim", "anticanonical_in_fixed", "factor", "locus",
+         "toric_family", "anticanonical_params", "expected_adjoint", "expected_toric"}
+
+
+def _convert(text, convert, what):
+    """``convert(text)``; a bad number is a CatalogError."""
     try:
         return convert(text)
     except (ValueError, ZeroDivisionError):
-        raise CatalogError(f"record {case_id}: bad {what} {text!r}", line) from None
+        raise CatalogError(f"bad {what} {text!r}") from None
 
 
-def _parse_expected(value, line, case_id):
+def _parse_kind(value):
+    if value not in KINDS:
+        raise CatalogError(f"unknown kind {value!r}")
+    return value
+
+
+def _parse_expected(value):
     if value == "full_cone":
         return ("full_cone",)
     if value == "see_toric":
@@ -339,59 +365,45 @@ def _parse_expected(value, line, case_id):
             return ("subcone", int(value[len("subcone("):-1]))
         except ValueError:
             pass
-    raise CatalogError(f"record {case_id}: bad expected verdict {value!r}", line)
+    raise CatalogError(f"bad expected verdict {value!r}")
 
 
-def _parse_params(hits, case_id):
-    names = []
-    excluded = {}
-    for value, line in hits:
-        head, _, tail = value.partition(" excludes ")
-        name = head.strip()
-        if not name.isidentifier():
-            raise CatalogError(f"record {case_id}: bad parameter name {name!r}", line)
-        if name in names:
-            raise CatalogError(f"record {case_id}: repeated parameter {name!r}", line)
-        names.append(name)
-        if tail:
-            try:
-                excluded[name] = tuple(Fraction(x.strip()) for x in tail.split(","))
-            except (ValueError, ZeroDivisionError):
-                raise CatalogError(f"record {case_id}: bad excluded value in {value!r}",
-                                   line) from None
-    return ParamField(tuple(names), excluded)
+def _parse_param(value):
+    """(name, excluded values) of ``name [excludes v, ...]``."""
+    head, _, tail = value.partition(" excludes ")
+    name = head.strip()
+    if not name.isidentifier():
+        raise CatalogError(f"bad parameter name {name!r}")
+    if not tail:
+        return name, ()
+    try:
+        return name, tuple(Fraction(x.strip()) for x in tail.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise CatalogError(f"bad excluded value in {value!r}") from None
 
 
-def _parse_ambient(value, line, case_id, params):
+def _parse_ambient(value, params):
     factors = []
     for chunk in value.split("|"):
         names = tuple(chunk.split())
         if len(names) < 2:
-            raise CatalogError(f"record {case_id}: ambient factor needs >= 2 coordinates",
-                               line)
+            raise CatalogError("ambient factor needs >= 2 coordinates")
         factors.append(names)
-    try:
-        ambient = AmbientSpace.product(*factors)
-    except PolyError as exc:
-        raise CatalogError(f"record {case_id}: {exc}", line) from exc
+    ambient = AmbientSpace.product(*factors)
     clash = set(ambient.coords) & set(params.names)
     if clash:
-        raise CatalogError(f"record {case_id}: names {sorted(clash)} are both "
-                           f"coordinates and parameters", line)
+        raise CatalogError(f"names {sorted(clash)} are both coordinates and parameters")
     return ambient
 
 
-def _parse_poly(value, line, case_id, ambient, params):
+def _parse_poly(value, ambient, params):
     """A ``variety`` equation or ``ideal`` generator: a zero polynomial would
     cut out nothing, and every span question on it is trivially solved."""
     if ambient is None:
-        raise CatalogError(f"record {case_id}: polynomial data without an ambient", line)
-    try:
-        poly = parse_poly(value, ambient, params)
-    except PolyError as exc:
-        raise CatalogError(f"record {case_id}: {exc}", line) from exc
+        raise CatalogError("polynomial data without an ambient")
+    poly = parse_poly(value, ambient, params)
     if poly.is_zero():
-        raise CatalogError(f"record {case_id}: {value.strip()!r} is the zero polynomial", line)
+        raise CatalogError(f"{value.strip()!r} is the zero polynomial")
     return poly
 
 
@@ -430,101 +442,86 @@ def _take_call(text, name):
     raise CatalogError(f"unbalanced parentheses in {text!r}")
 
 
-def _parse_center(value, line, case_id, ambient, params):
+def _parse_center(value, ambient, params):
     if ambient is None:
-        raise CatalogError(f"record {case_id}: center without an ambient", line)
+        raise CatalogError("center without an ambient")
     stage = 1
     rest = value.strip()
     if rest.startswith("stage "):
         head, _, rest = rest.partition(":")
-        stage = _convert(int, head.strip()[len("stage "):], "center stage", line, case_id)
+        stage = _convert(head.strip()[len("stage "):], int, "center stage")
         rest = rest.strip()
     curve = None
     ideal = ()
     if rest.startswith("curve("):
         body, rest = _take_call(rest, "curve")
-        texts = _split_args(body)
-        try:
-            curve = ParamCurve.from_texts(texts, ambient, params)
-        except (PolyError, SymmetryError) as exc:
-            raise CatalogError(f"record {case_id}: {exc}", line) from exc
+        curve = ParamCurve.from_texts(_split_args(body), ambient, params)
         if rest.startswith("with "):
             rest = rest[len("with "):]
     if rest.startswith("ideal("):
         body, rest = _take_call(rest, "ideal")
-        ideal = tuple(_parse_poly(t, line, case_id, ambient, params)
-                      for t in _split_args(body))
+        ideal = tuple(_parse_poly(t, ambient, params) for t in _split_args(body))
     if rest:
-        raise CatalogError(f"record {case_id}: trailing center data {rest!r}", line)
+        raise CatalogError(f"trailing center data {rest!r}")
     if curve is None and not ideal:
-        raise CatalogError(f"record {case_id}: empty center", line)
+        raise CatalogError("empty center")
     return Center(stage, SubvarietyPresentation(ideal=ideal, curve=curve))
 
 
-def _parse_torus(value, line, case_id, ambient):
+def _parse_torus(value, ambient):
     body, rest = _take_call(value, "weights")
     if body is None or rest:
-        raise CatalogError(f"record {case_id}: torus must be weights(...)", line)
-    weights = tuple(_convert(int, x, "torus weight", line, case_id) for x in _split_args(body))
+        raise CatalogError("torus must be weights(...)")
+    weights = tuple(_convert(x, int, "torus weight") for x in _split_args(body))
     if ambient is None:
-        raise CatalogError(f"record {case_id}: torus without an ambient", line)
+        raise CatalogError("torus without an ambient")
     if len(weights) != len(ambient.coords):
-        raise CatalogError(
-            f"record {case_id}: torus weight length {len(weights)} != "
-            f"{len(ambient.coords)} coordinates", line)
+        raise CatalogError(f"torus weight length {len(weights)} != "
+                           f"{len(ambient.coords)} coordinates")
     return TorusGenerator(ambient, weights)
 
 
-def _parse_finite(value, line, case_id, ambient, params):
+def _parse_finite(value, ambient, params):
     if ambient is None:
-        raise CatalogError(f"record {case_id}: finite symmetry without an ambient", line)
+        raise CatalogError("finite symmetry without an ambient")
     parts = [p.strip() for p in value.split(" : ")]
     if len(parts) != 4:
-        raise CatalogError(
-            f"record {case_id}: finite symmetry needs name : order : factors : map",
-            line)
+        raise CatalogError("finite symmetry needs name : order : factors : map")
     name = parts[0]
     if not parts[1].startswith("order "):
-        raise CatalogError(f"record {case_id}: expected order clause", line)
-    order = _convert(int, parts[1][len("order "):], "finite order", line, case_id)
+        raise CatalogError("expected order clause")
+    order = _convert(parts[1][len("order "):], int, "finite order")
     if not (parts[2].startswith("factors = (") and parts[2].endswith(")")):
-        raise CatalogError(f"record {case_id}: expected factors = (...) clause", line)
-    declared = tuple(_convert(int, x, "factors entry", line, case_id)
+        raise CatalogError("expected factors = (...) clause")
+    declared = tuple(_convert(x, int, "factors entry")
                      for x in parts[2][len("factors = ("):-1].split())
     body, rest = _take_call(parts[3], "map")
     if body is None or rest:
-        raise CatalogError(f"record {case_id}: expected map(...) clause", line)
-    images = _split_args(body)
-    try:
-        tau = MonomialAutomorphism.from_images(images, ambient, params)
-    except (PolyError, SymmetryError) as exc:
-        raise CatalogError(f"record {case_id}: {exc}", line) from exc
+        raise CatalogError("expected map(...) clause")
+    tau = MonomialAutomorphism.from_images(_split_args(body), ambient, params)
     computed = tuple(f + 1 for f in tau.factor_map)
     if computed != declared:
-        raise CatalogError(
-            f"record {case_id}: declared factors {declared} != computed {computed}",
-            line)
+        raise CatalogError(f"declared factors {declared} != computed {computed}")
     return (name, order, tau)
 
 
-def _parse_adjoint(value, line, case_id):
+def _parse_adjoint(value):
     name, _, rest = value.partition(" : ")
     body, tail = _take_call(rest.strip(), "matrix")
     if body is None or tail:
-        raise CatalogError(f"record {case_id}: adjoint must be name : matrix(...)", line)
+        raise CatalogError("adjoint must be name : matrix(...)")
     rows = [r.strip() for r in body.split(";")]
-    entries = [[_convert(Fraction, x, "matrix entry", line, case_id) for x in row.split()]
-               for row in rows]
+    entries = [[_convert(x, Fraction, "matrix entry") for x in row.split()] for row in rows]
     try:
         return (name.strip(), QMatrix.from_rows(entries))
     except LinAlgError as exc:
-        raise CatalogError(f"record {case_id}: adjoint {name.strip()}: {exc}", line) from exc
+        raise CatalogError(f"adjoint {name.strip()}: {exc}") from exc
 
 
-def _parse_factor(value, line, case_id):
+def _parse_factor(value):
     parts = [p.strip() for p in value.split(" : ")]
     if len(parts) < 3:
-        raise CatalogError(f"record {case_id}: factor needs name : verdict : rank", line)
+        raise CatalogError("factor needs name : verdict : rank")
     name = parts[0]
     rank = None
     toric = ""
@@ -536,41 +533,42 @@ def _parse_factor(value, line, case_id):
             tag = "full_cone"
         elif part.startswith("families "):
             tag = "families"
-            dims = tuple(_convert(int, x.strip(), "families entry", line, case_id)
+            dims = tuple(_convert(x.strip(), int, "families entry")
                          for x in part[len("families "):].split(","))
         elif part.startswith("rank "):
-            rank = _convert(int, part[len("rank "):], "factor rank", line, case_id)
+            rank = _convert(part[len("rank "):], int, "factor rank")
         elif part.startswith("toric "):
             toric = part[len("toric "):]
         elif part.startswith("anticanonical_in_families "):
-            anticanonical_in_families = _parse_bool(
-                part[len("anticanonical_in_families "):], line)
+            anticanonical_in_families = _parse_bool(part[len("anticanonical_in_families "):])
         else:
-            raise CatalogError(f"record {case_id}: bad factor clause {part!r}", line)
+            raise CatalogError(f"bad factor clause {part!r}")
     if tag is None or rank is None:
-        raise CatalogError(f"record {case_id}: factor needs a verdict and a rank", line)
+        raise CatalogError("factor needs a verdict and a rank")
     return ProductFactorSpec(name, tag, rank, dims, toric, anticanonical_in_families)
 
 
-def _parse_param_values(value, line, case_id):
+def parse_assignments(text):
+    """``{name: Fraction}`` of ``k=v, ...``: an ``anticanonical_params``
+    value, or the ``--params`` of ``toric futaki``."""
     out = {}
-    for chunk in value.split(","):
+    for chunk in text.split(","):
         key, _, v = chunk.partition("=")
         if not v:
-            raise CatalogError(f"bad parameter assignment {chunk!r}", line)
+            raise CatalogError(f"bad parameter assignment {chunk!r}")
         key = key.strip()
         if key in out:
-            raise CatalogError(f"record {case_id}: repeated parameter {key!r}", line)
-        out[key] = _convert(Fraction, v.strip(), "parameter value", line, case_id)
+            raise CatalogError(f"repeated parameter {key!r}")
+        out[key] = _convert(v.strip(), Fraction, "parameter value")
     return out
 
 
-def _parse_bool(value, line):
+def _parse_bool(value):
     if value == "yes":
         return True
     if value == "no":
         return False
-    raise CatalogError(f"expected yes/no, got {value!r}", line)
+    raise CatalogError(f"expected yes/no, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +576,8 @@ def _parse_bool(value, line):
 # ---------------------------------------------------------------------------
 
 def validate_case(record):
-    """Consistency findings for one record; empty list = valid."""
+    """Consistency findings for one record, the theorem partition included;
+    empty list = valid."""
     findings = []
     if record.kind in ("polynomial", "toric-crosscheck"):
         findings.extend(_validate_polynomialish(record))
@@ -596,6 +595,12 @@ def validate_case(record):
         if record.anticanonical is not None and \
                 len(record.anticanonical) != len(record.h11_labels):
             findings.append("anticanonical vector length mismatch")
+    if (record.family in EXCEPTION_FAMILIES) != (record.theorem == 2):
+        findings.append("theorem tag does not match the partition")
+    if record.theorem == 1 and record.expected[0] == "subcone":
+        findings.append("theorem 1 record expects a subcone")
+    if record.theorem == 2 and record.expected[0] == "full_cone":
+        findings.append("theorem 2 record expects the full cone")
     return findings
 
 
@@ -692,7 +697,7 @@ def _validate_loci(record):
 
 
 def validate_catalog(catalog):
-    """Catalog-level findings: §-list coverage and the theorem partition."""
+    """The findings of every record, then the §-list coverage."""
     findings = []
     for record in catalog.records:
         for finding in validate_case(record):
@@ -705,12 +710,4 @@ def validate_catalog(catalog):
         findings.append(f"families missing from the inventory: {missing}")
     if extra:
         findings.append(f"families outside the inventory: {extra}")
-    for record in catalog.records:
-        should_be_exception = record.family in EXCEPTION_FAMILIES
-        if should_be_exception != (record.theorem == 2):
-            findings.append(f"{record.id}: theorem tag does not match the partition")
-        if record.theorem == 1 and record.expected[0] == "subcone":
-            findings.append(f"{record.id}: theorem 1 record expects a subcone")
-        if record.theorem == 2 and record.expected[0] == "full_cone":
-            findings.append(f"{record.id}: theorem 2 record expects the full cone")
     return findings

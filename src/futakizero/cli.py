@@ -5,7 +5,9 @@ Commands: ``verify [ID | --all]``, ``toric futaki --family F --params k=v``,
 ``toric scan --family F --step q``, ``catalog validate``,
 ``report [--format text|json-lines]``.  Exit status: 0 success, 1 verdict
 mismatch, 2 catalog or usage errors, 3 toric errors (out-of-region
-parameters, a bad grid step or locus equation).  Records are evaluated by
+parameters, bad ``--params``, a bad grid step or locus equation).  ``main``
+alone turns a CatalogError, a load error or a validation finding of a
+selected record, into exit 2.  Records are evaluated by
 ``character.evaluate_record``, one after another in catalog order; this
 module holds no evaluation policy.
 """
@@ -23,8 +25,8 @@ from fractions import Fraction
 # peak of `verify --all` within noise: 19.37 MB, against 19.34 MB with both
 # imported here and the classes built by ``dataclasses`` (perfbench
 # ``peak_rss_mb``, medians of 10 runs on one CPU without a bytecode cache).
-from .catalog import CatalogError, load_catalog, validate_catalog
-from .catalog import validate_case as catalog_validate_case
+from .catalog import CatalogError, load_catalog, parse_assignments, validate_case
+from .catalog import validate_catalog
 from .character import DEFAULT_SCAN_STEP, evaluate_record, verdict_json_fields, verdict_line
 
 ENV_CATALOG = "FUTAKIZERO_CATALOG"
@@ -35,40 +37,23 @@ EXIT_CATALOG = 2
 EXIT_REGION = 3
 
 
-def _select_records(catalog, selector):
-    if selector is None:
-        return list(catalog.records)
-    hits = [r for r in catalog.records if r.id == selector or r.family == selector]
-    if not hits:
-        raise CatalogError(f"unknown family or case id {selector!r}")
-    return hits
-
-
-def _checked_records(args):
-    """The selected records once the catalog loads and they validate, else
-    None with the errors printed."""
-    try:
-        catalog = load_catalog(args.catalog)
-        records = _select_records(catalog, args.case)
-    except CatalogError as exc:
-        print(f"catalog error: {exc}", file=sys.stderr)
-        return None
-    findings = [f"{r.id}: {f}" for r in records for f in catalog_validate_case(r)]
-    for f in findings:
-        print(f"catalog error: {f}", file=sys.stderr)
-    return None if findings else records
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def _evaluated(args):
-    """(CaseResult per selected record, number of mismatches), or None once
-    the catalog errors are printed."""
-    records = _checked_records(args)
-    if records is None:
-        return None
+    """(CaseResult per selected record, number of mismatches); a CatalogError
+    with one line per finding unless every selected record validates."""
+    catalog = load_catalog(args.catalog)
+    if args.case is None:
+        records = catalog.records
+    else:
+        records = [r for r in catalog.records if args.case in (r.id, r.family)]
+        if not records:
+            raise CatalogError(f"unknown family or case id {args.case!r}")
+    findings = [f"{r.id}: {f}" for r in records for f in validate_case(r)]
+    if findings:
+        raise CatalogError("\n".join(findings))
     results = [evaluate_record(r) for r in records]
     return results, sum(not res.consistent for res in results)
 
@@ -79,10 +64,7 @@ def _verdict_text(tag, dim=None):
 
 
 def cmd_verify(args, out):
-    evaluated = _evaluated(args)
-    if evaluated is None:
-        return EXIT_CATALOG
-    results, mismatches = evaluated
+    results, mismatches = _evaluated(args)
     for res in results:
         audit = res.audit or None
         expected = _verdict_text(*res.record.expected)
@@ -94,9 +76,9 @@ def cmd_verify(args, out):
         else:
             print(verdict_line(res.record.id, res.verdict, audit), file=out)
         if not res.consistent:
-            print(f"MISMATCH case={res.record.id} expected={expected} "
-                  f"computed={res.verdict.tag}({res.verdict.fixed_dim}) {res.detail}",
-                  file=out)
+            computed = _verdict_text(res.verdict.tag, res.verdict.fixed_dim)
+            print(f"MISMATCH case={res.record.id} expected={expected} computed={computed}"
+                  + (f" {res.detail}" if res.detail else ""), file=out)
     if args.format == "text":
         print(f"verified {len(results)} case records, {mismatches} mismatches",
               file=out)
@@ -104,10 +86,7 @@ def cmd_verify(args, out):
 
 
 def cmd_report(args, out):
-    evaluated = _evaluated(args)
-    if evaluated is None:
-        return EXIT_CATALOG
-    results, mismatches = evaluated
+    results, mismatches = _evaluated(args)
     exceptional = []
     audits = []
     rows = []
@@ -148,11 +127,7 @@ def _family_key(fam):
 
 
 def cmd_catalog_validate(args, out):
-    try:
-        catalog = load_catalog(args.catalog)
-    except CatalogError as exc:
-        print(f"catalog error: {exc}", file=sys.stderr)
-        return EXIT_CATALOG
+    catalog = load_catalog(args.catalog)
     findings = validate_catalog(catalog)
     if findings:
         for f in findings:
@@ -164,33 +139,14 @@ def cmd_catalog_validate(args, out):
     return EXIT_OK
 
 
-def _parse_param_args(text):
-    values = {}
-    if not text:
-        return values
-    for chunk in text.split(","):
-        key, _, v = chunk.partition("=")
-        if not v:
-            raise ValueError(f"bad parameter assignment {chunk!r}")
-        key = key.strip()
-        if key in values:
-            raise ValueError(f"repeated parameter {key!r}")
-        try:
-            values[key] = Fraction(v.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad parameter value {v.strip()!r}") from None
-    return values
-
-
 def cmd_toric_futaki(args, out):
     from . import toric
     try:
-        params = _parse_param_args(args.params)
-        polytope = toric.class_to_polytope(args.family, **params)
+        polytope = toric.class_to_polytope(args.family, **parse_assignments(args.params))
     except toric.KahlerRegionError as exc:
         print(f"out of the Kähler region: {exc}", file=sys.stderr)
         return EXIT_REGION
-    except (toric.ToricError, ValueError) as exc:
+    except (toric.ToricError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGION
     print(toric.futaki_vector(polytope).render(), file=out)
@@ -201,12 +157,7 @@ def cmd_toric_scan(args, out):
     from . import toric
     loci = args.loci
     if loci is None:
-        try:
-            catalog = load_catalog(args.catalog)
-        except CatalogError as exc:
-            print(f"catalog error: {exc}", file=sys.stderr)
-            return EXIT_CATALOG
-        loci = catalog.toric_loci(args.family)
+        loci = load_catalog(args.catalog).toric_loci(args.family)
     try:
         report = toric.zero_locus_scan(args.family, args.step, loci=loci)
     except toric.ToricError as exc:
@@ -309,7 +260,12 @@ def main(argv=None, out=None):
     args = parser.parse_args(argv)
     if getattr(args, "all", False):
         args.case = None
-    return args.func(args, out)
+    try:
+        return args.func(args, out)
+    except CatalogError as exc:
+        for message in str(exc).split("\n"):
+            print(f"catalog error: {message}", file=sys.stderr)
+        return EXIT_CATALOG
 
 
 if __name__ == "__main__":

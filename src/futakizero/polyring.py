@@ -315,6 +315,7 @@ def _render_term(coeff, mono):
 _TOKEN_CHARS = set("+-*/^()")
 _DIGITS = set("0123456789")     # str.isdigit also admits digits int() refuses, such as "²"
 MAX_EXPONENT = 64       # the largest exponent of ``^``; the shipped catalog's is 5
+MAX_NESTING = 32        # the deepest ``(`` and prefix signs; the shipped catalog's is 1
 
 
 def _tokenize(text):
@@ -364,6 +365,13 @@ class _Parser:
         self.pos = 0
         self.ambient = ambient
         self.params = params
+        self.depth = 0      # open ``(`` and prefix signs: each one recurses
+
+    def nest(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} at position "
+                             f"{self.tokens[self.pos - 1][2]}")
 
     def peek(self):
         return self.tokens[self.pos]
@@ -404,7 +412,9 @@ class _Parser:
     def unary(self):
         if self.peek()[0] in "+-":
             op = self.take()[0]
+            self.nest()
             value = self.unary()
+            self.depth -= 1
             return value if op == "+" else self._neg(value)
         return self.power()
 
@@ -431,8 +441,10 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "(":
             self.take()
+            self.nest()
             value = self.expr()
             self.take(")")
+            self.depth -= 1
             return value
         if tok[0] == "int":
             self.take()

@@ -219,6 +219,17 @@ class TestFuzz:
     def test_single_character_edits_raise_only_catalog_errors(self):
         assert _escapes(_single_edit_mutants(2023, 1000)) == []
 
+    def test_single_character_edits_name_their_line(self):
+        # the record's wrapper adds the line to every error of a value parser
+        unplaced = []
+        for text in _single_edit_mutants(2023, 1000):
+            try:
+                load_catalog(text=text)
+            except CatalogError as exc:
+                if exc.line is None:
+                    unplaced.append((str(exc), text))
+        assert unplaced == []
+
     @pytest.mark.parametrize("case_id,old,new,message", [
         # the newline before ambient deleted: the line joins the aut value
         ("2.22", "\nambient", "ambient", "center without an ambient"),

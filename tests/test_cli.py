@@ -90,11 +90,29 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in out
 
+    def test_mismatch_line_renders_the_computed_verdict(self, tmp_path):
+        path = tmp_path / "mismatch.cat"
+        path.write_text('version = 1\n[case "3.9"]\nkind = semisimple_full\ntheorem = 2\n'
+                        'expected = subcone(2)\n')
+        code, out = run_cli(["--catalog", str(path), "verify", "3.9"])
+        assert code == 1
+        assert out.splitlines()[1] == "MISMATCH case=3.9 expected=subcone(2) computed=full_cone"
+
     def test_bad_catalog_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cat"
         path.write_text("version = 1\n[case \"x\"]\nnot a pair\n")
         code, _ = run_cli(["--catalog", str(path), "verify", "--all"])
         assert code == 2
+
+    @pytest.mark.parametrize("content", [None, b"version = 1\n\xff\n"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_catalog_exits_two(self, tmp_path, capsys, content):
+        # each used to end in a traceback, exit 1
+        path = tmp_path / "unreadable.cat"
+        if content is not None:
+            path.write_bytes(content)
+        assert run_cli(["--catalog", str(path), "verify", "--all"]) == (2, "")
+        assert capsys.readouterr().err.startswith(f"catalog error: cannot read {path}: ")
 
 
 class TestToric:
@@ -119,7 +137,8 @@ class TestToric:
     @pytest.mark.parametrize("params,message", [
         ("a=abc", "bad parameter value 'abc'"),
         ("a=1/0", "bad parameter value '1/0'"),
-        ("a=1, a=2", "repeated parameter 'a'")])
+        ("a=1, a=2", "repeated parameter 'a'"),
+        ("", "bad parameter assignment ''")])
     def test_bad_params_exit_three(self, capsys, params, message):
         code, out = run_cli(["toric", "futaki", "--family", "p1", "--params", params])
         assert (code, out) == (3, "")
@@ -153,8 +172,11 @@ class TestToric:
         assert "locus: classification ::" in out
 
 
-    @pytest.mark.parametrize("locus", ["a =", "a = (b", "a = 1/0", "a = 1//2", "a/b = 1",
-                                       "a = b^100000000"])
+    @pytest.mark.parametrize("locus", [
+        "a =", "a = (b", "a = 1/0", "a = 1//2", "a/b = 1", "a = b^100000000",
+        # each used to end in a RecursionError, exit 1
+        pytest.param("(" * 200 + "a" + ")" * 200 + " = b", id="deep-parentheses"),
+        pytest.param("-" * 1000 + "a = b", id="deep-signs")])
     def test_bad_locus_exits_three(self, capsys, locus):
         code, _ = run_cli(["toric", "scan", "--family", "p1xp1", "--step", "1",
                            "--loci", locus])
@@ -278,7 +300,14 @@ class TestCatalogCommand:
         ("anticanonical_params = a=2, h=3", "anticanonical_params = a=2, h=z",
          "bad parameter value 'z'"),
         ("variety = x4*x5 - x0*x2 + x1^2\n", "variety = x4*x5 - x0*x2 + x1^200000000\n",
-         "exponent 200000000 exceeds the bound 64")])
+         "exponent 200000000 exceeds the bound 64"),
+        # each used to end in a RecursionError, exit 1
+        pytest.param("variety = x4*x5 - x0*x2 + x1^2\n",
+                     "variety = x4*x5 - x0*x2 + " + "(" * 200 + "x1^2" + ")" * 200 + "\n",
+                     "record 2.20: nesting deeper than 32", id="deep-parentheses"),
+        pytest.param("variety = x4*x5 - x0*x2 + x1^2\n",
+                     "variety = x4*x5 - x0*x2 + " + "-" * 1000 + "x1^2\n",
+                     "record 2.20: nesting deeper than 32", id="deep-signs")])
     def test_bad_number_in_shipped_catalog_exits_two(self, tmp_path, capsys, old, new,
                                                      message):
         from futakizero.catalog import default_catalog_text
@@ -300,8 +329,18 @@ class TestCatalogCommand:
          "record 2.22: finite symmetry without an ambient"),
         ([("adjoint = tau : matrix(-1)", "adjoint = tau : matrix(-1;)")],
          ["catalog", "validate"], "adjoint = tau : matrix(-1;)",
-         "record 3.9: adjoint tau: ragged rows")],
-        ids=["no-ambient-center", "no-ambient-finite", "ragged-adjoint"])
+         "record 3.9: adjoint tau: ragged rows"),
+        ([("adjoint = tau : matrix(-1)", "adjoint = tau : matrix((-1)")],
+         ["catalog", "validate"], "adjoint = tau : matrix((-1)",
+         "record 3.9: unbalanced parentheses in 'matrix((-1)'"),
+        ([("anticanonical_in_families yes", "anticanonical_in_families maybe")],
+         ["verify", "5.3"], "factor = s6 : families 3, 2",
+         "record 5.3: expected yes/no, got 'maybe'"),
+        ([("anticanonical_params = a=2, h=3", "anticanonical_params = a=2, h3")],
+         ["report", "2.34"], "anticanonical_params = a=2, h3",
+         "record 2.34: bad parameter assignment ' h3'")],
+        ids=["no-ambient-center", "no-ambient-finite", "ragged-adjoint", "unbalanced-adjoint",
+             "bad-bool", "bad-assignment"])
     def test_malformed_shipped_record_exits_two(self, tmp_path, capsys, edits, argv, at,
                                                 message):
         from futakizero.catalog import default_catalog_text
@@ -315,6 +354,23 @@ class TestCatalogCommand:
         code, _ = run_cli(["--catalog", str(path), *argv])
         assert code == 2
         assert f"line {lineno}: {message}" in capsys.readouterr().err
+
+    def test_theorem_partition_stops_verify_and_report(self, tmp_path, capsys):
+        # a partition error used to surface only in catalog validate: verify
+        # and report exited 1 with a MISMATCH on 2.27
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        case = text.index('[case "2.27"]')
+        path = tmp_path / "partition.cat"
+        path.write_text(text[:case] + text[case:].replace(
+            "expected = full_cone", "expected = subcone(2)", 1))
+        finding = "2.27: theorem 1 record expects a subcone"
+        for argv in (["verify", "2.27"], ["verify", "--all"], ["report"]):
+            assert run_cli(["--catalog", str(path), *argv]) == (2, "")
+            assert capsys.readouterr().err == f"catalog error: {finding}\n"
+        code, out = run_cli(["--catalog", str(path), "catalog", "validate"])
+        assert code == 2
+        assert f"finding: {finding}\n" in out
 
     @pytest.mark.parametrize("case_id,old,new,message", [
         # a first, wrong fixed_dim used to win silently: verify exited 1 with

@@ -58,6 +58,13 @@ class TestParse:
     def test_exponent_bound_is_inclusive(self):
         assert parse_poly("x^64", P4) == parse_poly("x^32*x^032", P4)
 
+    def test_nesting_bound_is_inclusive(self):
+        # each open parenthesis and each prefix sign is one level
+        assert parse_poly("(" * 16 + "-" * 16 + "x" + ")" * 16, P4) == parse_poly("x", P4)
+        for deeper in ("(" * 33 + "x" + ")" * 33, "-" * 33 + "x", "(-" * 17 + "x" + ")" * 17):
+            with pytest.raises(ParseError, match="nesting deeper than 32"):
+                parse_poly(deeper, P4)
+
     def test_division_by_coordinate_rejected(self):
         with pytest.raises(ParseError):
             parse_poly("x/y", P4)

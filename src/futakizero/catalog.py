@@ -21,7 +21,6 @@ from fractions import Fraction
 from importlib import resources
 
 from .polyring import AmbientSpace, ParamField, PolyError, parse_equations, parse_poly
-from .ratlinalg import LinAlgError, QMatrix
 from .symmetry import (MonomialAutomorphism, ParamCurve,
                        SubvarietyPresentation, SymmetryError, TorusGenerator,
                        check_variety_invariant, torus_eigencheck)
@@ -99,7 +98,7 @@ class CaseRecord:
         self.h11_labels = h11_labels
         self.anticanonical = anticanonical
         self.torus_rank = torus_rank    # abstract records
-        self.adjoints = adjoints        # (name, QMatrix)
+        self.adjoints = adjoints        # (name, rows)
         self.fixed_dim = fixed_dim
         self.anticanonical_in_fixed = anticanonical_in_fixed
         self.product_factors = product_factors
@@ -511,11 +510,11 @@ def _parse_adjoint(value):
     if body is None or tail:
         raise CatalogError("adjoint must be name : matrix(...)")
     rows = [r.strip() for r in body.split(";")]
-    entries = [[_convert(x, Fraction, "matrix entry") for x in row.split()] for row in rows]
-    try:
-        return (name.strip(), QMatrix.from_rows(entries))
-    except LinAlgError as exc:
-        raise CatalogError(f"adjoint {name.strip()}: {exc}") from exc
+    entries = tuple(tuple(_convert(x, Fraction, "matrix entry") for x in row.split())
+                    for row in rows)
+    if any(len(row) != len(entries[0]) for row in entries):
+        raise CatalogError(f"adjoint {name.strip()}: ragged rows")
+    return (name.strip(), entries)
 
 
 def _parse_factor(value):
@@ -586,6 +585,7 @@ def validate_case(record):
     elif record.kind == "product":
         findings.extend(_validate_product(record))
     findings.extend(_validate_loci(record))
+    findings.extend(_validate_anticanonical_params(record))
     if record.kind in ("polynomial", "toric-crosscheck"):
         expected_labels = record.ambient.nfactors + len(record.centers)
         if len(record.h11_labels) != expected_labels:
@@ -657,7 +657,7 @@ def _validate_abstract(record):
         findings.append("abstract record needs torus_rank and fixed_dim")
         return findings
     for name, m in record.adjoints:
-        if m.rows != record.torus_rank or m.cols != record.torus_rank:
+        if len(m) != record.torus_rank or len(m[0]) != record.torus_rank:
             findings.append(f"adjoint {name} is not {record.torus_rank}x"
                             f"{record.torus_rank}")
     if record.h11_labels and record.fixed_dim > len(record.h11_labels):
@@ -694,6 +694,23 @@ def _validate_loci(record):
             except PolyError as exc:
                 findings.append(f"bad locus equation {eq!r} on {name}: {exc}")
     return findings
+
+
+def _validate_anticanonical_params(record):
+    """The anticanonical point must name exactly the parameters of the
+    record's toric family; whether it lies in the Kähler region is a claim
+    that evaluation checks."""
+    names = sorted(record.anticanonical_params)
+    if not names:
+        return []
+    if not record.toric_family:
+        return ["anticanonical_params without a toric_family"]
+    from .toric import FAMILIES
+    family = FAMILIES.get(record.toric_family)
+    if family is None or names == sorted(family.param_names):
+        return []       # an unknown family is reported by _validate_loci
+    return [f"anticanonical_params names {names} != {record.toric_family} "
+            f"parameters {sorted(family.param_names)}"]
 
 
 def validate_catalog(catalog):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .ratlinalg import QMatrix, in_column_span, intersect_kernels
+from .ratlinalg import in_column_span, kernel_basis, minus_identity
 from .symmetry import (CenterMatchError, adjoint_matrix, AdjointUnsolvable,
                        check_variety_invariant, match_centers)
 
@@ -34,8 +34,8 @@ class SymmetryConstraint:
 
     def __init__(self, name, adjoint, h11_matrix):
         self.name = name
-        self.adjoint = adjoint          # QMatrix, AdjointUnsolvable, or None (rank 0)
-        self.h11_matrix = h11_matrix    # QMatrix permutation or None (abstract records)
+        self.adjoint = adjoint          # rows, AdjointUnsolvable, or None (rank 0)
+        self.h11_matrix = h11_matrix    # permutation rows or None (abstract records)
 
     def usable(self):
         return not isinstance(self.adjoint, AdjointUnsolvable)
@@ -46,8 +46,8 @@ class ConstraintSystem:
 
     def __init__(self, torus_rank, picard_rank, constraints):
         for c in constraints:
-            if isinstance(c.adjoint, QMatrix) and (
-                    c.adjoint.rows != torus_rank or c.adjoint.cols != torus_rank):
+            if c.adjoint is not None and c.usable() and (len(c.adjoint) != torus_rank or any(
+                    len(row) != torus_rank for row in c.adjoint)):
                 raise CharacterError(f"adjoint matrix of {c.name} has the wrong size")
             if c.h11_matrix is not None and not _is_permutation(c.h11_matrix):
                 raise CharacterError(f"H11 action of {c.name} is not a permutation matrix")
@@ -56,33 +56,25 @@ class ConstraintSystem:
         self.constraints = constraints  # SymmetryConstraint per finite symmetry
 
 
-def _is_permutation(m):
-    if m.rows != m.cols:
-        return False
-    for i in range(m.rows):
-        if sorted(m.row(i)) != [Fraction(0)] * (m.cols - 1) + [Fraction(1)]:
-            return False
-    for j in range(m.cols):
-        col = [m.entry(i, j) for i in range(m.rows)]
-        if sorted(col) != [Fraction(0)] * (m.rows - 1) + [Fraction(1)]:
-            return False
-    return True
+def _is_permutation(rows):
+    unit = [0] * (len(rows) - 1) + [1]
+    return all(sorted(line) == unit for line in (*rows, *zip(*rows)))
 
 
 def h11_action(tau, centers, stages=None):
-    """Permutation matrix of tau^* on the H11 basis, plus the center
+    """Permutation matrix (rows) of tau^* on the H11 basis, plus the center
     permutation; raises CenterMatchError if the centers are not permuted."""
     rho = match_centers([c for c in centers], tau, stages)
     nf = tau.ambient.nfactors
     nc = len(centers)
     size = nf + nc
-    entries = [[Fraction(0)] * size for _ in range(size)]
+    entries = [[0] * size for _ in range(size)]
     delta = tau.factor_map
     for g in range(nf):
-        entries[delta[g]][g] = Fraction(1)      # tau^* h_g = h_{delta(g)}
+        entries[delta[g]][g] = 1      # tau^* h_g = h_{delta(g)}
     for i in range(nc):
-        entries[nf + i][nf + rho[i]] = Fraction(1)   # tau^* E_{rho(i)} = E_i
-    return QMatrix.from_rows(entries), rho
+        entries[nf + i][nf + rho[i]] = 1   # tau^* E_{rho(i)} = E_i
+    return tuple(map(tuple, entries)), rho
 
 
 class FixedFamily:
@@ -170,17 +162,14 @@ def _kernel_trivial(chosen, rank):
         return True
     if not chosen:
         return False
-    stacked = [c.adjoint.transpose() - QMatrix.identity(rank) for c in chosen]
-    return len(intersect_kernels(stacked)) == 0
+    return not kernel_basis([row for c in chosen for row in minus_identity(zip(*c.adjoint))])
 
 
 def _fixed_classes(chosen, picard):
     with_action = [c for c in chosen if c.h11_matrix is not None]
     if not with_action:
         return [tuple(Fraction(int(i == j)) for j in range(picard)) for i in range(picard)]
-    stacked = [c.h11_matrix - QMatrix.identity(picard) for c in with_action]
-    basis = intersect_kernels(stacked)
-    return [tuple(v) for v in basis]
+    return kernel_basis([row for c in with_action for row in minus_identity(c.h11_matrix)])
 
 
 def _dedupe_families(families):
@@ -204,8 +193,7 @@ def abstract_verdict(torus_rank, adjoints, fixed_dim, picard_rank,
     """Kernel step only; the fixed-class data is transcribed record data."""
     if not adjoints:
         return Verdict("inconclusive", diagnostics=("no adjoint data",))
-    stacked = [m.transpose() - QMatrix.identity(torus_rank) for _, m in adjoints]
-    if len(intersect_kernels(stacked)) != 0:
+    if kernel_basis([row for _, m in adjoints for row in minus_identity(zip(*m))]):
         return Verdict("inconclusive",
                        diagnostics=("recorded adjoints leave a character direction free",))
     names = tuple(n for n, _ in adjoints)
@@ -389,8 +377,11 @@ def _anticanonical_zero(record):
     if not record.toric_family or not record.anticanonical_params:
         return True, ""
     from . import toric
-    polytope = toric.class_to_polytope(record.toric_family,
-                                       **record.anticanonical_params)
+    try:
+        polytope = toric.class_to_polytope(record.toric_family,
+                                           **record.anticanonical_params)
+    except toric.KahlerRegionError as exc:
+        return False, f"anticanonical parameters outside the Kähler region: {exc}"
     vec = toric.futaki_vector(polytope)
     if vec.is_zero():
         return True, ""

@@ -5,9 +5,10 @@ Commands: ``verify [ID | --all]``, ``toric futaki --family F --params k=v``,
 ``toric scan --family F --step q``, ``catalog validate``,
 ``report [--format text|json-lines]``.  Exit status: 0 success, 1 verdict
 mismatch, 2 catalog or usage errors, 3 toric errors (out-of-region
-parameters, bad ``--params``, a bad grid step or locus equation).  ``main``
-alone turns a CatalogError, a load error or a validation finding of a
-selected record, into exit 2.  Records are evaluated by
+parameters, bad ``--params``, a bad grid step or locus equation, a scan
+with no grid point in the Kähler region).  ``main`` alone turns a
+CatalogError, a load error or a validation finding of a selected record,
+into exit 2.  Records are evaluated by
 ``character.evaluate_record``, one after another in catalog order; this
 module holds no evaluation policy.
 """
@@ -72,9 +73,10 @@ def cmd_verify(args, out):
             fields = verdict_json_fields(res.record.id, res.verdict, audit)
             fields.append(("expected", expected))
             fields.append(("consistent", res.consistent))
+            fields.append(("detail", res.detail or None))
             print(json.dumps(dict(fields)), file=out)
-        else:
-            print(verdict_line(res.record.id, res.verdict, audit), file=out)
+            continue
+        print(verdict_line(res.record.id, res.verdict, audit), file=out)
         if not res.consistent:
             computed = _verdict_text(res.verdict.tag, res.verdict.fixed_dim)
             print(f"MISMATCH case={res.record.id} expected={expected} computed={computed}"
@@ -170,7 +172,8 @@ def cmd_toric_scan(args, out):
           f"{report.step}, skipped {report.skipped} out-of-region",
           file=out)
     for fit in report.loci:
-        status = "confirmed" if fit.on_locus_all_zero else "FALSIFIED"
+        status = ("untested" if fit.points_on_locus == 0
+                  else "confirmed" if fit.on_locus_all_zero else "FALSIFIED")
         print(f"locus: {fit.equation} :: {status} "
               f"({fit.points_on_locus} grid points)", file=out)
     if report.loci:

@@ -88,9 +88,6 @@ class AmbientSpace:
         except KeyError:
             raise PolyError(f"unknown coordinate {name!r}") from None
 
-    def describe(self):
-        return " x ".join(f"P{dim}" for dim, _ in self.factors)
-
 
 class ParamField:
     """Declared parameters with excluded rational values (catalog smoothness

@@ -1,18 +1,15 @@
-"""Exact dense linear algebra over Q and Q(params).
+"""Exact dense linear algebra over Q and Q(params), on plain rows.
 
-Everything is arbitrary-precision `fractions.Fraction`; no floating point is
-used anywhere.  One elimination serves both fields: it needs only the field
-operators and tests entries with ``== 0``, which a `Fraction` and a Q(params)
-`RatFunc` both answer exactly, so the polynomial span solves reuse it.
+A matrix is a sequence of rows; there is no matrix class and no floating
+point.  One elimination, ``rref``, serves both fields: it needs only the
+field operators and tests entries with ``== 0``, which a `Fraction` and a
+Q(params) `RatFunc` both answer exactly.  Every solve and kernel goes through
+it; a fixed subspace is the ``kernel_basis`` of stacked ``minus_identity`` rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-class LinAlgError(ValueError):
-    pass
 
 
 def rref(rows, ncols=None):
@@ -79,108 +76,16 @@ def solve_generic(rows, targets):
     return solutions
 
 
-class QMatrix:
-    """Immutable dense matrix of Fractions, row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(Fraction(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise LinAlgError(f"entry count {len(entries)} != {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise LinAlgError("ragged rows")
-        return cls(len(rows), ncols, [e for r in rows for e in r])
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
-    def row(self, i):
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
-
-    def row_list(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def entry(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def transpose(self):
-        return QMatrix(self.cols, self.rows,
-                       [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    def __eq__(self, other):
-        return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __add__(self, other):
-        self._check_shape(other)
-        return QMatrix(self.rows, self.cols,
-                       [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        self._check_shape(other)
-        return QMatrix(self.rows, self.cols,
-                       [a - b for a, b in zip(self.entries, other.entries)])
-
-    def _check_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise LinAlgError("shape mismatch")
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise LinAlgError("shape mismatch in product")
-        entries = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                entries.append(sum((self.entry(i, k) * other.entry(k, j)
-                                    for k in range(self.cols)), Fraction(0)))
-        return QMatrix(self.rows, other.cols, entries)
-
-    def apply(self, vector):
-        if len(vector) != self.cols:
-            raise LinAlgError("vector length mismatch")
-        return [sum((self.entry(i, k) * Fraction(vector[k]) for k in range(self.cols)),
-                    Fraction(0)) for i in range(self.rows)]
-
-    def stack(self, other):
-        if self.cols != other.cols:
-            raise LinAlgError("column mismatch in stack")
-        return QMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def rank(self):
-        _, pivots = rref(self.row_list())
-        return len(pivots)
-
-    def __repr__(self):
-        return f"QMatrix({self.row_list()!r})"
-
-
-def kernel_basis(m):
-    """Exact basis of {v : m v = 0}; empty matrix means the full space.
-
-    Vectors come back in ascending order of their free column; the first
-    nonzero entry of each is 1.
-    """
-    reduced, pivots = rref(m.row_list())
+def kernel_basis(rows):
+    """Exact basis of {v : rows v = 0}, computed on `Fraction`s so that int
+    rows never reach ``/``; no rows means no columns.  Vectors come back in
+    ascending order of their free column, each with first nonzero entry 1."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = rref(rows)
     basis = []
-    for f in (c for c in range(m.cols) if c not in pivots):
-        vec = [Fraction(0)] * m.cols
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced[r][f]
@@ -189,26 +94,10 @@ def kernel_basis(m):
     return basis
 
 
-def fixed_subspace(m):
-    """Basis of ker(m - I), the +1 eigenspace of a square matrix."""
-    if m.rows != m.cols:
-        raise LinAlgError("fixed_subspace needs a square matrix")
-    return kernel_basis(m - QMatrix.identity(m.rows))
-
-
-def solve(m, rhs):
-    """One solution of m x = rhs over Q, or None."""
-    return solve_generic(m.row_list(), [[Fraction(b) for b in rhs]])[0]
-
-
-def intersect_kernels(matrices):
-    """Kernel basis of the stacked system, i.e. the intersection of kernels."""
-    if not matrices:
-        raise LinAlgError("no matrices to intersect")
-    stacked = matrices[0]
-    for m in matrices[1:]:
-        stacked = stacked.stack(m)
-    return kernel_basis(stacked)
+def minus_identity(rows):
+    """Rows of M - I for the square matrix M given by its rows."""
+    return [tuple(x - 1 if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(rows)]
 
 
 def in_column_span(vectors, target):

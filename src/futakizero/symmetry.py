@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .parampoly import RatFunc
 from .polyring import AmbientSpace, MultiPoly, in_span, parse_poly
-from .ratlinalg import QMatrix, solve
+from .ratlinalg import kernel_basis, solve_generic
 
 
 class SymmetryError(ValueError):
@@ -173,23 +172,6 @@ class MonomialAutomorphism:
     def with_scalars(self, scalars):
         return MonomialAutomorphism(self.ambient, self.perm, tuple(scalars), self.params)
 
-    def render(self):
-        coords = self.ambient.coords
-        images = []
-        for i in range(len(coords)):
-            c = self.scalars[i]
-            name = coords[self.perm[i]]
-            if c.is_one():
-                images.append(name)
-            elif c == -1:
-                images.append(f"-{name}")
-            else:
-                body = c.render()
-                if not body.startswith("(") and (" " in body or "/" in body):
-                    body = f"({body})"
-                images.append(f"{body}*{name}")
-        return f"map({', '.join(images)})"
-
 
 def _invert(perm):
     inv = [0] * len(perm)
@@ -248,9 +230,6 @@ class ParamCurve:
                           tuple(self.coords[tau.perm[i]].scale(tau.scalars[i])
                                 for i in range(len(self.coords))))
 
-    def render(self):
-        return f"curve({', '.join(c.render() for c in self.coords)})"
-
 
 class SubvarietyPresentation:
     """Blow-up center: ideal generators, a P^1 parametrization, or both.
@@ -287,12 +266,6 @@ class Reparam:
         if not isinstance(other, Reparam):
             return NotImplemented
         return self.swap == other.swap and self.gamma == other.gamma
-
-    def describe(self):
-        base = "swap" if self.swap else "identity"
-        if self.gamma == 1:
-            return base
-        return f"{base} . scale({self.gamma})"
 
 
 class InvarianceResult:
@@ -546,9 +519,7 @@ def _curve_eigencheck(curve, v):
                 row = [Fraction(er), Fraction(es)] + [Fraction(int(g == f)) for g in range(nf)]
                 rows.append(row)
                 rhs.append(Fraction(v.weights[i]))
-    m = QMatrix.from_rows(rows)
-    solution = solve(m, rhs)
-    if solution is None:
+    if solve_generic(rows, [rhs])[0] is None:
         return EigencheckResult(False, "weights are not affine in the (r,s)-bidegree")
     return EigencheckResult(True)
 
@@ -570,22 +541,19 @@ class AdjointUnsolvable:
 
 
 def adjoint_matrix(tau, torus):
-    """A with Ad_tau(v_j) = sum_i A[i][j] v_i, solved over Q modulo one
-    constant per factor; the scalars of tau provably play no role."""
+    """Rows of A with Ad_tau(v_j) = sum_i A[i][j] v_i, solved over Q modulo
+    one constant per factor; the scalars of tau provably play no role.
+
+    One elimination checks that the canonical generators are independent,
+    and one solves for all of their permuted images."""
     if not torus:
-        return QMatrix.zero(0, 0)
-    columns = [list(v.canonical()) for v in torus]
-    basis_matrix = QMatrix.from_rows([[col[i] for col in columns]
-                                      for i in range(len(columns[0]))])
-    if basis_matrix.rank() != len(torus):
+        return ()
+    basis = [[Fraction(w) for w in weights] for weights in zip(*(v.canonical() for v in torus))]
+    if kernel_basis(basis):
         raise SymmetryError("torus generators dependent modulo per-factor constants")
-    entries = []
-    for j, v in enumerate(torus):
-        permuted = TorusGenerator(v.ambient, v.permuted(tau)).canonical()
-        coeffs = solve(basis_matrix, [Fraction(w) for w in permuted])
-        if coeffs is None:
-            return AdjointUnsolvable(j, permuted)
-        entries.append(coeffs)
-    # entries[j] holds column j
-    r = len(torus)
-    return QMatrix(r, r, [entries[j][i] for i in range(r) for j in range(r)])
+    permuted = [TorusGenerator(v.ambient, v.permuted(tau)).canonical() for v in torus]
+    columns = solve_generic(basis, [[Fraction(w) for w in p] for p in permuted])
+    for j, column in enumerate(columns):
+        if column is None:
+            return AdjointUnsolvable(j, permuted[j])
+    return tuple(zip(*columns))

@@ -693,7 +693,7 @@ class LocusFit:
 
     def __init__(self, equation, on_locus_all_zero, points_on_locus):
         self.equation = equation
-        self.on_locus_all_zero = on_locus_all_zero
+        self.on_locus_all_zero = on_locus_all_zero    # False with no point on the locus
         self.points_on_locus = points_on_locus
 
     def __eq__(self, other):
@@ -748,7 +748,8 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     (``cells.region_forms`` gives the proof).  An in-region point is built
     only when no known cell's chamber (its affine slack inequalities,
     checked on integers) contains it.  Candidate locus equations (catalog
-    data) are fitted against the computed zero set.
+    data) are fitted against the computed zero set.  A grid with no point in
+    the region is a ToricError: it would confirm nothing.
     """
     fam = FAMILIES.get(family)
     if fam is None:
@@ -772,6 +773,8 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
         grids.append(values)
     from . import cells     # the symbolic engine, loaded on first use
     points, skipped = cells.scan_grid(fam, scan_names, pinned, grids, step.denominator)
+    if not points:
+        raise ToricError(f"no grid point of {family} at step {step} lies in the Kähler region")
     fits = []
     on_some_locus = [False] * len(points)
     for eq, differences in zip(loci, equations):
@@ -784,10 +787,10 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
                 on_some_locus[i] = True
                 if not pt.zero:
                     all_zero = False
-        fits.append(LocusFit(eq, all_zero, on_count))
+        fits.append(LocusFit(eq, all_zero and on_count > 0, on_count))
     covered = (all(on_some_locus[i] for i, pt in enumerate(points) if pt.zero)
                if loci else True)
-    zero_everywhere = bool(points) and all(pt.zero for pt in points)
+    zero_everywhere = all(pt.zero for pt in points)
     return ScanReport(family, step, tuple(points), skipped, tuple(fits), covered,
                       zero_everywhere)
 

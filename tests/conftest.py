@@ -81,3 +81,12 @@ def random_automorphism(rng, ambient, params=None):
     scalars = tuple(params.const(random_fraction(rng, allow_zero=False))
                     for _ in perm)
     return MonomialAutomorphism(ambient, tuple(perm), scalars, params)
+
+
+def matmul(a, b):
+    """Product of two matrices given by their rows, as row tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))

@@ -64,7 +64,7 @@ class TestVerify:
         monkeypatch.setattr(toric.ToricFamily, "build",
                             counted("build", toric.ToricFamily.build))
         assert main(["verify", "--all"], out=io.StringIO()) == 0
-        assert counts == {"rref": 194, "in_span": 81, "build": 6}
+        assert counts == {"rref": 188, "in_span": 81, "build": 6}
 
     def test_json_lines_stream(self):
         code, out = run_cli(["verify", "2.24", "--format", "json-lines"])
@@ -73,6 +73,20 @@ class TestVerify:
         assert list(row)[:4] == ["case", "verdict", "fixed_dim", "certificate"]
         assert row["case"] == "2.24"
         assert row["consistent"] is True
+
+    def test_json_lines_mismatch_stays_json(self, tmp_path):
+        # a MISMATCH text line used to follow the object of a mismatched record
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        case = text.index('[case "3.9"]')
+        path = tmp_path / "mismatch.cat"
+        path.write_text(text[:case] + text[case:].replace(
+            "expected = subcone(2)", "expected = subcone(3)", 1))
+        code, out = run_cli(["--catalog", str(path), "verify", "--all", "--format", "json-lines"])
+        assert code == 1
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 34 and all(list(row)[-1] == "detail" for row in rows)
+        assert [row["case"] for row in rows if not row["consistent"]] == ["3.9"]
 
     def test_mismatch_exits_one(self, tmp_path, catalog):
         from futakizero.catalog import default_catalog_text
@@ -153,6 +167,20 @@ class TestToric:
         assert any(l.startswith("locus: c = 3 - a - b :: confirmed") for l in lines)
         assert any(l.startswith("locus: a = b = c :: confirmed") for l in lines)
         assert any(l.startswith("locus: coverage :: exact") for l in lines)
+
+    @pytest.mark.parametrize("step", ["2", "5"])
+    def test_scan_without_region_point_exits_three(self, capsys, step):
+        # both catalog loci used to read "confirmed (0 grid points)", exit 0
+        assert run_cli(["toric", "scan", "--family", "s6", "--step", step]) == (3, "")
+        assert capsys.readouterr().err == \
+            f"error: no grid point of s6 at step {step} lies in the Kähler region\n"
+
+    def test_locus_without_grid_point_is_untested(self):
+        # used to read "confirmed (0 grid points)" and classify locus_and_more
+        code, out = run_cli(["toric", "scan", "--family", "s6", "--loci", "a = 100"])
+        assert code == 0
+        assert "locus: a = 100 :: untested (0 grid points)\n" in out
+        assert out.endswith("locus: classification :: off_locus\n")
 
     def test_bad_step_is_usage_error(self, capsys):
         for step in ("abc", "1/0"):
@@ -354,6 +382,45 @@ class TestCatalogCommand:
         code, _ = run_cli(["--catalog", str(path), *argv])
         assert code == 2
         assert f"line {lineno}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,finding", [
+        ("anticanonical_params = a=2, h=3", "anticanonical_params = a=2",
+         "anticanonical_params names ['a'] != p1xp2 parameters ['a', 'h']"),
+        ("anticanonical_params = a=2, h=3", "anticanonical_params = a=2, h=3, q=1",
+         "anticanonical_params names ['a', 'h', 'q'] != p1xp2 parameters ['a', 'h']"),
+        ("toric_family = p1xp2\n", "", "anticanonical_params without a toric_family")],
+        ids=["missing-name", "extra-name", "no-family"])
+    def test_anticanonical_names_exit_two(self, tmp_path, capsys, old, new, finding):
+        # the names used to pass catalog validate; verify and report then ended
+        # in a ToricError traceback, exit 1
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        assert old in text
+        path = tmp_path / "anticanonical.cat"
+        path.write_text(text.replace(old, new, 1))
+        code, out = run_cli(["--catalog", str(path), "catalog", "validate"])
+        assert code == 2
+        assert f"finding: 2.34: {finding}\n" in out
+        for argv in (["verify", "2.34"], ["verify", "--all"], ["report"]):
+            assert run_cli(["--catalog", str(path), *argv]) == (2, "")
+            assert capsys.readouterr().err == f"catalog error: 2.34: {finding}\n"
+
+    def test_anticanonical_point_outside_region_is_a_mismatch(self, tmp_path):
+        # used to pass catalog validate, then end in a KahlerRegionError
+        # traceback, exit 1
+        from futakizero.catalog import default_catalog_text
+        path = tmp_path / "anticanonical.cat"
+        path.write_text(default_catalog_text().replace(
+            "anticanonical_params = a=2, h=3", "anticanonical_params = a=0, h=3", 1))
+        assert run_cli(["--catalog", str(path), "catalog", "validate"]) == \
+            (0, "catalog OK: 34 records, 0 findings\n")
+        code, out = run_cli(["--catalog", str(path), "verify", "2.34"])
+        assert code == 1
+        assert out.splitlines()[1].startswith(
+            "MISMATCH case=2.34 expected=full_cone computed=full_cone anticanonical "
+            "parameters outside the Kähler region: ")
+        for argv in (["verify", "--all"], ["report"]):
+            assert run_cli(["--catalog", str(path), *argv])[0] == 1
 
     def test_theorem_partition_stops_verify_and_report(self, tmp_path, capsys):
         # a partition error used to surface only in catalog validate: verify

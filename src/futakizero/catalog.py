@@ -13,6 +13,10 @@ inside a record: ``_build_record`` alone adds the record and the line, the
 value parsers raise bare errors.  ``validate_case`` holds every per-record
 rule, the theorem partition included, so ``verify``, ``report`` and
 ``catalog validate`` apply the same ones.
+
+``load_catalog(case=...)`` checks the line structure of the whole file but
+builds only the records that a single-record command selects: no verdict of
+one record reads another, so the keys and values of the others go unparsed.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ FAMILY_LIST = (
 EXCEPTION_FAMILIES = ("3.9", "3.13", "3.19", "3.20", "4.2", "4.4", "4.7", "5.3")
 
 KINDS = ("polynomial", "abstract", "product", "semisimple_full", "toric-crosscheck")
+
+
+def family_of(case_id):
+    """The family of a record id: ``3.10`` for ``3.10-a``."""
+    return case_id.split("-")[0]
 
 
 class CatalogError(ValueError):
@@ -111,7 +120,7 @@ class CaseRecord:
 
     @property
     def family(self):
-        return self.id.split("-")[0]
+        return family_of(self.id)
 
     def invariances(self):
         """The InvarianceResult of each finite symmetry on the variety, in
@@ -135,8 +144,8 @@ class Catalog:
 
     def __init__(self, version, records, segments):
         self.version = version
-        self.records = records
-        self.segments = segments        # render stream
+        self.records = records          # the built records: all, or those a case selects
+        self.segments = segments        # render stream of the whole file
 
     def by_id(self, case_id):
         for r in self.records:
@@ -181,8 +190,11 @@ def default_catalog_text():
     return resources.files("futakizero.data").joinpath("catalog.cat").read_text("utf-8")
 
 
-def load_catalog(path=None, text=None):
-    """Parse and fully resolve a catalog; grammar errors carry line numbers."""
+def load_catalog(path=None, text=None, case=None):
+    """Parse a catalog; grammar errors carry line numbers.  The structure of
+    every line is checked (the version line, headers, duplicate ids, the
+    ``key = value`` form), but records are built from their values only if
+    ``case`` is None or names their id or family: ``records`` may be empty."""
     if text is None:
         if path is None:
             text = default_catalog_text()
@@ -236,7 +248,8 @@ def load_catalog(path=None, text=None):
     if not raw_records:
         raise CatalogError("catalog has no records")
     records = tuple(_build_record(case_id, header_line, entries)
-                    for case_id, header_line, entries in raw_records)
+                    for case_id, header_line, entries in raw_records
+                    if case is None or case in (case_id, family_of(case_id)))
     return Catalog(version, records, tuple(segments))
 
 

@@ -188,8 +188,7 @@ def _dedupe_families(families):
 # abstract records and products
 # ---------------------------------------------------------------------------
 
-def abstract_verdict(torus_rank, adjoints, fixed_dim, picard_rank,
-                     anticanonical_in_fixed):
+def abstract_verdict(adjoints, fixed_dim, picard_rank, anticanonical_in_fixed):
     """Kernel step only; the fixed-class data is transcribed record data."""
     if not adjoints:
         return Verdict("inconclusive", diagnostics=("no adjoint data",))
@@ -355,7 +354,7 @@ def evaluate_record(record):
         verdict = analyze_polynomial_case(record).verdict
     elif record.kind == "abstract":
         verdict = abstract_verdict(
-            record.torus_rank, record.adjoints, record.fixed_dim,
+            record.adjoints, record.fixed_dim,
             len(record.h11_labels) if record.h11_labels else record.fixed_dim + 1,
             record.anticanonical_in_fixed)
     else:   # the kind left: a semisimple symmetry algebra, which every character kills

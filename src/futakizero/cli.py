@@ -8,9 +8,11 @@ mismatch, 2 catalog or usage errors, 3 toric errors (out-of-region
 parameters, bad ``--params``, a bad grid step or locus equation, a scan
 with no grid point in the Kähler region).  ``main`` alone turns a
 CatalogError, a load error or a validation finding of a selected record,
-into exit 2.  Records are evaluated by
-``character.evaluate_record``, one after another in catalog order; this
-module holds no evaluation policy.
+into exit 2.  A command naming one case loads the catalog with that case and
+so builds and validates only the records it selects; ``verify --all``,
+``report`` without a case, ``catalog validate`` and ``toric scan`` build every
+record.  Records are evaluated by ``character.evaluate_record``, one after
+another in catalog order; this module holds no evaluation policy.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import sys
 from fractions import Fraction
 
 # ``toric`` and ``cells`` load in the functions that use them, so most
-# single-record commands never compile them.  Loaded mid-run, they leave the
-# peak of `verify --all` within noise: 19.37 MB, against 19.34 MB with both
-# imported here and the classes built by ``dataclasses`` (perfbench
-# ``peak_rss_mb``, medians of 10 runs on one CPU without a bytecode cache).
+# single-record commands, which also build only the records they select,
+# never compile them.  Loaded mid-run, they leave the peak of `verify --all`
+# within noise: 19.37 MB, against 19.34 MB with both imported here and the
+# classes built by ``dataclasses`` (perfbench ``peak_rss_mb``, medians of 10
+# runs on one CPU without a bytecode cache).
 from .catalog import CatalogError, load_catalog, parse_assignments, validate_case
 from .catalog import validate_catalog
 from .character import DEFAULT_SCAN_STEP, evaluate_record, verdict_json_fields, verdict_line
@@ -45,13 +48,9 @@ EXIT_REGION = 3
 def _evaluated(args):
     """(CaseResult per selected record, number of mismatches); a CatalogError
     with one line per finding unless every selected record validates."""
-    catalog = load_catalog(args.catalog)
-    if args.case is None:
-        records = catalog.records
-    else:
-        records = [r for r in catalog.records if args.case in (r.id, r.family)]
-        if not records:
-            raise CatalogError(f"unknown family or case id {args.case!r}")
+    records = load_catalog(args.catalog, case=args.case).records
+    if not records:
+        raise CatalogError(f"unknown family or case id {args.case!r}")
     findings = [f"{r.id}: {f}" for r in records for f in validate_case(r)]
     if findings:
         raise CatalogError("\n".join(findings))

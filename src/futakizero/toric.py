@@ -616,8 +616,7 @@ class ToricFamily:
                 self.dim, [Halfspace(normal, offset) for (normal, _), offset
                            in zip(self.rows, self.offsets(values))])
         except (DegenerateError, UnboundedError) as exc:
-            raise KahlerRegionError(
-                f"parameters outside the Kähler region for {self.name}: {exc}") from exc
+            raise KahlerRegionError(f"{self.name}: {exc}") from exc
 
 
 def _interval(name):

@@ -137,14 +137,14 @@ class TestVanishingVerdict:
 class TestAbstractVerdict:
     def test_kernel_step_with_recorded_dimension(self):
         verdict = abstract_verdict(
-            1, (("tau", ((-1,),)),), 2, 3, True)
+            (("tau", ((-1,),)),), 2, 3, True)
         assert verdict.tag == "subcone"
         assert verdict.fixed_dim == 2
         assert verdict.anticanonical_in_fixed is True
 
     def test_trivial_adjoint_is_inconclusive(self):
         verdict = abstract_verdict(
-            1, (("tau", identity(1)),), 2, 3, True)
+            (("tau", identity(1)),), 2, 3, True)
         assert verdict.tag == "inconclusive"
 
 

@@ -30,6 +30,10 @@ class TestVerify:
         assert code == 2
         assert "unknown family" in capsys.readouterr().err
 
+    def test_unknown_case_id_exits_two(self, capsys):
+        assert run_cli(["verify", "9.99"]) == (2, "")
+        assert capsys.readouterr().err == "catalog error: unknown family or case id '9.99'\n"
+
     def test_exceptional_case_dimension(self):
         code, out = run_cli(["verify", "3.19"])
         assert code == 0
@@ -49,7 +53,7 @@ class TestVerify:
         # one elimination per span question, no build for a certified empty
         # grid point: 2 scans' first cells and 4 anticanonical checks
         from futakizero import polyring, ratlinalg, symmetry, toric
-        counts = {"rref": 0, "in_span": 0, "build": 0}
+        counts = {"rref": 0, "in_span": 0, "build": 0, "triangulation": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -63,8 +67,29 @@ class TestVerify:
             monkeypatch.setattr(module, "in_span", in_span)
         monkeypatch.setattr(toric.ToricFamily, "build",
                             counted("build", toric.ToricFamily.build))
+        # the integrals of a polytope are computed once: 6 numeric polytopes
+        # and 2 symbolic cells, though cells.numerators asks twice per cell
+        monkeypatch.setattr(toric, "_solid_route_triangulation",
+                            counted("triangulation", toric._solid_route_triangulation))
         assert main(["verify", "--all"], out=io.StringIO()) == 0
-        assert counts == {"rref": 188, "in_span": 81, "build": 6}
+        assert counts == {"rref": 188, "in_span": 81, "build": 6, "triangulation": 8}
+
+    @pytest.mark.parametrize("argv,built", [
+        (["verify", "2.20"], 1), (["report", "3.10-a"], 1), (["verify", "3.10"], 2),
+        (["verify", "--all"], 34), (["report"], 34), (["catalog", "validate"], 34)])
+    def test_records_built_per_command(self, monkeypatch, argv, built):
+        # a command naming a case builds only the records it selects
+        from futakizero import catalog
+        real = catalog._build_record
+        ids = []
+
+        def counted(case_id, *args):
+            ids.append(case_id)
+            return real(case_id, *args)
+
+        monkeypatch.setattr(catalog, "_build_record", counted)
+        assert main(argv, out=io.StringIO()) == 0
+        assert len(ids) == built
 
     def test_json_lines_stream(self):
         code, out = run_cli(["verify", "2.24", "--format", "json-lines"])
@@ -147,6 +172,12 @@ class TestToric:
                            "--params", "a=2,b=2,c=2"])
         assert code == 3
         assert "region" in capsys.readouterr().err
+
+    def test_out_of_region_names_the_region_once(self, capsys):
+        assert run_cli(["toric", "futaki", "--family", "s6", "--params", "a=2,b=2,c=2"]) == \
+            (3, "")
+        assert capsys.readouterr().err == \
+            "out of the Kähler region: s6: lower-dimensional input\n"
 
     @pytest.mark.parametrize("params,message", [
         ("a=abc", "bad parameter value 'abc'"),
@@ -404,6 +435,39 @@ class TestCatalogCommand:
         for argv in (["verify", "2.34"], ["verify", "--all"], ["report"]):
             assert run_cli(["--catalog", str(path), *argv]) == (2, "")
             assert capsys.readouterr().err == f"catalog error: 2.34: {finding}\n"
+
+    def test_single_record_command_skips_other_records_values(self, tmp_path, capsys):
+        # verify 2.20 reads no value of 3.9; the commands that build every
+        # record still stop on it
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        old = "adjoint = tau : matrix(-1)"
+        lineno = text[:text.index(old)].count("\n") + 1
+        path = tmp_path / "ragged.cat"
+        path.write_text(text.replace(old, "adjoint = tau : matrix(-1;)", 1))
+        shipped = run_cli(["verify", "2.20"])
+        assert shipped[0] == 0
+        assert run_cli(["--catalog", str(path), "verify", "2.20"]) == shipped
+        assert capsys.readouterr().err == ""
+        for argv in (["catalog", "validate"], ["verify", "--all"], ["report"]):
+            assert run_cli(["--catalog", str(path), *argv]) == (2, "")
+            assert capsys.readouterr().err == \
+                f"catalog error: line {lineno}: record 3.9: adjoint tau: ragged rows\n"
+
+    @pytest.mark.parametrize("old,new,message", [
+        ('[case "3.9"]', '[case "2.20"]', "duplicate id '2.20'"),
+        ('[case "2.20"]', 'kind = polynomial\n[case "2.20"]', "key 'kind' outside any record"),
+        ("version = 1\n", "", "missing version line (empty catalog?)")],
+        ids=["duplicate-header", "key-outside-record", "no-version"])
+    def test_file_structure_stops_single_record_command(self, tmp_path, capsys, old, new,
+                                                        message):
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        assert old in text
+        path = tmp_path / "structure.cat"
+        path.write_text(text.replace(old, new, 1))
+        assert run_cli(["--catalog", str(path), "verify", "2.20"]) == (2, "")
+        assert message in capsys.readouterr().err
 
     def test_anticanonical_point_outside_region_is_a_mismatch(self, tmp_path):
         # used to pass catalog validate, then end in a KahlerRegionError

@@ -22,7 +22,8 @@ that runs no scan never loads it.
 
 from __future__ import annotations
 
-from itertools import product
+from bisect import bisect_left, bisect_right
+from itertools import groupby, product
 from math import gcd, prod
 from operator import mul
 
@@ -52,23 +53,15 @@ class _CellPolytope(toric.Polytope):
         return -x if x.evaluate(self.sample) < 0 else x
 
 
-def numerators(fam, polytope, tight, params, scan_names):
-    """N_i = sigma-moment_i * volume - moment_i * sigma-mass over Q[scan_names]
-    on the cell of ``polytope``, the cell's sample, built at ``params`` with
-    ``tight`` the facets tight at each of its vertices.
+def numerators(fam, polytope, solved, sample):
+    """N_i = sigma-moment_i * volume - moment_i * sigma-mass over Q[scan
+    names] on the cell of ``polytope``, the cell's point ``sample`` (scan
+    name -> value), from its ``solved`` vertices and offsets (see
+    ``cell_vertices``).
 
     Both route pairs must agree as polynomials, and the numerators must agree
-    with the numeric Futaki vector at the sample.
-
-    None when a vertex's other tight facets are not tight identically in the
-    parameters: the cell is then a slice of parameter space (such as c = 4
-    for a box cut by x + y + z <= c through its edge), where no polynomial
-    identity holds, and each of its points is tested numerically."""
-    solved = _vertices(fam, polytope, tight, params, scan_names)
-    if solved is None:
-        return None
+    with the numeric Futaki vector at the sample."""
     vertices, offsets = solved
-    sample = {n: params[n] for n in scan_names}
     cell = _CellPolytope(polytope.dim, [_SymbolicFacet(h.normal, c) for h, c
                                         in zip(polytope.halfspaces, offsets)],
                          vertices, polytope.facet_cycles, sample)
@@ -82,11 +75,11 @@ def numerators(fam, polytope, tight, params, scan_names):
     return result
 
 
-def slack_forms(fam, polytope, tight, params, scan_names):
-    """The chamber of the cell of ``polytope`` (arguments as for
-    ``numerators``): ``offset_f - n_f . v`` over Q[scan_names] for each vertex
-    v and each facet f not tight at v.  None when some vertex lies on more
-    than ``dim`` facets.
+def slack_forms(polytope, tight, solved):
+    """The chamber of the cell of ``polytope``, with ``tight`` the facets
+    tight at each vertex and ``solved`` as for ``numerators``:
+    ``offset_f - n_f . v`` for each vertex v and each facet f not tight at v.
+    None when some vertex lies on more than ``dim`` facets.
 
     Where every form is positive, each vertex of the cell is a feasible simple
     vertex and every edge from it ends at another vertex of the cell, so by
@@ -95,18 +88,25 @@ def slack_forms(fam, polytope, tight, params, scan_names):
     this cell."""
     if any(len(on) != polytope.dim for on in tight):
         return None
-    vertices, offsets = _vertices(fam, polytope, tight, params, scan_names)
+    vertices, offsets = solved
     normals = [h.normal for h in polytope.halfspaces]
     return [offsets[f] - sum(n * x for n, x in zip(normals[f], v))
             for on, v in zip(tight, vertices) for f in range(len(normals)) if f not in on]
 
 
-def _vertices(fam, polytope, tight, params, scan_names):
-    """(vertices, facet offsets) of the cell over Q[scan_names], or None on a
-    slice.  Each vertex is solved, with the integer adjugate of a nonsingular
-    subset of its tight facets, against the affine offsets; pinned parameters
-    enter as constants.  Every offset is a PPoly, constant ones too, so that
-    both integral routes give PPoly even with every parameter pinned."""
+def cell_vertices(fam, polytope, tight, params, scan_names):
+    """(vertices, facet offsets) over Q[scan_names] of the cell of
+    ``polytope``, built at ``params`` with ``tight`` the facets tight at each
+    of its vertices.  Each vertex is solved, with the integer adjugate of a
+    nonsingular subset of its tight facets, against the affine offsets;
+    pinned parameters enter as constants.  Every offset is a PPoly, constant
+    ones too, so that both integral routes give PPoly even with every
+    parameter pinned.
+
+    None when a vertex's other tight facets are not tight identically in the
+    parameters: the cell is then a slice of parameter space (such as c = 4
+    for a box cut by x + y + z <= c through its edge), where no polynomial
+    identity holds, and each of its points is tested numerically."""
     names = tuple(scan_names)
     zero = PPoly.zero(names)
     symbols = {n: PPoly.var(names, n) if n in names else params[n] for n in fam.param_names}
@@ -131,45 +131,59 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
 
     ``grids`` holds the values of each scanned parameter, all multiples of
     1/``denominator``; a point is handled as the integer numerators of its
-    values over that denominator.  A point where a region form is at most 0
-    (see ``region_forms``) is outside the Kähler region, and is skipped
-    without a build.  A point in the chamber of a known cell is evaluated with
-    the cell's numerators and no build (see ``slack_forms``).  Any other point
-    is in the region and is built: it opens a new cell or joins a cell
-    without a chamber (a slice, or one with a non-simple vertex)."""
-    # grid values are positive, so a form with no negative integer is
-    # positive at every point unless it is 0
-    region = [(c, k) for c, k in region_forms(fam, pinned, scan_names, denominator)
-              if min((c, *k)) < 0 or not any((c, *k))]
-    integer_grids = [[v.numerator * (denominator // v.denominator) for v in grid]
-                     for grid in grids]
+    values over that denominator.  The grid is swept one line at a time: a
+    line fixes every scanned coordinate but the last, x.  On a line each
+    affine form is positive on one interval of x, so the region forms (see
+    ``region_forms``) give the line's in-region points at once, and the
+    others are counted as skipped without a test or a build; each known
+    chamber (see ``slack_forms``) is an interval too.  A point in a chamber
+    is decided by the cell's numerators, each one integer polynomial in x
+    on the line, evaluated by Horner's rule.  Any other in-region point is
+    built: it opens a new cell or joins a cell without a chamber (a slice,
+    or one with a non-simple vertex)."""
+    region = region_forms(fam, pinned, scan_names, denominator)
+    integer_grids = [_grid_integers(grid, denominator) for grid in grids]
+    # a grid of no coordinates is one line of one point, whose placeholder
+    # last coordinate every zip with the names or the forms drops
+    *head_grids, last_grid = grids or [[None]]
+    *head_integers, last = integer_grids or [[0]]
+    bounds = (last[0], last[-1]) if last else (1, 0)
     cells = {}          # cell key -> integer numerator forms, None on a slice
-    chambers = []       # (integer slack forms, integer numerator forms) per chamber
+    chambers = []       # (integer slack forms, cell key) per chamber
     points = []
     skipped = 0
-    for values, m in zip(product(*grids), product(*integer_grids)):
-        if not all(_positive(r, m) for r in region):
-            skipped += 1
-            continue
-        forms = next((forms for slacks, forms in chambers
-                      if all(_positive(s, m) for s in slacks)), None)
-        if forms is None:
-            params = dict(pinned, **dict(zip(scan_names, values)))
-            polytope = fam.build(**params)
-            tight = _tight_sets(polytope)
-            key = frozenset(tight)
-            if key not in cells:
-                nums = numerators(fam, polytope, tight, params, scan_names)
-                cells[key] = None
-                if nums is not None:
-                    cells[key] = [_integer_form(n, denominator) for n in nums]
-                    slacks = slack_forms(fam, polytope, tight, params, scan_names)
-                    if slacks is not None:
-                        chambers.append((_affine_forms(slacks, denominator), cells[key]))
-            forms = cells[key]
-        zero = (toric.futaki_vector(polytope).is_zero() if forms is None
-                else all(_value(form, m) == 0 for form in forms))
-        points.append(toric.ScanPoint(tuple(zip(scan_names, values)), zero))
+    for head, h in zip(product(*head_grids), product(*head_integers)):
+        lo, hi = _line_interval(region, h, bounds)
+        first, stop = bisect_left(last, lo), bisect_right(last, hi)
+        skipped += len(last) - max(stop - first, 0)
+        intervals = [(_line_interval(slacks, h, bounds), key) for slacks, key in chambers]
+        polys = {}      # cell key -> its numerators on this line
+        for value, x in zip(last_grid[first:stop], last[first:stop]):
+            values = (*head, value)
+            key = next((key for (c_lo, c_hi), key in intervals if c_lo <= x <= c_hi), None)
+            if key is None:
+                params = dict(pinned, **dict(zip(scan_names, values)))
+                polytope = fam.build(**params)
+                tight = _tight_sets(polytope)
+                key = frozenset(tight)
+                if key not in cells:
+                    cells[key] = None
+                    solved = cell_vertices(fam, polytope, tight, params, scan_names)
+                    if solved is not None:
+                        nums = numerators(fam, polytope, solved,
+                                          {n: params[n] for n in scan_names})
+                        cells[key] = [_integer_form(n, denominator) for n in nums]
+                        slacks = slack_forms(polytope, tight, solved)
+                        if slacks is not None:
+                            chambers.append((_affine_forms(slacks, denominator), key))
+                            intervals.append((_line_interval(chambers[-1][0], h, bounds), key))
+            if cells[key] is None:
+                zero = toric.futaki_vector(polytope).is_zero()
+            else:
+                if key not in polys:
+                    polys[key] = [_on_line(form, h) for form in cells[key]]
+                zero = not any(_horner(p, x) for p in polys[key])
+            points.append(toric.ScanPoint(tuple(zip(scan_names, values)), zero))
     return points, skipped
 
 
@@ -214,12 +228,13 @@ def region_forms(fam, pinned, scan_names, denominator):
                           for lam in sorted(circuits)], denominator)
 
 
-def locus_test(differences, pinned, denominator):
-    """Whether the scanned values of a grid point, all multiples of
-    1/``denominator``, satisfy the locus equation whose sides differ by
-    ``differences`` (PPoly in the family's parameters).  The pinned values
-    are substituted once; each point is then tested on integers, at the
-    numerators of its values over ``denominator``."""
+def on_locus(differences, pinned, denominator, points):
+    """Whether each ScanPoint of ``points`` (in lexicographic order, all
+    values multiples of 1/``denominator``) satisfies the locus equation whose
+    sides differ by ``differences`` (PPoly in the family's parameters).  The
+    pinned values are substituted once; each difference then becomes one
+    integer polynomial in the last coordinate per line of the grid, and each
+    point is tested at the numerator of its last value by Horner's rule."""
     forms = []
     for d in differences:
         scanned = tuple(n for n in d.names if n not in pinned)
@@ -231,11 +246,20 @@ def locus_test(differences, pinned, denominator):
             key = tuple(e for n, e in zip(d.names, expo) if n not in pinned)
             terms[key] = terms.get(key, 0) + c
         forms.append(_integer_form(PPoly(scanned, terms), denominator))
+    result = []
+    for head, line in groupby(points, key=lambda pt: pt.values[:-1]):
+        polys = [_on_line(form, _grid_integers((v for _, v in head), denominator))
+                 for form in forms]
+        for pt in line:
+            # with no scanned coordinate every poly is a constant: any x serves
+            x, = _grid_integers((v for _, v in pt.values[-1:]), denominator) or [0]
+            result.append(not any(_horner(p, x) for p in polys))
+    return result
 
-    def on_locus(values):
-        m = [v.numerator * (denominator // v.denominator) for _, v in values]
-        return all(_value(form, m) == 0 for form in forms)
-    return on_locus
+
+def _grid_integers(values, denominator):
+    """The numerators over ``denominator`` of grid values."""
+    return [v.numerator * (denominator // v.denominator) for v in values]
 
 
 def _integer_form(poly, denominator):
@@ -263,13 +287,43 @@ def _affine_forms(slacks, denominator):
     return list(forms)
 
 
-def _positive(form, m):
-    const, coeffs = form
-    return const + sum(map(mul, coeffs, m)) > 0
+def _line_interval(forms, head, bounds):
+    """The interval (lo, hi) of the last coordinate x, within ``bounds``, on
+    which every affine form of ``forms`` is positive on the line whose other
+    coordinates are ``head``; lo > hi when it is empty.  On the line a form
+    is c + k*x, positive for x >= -((c - 1) // k) when k > 0 and for
+    x <= (c - 1) // -k when k < 0."""
+    lo, hi = bounds
+    for const, coeffs in forms:
+        c = const + sum(map(mul, coeffs, head))
+        k = coeffs[-1] if coeffs else 0
+        if k > 0:
+            lo = max(lo, -((c - 1) // k))
+        elif k < 0:
+            hi = min(hi, (c - 1) // -k)
+        elif c <= 0:
+            return bounds[1], bounds[0] - 1
+    return lo, hi
 
 
-def _value(form, m):
-    return sum(c * prod(map(pow, m, e)) for c, e in form)
+def _on_line(form, head):
+    """The coefficients, highest power first, of the integer polynomial
+    ``form`` in the last coordinate on the line whose other coordinates are
+    ``head``."""
+    coeffs = {}
+    for c, e in form:
+        d = e[-1] if e else 0
+        coeffs[d] = coeffs.get(d, 0) + c * prod(map(pow, head, e))
+    return [coeffs.get(d, 0) for d in range(max(coeffs, default=0), -1, -1)]
+
+
+def _horner(coeffs, x):
+    """The polynomial of ``coeffs`` (highest power first) at x, by Horner's
+    rule (Knuth, The Art of Computer Programming, vol. 2, section 4.6.4)."""
+    total = 0
+    for c in coeffs:
+        total = total * x + c
+    return total
 
 
 def _tight_sets(polytope):

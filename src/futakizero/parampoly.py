@@ -1,9 +1,10 @@
 """Exact arithmetic in the fraction field Q(params).
 
 Coefficients of multihomogeneous polynomials, scalars of monomial maps and
-span-solve results all live in Q(a, s, t, ...).  Elements are kept as reduced
-ratios of integer-coefficient polynomials so that printed forms are canonical
-and golden tests stay byte-stable.  A polynomial of Q[params] is itself kept
+span-solve results all live in Q(a, s, t, ...).  A constant element is a
+reduced Fraction and any other a reduced ratio of integer-coefficient
+polynomials (``RatFunc``), so that printed forms are canonical and golden
+tests stay byte-stable.  A polynomial of Q[params] is itself kept
 as integer coefficients over one denominator, so that its arithmetic runs on
 Python ints (Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
 ch. 2).
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 
 
@@ -394,16 +394,19 @@ def _positive_primitive(p):
 
 
 class RatFunc:
-    """Reduced ratio of integer-coefficient PPoly; denominator lex-leading
-    coefficient positive, gcd(num, den) = 1, joint integer content 1.
+    """A non-constant element of Q(params): the reduced ratio num/den of two
+    integer-coefficient PPoly, with gcd(num, den) = 1, joint integer content
+    1 and a positive lex-leading coefficient of den.
 
-    A constant also keeps its value, one reduced Fraction (None when not
-    constant): arithmetic on two constants runs on those values and builds
-    the canonical pair directly, with no polynomial product."""
+    A constant element of Q(params) is a plain reduced Fraction, never a
+    RatFunc: ``RatFunc(num, den)``, and so every operator, returns the
+    Fraction when the reduced ratio is constant.  A field with no parameters
+    therefore computes on Fractions alone, a RatFunc is never 0, and it never
+    equals a Fraction."""
 
-    __slots__ = ("num", "den", "_value")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
+    def __new__(cls, num, den=None):
         if den is None:
             den = PPoly.const(num.names, 1)
         if den.is_zero():
@@ -411,14 +414,11 @@ class RatFunc:
         if num.names != den.names:
             raise ParamPolyError("mismatched parameter tuples")
         num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
-        self._value = (num.constant_value() / den.constant_value()
-                       if num.is_constant() and den.is_constant() else None)
-
-    @classmethod
-    def const(cls, names, value):
-        return _constant(tuple(names), Fraction(value))
+        if num.is_constant() and den.is_constant():
+            return num.constant_value() / den.constant_value()
+        r = object.__new__(cls)
+        r.num, r.den = num, den
+        return r
 
     @classmethod
     def var(cls, names, name):
@@ -428,84 +428,53 @@ class RatFunc:
     def names(self):
         return self.num.names
 
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_one(self):
-        return self._value == 1
-
-    def is_constant(self):
-        return self._value is not None
-
-    def constant_value(self):
-        if self._value is None:
-            raise ParamPolyError("not a constant rational function")
-        return self._value
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._value == other
         if not isinstance(other, RatFunc):
-            return False
-        if self._value is not None or other._value is not None:
-            return self._value == other._value and self.names == other.names
+            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # a constant equals its Fraction value, so it hashes as that value
-        if self._value is not None:
-            return hash(self._value)
         return hash((self.num, self.den))
 
-    def _binary(self, other, on_values, on_pairs):
-        """``on_values`` on two constant values, else ``on_pairs`` on the pair."""
-        other = self._coerce(other)
-        if self._value is not None and other._value is not None:
-            return _constant(self.names, on_values(self._value, other._value))
-        return on_pairs(self, other)
+    def _apply(self, other, formula):
+        """``RatFunc(*formula(a, b, c, d))`` for self = a/b and a RatFunc or
+        rational number other = c/d."""
+        if isinstance(other, RatFunc):
+            c, d = other.num, other.den
+        elif isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+            c = PPoly.const(self.names, other.numerator)
+            d = PPoly.const(self.names, other.denominator)
+        else:
+            return NotImplemented
+        return RatFunc(*formula(self.num, self.den, c, d))
 
     def __add__(self, other):
-        return self._binary(other, operator.add, lambda x, y: RatFunc(
-            x.num * y.den + y.num * x.den, x.den * y.den))
+        return self._apply(other, lambda a, b, c, d: (a * d + c * b, b * d))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, operator.sub, lambda x, y: RatFunc(
-            x.num * y.den - y.num * x.den, x.den * y.den))
+        return self._apply(other, lambda a, b, c, d: (a * d - c * b, b * d))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return self._apply(other, lambda a, b, c, d: (c * b - a * d, b * d))
 
     def __neg__(self):
-        if self._value is not None:
-            return _constant(self.names, -self._value)
-        return RatFunc(-self.num, self.den)
+        return self * -1
 
     def __mul__(self, other):
-        return self._binary(other, operator.mul, lambda x, y: RatFunc(
-            x.num * y.num, x.den * y.den))
+        return self._apply(other, lambda a, b, c, d: (a * c, b * d))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other == 0:
             raise ZeroDivisionError("division by zero rational function")
-        return self._binary(other, operator.truediv, lambda x, y: RatFunc(
-            x.num * y.den, x.den * y.num))
+        return self._apply(other, lambda a, b, c, d: (a * d, b * c))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def inverse(self):
-        return 1 / self
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _constant(self.names, Fraction(other))
-        raise TypeError(f"cannot coerce {other!r} into Q(params)")
+        return self._apply(other, lambda a, b, c, d: (c * b, d * a))
 
     def evaluate(self, values):
         den = self.den.evaluate(values)
@@ -514,8 +483,6 @@ class RatFunc:
         return self.num.evaluate(values) / den
 
     def render(self):
-        if self._value is not None:
-            return str(self._value)
         if self.den == PPoly.const(self.names, 1):
             return self.num.render()
         num = self.num.render()
@@ -528,22 +495,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.render()!r})"
-
-
-def _constant(names, value):
-    """The RatFunc of a Fraction: the canonical pair of a constant is its
-    reduced numerator over its denominator, and 0 over 1."""
-    r = object.__new__(RatFunc)
-    r.num = _integer_poly(names, value.numerator)
-    r.den = _integer_poly(names, value.denominator)
-    r._value = value
-    return r
-
-
-@lru_cache(maxsize=4096)
-def _integer_poly(names, n):
-    """The constant PPoly n; shared, as nothing mutates a PPoly."""
-    return PPoly.const(names, n)
 
 
 def _reduce(num, den):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .parampoly import RatFunc, rational_roots
+from .parampoly import PPoly, RatFunc, rational_roots
 from .ratlinalg import solve_generic
 
 
@@ -28,6 +28,10 @@ class ParseError(PolyError):
 
 class InhomogeneousError(PolyError):
     pass
+
+
+class _DivisorError(ParseError):
+    """Division by a factor that is not coordinate-free."""
 
 
 class AmbientSpace:
@@ -91,9 +95,10 @@ class AmbientSpace:
 
 class ParamField:
     """Declared parameters with excluded rational values (catalog smoothness
-    constraints such as a not in {-1, 1})."""
+    constraints such as a not in {-1, 1}).  A constant of the field is a
+    Fraction, a non-constant element a ``RatFunc``."""
 
-    __slots__ = ("names", "excluded", "_zero", "_one")
+    __slots__ = ("names", "excluded")
 
     def __init__(self, names=(), excluded=()):
         self.names = tuple(names)
@@ -102,18 +107,15 @@ class ParamField:
         for n in self.excluded:
             if n not in self.names:
                 raise PolyError(f"exclusions for undeclared parameter {n!r}")
-        # RatFunc is immutable, so each field builds its zero and one once
-        self._zero = RatFunc.const(self.names, 0)
-        self._one = RatFunc.const(self.names, 1)
 
     def zero(self):
-        return self._zero
+        return _ZERO
 
     def one(self):
-        return self._one
+        return _ONE
 
     def const(self, value):
-        return RatFunc.const(self.names, value)
+        return Fraction(value)
 
     def var(self, name):
         if name not in self.names:
@@ -123,32 +125,22 @@ class ParamField:
     def admits(self, name, value):
         return Fraction(value) not in self.excluded.get(name, ())
 
-    def sample(self, name):
-        """First admissible member of the fixed cross-check sequence."""
-        for v in _SAMPLE_SEQUENCE:
-            if self.admits(name, v):
-                return Fraction(v)
-        raise PolyError(f"no admissible sample for {name!r}")
 
-    def sample_point(self):
-        return {n: self.sample(n) for n in self.names}
-
-
-_SAMPLE_SEQUENCE = (Fraction(1, 2), Fraction(2), Fraction(3), Fraction(1, 3),
-                    Fraction(5), Fraction(1, 5), Fraction(7), Fraction(1, 7),
-                    Fraction(11), Fraction(13))
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class MultiPoly:
-    """Multihomogeneous polynomial: dict of exponent vector -> RatFunc
-    coefficient, all terms of one multidegree."""
+    """Multihomogeneous polynomial: dict of exponent vector -> nonzero
+    Q(params) coefficient (Fraction or RatFunc), all terms of one
+    multidegree."""
 
     __slots__ = ("ambient", "params", "terms")
 
     def __init__(self, ambient, params, terms, check=True):
         self.ambient = ambient
         self.params = params
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self.terms = {e: c for e, c in terms.items() if c != 0}
         if check:
             self._check_homogeneous()
 
@@ -233,16 +225,6 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.ambient, tuple(sorted(self.terms))))
 
-    def evaluate_params(self, values):
-        """Specialize the parameters, returning a MultiPoly over Q."""
-        empty = ParamField()
-        terms = {}
-        for e, c in self.terms.items():
-            v = c.evaluate(values)
-            if v != 0:
-                terms[e] = empty.const(v)
-        return MultiPoly(self.ambient, empty, terms, check=False)
-
     def substitute(self, images):
         """Ring substitution coord_i -> images[i]; images are MultiPoly on any
         shared ambient (used by pullbacks and curve plug-ins)."""
@@ -288,15 +270,14 @@ class MultiPoly:
 
 
 def _render_term(coeff, mono):
-    if coeff.is_constant():
-        v = coeff.constant_value()
+    if isinstance(coeff, Fraction):
         if not mono:
-            return str(v)
-        if v == 1:
+            return str(coeff)
+        if coeff == 1:
             return mono
-        if v == -1:
+        if coeff == -1:
             return f"-{mono}"
-        return f"{v}*{mono}"
+        return f"{coeff}*{mono}"
     if coeff.den.is_constant() and len(coeff.num.num) == 1:
         # bare monomial scalar such as a or 2*a
         body = coeff.render()
@@ -472,14 +453,14 @@ class _Parser:
     def _divide(self, a, b):
         const = _as_scalar(b)
         if const is None:
-            raise ParseError("division is only allowed by coordinate-free factors")
-        if const.is_zero():
+            raise _DivisorError("division is only allowed by coordinate-free factors")
+        if const == 0:
             raise ParseError("division by zero")
-        return a.scale(const.inverse())
+        return a.scale(1 / const)
 
 
 def _as_scalar(p):
-    """RatFunc value of a coordinate-free polynomial, else None."""
+    """Q(params) value of a coordinate-free polynomial, else None."""
     if not p.terms:
         return p.params.zero()
     if len(p.terms) != 1:     # a coordinate-free polynomial has one term at most
@@ -502,25 +483,39 @@ def parse_poly(text, ambient, params=None):
     return MultiPoly(ambient, params, raw.terms)
 
 
-# no token can name these coordinates, so every symbol of an equation must
-# be one of its parameters
-_NO_COORDINATES = AmbientSpace(((1, ("", " ")),))
-
-
 def parse_equations(text, names):
     """The differences side_k - side_0 of ``lhs = rhs [= ...]``, as PPoly in
-    ``names``.  Raises PolyError unless every side is a polynomial in them."""
+    ``names``.  Raises PolyError unless every side is a polynomial in them.
+
+    Each side is parsed with ``names`` as coordinates, so its coefficients
+    are Fractions and no RatFunc is built.  A side that divides by a
+    non-constant is parsed again over Q(names), where it is accepted if the
+    quotient reduces to a polynomial."""
     parts = text.split("=")
     if len(parts) < 2:
         raise ParseError(f"{text!r} is not an equation")
-    params = ParamField(names)
+    # no token can name the two extra coordinates
+    ambient = AmbientSpace(((len(names) + 1, (*names, "", " ")),))
     sides = []
     for part in parts:
-        value = _as_scalar(_Parser(part, _NO_COORDINATES, params).parse())
-        if not value.den.is_constant():
-            raise ParseError(f"{part.strip()!r} is not a polynomial in {', '.join(names)}")
-        sides.append(value.num / value.den.constant_value())
+        try:
+            terms = _Parser(part, ambient, ParamField()).parse().terms
+        except _DivisorError:
+            sides.append(_rational_side(part, names))
+            continue
+        sides.append(PPoly(names, {e[:len(names)]: c for e, c in terms.items()}))
     return [side - sides[0] for side in sides[1:]]
+
+
+def _rational_side(part, names):
+    """A side of ``parse_equations`` over Q(names), as a PPoly."""
+    params = ParamField(names)
+    value = _as_scalar(_Parser(part, AmbientSpace(((1, ("", " ")),)), params).parse())
+    if isinstance(value, Fraction):
+        return PPoly.const(names, value)
+    if not value.den.is_constant():
+        raise ParseError(f"{part.strip()!r} is not a polynomial in {', '.join(names)}")
+    return value.num / value.den.constant_value()
 
 
 def multidegree(p):
@@ -566,7 +561,7 @@ def _span_solution(solution):
     roots = set()
     irrational = False
     for c in solution:
-        if c.den.is_constant():
+        if isinstance(c, Fraction) or c.den.is_constant():
             continue
         rs, irr = rational_roots(c.den)
         roots.update(rs)

@@ -2,9 +2,11 @@
 
 A matrix is a sequence of rows; there is no matrix class and no floating
 point.  One elimination, ``rref``, serves both fields: it needs only the
-field operators and tests entries with ``== 0``, which a `Fraction` and a
-Q(params) `RatFunc` both answer exactly.  Every solve and kernel goes through
-it; a fixed subspace is the ``kernel_basis`` of stacked ``minus_identity`` rows.
+field operators and tests entries with ``== 0``.  An entry of Q(params) is a
+`Fraction` when constant and a non-constant `RatFunc` otherwise, so a row
+over Q(params) mixes the two, and a constant pivot divides on Fractions
+alone.  Every solve and kernel goes through it; a fixed subspace is the
+``kernel_basis`` of stacked ``minus_identity`` rows.
 """
 
 from __future__ import annotations

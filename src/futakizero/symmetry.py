@@ -72,7 +72,7 @@ class MonomialAutomorphism:
             raise SymmetryError("coordinate map is not a bijection")
         if len(scalars) != n:
             raise SymmetryError("one scalar per coordinate required")
-        if any(c.is_zero() for c in scalars):
+        if any(c == 0 for c in scalars):
             raise SymmetryError("zero scalar in monomial automorphism")
         for f in range(ambient.nfactors):
             sources = {ambient.factor_of(perm[i]) for i in ambient.block(f)}
@@ -130,7 +130,7 @@ class MonomialAutomorphism:
                 for _ in range(k):
                     coeff = coeff * self.scalars[j]
             key = tuple(new_e)
-            terms[key] = terms.get(key, p.params.const(0)) + coeff
+            terms[key] = terms.get(key, p.params.zero()) + coeff
         return MultiPoly(p.ambient, p.params, terms)
 
     def compose(self, other):
@@ -144,7 +144,7 @@ class MonomialAutomorphism:
 
     def inverse(self):
         inv = _invert(self.perm)
-        scalars = tuple(self.scalars[inv[k]].inverse() for k in range(len(inv)))
+        scalars = tuple(1 / self.scalars[inv[k]] for k in range(len(inv)))
         return MonomialAutomorphism(self.ambient, tuple(inv), scalars, self.params)
 
     def is_projective_identity(self):
@@ -159,7 +159,7 @@ class MonomialAutomorphism:
             c0 = self.scalars[block[0]]
             for i in block[1:]:
                 # c_i * x_i * (c_0 x_0) == c_0 * x_0 * (c_i x_i) reduces to c_i == c_0
-                if not (self.scalars[i] - c0).is_zero():
+                if self.scalars[i] != c0:
                     return False
         return True
 
@@ -273,7 +273,7 @@ class InvarianceResult:
 
     def __init__(self, invariant, matrix, denominator_roots, failing_index=None):
         self.invariant = invariant
-        self.matrix = matrix      # rows: in_span coefficient vectors (RatFunc)
+        self.matrix = matrix      # rows: in_span coefficient vectors over Q(params)
         self.denominator_roots = denominator_roots
         self.failing_index = failing_index
 
@@ -301,7 +301,7 @@ class Equivariance:
 
     def __init__(self, reparam, factor_scalars):
         self.reparam = reparam
-        self.factor_scalars = factor_scalars  # RatFunc per ambient factor
+        self.factor_scalars = factor_scalars  # Q(params) scalar per ambient factor
 
 
 def check_curve_equivariance(curve, tau):
@@ -326,7 +326,7 @@ def check_curve_match(source, target, tau):
 def _match_with_form(moved, target, swap):
     ambient = target.ambient
     params = target.params
-    constraints = []  # (gamma exponent, RatFunc ratio)
+    constraints = []  # (gamma exponent, Q(params) ratio)
     for f in range(ambient.nfactors):
         block = list(ambient.block(f))
         base = None
@@ -366,12 +366,12 @@ def _gamma_candidates(constraints):
     fixed = []
     for d, ratio in constraints:
         if d == 0:
-            if not (ratio - 1).is_zero():
+            if ratio != 1:
                 return []
         else:
-            if not ratio.is_constant():
+            if not isinstance(ratio, Fraction):
                 return []
-            fixed.append((d, ratio.constant_value()))
+            fixed.append((d, ratio))
     if not fixed:
         return [Fraction(1)]
     d, q = fixed[0]

@@ -777,15 +777,10 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     fits = []
     on_some_locus = [False] * len(points)
     for eq, differences in zip(loci, equations):
-        on_locus = cells.locus_test(differences, pinned, step.denominator)
-        on_count = 0
-        all_zero = True
-        for i, pt in enumerate(points):
-            if on_locus(pt.values):
-                on_count += 1
-                on_some_locus[i] = True
-                if not pt.zero:
-                    all_zero = False
+        on = cells.on_locus(differences, pinned, step.denominator, points)
+        on_count = sum(on)
+        all_zero = all(pt.zero for pt, hit in zip(points, on) if hit)
+        on_some_locus = [a or b for a, b in zip(on_some_locus, on)]
         fits.append(LocusFit(eq, all_zero and on_count > 0, on_count))
     covered = (all(on_some_locus[i] for i, pt in enumerate(points) if pt.zero)
                if loci else True)

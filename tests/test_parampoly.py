@@ -68,10 +68,9 @@ class TestRatFunc:
             if num.is_zero() or den.is_zero():
                 continue
             r = RatFunc(num, den)
-            one = RatFunc.const(("s",), 1)
-            assert r * r.inverse() == one
-            assert r + (-r) == RatFunc.const(("s",), 0)
-            assert (r + one) - one == r
+            assert r * (1 / r) == 1
+            assert r + (-r) == 0
+            assert (r + 1) - 1 == r
 
     def test_denominator_sign_normalized(self):
         r = RatFunc(upoly(1), upoly(0, -2))
@@ -80,10 +79,14 @@ class TestRatFunc:
 
     @pytest.mark.parametrize("value", [1, Fraction(-3, 4)])
     def test_constant_hashes_as_its_value(self, value):
-        for number in (value, Fraction(value)):
-            const = RatFunc.const(("a",), number)
-            assert const == number and hash(const) == hash(number)
-            assert len({const, number}) == 1 and number in {const} and const in {number}
+        # a constant element is the Fraction itself, never a RatFunc
+        a = PPoly.var(("a",), "a")
+        for const in (RatFunc(PPoly.const(("a",), value)),
+                      RatFunc(PPoly.const(("a",), 2 * value), PPoly.const(("a",), 2)),
+                      RatFunc(a.scaled(value), a), RatFunc.var(("a",), "a") * 0 + value):
+            assert type(const) is Fraction
+            assert const == value and hash(const) == hash(value)
+            assert len({const, value}) == 1 and value in {const} and const in {value}
         s = RatFunc(upoly(0, 1))
         assert len({s, RatFunc(upoly(0, 2), upoly(2))}) == 1
 
@@ -148,29 +151,41 @@ def reduce_corpus(seed, names, count):
 
 CONSTANTS = (0, 1, -1, 7, Fraction(-3, 4), Fraction(5, 2))
 
-# each operator with its general formula: polynomial products reduced by
-# RatFunc(num, den), whatever the operands
+# each operator with its general formula on (num, den) pairs, whatever the
+# operands: (a/b) op (c/d) before reduction
 OPERATOR_ORACLES = (
-    (operator.add, lambda x, y: RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)),
-    (operator.sub, lambda x, y: RatFunc(x.num * y.den - y.num * x.den, x.den * y.den)),
-    (operator.mul, lambda x, y: RatFunc(x.num * y.num, x.den * y.den)),
-    (operator.truediv, lambda x, y: RatFunc(x.num * y.den, x.den * y.num)),
+    (operator.add, lambda a, b, c, d: (a * d + c * b, b * d)),
+    (operator.sub, lambda a, b, c, d: (a * d - c * b, b * d)),
+    (operator.mul, lambda a, b, c, d: (a * c, b * d)),
+    (operator.truediv, lambda a, b, c, d: (a * d, b * c)),
 )
 
 
-def assert_canonical(got, want):
-    """Same canonical pair, and the stored constant read off the pair."""
-    assert (got.num.names, got.num.terms) == (want.num.names, want.num.terms), (got, want)
-    assert got.den.terms == want.den.terms, (got, want)
-    constant = want.num.is_constant() and want.den.is_constant()
-    assert got.is_constant() == constant
-    if constant:
-        value = want.num.constant_value() / want.den.constant_value()
-        assert got.constant_value() == value and got == value
-        assert got.is_one() == (value == 1)
-    else:
-        assert not got.is_one() and got != 0
-    assert got == want
+def pair_of(x, names):
+    """(num, den) PPoly pair of a Q(params) element: a RatFunc's fields, or
+    a rational number over 1."""
+    if isinstance(x, RatFunc):
+        return x.num, x.den
+    x = Fraction(x)
+    return PPoly.const(names, x.numerator), PPoly.const(names, x.denominator)
+
+
+def assert_canonical(got, num, den):
+    """``got`` is the canonical form of num/den by ``always_gcd_reduce``: the
+    reduced Fraction when that leaves a constant pair, else a RatFunc with
+    exactly that pair, which is then non-constant and equals no Fraction."""
+    want_num, want_den = always_gcd_reduce(num, den)
+    if want_num.is_constant() and want_den.is_constant():
+        value = want_num.constant_value() / want_den.constant_value()
+        assert type(got) is Fraction and got == value, (got, value)
+        assert hash(got) == hash(value)
+        return
+    assert type(got) is RatFunc, (got, want_num, want_den)
+    assert (got.num.names, got.num.terms) == (want_num.names, want_num.terms), got
+    assert got.den.terms == want_den.terms, got
+    assert not (got.num.is_constant() and got.den.is_constant())
+    assert got != 0 and got != 1 and 0 != got
+    assert got == RatFunc(num, den) and hash(got) == hash(RatFunc(num, den))
 
 
 class TestCanonicalFormOracle:
@@ -184,35 +199,37 @@ class TestCanonicalFormOracle:
                                (False, False, False)}
         assert kinds == expected_kinds
         for num, den in pairs:
-            want_num, want_den = always_gcd_reduce(num, den)
             r = RatFunc(num, den)
-            assert (r.num.names, r.den.names) == (names, names)
-            assert r.num.terms == want_num.terms, (num, den)
-            assert r.den.terms == want_den.terms, (num, den)
+            assert_canonical(r, num, den)
+            if isinstance(r, RatFunc):
+                assert (r.num.names, r.den.names) == (names, names)
 
     @pytest.mark.parametrize("names,count", [((), 12), (("a",), 3), (("a", "b"), 2)])
     def test_operators_match_reduce_oracle(self, names, count):
-        constants = [RatFunc.const(names, v) for v in CONSTANTS]
+        constants = [Fraction(v) for v in CONSTANTS]
         elements = constants + [RatFunc(n, d) for n, d in reduce_corpus(7, names, count)]
-        assert any(not x.is_constant() for x in elements) == bool(names)
+        assert any(isinstance(x, RatFunc) for x in elements) == bool(names)
         for x in elements:
-            assert_canonical(-x, RatFunc(-x.num, x.den))
+            a, b = pair_of(x, names)
+            assert_canonical(-x, -a, b)
             for y in elements:
+                c, d = pair_of(y, names)
                 for op, oracle in OPERATOR_ORACLES:
-                    if op is operator.truediv and y.is_zero():
+                    if op is operator.truediv and y == 0:
                         with pytest.raises(ZeroDivisionError):
                             op(x, y)
                         continue
-                    assert_canonical(op(x, y), oracle(x, y))
+                    assert_canonical(op(x, y), *oracle(a, b, c, d))
+            # int and Fraction operands on either side
             for k in CONSTANTS:
-                k_field = RatFunc(PPoly.const(names, k))
+                c, d = pair_of(k, names)
                 for op, oracle in OPERATOR_ORACLES:
-                    if not (op is operator.truediv and x.is_zero()):
-                        assert_canonical(op(k, x), oracle(k_field, x))
+                    if not (op is operator.truediv and x == 0):
+                        assert_canonical(op(k, x), *oracle(c, d, a, b))
                     if not (op is operator.truediv and k == 0):
-                        assert_canonical(op(x, k), oracle(x, k_field))
+                        assert_canonical(op(x, k), *oracle(a, b, c, d))
         for k in CONSTANTS:
-            assert_canonical(RatFunc.const(names, k), RatFunc(PPoly.const(names, k)))
+            assert_canonical(RatFunc(PPoly.const(names, k)), *pair_of(k, names))
 
     def test_shipped_catalog_runs_gcd_only_on_nonconstant_pairs(self, monkeypatch):
         calls = []
@@ -249,6 +266,42 @@ class TestConstantWork:
         monkeypatch.setattr(parampoly, "_reduce", counted)
         assert main(["verify", "--all"], out=io.StringIO()) == 0
         assert 0 < len(calls) <= 400
+
+    def test_verify_all_builds_ratfuncs_only_for_parametrised_records(self, monkeypatch):
+        # a record that declares no parameter computes on Fractions alone, and
+        # every RatFunc built is non-constant
+        import io
+
+        from futakizero import catalog, cli
+        current = [None]
+        built = {}
+        real_new = RatFunc.__new__
+
+        def counted_new(cls, num, den=None):
+            r = real_new(cls, num, den)
+            if isinstance(r, RatFunc):
+                assert not (r.num.is_constant() and r.den.is_constant()), r
+                built[current[0]] = built.get(current[0], 0) + 1
+            return r
+
+        def attributed(fn, record_id):
+            def run(*args):
+                previous, current[0] = current[0], record_id(*args)
+                try:
+                    return fn(*args)
+                finally:
+                    current[0] = previous
+            return run
+
+        monkeypatch.setattr(RatFunc, "__new__", counted_new)
+        monkeypatch.setattr(catalog, "_build_record",
+                            attributed(catalog._build_record, lambda case_id, *_: case_id))
+        monkeypatch.setattr(cli, "validate_case",
+                            attributed(cli.validate_case, lambda record: record.id))
+        monkeypatch.setattr(cli, "evaluate_record",
+                            attributed(cli.evaluate_record, lambda record: record.id))
+        assert cli.main(["verify", "--all"], out=io.StringIO()) == 0
+        assert set(built) == {"2.21", "3.10-a", "3.13"}, built
 
 
 def _oracle_evaluate(p, values):

@@ -211,7 +211,7 @@ class TestBatchedSolveOracle:
         from futakizero.parampoly import RatFunc
         rng = random.Random(43)
         names = ("a", "b")
-        pool = [RatFunc.const(names, c) for c in (0, 1, -2, Fraction(1, 3))]
+        pool = [Fraction(c) for c in (0, 1, -2, Fraction(1, 3))]
         pool += [RatFunc.var(names, n) for n in names]
         pool += [pool[4] - 2, pool[4] + pool[5]]
         self.check(rng, lambda: rng.choice(pool), 120, 3)

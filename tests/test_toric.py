@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -541,11 +542,11 @@ class TestIntegerKernelOracle:
 # oracle: the per-point scan, a numeric Futaki vector at every in-region point
 # ---------------------------------------------------------------------------
 
-def oracle_scan(family, step, loci=()):
+def oracle_scan(family, step, loci=(), fixed=None):
     """ScanReport of zero_locus_scan computed point by point."""
     from futakizero.toric import LocusFit, ScanPoint, ScanReport
     fam = FAMILIES[family]
-    pinned = dict(fam.fixed_for_scan)
+    pinned = dict(fam.fixed_for_scan, **{k: Fraction(v) for k, v in (fixed or {}).items()})
     names = [n for n in fam.param_names if n not in pinned]
     grids = [[k * step for k in range(1, int(fam.scan_upper[n] / step) + 2)
               if k * step < fam.scan_upper[n]] for n in names]
@@ -565,7 +566,8 @@ def oracle_scan(family, step, loci=()):
     for eq in loci:
         on = [i for i, pt in enumerate(points) if _locus_holds(eq, dict(pt.values, **pinned))]
         on_some.update(on)
-        fits.append(LocusFit(eq, all(points[i].zero for i in on), len(on)))
+        # a locus with no grid point on it is untested, not confirmed
+        fits.append(LocusFit(eq, bool(on) and all(points[i].zero for i in on), len(on)))
     covered = all(i in on_some for i, pt in enumerate(points) if pt.zero) if loci else True
     return ScanReport(family, step, tuple(points), skipped, tuple(fits), covered,
                       bool(points) and all(pt.zero for pt in points))
@@ -680,18 +682,48 @@ class TestCellScanOracle:
         loci = SCAN_LOCI.get(family, ())
         assert zero_locus_scan(family, step, loci=loci) == oracle_scan(family, step, loci)
 
+    @pytest.mark.parametrize("family,step,fixed", [
+        # a step whose numerator is not 1: grid numerators 3, 6, 9, ...
+        ("s6", Fraction(3, 8), None),
+        ("bl2lines-p3", Fraction(3, 8), None),
+        # every parameter pinned: a grid of no coordinates, one point
+        ("s6", Fraction(1, 4), {"a": 1, "b": Fraction(1, 2), "c": 1}),
+        ("p1xs6", Fraction(1, 4), {"a": 1, "b": 1, "c": 1}),
+        # one scanned coordinate: the grid is one line
+        ("p1", Fraction(1, 8), None),
+        ("p2", Fraction(1, 8), None),
+        ("p1xs6", Fraction(1, 8), {"a": 1, "b": 1})])
+    def test_line_sweep_edges(self, family, step, fixed):
+        loci = SCAN_LOCI.get(family, ())
+        report = zero_locus_scan(family, step, loci=loci, fixed=fixed)
+        assert report == oracle_scan(family, step, loci, fixed)
+
+    def test_lines_cross_several_chambers_and_a_slice(self, monkeypatch):
+        from futakizero.cells import _tight_sets
+        monkeypatch.setitem(FAMILIES, "cut-cube", _cut_cube())
+        step, loci = Fraction(1, 3), ("b + c = 6", "c = b + 2")
+        report = zero_locus_scan("cut-cube", step, loci=loci)
+        assert report == oracle_scan("cut-cube", step, loci)
+        # the line b = 1 meets at least two chambers and the slice c = 4
+        line = [dict(pt.values) for pt in report.points if pt.values[0] == ("b", 1)]
+        cells = {frozenset(_tight_sets(FAMILIES["cut-cube"].build(**v))) for v in line}
+        slices = [cell for cell in cells if any(len(t) > 3 for t in cell)]
+        assert slices and len(cells) - len(slices) >= 2
+        assert {"b": 1, "c": 4} in line
+
     @staticmethod
     def record_cells(monkeypatch):
+        # each cell opened: its tight sets, and its vertices (None on a slice)
         from futakizero import cells as cell_engine
-        real = cell_engine.numerators
+        real = cell_engine.cell_vertices
         cells = []
 
         def recording(fam, polytope, tight, params, scan_names):
-            numerators = real(fam, polytope, tight, params, scan_names)
-            cells.append((tight, numerators))
-            return numerators
+            solved = real(fam, polytope, tight, params, scan_names)
+            cells.append((tight, solved))
+            return solved
 
-        monkeypatch.setattr(cell_engine, "numerators", recording)
+        monkeypatch.setattr(cell_engine, "cell_vertices", recording)
         return cells
 
     def test_several_cells_on_one_grid(self, monkeypatch):
@@ -702,9 +734,9 @@ class TestCellScanOracle:
         assert report == oracle_scan("cut-cube", step, loci)
         assert len(cells) == len({frozenset(tight) for tight, _ in cells}) >= 5
         # vertices on four facets at b = 2 or c = 4 only: slices, tested point by point
-        slices = [tight for tight, numerators in cells if numerators is None]
+        slices = [tight for tight, solved in cells if solved is None]
         assert slices and all(any(len(t) > 3 for t in tight) for tight in slices)
-        assert sum(numerators is not None for _, numerators in cells) >= 3
+        assert sum(solved is not None for _, solved in cells) >= 3
         assert report.covered and all(f.on_locus_all_zero for f in report.loci)
         assert not report.zero_everywhere
 
@@ -718,8 +750,8 @@ class TestCellScanOracle:
         cells = self.record_cells(monkeypatch)
         report = zero_locus_scan("pyramid", Fraction(1, 4))
         assert report == oracle_scan("pyramid", Fraction(1, 4))
-        [(tight, numerators)] = cells
-        assert numerators is not None and max(len(t) for t in tight) == 4
+        [(tight, solved)] = cells
+        assert solved is not None and max(len(t) for t in tight) == 4
 
     def test_sample_disagreement_raises(self, monkeypatch):
         from futakizero import toric
@@ -750,13 +782,13 @@ class TestCellNumerators:
 
     @staticmethod
     def numerators(family, **params):
-        from futakizero.cells import numerators
-        from futakizero.cells import _tight_sets
+        from futakizero.cells import _tight_sets, cell_vertices, numerators
         fam = FAMILIES[family]
         params = {n: Fraction(v) for n, v in params.items()}
         polytope = fam.build(**params)
         names = [n for n in fam.param_names if n not in fam.fixed_for_scan]
-        return numerators(fam, polytope, _tight_sets(polytope), params, names)
+        solved = cell_vertices(fam, polytope, _tight_sets(polytope), params, names)
+        return numerators(fam, polytope, solved, {n: params[n] for n in names})
 
     def test_hexagon_numerators_vanish_on_anticanonical_degree(self):
         from futakizero.parampoly import PPoly, exact_div
@@ -784,14 +816,15 @@ class TestChambers:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_chamber_against_build(self, family):
-        from futakizero.cells import _tight_sets, slack_forms
+        from futakizero.cells import _tight_sets, cell_vertices, slack_forms
         fam = FAMILIES[family]
         pinned = dict(fam.fixed_for_scan)
         names = [n for n in fam.param_names if n not in pinned]
         sample = dict(fam.anticanonical, **pinned)
         polytope = fam.build(**sample)
-        key = frozenset(_tight_sets(polytope))
-        slacks = slack_forms(fam, polytope, _tight_sets(polytope), sample, names)
+        tight = _tight_sets(polytope)
+        key = frozenset(tight)
+        slacks = slack_forms(polytope, tight, cell_vertices(fam, polytope, tight, sample, names))
         rng = random.Random(f"chamber-{family}")
 
         def random_value(n):
@@ -854,7 +887,7 @@ class TestEmptinessCertificates:
     @pytest.mark.parametrize("step", [Fraction(1, 4), Fraction(1, 6)], ids=["step4", "step6"])
     @pytest.mark.parametrize("family", sorted(FAMILIES) + ["cut-cube"])
     def test_forms_against_build(self, monkeypatch, family, step):
-        from futakizero.cells import _positive, region_forms
+        from futakizero.cells import region_forms
         monkeypatch.setitem(FAMILIES, "cut-cube", _cut_cube())
         fam = FAMILIES[family]
         pinned = dict(fam.fixed_for_scan)
@@ -870,7 +903,8 @@ class TestEmptinessCertificates:
         tally = {}
         for combo in combos:
             m = [v.numerator * (step.denominator // v.denominator) for v in combo]
-            certified = not all(_positive(form, m) for form in forms)
+            # a form is (constant, coefficients) of an integer affine function of m
+            certified = not all(c + sum(map(operator.mul, k, m)) > 0 for c, k in forms)
             try:
                 fam.build(**pinned, **dict(zip(names, combo)))
                 rejected = False

@@ -163,7 +163,7 @@ OPERATOR_ORACLES = (
 
 def pair_of(x, names):
     """(num, den) PPoly pair of a Q(params) element: a RatFunc's fields, or
-    a rational number over 1."""
+    a rational number's numerator and denominator."""
     if isinstance(x, RatFunc):
         return x.num, x.den
     x = Fraction(x)

@@ -30,10 +30,6 @@ class InhomogeneousError(PolyError):
     pass
 
 
-class _DivisorError(ParseError):
-    """Division by a factor that is not coordinate-free."""
-
-
 class AmbientSpace:
     """Product of projective spaces; one (dimension, coordinate names) pair
     per factor, names globally unique.  Lookup tables are built once."""
@@ -453,7 +449,7 @@ class _Parser:
     def _divide(self, a, b):
         const = _as_scalar(b)
         if const is None:
-            raise _DivisorError("division is only allowed by coordinate-free factors")
+            raise ParseError("division is only allowed by coordinate-free factors")
         if const == 0:
             raise ParseError("division by zero")
         return a.scale(1 / const)
@@ -483,39 +479,26 @@ def parse_poly(text, ambient, params=None):
     return MultiPoly(ambient, params, raw.terms)
 
 
+_NO_COORDINATES = AmbientSpace(((1, ("", " ")),))   # no token can name these
+
+
 def parse_equations(text, names):
     """The differences side_k - side_0 of ``lhs = rhs [= ...]``, as PPoly in
-    ``names``.  Raises PolyError unless every side is a polynomial in them.
-
-    Each side is parsed with ``names`` as coordinates, so its coefficients
-    are Fractions and no RatFunc is built.  A side that divides by a
-    non-constant is parsed again over Q(names), where it is accepted if the
-    quotient reduces to a polynomial."""
+    ``names``.  Raises PolyError unless every side is a polynomial in them."""
     parts = text.split("=")
     if len(parts) < 2:
         raise ParseError(f"{text!r} is not an equation")
-    # no token can name the two extra coordinates
-    ambient = AmbientSpace(((len(names) + 1, (*names, "", " ")),))
+    params = ParamField(names)
     sides = []
     for part in parts:
-        try:
-            terms = _Parser(part, ambient, ParamField()).parse().terms
-        except _DivisorError:
-            sides.append(_rational_side(part, names))
+        value = _as_scalar(_Parser(part, _NO_COORDINATES, params).parse())
+        if isinstance(value, Fraction):
+            sides.append(PPoly.const(names, value))
             continue
-        sides.append(PPoly(names, {e[:len(names)]: c for e, c in terms.items()}))
+        if not value.den.is_constant():
+            raise ParseError(f"{part.strip()!r} is not a polynomial in {', '.join(names)}")
+        sides.append(value.num / value.den.constant_value())
     return [side - sides[0] for side in sides[1:]]
-
-
-def _rational_side(part, names):
-    """A side of ``parse_equations`` over Q(names), as a PPoly."""
-    params = ParamField(names)
-    value = _as_scalar(_Parser(part, AmbientSpace(((1, ("", " ")),)), params).parse())
-    if isinstance(value, Fraction):
-        return PPoly.const(names, value)
-    if not value.den.is_constant():
-        raise ParseError(f"{part.strip()!r} is not a polynomial in {', '.join(names)}")
-    return value.num / value.den.constant_value()
 
 
 def multidegree(p):

@@ -269,10 +269,11 @@ class TestConstantWork:
 
     def test_verify_all_builds_ratfuncs_only_for_parametrised_records(self, monkeypatch):
         # a record that declares no parameter computes on Fractions alone, and
-        # every RatFunc built is non-constant
+        # every RatFunc built is non-constant; the locus lines of 3.25 and 5.3
+        # are read over Q(a, b, c) and counted apart
         import io
 
-        from futakizero import catalog, cli
+        from futakizero import catalog, cli, polyring
         current = [None]
         built = {}
         real_new = RatFunc.__new__
@@ -300,8 +301,12 @@ class TestConstantWork:
                             attributed(cli.validate_case, lambda record: record.id))
         monkeypatch.setattr(cli, "evaluate_record",
                             attributed(cli.evaluate_record, lambda record: record.id))
+        for module in (catalog, polyring):
+            monkeypatch.setattr(module, "parse_equations",
+                                attributed(module.parse_equations, lambda *_: ("locus", current[0])))
         assert cli.main(["verify", "--all"], out=io.StringIO()) == 0
-        assert set(built) == {"2.21", "3.10-a", "3.13"}, built
+        assert {k for k in built if isinstance(k, str)} == {"2.21", "3.10-a", "3.13"}, built
+        assert {k[1] for k in built if isinstance(k, tuple)} == {"3.25", "5.3"}, built
 
 
 def _oracle_evaluate(p, values):

@@ -204,7 +204,7 @@ class TestEquations:
         assert [d.evaluate({"a": 1, "b": 1, "c": 1}) for d in diffs] == [0, 0]
 
     def test_quotient_that_reduces_to_a_polynomial(self):
-        # a side dividing by a non-constant is read over Q(a, b), as before
+        # a side dividing by a non-constant is accepted once the quotient is a polynomial
         names = ("a", "b")
         assert ([d.render() for d in parse_equations("(a^2 - b^2)/(a - b) = 1 = 2*a/2", names)]
                 == ["1 - a - b", "-b"])

@@ -21,8 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .ratlinalg import in_column_span, kernel_basis, minus_identity
-from .symmetry import (CenterMatchError, adjoint_matrix, AdjointUnsolvable,
-                       check_variety_invariant, match_centers)
+from .symmetry import CenterMatchError, adjoint_matrix, AdjointUnsolvable, match_centers
 
 
 class CharacterError(ValueError):
@@ -298,29 +297,6 @@ def analyze_polynomial_case(record):
                       tuple(diagnostics) + verdict.diagnostics,
                       verdict.anticanonical_in_fixed)
     return CaseAnalysis(record.id, system, verdict, tuple(analyses), tuple(diagnostics))
-
-
-def replay_certificate(record, certificate):
-    """Re-run the cited checks and kernel computations from scratch; returns
-    the reproduced verdict tag (FullCone certificates must replay)."""
-    stages = [c.stage for c in record.centers]
-    presentations = [c.presentation for c in record.centers]
-    chosen = [entry for entry in record.finite if entry[0] in certificate]
-    constraints = []
-    for name, order, tau in chosen:
-        if record.variety:
-            inv = check_variety_invariant(record.variety, tau)
-            if not inv.invariant:
-                return "inconclusive"
-        h11_matrix, _ = h11_action(tau, presentations, stages)
-        adjoint = adjoint_matrix(tau, list(record.torus)) if record.torus else None
-        if isinstance(adjoint, AdjointUnsolvable):
-            return "inconclusive"
-        constraints.append(SymmetryConstraint(name, adjoint, h11_matrix))
-    system = ConstraintSystem(torus_rank=len(record.torus),
-                              picard_rank=len(record.h11_labels),
-                              constraints=tuple(constraints))
-    return vanishing_verdict(system, anticanonical=record.anticanonical).tag
 
 
 # ---------------------------------------------------------------------------

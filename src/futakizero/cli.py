@@ -6,9 +6,10 @@ Commands: ``verify [ID | --all]``, ``toric futaki --family F --params k=v``,
 ``report [--format text|json-lines]``.  Exit status: 0 success, 1 verdict
 mismatch, 2 catalog or usage errors, 3 toric errors (out-of-region
 parameters, bad ``--params``, a bad grid step or locus equation, a scan
-with no grid point in the Kähler region).  ``main`` alone turns a
-CatalogError, a load error or a validation finding of a selected record,
-into exit 2.  A command naming one case loads the catalog with that case and
+with no grid point in the Kähler region), 4 internal errors.  ``main`` alone
+turns a CatalogError, a load error or a validation finding of a selected
+record, into exit 2, and any other exception into one ``internal error:``
+line on stderr and exit 4, so that exit 1 always means a verdict mismatch.  A command naming one case loads the catalog with that case and
 so builds and validates only the records it selects; ``verify --all``,
 ``report`` without a case, ``catalog validate`` and ``toric scan`` build every
 record.  Records are evaluated by ``character.evaluate_record``, one after
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CATALOG = 2
 EXIT_REGION = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +270,10 @@ def main(argv=None, out=None):
         for message in str(exc).split("\n"):
             print(f"catalog error: {message}", file=sys.stderr)
         return EXIT_CATALOG
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

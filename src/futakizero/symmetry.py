@@ -169,9 +169,6 @@ class MonomialAutomorphism:
             power = power.compose(self)
         return power.is_projective_identity()
 
-    def with_scalars(self, scalars):
-        return MonomialAutomorphism(self.ambient, self.perm, tuple(scalars), self.params)
-
 
 def _invert(perm):
     inv = [0] * len(perm)
@@ -302,11 +299,6 @@ class Equivariance:
     def __init__(self, reparam, factor_scalars):
         self.reparam = reparam
         self.factor_scalars = factor_scalars  # Q(params) scalar per ambient factor
-
-
-def check_curve_equivariance(curve, tau):
-    """Find psi with tau o phi = phi o psi projectively, or None."""
-    return check_curve_match(curve, curve, tau)
 
 
 def check_curve_match(source, target, tau):

@@ -19,18 +19,20 @@ The Kähler region is cut out by affine circuit forms, and a point inside a
 known cell's chamber, cut out by affine slack inequalities, is decided
 without building its polytope (module ``cells``).
 
-Construction runs on integers: vertices are solved with integer adjugates
-against lcm-scaled offsets, and incidence, ranks and facet orders are
-computed on the vertices scaled to integers; Fractions are built only for
-the vertices themselves.
+Construction runs on integers: each vertex is solved, tested, keyed and
+sorted as an integer point over one common denominator, the affine rank is
+one fraction-free (Bareiss) elimination, 3-D facet polygons are walked by
+vertex-facet incidence, and determinants are closed forms on cross products;
+Fractions are built once per distinct vertex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
+from operator import mul
 
 
 class ToricError(ValueError):
@@ -55,12 +57,10 @@ class Halfspace:
     __slots__ = ("normal", "offset")
 
     def __init__(self, normal, offset):
-        normal = tuple(int(n) for n in normal)
-        if all(n == 0 for n in normal):
+        normal = tuple(n if type(n) is int else _integer_entry(n) for n in normal)
+        g = gcd(*normal)
+        if g == 0:
             raise ToricError("zero normal")
-        g = 0
-        for n in normal:
-            g = gcd(g, abs(n))
         if g != 1:
             raise ToricError(f"normal {normal} is not primitive")
         self.normal = normal
@@ -78,6 +78,16 @@ class Halfspace:
     def render(self):
         nums = " ".join(str(n) for n in self.normal)
         return f"{nums} <= {self.offset}"
+
+
+def _integer_entry(n):
+    try:
+        q = Fraction(n)
+        if q.denominator == 1:
+            return q.numerator
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ToricError(f"normal entry {n} is not an integer")
 
 
 class Polytope:
@@ -105,10 +115,9 @@ class Polytope:
         reason = _unbounded_reason(dim, normals)
         if reason:
             raise UnboundedError(reason)
-        vertices, tight = _enumerate_vertices(dim, halfspaces)
+        vertices, points, tight = _enumerate_vertices(dim, halfspaces)
         if not vertices:
             raise DegenerateError("no vertices: empty or degenerate halfspace system")
-        points = _lattice_points(vertices)
         if _affine_rank(points) != dim:
             raise DegenerateError("lower-dimensional input")
         cycles = _facet_cycles(dim, halfspaces, points, tight)
@@ -160,9 +169,13 @@ def parse_polytope_text(text, dim=None):
             continue
         if "<=" not in line:
             raise ToricError(f"line {lineno}: missing '<='")
-        lhs, rhs = line.split("<=")
-        normal = tuple(int(tok) for tok in lhs.split())
-        offset = Fraction(rhs.strip())
+        lhs, _, rhs = line.partition("<=")
+        try:
+            normal = tuple(int(tok) for tok in lhs.split())
+            offset = Fraction(rhs.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ToricError(f"line {lineno}: expected integers '<=' a rational number, "
+                             f"got {line!r}") from None
         halfspaces.append(Halfspace(normal, offset))
     if not halfspaces:
         raise ToricError("no halfspaces")
@@ -225,125 +238,108 @@ def _subset_solves(dim, normals):
     return tuple(out)
 
 
-def _enumerate_vertices(dim, halfspaces):
-    """Sorted exact vertices and, for each, the set of facets tight at it.
+@lru_cache(maxsize=64)
+def _vertex_solves(dim, normals):
+    """(L, ((subset, A), ...)) over the nonsingular dim-subsets of the integer
+    normals: L is the lcm of their determinants and A = (L / det) adj, so the
+    subset's vertex against integer offsets b is A b / L."""
+    solves = [s for s in _subset_solves(dim, normals) if s[1]]
+    common = lcm(*(det for _, det, _ in solves))
+    return common, tuple((combo, tuple(tuple(common // det * x for x in row) for row in adj))
+                         for combo, det, adj in solves)
 
-    Offsets are scaled by the lcm L of their denominators, so a subset with
-    integer adjugate A and determinant det > 0 has the solution
-    num / (det * L) with num = A b, and every test is on integers."""
+
+def _enumerate_vertices(dim, halfspaces):
+    """(sorted vertices, the same as integer points over one denominator, the
+    facets tight at each).  With offsets scaled to integers b by the lcm s of
+    their denominators, a subset's vertex is k = A b (``_vertex_solves``) over
+    L s, and facet (n, b_f) holds at it exactly when b_f L - <n, k> >= 0."""
     scale = 1
     for h in halfspaces:
         scale = lcm(scale, h.offset.denominator)
     normals = tuple(h.normal for h in halfspaces)
     offsets = [h.offset.numerator * (scale // h.offset.denominator) for h in halfspaces]
-    constraints = list(zip(normals, offsets))
-    seen = {}
-    for combo, det, adj in _subset_solves(dim, normals):
-        if det == 0:
-            continue
+    common, solves = _vertex_solves(dim, normals)
+    bounds = [(normal, offset * common) for normal, offset in zip(normals, offsets)]
+    seen = {}   # integer point -> tight facets, or None when infeasible
+    for combo, adj in solves:
         rhs = [offsets[i] for i in combo]
-        num = [sum(a * b for a, b in zip(row, rhs)) for row in adj]
+        point = tuple(sum(map(mul, row, rhs)) for row in adj)
+        if point in seen:
+            continue
         tight = []
-        for f, (normal, offset) in enumerate(constraints):
-            slack = offset * det - sum(n * x for n, x in zip(normal, num))
+        for f, (normal, bound) in enumerate(bounds):
+            slack = bound - sum(map(mul, normal, point))
             if slack < 0:
+                tight = None
                 break
             if slack == 0:
                 tight.append(f)
-        else:
-            denom = det * scale
-            point = tuple(Fraction(x, denom) for x in num)
-            seen.setdefault(point, tight)
-    vertices = sorted(seen)
-    return vertices, [seen[v] for v in vertices]
-
-
-def _lattice_points(points):
-    """The points times the lcm of their coordinates' denominators."""
-    scale = 1
-    for p in points:
-        for x in p:
-            scale = lcm(scale, x.denominator)
-    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+        seen[point] = tight
+    points = sorted(p for p, tight in seen.items() if tight is not None)
+    denom = common * scale
+    vertices = [tuple(Fraction(x, denom) for x in p) for p in points]
+    return vertices, points, [seen[p] for p in points]
 
 
 def _affine_rank(points):
-    """Affine rank of integer points: a greedy basis of their differences."""
+    """Affine rank of integer points: fraction-free (Bareiss) elimination of
+    their differences from the first, each division exact."""
     base = points[0]
-    basis = []
-    for p in points[1:]:
-        e = [x - b for x, b in zip(p, base)]
-        if _independent(basis + [e]):
-            basis.append(e)
-            if len(basis) == len(base):
-                break
-    return len(basis)
-
-
-def _independent(vectors):
-    """Whether integer vectors are linearly independent: some maximal minor
-    is nonzero."""
-    cols = range(len(vectors[0]))
-    return any(_det([[v[c] for c in subset] for v in vectors])
-               for subset in combinations(cols, len(vectors)))
+    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    rank, previous = 0, 1
+    for c in range(len(base)):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        for r in rows[rank + 1:]:
+            for j in range(c + 1, len(base)):
+                r[j] = (pivot[c] * r[j] - r[c] * pivot[j]) // previous
+        previous = pivot[c]
+        rank += 1
+    return rank
 
 
 def _facet_cycles(dim, halfspaces, points, tight):
-    """Vertex indices of each facet; in dimension 3 in cyclic order.
+    """Vertex indices of each facet; in dimension 3 in cyclic order,
+    counterclockwise seen from outside and starting at the lowest index.
 
-    ``points`` are the vertices scaled to integers, ``tight`` the facets
-    tight at each vertex."""
+    ``points`` are the vertices as integer points over one denominator,
+    ``tight`` the facets tight at each.  No three vertices of P are
+    collinear, so a facet supports a (dim-1)-face exactly when it holds dim
+    vertices or more, and in dimension 3 its vertices are a convex polygon's.
+    Two of them are neighbours exactly when another facet is tight at both:
+    the two facets (distinct primitive normals, so distinct planes) meet in
+    the edge between them, and every edge lies on two facets.  That holds at
+    non-simple vertices too, so the polygon is walked along it and one
+    orientation test picks the direction."""
     incidence = [[] for _ in halfspaces]
     for i, facets in enumerate(tight):
         for f in facets:
             incidence[f].append(i)
     cycles = []
-    for f, (h, incident) in enumerate(zip(halfspaces, incidence)):
-        if dim == 1:
-            if len(incident) != 1:
-                raise DegenerateError(f"facet {f} does not support a point")
-            cycles.append((incident[0],))
-            continue
-        if dim == 2:
-            if len(incident) != 2:
-                raise DegenerateError(f"facet {f} does not support an edge")
+    for f, incident in enumerate(incidence):
+        if len(incident) < dim:
+            face = ("a point", "an edge", "a 2-face")[dim - 1]
+            raise DegenerateError(f"facet {f} does not support {face}")
+        if dim < 3:
             cycles.append(tuple(incident))
             continue
-        if len(incident) < 3 or _affine_rank([points[i] for i in incident]) != 2:
-            raise DegenerateError(f"facet {f} does not support a 2-face")
-        cycles.append(_order_polygon(h.normal, [(i, points[i]) for i in incident]))
+        neighbours = {v: {w for g in tight[v] if g != f for w in incidence[g]
+                          if w != v and f in tight[w]} for v in incident}
+        start = incident[0]
+        a, b = neighbours[start]
+        base = points[start]
+        turn = _cross([x - y for x, y in zip(points[a], base)],
+                      [x - y for x, y in zip(points[b], base)])
+        cycle = [start, a if sum(map(mul, halfspaces[f].normal, turn)) > 0 else b]
+        for _ in range(len(incident) - 2):
+            x, y = neighbours[cycle[-1]]
+            cycle.append(y if x == cycle[-2] else x)
+        cycles.append(tuple(cycle))
     return cycles
-
-
-def _order_polygon(normal, labelled):
-    """Cyclic order of a convex facet polygon of integer points: exact
-    angular sort around the centroid, counterclockwise seen from outside,
-    starting at the first point.  Directions from the centroid are scaled by
-    the point count k so that they are integer vectors."""
-    k = len(labelled)
-    total = [sum(p[i] for _, p in labelled) for i in range(3)]
-    rel = [(idx, [k * x - t for x, t in zip(p, total)]) for idx, p in labelled]
-    b1 = rel[0][1]
-
-    def turn(a, b):
-        # <normal, a x b>: positive when b lies counterclockwise of a
-        return sum(n * c for n, c in zip(normal, _cross(a, b)))
-
-    def half(q):
-        t = turn(b1, q)
-        return 0 if (t > 0 or (t == 0 and sum(x * y for x, y in zip(b1, q)) > 0)) else 1
-
-    def compare(a, b):
-        ha, hb = half(a[1]), half(b[1])
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = turn(a[1], b[1])
-        if cross == 0:
-            raise DegenerateError("repeated direction on facet polygon")
-        return -1 if cross > 0 else 1
-
-    ordered = sorted(rel, key=cmp_to_key(compare))
-    return tuple(idx for idx, _ in ordered)
 
 
 def _inverse_transpose_int(u):
@@ -356,28 +352,25 @@ def _inverse_transpose_int(u):
 
 
 def _det(u):
-    """Determinant by cofactor expansion; entries are ints, Fractions or PPoly."""
-    d = len(u)
-    if d == 0:
-        return 1
-    if d == 1:
+    """Determinant of a 1x1, 2x2 or 3x3 matrix in closed form; entries are
+    ints, Fractions or PPoly."""
+    if len(u) == 1:
         return u[0][0]
-    if d == 2:
+    if len(u) == 2:
         return u[0][0] * u[1][1] - u[0][1] * u[1][0]
-    total = 0
-    for j in range(d):
-        total += (-1) ** j * u[0][j] * _det(_minor(u, 0, j))
-    return total
-
-
-def _minor(u, i, j):
-    return [r[:j] + r[j + 1:] for k, r in enumerate(u) if k != i]
+    c = _cross(u[1], u[2])
+    return u[0][0] * c[0] + u[0][1] * c[1] + u[0][2] * c[2]
 
 
 def _adjugate(u):
-    d = len(u)
-    return [[(-1) ** (i + j) * _det(_minor(u, j, i)) for j in range(d)]
-            for i in range(d)]
+    """adj u, with u adj u = det(u) I, for a 1x1, 2x2 or 3x3 matrix: in
+    dimension 3 its columns are the cross products of pairs of rows."""
+    if len(u) == 1:
+        return [[1]]
+    if len(u) == 2:
+        return [[u[1][1], -u[0][1]], [-u[1][0], u[0][0]]]
+    return [list(row) for row in zip(_cross(u[1], u[2]), _cross(u[2], u[0]),
+                                     _cross(u[0], u[1]))]
 
 
 # ---------------------------------------------------------------------------

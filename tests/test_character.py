@@ -8,12 +8,12 @@ from futakizero.character import (CharacterError, ConstraintSystem,
                                   SymmetryConstraint, _fixed_classes,
                                   analyze_polynomial_case, abstract_verdict,
                                   evaluate_record, h11_action, product_verdict,
-                                  replay_certificate, vanishing_verdict,
-                                  verdict_line)
+                                  vanishing_verdict, verdict_line)
 from futakizero.polyring import AmbientSpace, ParamField, parse_poly
 from futakizero.ratlinalg import in_column_span, kernel_basis, minus_identity
-from futakizero.symmetry import (MonomialAutomorphism, SubvarietyPresentation,
-                                 TorusGenerator)
+from futakizero import symmetry
+from futakizero.symmetry import (AdjointUnsolvable, MonomialAutomorphism,
+                                 SubvarietyPresentation, TorusGenerator, adjoint_matrix)
 
 from conftest import identity
 
@@ -46,6 +46,31 @@ def subsets_monotone(system):
                 fb, kb = results[big]
                 ok = ok and fb <= fs and kb <= ks
     return ok
+
+
+def replay_certificate(record, certificate):
+    """Re-run the cited checks and kernel computations from scratch; returns
+    the reproduced verdict tag (FullCone certificates must replay)."""
+    stages = [c.stage for c in record.centers]
+    presentations = [c.presentation for c in record.centers]
+    constraints = []
+    for name, order, tau in record.finite:
+        if name not in certificate:
+            continue
+        if record.variety and not symmetry.check_variety_invariant(record.variety,
+                                                                   tau).invariant:
+            return "inconclusive"
+        h11_matrix, _ = h11_action(tau, presentations, stages)
+        adjoint = adjoint_matrix(tau, list(record.torus)) if record.torus else None
+        if isinstance(adjoint, AdjointUnsolvable):
+            return "inconclusive"
+        constraints.append(SymmetryConstraint(name, adjoint, h11_matrix))
+    system = ConstraintSystem(torus_rank=len(record.torus),
+                              picard_rank=len(record.h11_labels),
+                              constraints=tuple(constraints))
+    return vanishing_verdict(system, anticanonical=record.anticanonical).tag
+
+
 P2xP2 = AmbientSpace.product(("x", "y", "z"), ("u", "v", "w"))
 
 
@@ -191,7 +216,7 @@ class TestCatalogVerdicts:
     def test_each_invariance_solved_once_and_replay_solves_its_own(self, monkeypatch):
         import io
 
-        from futakizero import catalog, character, symmetry
+        from futakizero import catalog
         from futakizero.cli import main
         calls = []
         real = symmetry.check_variety_invariant
@@ -200,7 +225,7 @@ class TestCatalogVerdicts:
             calls.append((gens, tau))
             return real(gens, tau)
 
-        for module in (catalog, character, symmetry):
+        for module in (catalog, symmetry):
             monkeypatch.setattr(module, "check_variety_invariant", counted)
         assert main(["verify", "--all"], out=io.StringIO()) == 0
         # validation and analysis share one solve per record and symmetry

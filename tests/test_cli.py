@@ -129,6 +129,17 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in out
 
+    def test_internal_error_exits_four(self, monkeypatch, capsys):
+        # used to end in a traceback and exit 1, the verdict-mismatch code
+        from futakizero import cli
+
+        def broken(record):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "evaluate_record", broken)
+        assert run_cli(["verify", "2.24"]) == (4, "")
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom second line\n"
+
     def test_mismatch_line_renders_the_computed_verdict(self, tmp_path):
         path = tmp_path / "mismatch.cat"
         path.write_text('version = 1\n[case "3.9"]\nkind = semisimple_full\ntheorem = 2\n'

@@ -324,6 +324,25 @@ class TestTextFormat:
         with pytest.raises(ToricError):
             parse_polytope_text("1 0 1\n")
 
+    @pytest.mark.parametrize("line", ["1.5 0 <= 1", "1 0 <= x", "1 0 <= 1/0", "1 0 <= 1 <= 2"])
+    def test_bad_number_names_its_line(self, line):
+        # each used to end in a bare ValueError or ZeroDivisionError
+        with pytest.raises(ToricError, match=f"^line 2: .*{line!r}"):
+            parse_polytope_text(f"-1 0 <= 0\n{line}\n0 -1 <= 0\n")
+
+
+class TestHalfspace:
+    @pytest.mark.parametrize("normal", [(Fraction(3, 2), 1), (Fraction(1, 2), 0), (1.5, 1),
+                                        ("x", 1), (float("inf"), 1)])
+    def test_non_integer_normal_rejected(self, normal):
+        # (3/2, 1) used to be truncated to (1, 1), and (1/2, 0) to a zero normal
+        with pytest.raises(ToricError, match="is not an integer"):
+            Halfspace(normal, 3)
+
+    def test_integral_entries_accepted(self):
+        assert Halfspace((Fraction(2), 1.0, True), 1).normal == (2, 1, 1)
+        assert all(type(n) is int for n in Halfspace((Fraction(-1), 0), 1).normal)
+
 
 # ---------------------------------------------------------------------------
 # oracle: vertex enumeration by Fraction Cramer solves on every facet subset
@@ -513,6 +532,68 @@ class TestIntegerKernelOracle:
             assert _outcome(Polytope.from_halfspaces, dim, hs) == expected
         assert len(oracle_polytope(3, octahedron)[0]) == 6
         assert len(oracle_polytope(3, pyramid)[1][0]) == 4
+
+    def test_pentagon_facet(self):
+        # the cut x + y + z <= 5 leaves pentagons on the three facets x, y, z = 2
+        cube = [Halfspace(tuple(s * int(j == i) for j in range(3)), 2 if s > 0 else 0)
+                for i in range(3) for s in (1, -1)]
+        hs = cube + [Halfspace((1, 1, 1), 5)]
+        p = Polytope.from_halfspaces(3, hs)
+        assert _outcome(Polytope.from_halfspaces, 3, hs) == _outcome(oracle_polytope, 3, hs)
+        assert sorted(len(c) for c in p.facet_cycles) == [3, 4, 4, 4, 5, 5, 5]
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_redundant_halfspace_along_an_edge(self, first):
+        # x + y <= 2 touches the unit cube only along its edge x = y = 1; last,
+        # it doubles the shared facet of that edge in the walks of x = 1, y = 1
+        cube = [Halfspace(tuple(s * int(j == i) for j in range(3)), 1 if s > 0 else 0)
+                for i in range(3) for s in (1, -1)]
+        edge = Halfspace((1, 1, 0), 2)
+        hs = [edge] + cube if first else cube + [edge]
+        expected = (DegenerateError, f"facet {0 if first else 6} does not support a 2-face")
+        assert _outcome(oracle_polytope, 3, hs) == expected
+        assert _outcome(Polytope.from_halfspaces, 3, hs) == expected
+
+    def test_closed_form_determinants(self):
+        from futakizero.toric import _adjugate, _det
+        rng = random.Random(20232)
+
+        def oracle_adjugate(rows):
+            d = len(rows)
+            if d == 1:
+                return [[1]]
+            return [[(-1) ** (i + j) * _oracle_det([r[:i] + r[i + 1:]
+                                                    for k, r in enumerate(rows) if k != j])
+                     for j in range(d)] for i in range(d)]
+
+        for _ in range(300):
+            d = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+            else:
+                rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(d)]
+                        for _ in range(d)]
+            if rng.random() < 0.2:      # a singular matrix
+                rows[-1] = [2 * x for x in rows[0]]
+            det = _det(rows)
+            assert det == _oracle_det(rows)
+            adj = _adjugate(rows)
+            assert adj == oracle_adjugate(rows)
+            assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)]
+                    for row in rows] == [[det * (i == j) for j in range(d)] for i in range(d)]
+
+    def test_affine_rank(self):
+        from futakizero.toric import _affine_rank
+        rng = random.Random(20233)
+        for _ in range(300):
+            d = rng.randint(1, 3)
+            k = rng.randint(0, d)       # the points span a k-flat
+            base = [rng.randint(-5, 5) for _ in range(d)]
+            spans = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(k)]
+            points = [tuple(b + sum(rng.randint(-2, 2) * s[i] for s in spans)
+                            for i, b in enumerate(base))
+                      for _ in range(rng.randint(1, 6))]
+            assert _affine_rank(points) == _oracle_affine_rank(points), points
 
     @pytest.mark.parametrize("family,points", [("s6", 1331), ("bl2lines-p3", 225)])
     def test_scan_grids(self, family, points):

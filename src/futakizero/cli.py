@@ -9,7 +9,8 @@ parameters, bad ``--params``, a bad grid step or locus equation, a scan
 with no grid point in the Kähler region), 4 internal errors.  ``main`` alone
 turns a CatalogError, a load error or a validation finding of a selected
 record, into exit 2, and any other exception into one ``internal error:``
-line on stderr and exit 4, so that exit 1 always means a verdict mismatch.  A command naming one case loads the catalog with that case and
+line on stderr and exit 4, so that exit 1 always means a verdict mismatch.
+A command naming one case loads the catalog with that case and
 so builds and validates only the records it selects; ``verify --all``,
 ``report`` without a case, ``catalog validate`` and ``toric scan`` build every
 record.  Records are evaluated by ``character.evaluate_record``, one after

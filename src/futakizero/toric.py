@@ -176,7 +176,10 @@ def parse_polytope_text(text, dim=None):
         except (ValueError, ZeroDivisionError):
             raise ToricError(f"line {lineno}: expected integers '<=' a rational number, "
                              f"got {line!r}") from None
-        halfspaces.append(Halfspace(normal, offset))
+        try:
+            halfspaces.append(Halfspace(normal, offset))
+        except ToricError as exc:
+            raise ToricError(f"line {lineno}: {exc}") from None
     if not halfspaces:
         raise ToricError("no halfspaces")
     dims = {len(h.normal) for h in halfspaces}

@@ -130,7 +130,7 @@ class TestVerify:
         assert "MISMATCH" in out
 
     def test_internal_error_exits_four(self, monkeypatch, capsys):
-        # used to end in a traceback and exit 1, the verdict-mismatch code
+        # exit 1 is left to verdict mismatches
         from futakizero import cli
 
         def broken(record):

@@ -17,17 +17,15 @@ rule, the theorem partition included, so ``verify``, ``report`` and
 ``load_catalog(case=...)`` checks the line structure of the whole file but
 builds only the records that a single-record command selects: no verdict of
 one record reads another, so the keys and values of the others go unparsed.
+
+The engines load in the parsers and checks that use them, so a record
+without an ambient or a toric family compiles none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from importlib import resources
-
-from .polyring import AmbientSpace, ParamField, PolyError, parse_equations, parse_poly
-from .symmetry import (MonomialAutomorphism, ParamCurve,
-                       SubvarietyPresentation, SymmetryError, TorusGenerator,
-                       check_variety_invariant, torus_eigencheck)
 
 FAMILY_LIST = (
     "2.20", "2.21", "2.22", "2.24", "2.27", "2.29", "2.32", "2.34",
@@ -127,6 +125,7 @@ class CaseRecord:
         ``finite`` order (None for each without a variety), computed on the
         first call: validation and analysis read the same span solves."""
         if self._invariances is None:
+            from .symmetry import check_variety_invariant
             self._invariances = tuple(
                 check_variety_invariant(self.variety, tau) if self.variety else None
                 for _, _, tau in self.finite)
@@ -256,6 +255,14 @@ def load_catalog(path=None, text=None, case=None):
 _REQUIRED = object()     # the default of a key that must be given
 
 
+def _value_errors():
+    """The errors a value parser raises: CatalogError, and PolyError and
+    SymmetryError from the engines.  Called only once a parse has raised."""
+    from .polyring import PolyError
+    from .symmetry import SymmetryError
+    return CatalogError, PolyError, SymmetryError
+
+
 def _build_record(case_id, header_line, entries):
     """The record of one ``[case]`` block.  This is the one place that names
     the record and the entry's line in an error: the value parsers raise a
@@ -266,7 +273,7 @@ def _build_record(case_id, header_line, entries):
     def parsed(parse, value, line, *context):
         try:
             return parse(value, *context)
-        except (CatalogError, PolyError, SymmetryError) as exc:
+        except _value_errors() as exc:
             raise fail(exc, line) from exc
 
     def all_of(key):
@@ -308,8 +315,11 @@ def _build_record(case_id, header_line, entries):
 
     declared = each("param", _parse_param)
     distinct("param", declared, "parameter")
-    params = ParamField(tuple(name for name, _ in declared),
-                        {name: values for name, values in declared if values})
+    params = None       # only polynomial data reads the parameters
+    if declared or all_of("ambient"):
+        from .polyring import ParamField
+        params = ParamField(tuple(name for name, _ in declared),
+                            {name: values for name, values in declared if values})
     ambient = one("ambient", _parse_ambient, params, default=None)
 
     variety = each("variety", _parse_poly, ambient, params)
@@ -395,6 +405,7 @@ def _parse_param(value):
 
 
 def _parse_ambient(value, params):
+    from .polyring import AmbientSpace
     factors = []
     for chunk in value.split("|"):
         names = tuple(chunk.split())
@@ -413,6 +424,7 @@ def _parse_poly(value, ambient, params):
     cut out nothing, and every span question on it is trivially solved."""
     if ambient is None:
         raise CatalogError("polynomial data without an ambient")
+    from .polyring import parse_poly
     poly = parse_poly(value, ambient, params)
     if poly.is_zero():
         raise CatalogError(f"{value.strip()!r} is the zero polynomial")
@@ -457,6 +469,7 @@ def _take_call(text, name):
 def _parse_center(value, ambient, params):
     if ambient is None:
         raise CatalogError("center without an ambient")
+    from .symmetry import ParamCurve, SubvarietyPresentation
     stage = 1
     rest = value.strip()
     if rest.startswith("stage "):
@@ -490,6 +503,7 @@ def _parse_torus(value, ambient):
     if len(weights) != len(ambient.coords):
         raise CatalogError(f"torus weight length {len(weights)} != "
                            f"{len(ambient.coords)} coordinates")
+    from .symmetry import TorusGenerator
     return TorusGenerator(ambient, weights)
 
 
@@ -510,6 +524,7 @@ def _parse_finite(value, ambient, params):
     body, rest = _take_call(parts[3], "map")
     if body is None or rest:
         raise CatalogError("expected map(...) clause")
+    from .symmetry import MonomialAutomorphism
     tau = MonomialAutomorphism.from_images(_split_args(body), ambient, params)
     computed = tuple(f + 1 for f in tau.factor_map)
     if computed != declared:
@@ -618,6 +633,7 @@ def validate_case(record):
 
 
 def _validate_polynomialish(record):
+    from .symmetry import torus_eigencheck
     findings = []
     for v_index, v in enumerate(record.torus):
         for g_index, g in enumerate(record.variety):
@@ -696,12 +712,13 @@ def _validate_loci(record):
     findings = []
     scanned = [record.toric_family] + [f.toric_family for f in record.product_factors]
     for name in filter(None, scanned):
-        from .toric import FAMILIES     # the toric engine, loaded only for toric records
+        from .toric import FAMILIES
         family = FAMILIES.get(name)
         if family is None:
             findings.append(f"unknown toric family {name!r}")
             continue
         for eq in record.loci:
+            from .polyring import PolyError, parse_equations
             try:
                 parse_equations(eq, family.param_names)
             except PolyError as exc:

@@ -13,6 +13,9 @@ ideal).
 analysis, recorded adjoints, a semisimple algebra, a product of factors with
 toric scans, or symmetry analysis audited by a toric scan) and checks it
 against the record's expected verdict.
+
+``symmetry`` and ``toric`` load in the functions that use them, so a
+semisimple or abstract record compiles neither.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .ratlinalg import in_column_span, kernel_basis, minus_identity
-from .symmetry import CenterMatchError, adjoint_matrix, AdjointUnsolvable, match_centers
 
 
 class CharacterError(ValueError):
@@ -37,6 +39,7 @@ class SymmetryConstraint:
         self.h11_matrix = h11_matrix    # permutation rows or None (abstract records)
 
     def usable(self):
+        from .symmetry import AdjointUnsolvable
         return not isinstance(self.adjoint, AdjointUnsolvable)
 
 
@@ -63,6 +66,7 @@ def _is_permutation(rows):
 def h11_action(tau, centers, stages=None):
     """Permutation matrix (rows) of tau^* on the H11 basis, plus the center
     permutation; raises CenterMatchError if the centers are not permuted."""
+    from .symmetry import match_centers
     rho = match_centers([c for c in centers], tau, stages)
     nf = tau.ambient.nfactors
     nc = len(centers)
@@ -266,6 +270,7 @@ class CaseAnalysis:
 def analyze_polynomial_case(record):
     """Run the invariance machinery and the verdict for a polynomial-style
     record (also used by the toric-crosscheck kind)."""
+    from .symmetry import CenterMatchError, adjoint_matrix
     diagnostics = []
     analyses = []
     constraints = []
@@ -302,9 +307,6 @@ def analyze_polynomial_case(record):
 # ---------------------------------------------------------------------------
 # record evaluation by kind
 # ---------------------------------------------------------------------------
-#
-# ``toric`` loads in the functions that use it, so that evaluating a record
-# without a toric family never compiles the toric engine.
 
 DEFAULT_SCAN_STEP = Fraction(1, 4)
 
@@ -384,6 +386,7 @@ def _evaluate_product(record):
 
 
 def _evaluate_crosscheck(record):
+    from .symmetry import AdjointUnsolvable
     analysis = analyze_polynomial_case(record)
     unsolved = [a.name for a in analysis.symmetries
                 if isinstance(a.adjoint, AdjointUnsolvable)]

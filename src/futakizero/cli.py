@@ -15,22 +15,26 @@ so builds and validates only the records it selects; ``verify --all``,
 ``report`` without a case, ``catalog validate`` and ``toric scan`` build every
 record.  Records are evaluated by ``character.evaluate_record``, one after
 another in catalog order; this module holds no evaluation policy.
+
+Importing this module loads ``catalog``, ``character`` and ``ratlinalg``
+only; the engines load on first use, so a command compiles those its records
+need: none for a semisimple or abstract record, ``toric`` for a toric family,
+``cells`` for a scan, ``polyring`` and ``symmetry`` for an ambient, and
+``parampoly`` for parameters.  ``json`` loads for ``--format json-lines``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 
-# ``toric`` and ``cells`` load in the functions that use them, so most
-# single-record commands, which also build only the records they select,
-# never compile them.  Loaded mid-run, they leave the peak of `verify --all`
-# within noise: 19.37 MB, against 19.34 MB with both imported here and the
-# classes built by ``dataclasses`` (perfbench ``peak_rss_mb``, medians of 10
-# runs on one CPU without a bytecode cache).
+# The engines load in the functions that use them (see above).  Loaded
+# mid-run, ``toric`` and ``cells`` leave the peak of `verify --all` within
+# noise: 19.37 MB, against 19.34 MB with both imported here and the classes
+# built by ``dataclasses`` (perfbench ``peak_rss_mb``, medians of 10 runs on
+# one CPU without a bytecode cache).
 from .catalog import CatalogError, load_catalog, parse_assignments, validate_case
 from .catalog import validate_catalog
 from .character import DEFAULT_SCAN_STEP, evaluate_record, verdict_json_fields, verdict_line
@@ -68,6 +72,8 @@ def _verdict_text(tag, dim=None):
 
 def cmd_verify(args, out):
     results, mismatches = _evaluated(args)
+    if args.format == "json-lines":
+        import json
     for res in results:
         audit = res.audit or None
         expected = _verdict_text(*res.record.expected)
@@ -104,6 +110,7 @@ def cmd_report(args, out):
                      _verdict_text(*res.record.expected),
                      "ok" if res.consistent else "MISMATCH"))
     if args.format == "json-lines":
+        import json
         for row in rows:
             print(json.dumps({"case": row[0], "aut": row[1], "computed": row[2],
                               "expected": row[3], "match": row[4]}), file=out)

@@ -8,13 +8,15 @@ divisors (enough for rational literals and parameter scalars such as
 vector, reduced nonzero coefficients, one multidegree for the whole
 polynomial.  Locus equations over the parameters alone go through the same
 parser (``parse_equations``).
+
+``parampoly`` loads where a non-constant element of Q(params) is built, so a
+polynomial without parameters never compiles it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .parampoly import PPoly, RatFunc, rational_roots
 from .ratlinalg import solve_generic
 
 
@@ -116,6 +118,7 @@ class ParamField:
     def var(self, name):
         if name not in self.names:
             raise PolyError(f"unknown parameter {name!r}")
+        from .parampoly import RatFunc
         return RatFunc.var(self.names, name)
 
     def admits(self, name, value):
@@ -198,7 +201,7 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.ambient, self.params, other)
-        elif isinstance(other, RatFunc):
+        elif not isinstance(other, MultiPoly):     # a non-constant Q(params) scalar
             return self.scale(other)
         self._same_ring(other)
         terms = {}
@@ -488,6 +491,7 @@ def parse_equations(text, names):
     parts = text.split("=")
     if len(parts) < 2:
         raise ParseError(f"{text!r} is not an equation")
+    from .parampoly import PPoly
     params = ParamField(names)
     sides = []
     for part in parts:
@@ -546,6 +550,7 @@ def _span_solution(solution):
     for c in solution:
         if isinstance(c, Fraction) or c.den.is_constant():
             continue
+        from .parampoly import rational_roots
         rs, irr = rational_roots(c.den)
         roots.update(rs)
         irrational = irrational or irr

@@ -6,10 +6,13 @@ vertex/volume/moment computation, the lattice-normalized boundary measure
 radicals), the Donaldson-type functional L(f), Futaki vectors, the toric
 catalog families declared as affine halfspace rows, and zero-locus scans.
 
-Every integral is evaluated along two independent routes (base-vertex
-triangulation vs divergence theorem over the boundary data) and the public
-operations insist the routes agree exactly.  The routes are written once, over
-Fractions or over polynomials in the family parameters.
+Every integral is evaluated along two independent routes and the public
+operations insist the routes agree exactly: the solid integrals by base-vertex
+triangulation vs divergence theorem over the boundary data, in every
+dimension; the boundary measures by facet fans from a vertex vs from the
+centroid in dimension 3 only, as a facet point or edge has one measure.  The
+routes are written once, over Fractions or over polynomials in the family
+parameters.
 
 Scans group grid points by combinatorial cell.  On a cell the vertices are
 affine in the parameters, so the Futaki numerators are polynomials, derived
@@ -65,6 +68,15 @@ class Halfspace:
             raise ToricError(f"normal {normal} is not primitive")
         self.normal = normal
         self.offset = Fraction(offset)
+
+    @classmethod
+    def _checked(cls, normal, offset):
+        """The halfspace of a normal that a Halfspace already checked (a
+        family row's) and a Fraction offset, without checking them again."""
+        h = object.__new__(cls)
+        h.normal = normal
+        h.offset = offset
+        return h
 
     def __eq__(self, other):
         if not isinstance(other, Halfspace):
@@ -403,12 +415,14 @@ def _triangle_sigma(p, normal, a, b, c):
 
 def _facet_measures_fan(p, f, origin_mode):
     """(sigma mass, sigma moment) of facet f; origin_mode picks the fan apex
-    ('vertex' route vs 'centroid' route)."""
-    cached = p._cache.get(("facet", f, origin_mode))
+    ('vertex' route vs 'centroid' route) of a 3-D facet polygon, and a point
+    or an edge has one measure for both."""
+    d = p.dim
+    key = ("facet", f, origin_mode if d == 3 else None)
+    cached = p._cache.get(key)
     if cached is not None:
         return cached
     verts = p.facet_vertices(f)
-    d = p.dim
     normal = p.halfspaces[f].normal
     if d == 1:
         result = (Fraction(1), list(verts[0]))
@@ -432,7 +446,7 @@ def _facet_measures_fan(p, f, origin_mode):
             for i in range(3):
                 moment[i] += area * (apex[i] + b[i] + c[i]) / 3
         result = (mass, moment)
-    p._cache[("facet", f, origin_mode)] = result
+    p._cache[key] = result
     return result
 
 
@@ -494,9 +508,10 @@ def _integral_data(p):
         if tri != div:
             raise ToricError(f"solid integral routes disagree: {tri} vs {div}")
         bv = _boundary_route(p, "vertex")
-        bc = _boundary_route(p, "centroid")
-        if bv != bc:
-            raise ToricError(f"boundary routes disagree: {bv} vs {bc}")
+        if p.dim == 3:
+            bc = _boundary_route(p, "centroid")
+            if bv != bc:
+                raise ToricError(f"boundary routes disagree: {bv} vs {bc}")
         data = (tri[0], tri[1], bv[0], bv[1])
         p._cache["integrals"] = data
     return data
@@ -578,7 +593,8 @@ def _aff(const=0, **coefficients):
 
 class ToricFamily:
     """Moment polytopes declared as data: one row (primitive integer outer
-    normal, offset affine in the parameters) per facet."""
+    normal, offset affine in the parameters) per facet.  The normals are
+    checked here, once, so that ``build`` does not check them again."""
 
     __slots__ = ("name", "param_names", "rows", "anticanonical", "scan_upper",
                  "fixed_for_scan")
@@ -586,7 +602,11 @@ class ToricFamily:
     def __init__(self, name, param_names, rows, anticanonical, scan_upper, fixed_for_scan):
         self.name = name
         self.param_names = param_names
-        self.rows = rows
+        checked = []
+        for normal, (const, terms) in rows:
+            h = Halfspace(normal, const)
+            checked.append((h.normal, (h.offset, terms)))
+        self.rows = tuple(checked)
         self.anticanonical = anticanonical
         self.scan_upper = scan_upper  # exclusive upper grid bound per scanned parameter
         self.fixed_for_scan = fixed_for_scan  # parameters pinned during scans
@@ -609,7 +629,7 @@ class ToricFamily:
         values = {n: Fraction(params[n]) for n in self.param_names}
         try:
             return Polytope.from_halfspaces(
-                self.dim, [Halfspace(normal, offset) for (normal, _), offset
+                self.dim, [Halfspace._checked(normal, offset) for (normal, _), offset
                            in zip(self.rows, self.offsets(values))])
         except (DegenerateError, UnboundedError) as exc:
             raise KahlerRegionError(f"{self.name}: {exc}") from exc

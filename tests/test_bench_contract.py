@@ -1,11 +1,13 @@
-"""What the benchmark in ``perfbench/`` relies on: the golden CLI outputs it
-checks every run against, and the functions its tracer wraps by name.  Both
-files are only read; nothing under ``perfbench/`` is imported."""
+"""What the benchmark in ``perfbench/`` relies on: the golden CLI outputs and
+toric points it checks every run against, and the functions its tracer wraps
+by name.  These files are only read; nothing under ``perfbench/`` is
+imported."""
 
 import ast
 import importlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,24 @@ def test_golden_commands_replay_byte_identical(monkeypatch):
         if (code, out.getvalue()) != (golden["code"], golden["stdout"]):
             differing.append(command)
     assert differing == []
+
+
+def test_golden_toric_points_replay():
+    from futakizero import toric
+    seeds = json.loads((BENCH / "goldens" / "toric_points.json").read_text("utf-8"))["seeds"]
+    differing = []
+    for points in seeds.values():
+        for point, golden in points.items():
+            family, _, text = point.partition(" ")
+            params = {k: Fraction(v) for k, _, v in
+                      (item.partition("=") for item in text.split(","))}
+            try:
+                outcome = toric.futaki_vector(toric.class_to_polytope(family, **params)).render()
+            except toric.KahlerRegionError:
+                outcome = "region"
+            if outcome != golden:
+                differing.append(point)
+    assert sum(map(len, seeds.values())) > 1000 and differing == []
 
 
 def _tracer_targets():

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 
@@ -576,9 +577,11 @@ class TestCatalogCommand:
 class TestStartup:
     """A command loads only what it uses: modules are counted, nothing is timed."""
 
-    WATCHED = ("dataclasses", "inspect", "futakizero.toric", "futakizero.cells")
+    WATCHED = ("dataclasses", "inspect", "json", "futakizero.toric", "futakizero.cells",
+               "futakizero.polyring", "futakizero.parampoly", "futakizero.symmetry")
 
     def loaded(self, code):
+        """The WATCHED modules loaded after running ``code`` in a new interpreter."""
         import os
         import subprocess
         import sys
@@ -588,15 +591,32 @@ class TestStartup:
         env.pop("FUTAKIZERO_CATALOG", None)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True).stdout
-        return out.strip()
+        return ast.literal_eval(out.strip())
+
+    def run(self, argv):
+        return self.loaded("import io; from futakizero.cli import main; "
+                           f"assert main({argv!r}, out=io.StringIO()) == 0")
 
     def test_cli_import_loads_no_generated_code_or_toric_engine(self):
-        assert self.loaded("import futakizero.cli") == "[]"
+        assert self.loaded("import futakizero.cli") == []
 
     @pytest.mark.parametrize("case,watched", [
         ("2.24", "[]"),
         ("3.25", "['futakizero.cells', 'futakizero.toric']")])
     def test_verify_loads_toric_engine_only_for_toric_records(self, case, watched):
-        command = ("import io; from futakizero.cli import main; "
-                   f"assert main(['verify', {case!r}], out=io.StringIO()) == 0")
-        assert self.loaded(command) == watched
+        toric = [m for m in self.run(["verify", case])
+                 if m in ("futakizero.cells", "futakizero.toric")]
+        assert str(toric) == watched
+
+    @pytest.mark.parametrize("argv,modules", [
+        (["verify", "6.1"], []),            # semisimple
+        (["verify", "3.9"], []),            # abstract
+        (["verify", "2.34"], ["toric"]),    # product: the anticanonical polytope only
+        (["verify", "2.24"], ["polyring", "symmetry"]),     # no parameter
+        (["verify", "3.13"], ["parampoly", "polyring", "symmetry"]),
+        (["report", "2.24", "--format", "json-lines"], ["json", "polyring", "symmetry"]),
+        (["verify", "--all"], ["cells", "parampoly", "polyring", "symmetry", "toric"]),
+        (["catalog", "validate"], ["parampoly", "polyring", "symmetry", "toric"]),
+    ], ids=lambda modules: "-".join(modules) or "none")
+    def test_command_loads_only_the_engines_its_records_use(self, argv, modules):
+        assert sorted(m.removeprefix("futakizero.") for m in self.run(argv)) == modules

@@ -99,6 +99,25 @@ class TestIntegrals:
         from futakizero.toric import _edge_sigma
         assert _edge_sigma(p, edge.normal, *verts) == 2
 
+    @pytest.mark.parametrize("family,params", [
+        ("p2", {"h": 3}), ("s6", {"a": 1, "b": 1, "c": Fraction(1, 2)}),
+        ("p1xp1", {"a": 1, "b": 2})])
+    def test_each_edge_measured_once(self, monkeypatch, family, params):
+        # an edge has one boundary measure: both boundary routes and the
+        # divergence route read it
+        from futakizero import toric
+        calls = []
+        real = toric._edge_sigma
+
+        def counted(p, normal, v, w):
+            calls.append(normal)
+            return real(p, normal, v, w)
+
+        monkeypatch.setattr(toric, "_edge_sigma", counted)
+        p = class_to_polytope(family, **params)
+        futaki_vector(p)
+        assert sorted(calls) == sorted(h.normal for h in p.halfspaces)
+
 
 class TestDonaldsonFunctional:
     def test_constant_is_annihilated(self):
@@ -346,6 +365,21 @@ class TestHalfspace:
     def test_integral_entries_accepted(self):
         assert Halfspace((Fraction(2), 1.0, True), 1).normal == (2, 1, 1)
         assert all(type(n) is int for n in Halfspace((Fraction(-1), 0), 1).normal)
+
+    def test_family_normals_checked_once_at_declaration(self, monkeypatch):
+        from futakizero.toric import _aff, _family
+        with pytest.raises(ToricError, match=r"normal \(2,\) is not primitive"):
+            _family("bad", ("a",), (((-1,), _aff()), ((2,), _aff(a=2))), {"a": 1}, {"a": 2})
+        checks = []
+        real = Halfspace.__init__
+
+        def counted(self, *args):
+            checks.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(Halfspace, "__init__", counted)
+        p = class_to_polytope("bl2lines-p3", h=4, a=1, b=Fraction(3, 2))
+        assert checks == [] and len(p.halfspaces) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ rule, the theorem partition included, so ``verify``, ``report`` and
 ``load_catalog(case=...)`` checks the line structure of the whole file but
 builds only the records that a single-record command selects: no verdict of
 one record reads another, so the keys and values of the others go unparsed.
+``toric_loci`` builds none: after the same structure check it reads the
+candidate loci of a scan from the ``locus``, ``toric_family`` and ``factor``
+values alone.
 
 The engines load in the parsers and checks that use them, so a record
 without an ambient or a toric family compiles none.
@@ -155,15 +158,6 @@ class Catalog:
     def families(self):
         return tuple(dict.fromkeys(r.family for r in self.records))
 
-    def toric_loci(self, toric_family):
-        """The candidate zero-locus equations of the first record that scans
-        this toric family, itself or as a product factor; () if none."""
-        for record in self.records:
-            if record.loci and (record.toric_family == toric_family or any(
-                    f.toric_family == toric_family for f in record.product_factors)):
-                return record.loci
-        return ()
-
     def render(self):
         out = []
         for seg in self.segments:
@@ -194,6 +188,40 @@ def load_catalog(path=None, text=None, case=None):
     every line is checked (the version line, headers, duplicate ids, the
     ``key = value`` form), but records are built from their values only if
     ``case`` is None or names their id or family: ``records`` may be empty."""
+    version, raw_records, segments = _structure(path, text)
+    records = tuple(_build_record(case_id, header_line, entries)
+                    for case_id, header_line, entries in raw_records
+                    if case is None or case in (case_id, family_of(case_id)))
+    return Catalog(version, records, tuple(segments))
+
+
+def toric_loci(toric_family, path=None):
+    """The candidate zero-locus equations of the first record that scans
+    this toric family, itself or as a product factor; () if none.
+
+    Read after the structure pass, which still checks every line, from the
+    ``locus``, ``toric_family`` and ``factor`` values alone: no record is
+    built, so a record broken elsewhere does not stop a scan.  A malformed
+    ``factor`` value of a record with loci does, as in ``load_catalog``."""
+    for case_id, _, entries in _structure(path, None)[1]:
+        loci = tuple(v for k, v, _ in entries if k == "locus")
+        if not loci:
+            continue
+        scanned = {v for k, v, _ in entries if k == "toric_family"}
+        for key, value, line in entries:
+            if key == "factor":
+                try:
+                    scanned.add(_parse_factor(value).toric_family)
+                except CatalogError as exc:
+                    raise CatalogError(f"record {case_id}: {exc}", line) from exc
+        if toric_family in scanned:
+            return loci
+    return ()
+
+
+def _structure(path, text):
+    """(version, [(id, header line, [(key, value, line)])], render segments)
+    of the catalog at ``path``, or of ``text``, or of the shipped one."""
     if text is None:
         if path is None:
             text = default_catalog_text()
@@ -246,10 +274,7 @@ def load_catalog(path=None, text=None, case=None):
         raise CatalogError("missing version line (empty catalog?)")
     if not raw_records:
         raise CatalogError("catalog has no records")
-    records = tuple(_build_record(case_id, header_line, entries)
-                    for case_id, header_line, entries in raw_records
-                    if case is None or case in (case_id, family_of(case_id)))
-    return Catalog(version, records, tuple(segments))
+    return version, raw_records, segments
 
 
 _REQUIRED = object()     # the default of a key that must be given

@@ -1,4 +1,4 @@
-"""Futaki numerators and chambers of a toric family's combinatorial cells, over Q[params].
+"""Zero-locus scans of the toric families, on their combinatorial cells over Q[params].
 
 A cell is the set of parameter values at which the vertices of the family's
 polytope lie on the same facets.  On a cell each vertex is the solution of a
@@ -16,19 +16,157 @@ affine in the parameters, and ``scan_grid`` decides the region, and inside it
 membership in a known chamber, on integers without building a polytope.
 
 ``toric.zero_locus_scan`` imports this module on its first scan, so that
-``import futakizero.toric`` alone loads no symbolic engine, and a command
-that runs no scan never loads it.
+``import futakizero.toric`` alone compiles no scan code and loads no symbolic
+engine, and a command that runs no scan never loads it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from itertools import groupby, product
 from math import gcd, prod
 from operator import mul
 
 from . import toric
 from .parampoly import PPoly
+
+
+# ---------------------------------------------------------------------------
+# zero-locus scans
+# ---------------------------------------------------------------------------
+
+class ScanPoint:
+    __slots__ = ("values", "zero")
+
+    def __init__(self, values, zero):
+        self.values = values    # (name, Fraction) pairs in scan order
+        self.zero = zero
+
+    def __eq__(self, other):
+        if not isinstance(other, ScanPoint):
+            return NotImplemented
+        return self.values == other.values and self.zero == other.zero
+
+
+class LocusFit:
+    __slots__ = ("equation", "on_locus_all_zero", "points_on_locus")
+
+    def __init__(self, equation, on_locus_all_zero, points_on_locus):
+        self.equation = equation
+        self.on_locus_all_zero = on_locus_all_zero    # False with no point on the locus
+        self.points_on_locus = points_on_locus
+
+    def __eq__(self, other):
+        if not isinstance(other, LocusFit):
+            return NotImplemented
+        return ((self.equation, self.on_locus_all_zero, self.points_on_locus)
+                == (other.equation, other.on_locus_all_zero, other.points_on_locus))
+
+
+class ScanReport:
+    __slots__ = ("family", "step", "points", "skipped", "loci", "covered",
+                 "zero_everywhere")
+
+    def __init__(self, family, step, points, skipped, loci, covered, zero_everywhere):
+        self.family = family
+        self.step = step
+        self.points = points
+        self.skipped = skipped
+        self.loci = loci            # LocusFit per candidate equation
+        self.covered = covered      # every zero point lies on some candidate locus
+        self.zero_everywhere = zero_everywhere
+
+    def __eq__(self, other):
+        if not isinstance(other, ScanReport):
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in ScanReport.__slots__)
+
+    def classify(self):
+        """identically_zero, on_locus (the candidate loci hold exactly the
+        zeros), locus_and_more (zeros off the loci too) or off_locus."""
+        if self.zero_everywhere:
+            return "identically_zero"
+        if self.loci and all(f.on_locus_all_zero for f in self.loci):
+            return "on_locus" if self.covered else "locus_and_more"
+        return "off_locus"
+
+
+MAX_SCAN_POINTS = 10 ** 6    # the grid points a scan may take; s6 at step 1/4 has 1,331
+
+
+def zero_locus_scan(family, step, loci=(), fixed=None):
+    """Exact zero test of the Futaki vector over a rational grid.
+
+    Out-of-region grid points are skipped and counted.  In-region points are
+    grouped by combinatorial cell (the tight-facet sets of the vertices).  On
+    a cell the vertices are affine in the scanned parameters, so the Futaki
+    numerators are polynomials: they are derived once, at the cell's first
+    point, and a point is zero exactly when they all vanish there.
+
+    The region is decided on integers without a build: a point is outside
+    exactly where one of the family's region forms is at most 0.  Each is a
+    combination of the facet rows along a circuit of their normals with at
+    most one negative weight, and proves by Motzkin's theorem that the
+    polytope is empty or flat or that some facet supports no (dim-1)-face
+    (``region_forms`` gives the proof).  An in-region point is built
+    only when no known cell's chamber (its affine slack inequalities,
+    checked on integers) contains it.  Candidate locus equations (catalog
+    data) are fitted against the computed zero set.  A grid with no point in
+    the region is a ToricError: it would confirm nothing.  So is a grid of
+    more than ``MAX_SCAN_POINTS`` points, before any grid list is built.
+    """
+    fam = toric.FAMILIES.get(family)
+    if fam is None:
+        raise toric.ToricError(f"unknown toric family {family!r}")
+    step = Fraction(step)
+    if step <= 0:
+        raise toric.ToricError("grid step must be positive")
+    equations = _locus_equations(loci, fam.param_names)
+    pinned = dict(fam.fixed_for_scan)
+    if fixed:
+        pinned.update({k: Fraction(v) for k, v in fixed.items()})
+    scan_names = [n for n in fam.param_names if n not in pinned]
+    # the multiples k * step below each upper bound: k = 1 .. ceil(upper / step) - 1
+    counts = [-(-fam.scan_upper[n] // step) - 1 for n in scan_names]
+    if prod(counts) > MAX_SCAN_POINTS:
+        raise toric.ToricError(f"a grid of {prod(counts)} points at step {step} exceeds the "
+                         f"bound {MAX_SCAN_POINTS}")
+    grids = [[k * step for k in range(1, count + 1)] for count in counts]
+    points, skipped = scan_grid(fam, scan_names, pinned, grids, step.denominator)
+    if not points:
+        raise toric.ToricError(
+            f"no grid point of {family} at step {step} lies in the Kähler region")
+    fits = []
+    on_some_locus = [False] * len(points)
+    for eq, differences in zip(loci, equations):
+        on = on_locus(differences, pinned, step.denominator, points)
+        on_count = sum(on)
+        all_zero = all(pt.zero for pt, hit in zip(points, on) if hit)
+        on_some_locus = [a or b for a, b in zip(on_some_locus, on)]
+        fits.append(LocusFit(eq, all_zero and on_count > 0, on_count))
+    covered = (all(on_some_locus[i] for i, pt in enumerate(points) if pt.zero)
+               if loci else True)
+    zero_everywhere = all(pt.zero for pt in points)
+    return ScanReport(family, step, tuple(points), skipped, tuple(fits), covered,
+                      zero_everywhere)
+
+
+def _locus_equations(loci, names):
+    """Each locus equation as the differences of its sides over Q[names]."""
+    from .polyring import PolyError, parse_equations     # loaded on first use
+    equations = []
+    for eq in loci:
+        try:
+            equations.append(parse_equations(eq, names))
+        except PolyError as exc:
+            raise toric.ToricError(f"bad locus equation {eq!r}: {exc}") from exc
+    return equations
+
+
+# ---------------------------------------------------------------------------
+# cells
+# ---------------------------------------------------------------------------
 
 
 class _SymbolicFacet:
@@ -183,7 +321,7 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
                 if key not in polys:
                     polys[key] = [_on_line(form, h) for form in cells[key]]
                 zero = not any(_horner(p, x) for p in polys[key])
-            points.append(toric.ScanPoint(tuple(zip(scan_names, values)), zero))
+            points.append(ScanPoint(tuple(zip(scan_names, values)), zero))
     return points, skipped
 
 

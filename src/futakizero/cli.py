@@ -6,15 +6,17 @@ Commands: ``verify [ID | --all]``, ``toric futaki --family F --params k=v``,
 ``report [--format text|json-lines]``.  Exit status: 0 success, 1 verdict
 mismatch, 2 catalog or usage errors, 3 toric errors (out-of-region
 parameters, bad ``--params``, a bad grid step or locus equation, a scan
-with no grid point in the Kähler region), 4 internal errors.  ``main`` alone
+with no grid point in the Kähler region, a grid of more than
+``cells.MAX_SCAN_POINTS`` points), 4 internal errors.  ``main`` alone
 turns a CatalogError, a load error or a validation finding of a selected
 record, into exit 2, and any other exception into one ``internal error:``
 line on stderr and exit 4, so that exit 1 always means a verdict mismatch.
-A command naming one case loads the catalog with that case and
-so builds and validates only the records it selects; ``verify --all``,
-``report`` without a case, ``catalog validate`` and ``toric scan`` build every
-record.  Records are evaluated by ``character.evaluate_record``, one after
-another in catalog order; this module holds no evaluation policy.
+A command naming one case loads the catalog with that case and so builds
+and validates only the records it selects; ``verify --all``, ``report``
+without a case and ``catalog validate`` build every record, and ``toric
+scan`` builds none: it reads its loci with ``catalog.toric_loci``.  Records
+are evaluated by ``character.evaluate_record``, one after another in catalog
+order; this module holds no evaluation policy.
 
 Importing this module loads ``catalog``, ``character`` and ``ratlinalg``
 only; the engines load on first use, so a command compiles those its records
@@ -36,7 +38,7 @@ from fractions import Fraction
 # built by ``dataclasses`` (perfbench ``peak_rss_mb``, medians of 10 runs on
 # one CPU without a bytecode cache).
 from .catalog import CatalogError, load_catalog, parse_assignments, validate_case
-from .catalog import validate_catalog
+from .catalog import toric_loci, validate_catalog
 from .character import DEFAULT_SCAN_STEP, evaluate_record, verdict_json_fields, verdict_line
 
 ENV_CATALOG = "FUTAKIZERO_CATALOG"
@@ -168,7 +170,7 @@ def cmd_toric_scan(args, out):
     from . import toric
     loci = args.loci
     if loci is None:
-        loci = load_catalog(args.catalog).toric_loci(args.family)
+        loci = toric_loci(args.family, args.catalog)
     try:
         report = toric.zero_locus_scan(args.family, args.step, loci=loci)
     except toric.ToricError as exc:

@@ -7,7 +7,7 @@ divisors (enough for rational literals and parameter scalars such as
 ``y0/(1-s)``).  Canonical form: terms sorted by descending lex exponent
 vector, reduced nonzero coefficients, one multidegree for the whole
 polynomial.  Locus equations over the parameters alone go through the same
-parser (``parse_equations``).
+parser (``parse_equations``), once per line and parameter names.
 
 ``parampoly`` loads where a non-constant element of Q(params) is built, so a
 polynomial without parameters never compiles it.
@@ -16,6 +16,7 @@ polynomial without parameters never compiles it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .ratlinalg import solve_generic
 
@@ -486,8 +487,15 @@ _NO_COORDINATES = AmbientSpace(((1, ("", " ")),))   # no token can name these
 
 
 def parse_equations(text, names):
-    """The differences side_k - side_0 of ``lhs = rhs [= ...]``, as PPoly in
-    ``names``.  Raises PolyError unless every side is a polynomial in them."""
+    """The differences side_k - side_0 of ``lhs = rhs [= ...]``, as a tuple
+    of PPoly in ``names``.  Raises PolyError unless every side is a
+    polynomial in them.  Memoised: the catalog check and the scan of a run
+    read the same locus lines over the same names."""
+    return _equations(text, tuple(names))
+
+
+@lru_cache(maxsize=256)
+def _equations(text, names):
     parts = text.split("=")
     if len(parts) < 2:
         raise ParseError(f"{text!r} is not an equation")
@@ -502,7 +510,7 @@ def parse_equations(text, names):
         if not value.den.is_constant():
             raise ParseError(f"{part.strip()!r} is not a polynomial in {', '.join(names)}")
         sides.append(value.num / value.den.constant_value())
-    return [side - sides[0] for side in sides[1:]]
+    return tuple(side - sides[0] for side in sides[1:])
 
 
 def multidegree(p):

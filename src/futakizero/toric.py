@@ -3,8 +3,8 @@
 Halfspace representations with primitive integer outer normals, exact
 vertex/volume/moment computation, the lattice-normalized boundary measure
 (dmu = dsigma ^ d<u,.>, computed with lattice determinants only, no
-radicals), the Donaldson-type functional L(f), Futaki vectors, the toric
-catalog families declared as affine halfspace rows, and zero-locus scans.
+radicals), the Donaldson-type functional L(f), Futaki vectors, and the toric
+catalog families declared as affine halfspace rows.
 
 Every integral is evaluated along two independent routes and the public
 operations insist the routes agree exactly: the solid integrals by base-vertex
@@ -12,15 +12,14 @@ triangulation vs divergence theorem over the boundary data, in every
 dimension; the boundary measures by facet fans from a vertex vs from the
 centroid in dimension 3 only, as a facet point or edge has one measure.  The
 routes are written once, over Fractions or over polynomials in the family
-parameters.
+parameters.  Each sums lattice-normalised terms (d! vol, d! (d+1) moment,
+(d-1)! sigma-mass, d! sigma-moment) and divides none of them; the sums are
+compared as they are, and ``_integral_data`` divides each total once.
 
-Scans group grid points by combinatorial cell.  On a cell the vertices are
-affine in the parameters, so the Futaki numerators are polynomials, derived
-once per cell (both routes must agree symbolically, and numerically with the
-Fraction routes at the cell's sample point) and evaluated at every point.
-The Kähler region is cut out by affine circuit forms, and a point inside a
-known cell's chamber, cut out by affine slack inequalities, is decided
-without building its polytope (module ``cells``).
+Zero-locus scans (``zero_locus_scan``) run in module ``cells``, which loads
+on the first scan: grid points are grouped by combinatorial cell, whose
+Futaki numerators are polynomials derived once by these same routes, and a
+point inside a known cell's chamber is decided without building its polytope.
 
 Construction runs on integers: each vertex is solved, tested, keyed and
 sorted as an integer point over one common denominator, the affine rank is
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -396,111 +395,148 @@ def _adjugate(u):
 # Fractions on a Polytope, or PPoly on a cell of the ``cells`` module.  Each
 # absolute value goes through ``p.magnitude``, which reads the sign at the
 # cell's sample point; for Fractions that point is the value itself.
+#
+# Each route sums lattice-normalised terms and divides none: a d-simplex has
+# volume |det| / d! and barycentre its vertex sum / (d + 1), a facet simplex
+# sigma-volume |k| / (d-1)! and barycentre its vertex sum / d, k its lattice
+# coefficient (``_along``).  So the solid routes sum V = d! vol and
+# M = d! (d+1) moment, the boundary routes S = (d-1)! sigma-mass and
+# T = d! sigma-moment; they are compared on these sums, and
+# ``_integral_data`` divides them once.
+
+@lru_cache(maxsize=256)
+def _unit_functional(normal):
+    """Integer u with <u, normal> = +-1 for a primitive integer normal, as
+    (coefficient, index) pairs; a unit entry j gives the one pair (1, j)."""
+    for j, x in enumerate(normal):
+        if x in (1, -1):
+            return ((1, j),)
+    g, coeffs = 0, []
+    for x in normal:        # extended Euclid: sum of coeffs * entries = g
+        r0, r1, s0, s1, t0, t1 = g, x, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+        g, coeffs = r0, [s0 * c for c in coeffs] + [t0]
+    return tuple((c, j) for j, c in enumerate(coeffs) if c)
+
+
+def _along(normal, vector):
+    """+-k for a vector k * normal: <u, vector>, u = _unit_functional(normal);
+    every caller takes the magnitude."""
+    (c, j), *rest = _unit_functional(normal)
+    k = vector[j] if c == 1 else c * vector[j]
+    for c, j in rest:
+        k += c * vector[j]
+    return k
+
 
 def _edge_sigma(p, normal, v, w):
-    """Lattice length of an edge on the facet with this normal: the factor L
-    with w - v = L * t, t = (-n1, n0) the primitive perpendicular of the
-    primitive normal."""
-    t = (-normal[1], normal[0])
-    j = 0 if t[0] else 1
-    return p.magnitude((w[j] - v[j]) / t[j])
+    """Lattice length of an edge on the facet with this normal: |k|, where the
+    quarter turn (x, y) -> (y, -x) takes w - v to k * normal."""
+    return p.magnitude(_along(normal, (w[1] - v[1], v[0] - w[0])))
 
 
-def _triangle_sigma(p, normal, a, b, c):
-    """Lattice area of a facet triangle: |k|/2 with (b-a)x(c-a) = k * normal."""
-    cr = _cross([x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)])
-    j = next(i for i, n in enumerate(normal) if n)
-    return p.magnitude(cr[j] / normal[j]) / 2
+def _fan_sums(p, normal, apex, rim):
+    """(sum |k|, sum |k| (apex + b + c)) over the triangles (apex, b, c) of
+    a facet polygon, b and c consecutive in ``rim``, with
+    (b - apex) x (c - apex) = k * normal."""
+    e = [[x - a for x, a in zip(b, apex)] for b in rim]
+    ks = [p.magnitude(_along(normal, _cross(x, y))) for x, y in zip(e, e[1:])]
+    mass = sum(ks)
+    return mass, [apex[i] * mass + sum(k * (b[i] + c[i]) for k, b, c in zip(ks, rim, rim[1:]))
+                  for i in range(3)]
 
 
-def _facet_measures_fan(p, f, origin_mode):
-    """(sigma mass, sigma moment) of facet f; origin_mode picks the fan apex
-    ('vertex' route vs 'centroid' route) of a 3-D facet polygon, and a point
-    or an edge has one measure for both."""
-    d = p.dim
-    key = ("facet", f, origin_mode if d == 3 else None)
+def _facet_sums(p, f):
+    """(S_f, T_f) of facet f, a 3-D polygon fanned from its first vertex;
+    cached, as the boundary and divergence routes both read it."""
+    key = ("facet", f)
     cached = p._cache.get(key)
-    if cached is not None:
-        return cached
-    verts = p.facet_vertices(f)
-    normal = p.halfspaces[f].normal
-    if d == 1:
-        result = (Fraction(1), list(verts[0]))
-    elif d == 2:
-        v, w = verts
-        sigma = _edge_sigma(p, normal, v, w)
-        result = (sigma, [sigma * (a + b) / 2 for a, b in zip(v, w)])
-    else:
-        k = len(verts)
-        if origin_mode == "vertex":
-            apex = verts[0]
-            fan = [(verts[i], verts[i + 1]) for i in range(1, k - 1)]
+    if cached is None:
+        verts = p.facet_vertices(f)
+        normal = p.halfspaces[f].normal
+        if p.dim == 1:
+            cached = (1, list(verts[0]))
+        elif p.dim == 2:
+            v, w = verts
+            sigma = _edge_sigma(p, normal, v, w)
+            cached = (sigma, [sigma * (a + b) for a, b in zip(v, w)])
         else:
-            apex = tuple(sum(v[i] for v in verts) / k for i in range(3))
-            fan = [(verts[i], verts[(i + 1) % k]) for i in range(k)]
-        mass = Fraction(0)
-        moment = [Fraction(0)] * 3
-        for b, c in fan:
-            area = _triangle_sigma(p, normal, apex, b, c)
-            mass += area
-            for i in range(3):
-                moment[i] += area * (apex[i] + b[i] + c[i]) / 3
-        result = (mass, moment)
-    p._cache[key] = result
-    return result
+            cached = _fan_sums(p, normal, verts[0], verts[1:])
+        p._cache[key] = cached
+    return cached
 
 
 def _boundary_route(p, origin_mode):
-    mass = Fraction(0)
-    moment = [Fraction(0)] * p.dim
-    for f in range(len(p.halfspaces)):
-        m, mom = _facet_measures_fan(p, f, origin_mode)
-        mass += m
-        for i in range(p.dim):
-            moment[i] += mom[i]
-    return mass, tuple(moment)
+    """(S, T) of the boundary; origin_mode picks the fan apex of a 3-D facet
+    polygon, its first vertex ('vertex') or its centroid ('centroid'); a
+    point or an edge has one measure for both.
+
+    The centroid fans run on the boundary dilated by m, the lcm of the facet
+    vertex counts, where the centroid of a k-gon is m / k times its vertex
+    sum, so that no fan divides; their totals, m^2 S and m^3 T, are divided
+    once at the end."""
+    d = p.dim
+    if origin_mode == "vertex" or d < 3:
+        m = 1
+        sums = [_facet_sums(p, f) for f in range(len(p.halfspaces))]
+    else:
+        m = lcm(*map(len, p.facet_cycles))
+        sums = []
+        for f, h in enumerate(p.halfspaces):
+            verts = p.facet_vertices(f)
+            scale = m // len(verts)     # exact, on ints
+            rim = [[m * x for x in v] for v in verts]
+            apex = [scale * sum(v[i] for v in verts) for i in range(3)]
+            sums.append(_fan_sums(p, h.normal, apex, rim + rim[:1]))
+    mass = sum(s for s, _ in sums)
+    moment = tuple(sum(t[i] for _, t in sums) for i in range(d))
+    if m == 1:
+        return mass, moment
+    area = Fraction(m * m)
+    return mass / area, tuple(x / (area * m) for x in moment)
 
 
 def _solid_route_triangulation(p):
+    """(V, M) from the simplices joining the first vertex to the facets (fanned
+    from their first vertex) that miss it."""
     d = p.dim
     base = p.vertices[0]
-    vol = Fraction(0)
-    moment = [Fraction(0)] * d
     if d == 1:
-        a, b = p.vertices[0][0], p.vertices[-1][0]
+        a, b = base[0], p.vertices[-1][0]
         vol = p.magnitude(b - a)
-        return vol, (vol * (a + b) / 2,)
-    for f, cycle in enumerate(p.facet_cycles):
+        return vol, (vol * (a + b),)
+    rel = [[x - y for x, y in zip(v, base)] for v in p.vertices]
+    dets, moment = [], [[] for _ in range(d)]
+    for cycle in p.facet_cycles:
         if 0 in cycle:      # the facet contains the base vertex
             continue
-        verts = p.facet_vertices(f)
-        if d == 2:
-            simplices = [(verts[0], verts[1])]
-        else:
-            simplices = [(verts[0], verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)]
-        for simplex in simplices:
-            det = _det([[x - bx for x, bx in zip(s, base)] for s in simplex])
-            v = p.magnitude(det) / factorial(d)
-            vol += v
-            for i in range(d):
-                moment[i] += v * (base[i] + sum(s[i] for s in simplex)) / (d + 1)
-    return vol, tuple(moment)
+        for simplex in [cycle] if d == 2 else zip(repeat(cycle[0]), cycle[1:], cycle[2:]):
+            det = p.magnitude(_det([rel[i] for i in simplex]))
+            dets.append(det)
+            for x in range(d):
+                moment[x].append(det * sum(p.vertices[i][x] for i in simplex))
+    vol = sum(dets)
+    return vol, tuple(base[x] * vol + sum(terms) for x, terms in enumerate(moment))
 
 
 def _solid_route_divergence(p):
-    d = p.dim
-    vol = Fraction(0)
-    moment = [Fraction(0)] * d
+    """(V, M) = sum over facets of offset * (S_f, T_f), by the divergence
+    theorem for x -> x and x -> x_i x."""
+    vol, moment = [], [[] for _ in range(p.dim)]
     for f, h in enumerate(p.halfspaces):
-        m, mom = _facet_measures_fan(p, f, "centroid" if d == 3 else "vertex")
-        vol += h.offset * m
-        for i in range(d):
-            moment[i] += h.offset * mom[i]
-    return vol / d, tuple(x / (d + 1) for x in moment)
+        s, t = _facet_sums(p, f)
+        vol.append(h.offset * s)
+        for i in range(p.dim):
+            moment[i].append(h.offset * t[i])
+    return sum(vol), tuple(map(sum, moment))
 
 
 def _integral_data(p):
-    """All exact integrals, each evaluated along both routes; cached."""
+    """(volume, moment, sigma mass, sigma moment), each summed along two
+    routes that must agree; cached.  The only division of the route sums is
+    here, by Fractions, so that a sum of ints still gives Fractions."""
     data = p._cache.get("integrals")
     if data is None:
         tri = _solid_route_triangulation(p)
@@ -512,7 +548,10 @@ def _integral_data(p):
             bc = _boundary_route(p, "centroid")
             if bv != bc:
                 raise ToricError(f"boundary routes disagree: {bv} vs {bc}")
-        data = (tri[0], tri[1], bv[0], bv[1])
+        (vol, mom), (mass, smoment) = tri, bv
+        simplex = Fraction(factorial(p.dim))
+        data = (vol / simplex, tuple(x / (simplex * (p.dim + 1)) for x in mom),
+                mass / Fraction(factorial(p.dim - 1)), tuple(x / simplex for x in smoment))
         p._cache["integrals"] = data
     return data
 
@@ -690,128 +729,9 @@ def anticanonical_parameters(family):
 # zero-locus scans
 # ---------------------------------------------------------------------------
 
-class ScanPoint:
-    __slots__ = ("values", "zero")
-
-    def __init__(self, values, zero):
-        self.values = values    # (name, Fraction) pairs in scan order
-        self.zero = zero
-
-    def __eq__(self, other):
-        if not isinstance(other, ScanPoint):
-            return NotImplemented
-        return self.values == other.values and self.zero == other.zero
-
-
-class LocusFit:
-    __slots__ = ("equation", "on_locus_all_zero", "points_on_locus")
-
-    def __init__(self, equation, on_locus_all_zero, points_on_locus):
-        self.equation = equation
-        self.on_locus_all_zero = on_locus_all_zero    # False with no point on the locus
-        self.points_on_locus = points_on_locus
-
-    def __eq__(self, other):
-        if not isinstance(other, LocusFit):
-            return NotImplemented
-        return ((self.equation, self.on_locus_all_zero, self.points_on_locus)
-                == (other.equation, other.on_locus_all_zero, other.points_on_locus))
-
-
-class ScanReport:
-    __slots__ = ("family", "step", "points", "skipped", "loci", "covered",
-                 "zero_everywhere")
-
-    def __init__(self, family, step, points, skipped, loci, covered, zero_everywhere):
-        self.family = family
-        self.step = step
-        self.points = points
-        self.skipped = skipped
-        self.loci = loci            # LocusFit per candidate equation
-        self.covered = covered      # every zero point lies on some candidate locus
-        self.zero_everywhere = zero_everywhere
-
-    def __eq__(self, other):
-        if not isinstance(other, ScanReport):
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in ScanReport.__slots__)
-
-    def classify(self):
-        """identically_zero, on_locus (the candidate loci hold exactly the
-        zeros), locus_and_more (zeros off the loci too) or off_locus."""
-        if self.zero_everywhere:
-            return "identically_zero"
-        if self.loci and all(f.on_locus_all_zero for f in self.loci):
-            return "on_locus" if self.covered else "locus_and_more"
-        return "off_locus"
-
-
 def zero_locus_scan(family, step, loci=(), fixed=None):
-    """Exact zero test of the Futaki vector over a rational grid.
-
-    Out-of-region grid points are skipped and counted.  In-region points are
-    grouped by combinatorial cell (the tight-facet sets of the vertices).  On
-    a cell the vertices are affine in the scanned parameters, so the Futaki
-    numerators are polynomials: they are derived once, at the cell's first
-    point, and a point is zero exactly when they all vanish there.
-
-    The region is decided on integers without a build: a point is outside
-    exactly where one of the family's region forms is at most 0.  Each is a
-    combination of the facet rows along a circuit of their normals with at
-    most one negative weight, and proves by Motzkin's theorem that the
-    polytope is empty or flat or that some facet supports no (dim-1)-face
-    (``cells.region_forms`` gives the proof).  An in-region point is built
-    only when no known cell's chamber (its affine slack inequalities,
-    checked on integers) contains it.  Candidate locus equations (catalog
-    data) are fitted against the computed zero set.  A grid with no point in
-    the region is a ToricError: it would confirm nothing.
-    """
-    fam = FAMILIES.get(family)
-    if fam is None:
-        raise ToricError(f"unknown toric family {family!r}")
-    step = Fraction(step)
-    if step <= 0:
-        raise ToricError("grid step must be positive")
-    equations = _locus_equations(loci, fam.param_names)
-    pinned = dict(fam.fixed_for_scan)
-    if fixed:
-        pinned.update({k: Fraction(v) for k, v in fixed.items()})
-    scan_names = [n for n in fam.param_names if n not in pinned]
-    grids = []
-    for n in scan_names:
-        upper = fam.scan_upper[n]
-        k = 1
-        values = []
-        while k * step < upper:
-            values.append(k * step)
-            k += 1
-        grids.append(values)
-    from . import cells     # the symbolic engine, loaded on first use
-    points, skipped = cells.scan_grid(fam, scan_names, pinned, grids, step.denominator)
-    if not points:
-        raise ToricError(f"no grid point of {family} at step {step} lies in the Kähler region")
-    fits = []
-    on_some_locus = [False] * len(points)
-    for eq, differences in zip(loci, equations):
-        on = cells.on_locus(differences, pinned, step.denominator, points)
-        on_count = sum(on)
-        all_zero = all(pt.zero for pt, hit in zip(points, on) if hit)
-        on_some_locus = [a or b for a, b in zip(on_some_locus, on)]
-        fits.append(LocusFit(eq, all_zero and on_count > 0, on_count))
-    covered = (all(on_some_locus[i] for i, pt in enumerate(points) if pt.zero)
-               if loci else True)
-    zero_everywhere = all(pt.zero for pt in points)
-    return ScanReport(family, step, tuple(points), skipped, tuple(fits), covered,
-                      zero_everywhere)
-
-
-def _locus_equations(loci, names):
-    """Each locus equation as the differences of its sides over Q[names]."""
-    from .polyring import PolyError, parse_equations     # loaded on first use
-    equations = []
-    for eq in loci:
-        try:
-            equations.append(parse_equations(eq, names))
-        except PolyError as exc:
-            raise ToricError(f"bad locus equation {eq!r}: {exc}") from exc
-    return equations
+    """Exact zero test of the Futaki vector over a rational grid: the
+    ``ScanReport`` of ``cells.zero_locus_scan``, whose module, the scan
+    engine, loads on the first scan."""
+    from . import cells
+    return cells.zero_locus_scan(family, step, loci, fixed)

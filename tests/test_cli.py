@@ -72,8 +72,13 @@ class TestVerify:
         # and 2 symbolic cells, though cells.numerators asks twice per cell
         monkeypatch.setattr(toric, "_solid_route_triangulation",
                             counted("triangulation", toric._solid_route_triangulation))
+        # each (locus line, family) pair is parsed once, though the catalog
+        # check and the scans ask for 8
+        polyring._equations.cache_clear()
         assert main(["verify", "--all"], out=io.StringIO()) == 0
-        assert counts == {"rref": 188, "in_span": 81, "build": 6, "triangulation": 8}
+        counts["equations"] = polyring._equations.cache_info().misses
+        assert counts == {"rref": 188, "in_span": 81, "build": 6, "triangulation": 8,
+                          "equations": 5}
 
     @pytest.mark.parametrize("argv,built", [
         (["verify", "2.20"], 1), (["report", "3.10-a"], 1), (["verify", "3.10"], 2),
@@ -242,6 +247,43 @@ class TestToric:
         assert "locus: a = b :: confirmed" in out
         assert "locus: classification ::" in out
 
+
+    def test_oversized_grid_exits_three(self, capsys):
+        # rejected before any grid list is built: the grid has 2.7e19 points
+        code, out = run_cli(["toric", "scan", "--family", "s6", "--step", "1/1000000"])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: a grid of 26999973000008999999 points at step 1/1000000 exceeds "
+            "the bound 1000000\n")
+
+    @staticmethod
+    def scan_with_catalog(tmp_path, old, new):
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        assert old in text
+        path = tmp_path / "edited.cat"
+        path.write_text(text.replace(old, new, 1))
+        return run_cli(["--catalog", str(path), "toric", "scan", "--family", "s6",
+                        "--step", "1/2"])
+
+    @pytest.mark.parametrize("old,new", [
+        ("expected = full_cone", "expected = subcone(x)"),      # 9.1
+        ("weights(1, -1, 1, -1, 0)", "weights(1, -1, 0, 0, 0)"),
+        ("kind = semisimple_full", "kind = unknown-kind")])
+    def test_scan_reads_loci_past_unrelated_broken_records(self, tmp_path, old, new):
+        # the scan reads only locus, toric_family and factor values
+        assert self.scan_with_catalog(tmp_path, old, new) == run_cli(
+            ["toric", "scan", "--family", "s6", "--step", "1/2"])
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("toric s6 :", "toric s6 : colour red :",
+         "record 5.3: bad factor clause 'colour red'"),
+        ("version = 1", "version = x", "line 6: bad version value 'x'"),
+        ('[case "9.1"]', '[case "2.20"]', "duplicate id '2.20'")])
+    def test_scan_stops_on_what_it_reads(self, tmp_path, capsys, old, new, message):
+        # a malformed factor of the record with the loci, or a structure error
+        assert self.scan_with_catalog(tmp_path, old, new) == (2, "")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("locus", [
         "a =", "a = (b", "a = 1/0", "a = 1//2", "a/b = 1", "a = b^100000000",
@@ -617,6 +659,8 @@ class TestStartup:
         (["report", "2.24", "--format", "json-lines"], ["json", "polyring", "symmetry"]),
         (["verify", "--all"], ["cells", "parampoly", "polyring", "symmetry", "toric"]),
         (["catalog", "validate"], ["parampoly", "polyring", "symmetry", "toric"]),
+        # the loci come from the structure pass: no record is built
+        (["toric", "scan", "--family", "s6"], ["cells", "parampoly", "polyring", "toric"]),
     ], ids=lambda modules: "-".join(modules) or "none")
     def test_command_loads_only_the_engines_its_records_use(self, argv, modules):
         assert sorted(m.removeprefix("futakizero.") for m in self.run(argv)) == modules

@@ -301,7 +301,9 @@ class TestConstantWork:
                             attributed(cli.validate_case, lambda record: record.id))
         monkeypatch.setattr(cli, "evaluate_record",
                             attributed(cli.evaluate_record, lambda record: record.id))
-        # catalog and toric import it from polyring at each call
+        # catalog and toric import it from polyring at each call; parsed
+        # once per line and names, so parsed anew only with an empty memo
+        polyring._equations.cache_clear()
         monkeypatch.setattr(polyring, "parse_equations",
                             attributed(polyring.parse_equations, lambda *_: ("locus", current[0])))
         assert cli.main(["verify", "--all"], out=io.StringIO()) == 0

@@ -119,6 +119,74 @@ class TestIntegrals:
         assert sorted(calls) == sorted(h.normal for h in p.halfspaces)
 
 
+class TestRouteSums:
+    """Each route's lattice-normalised sums: V = d! vol, M = d! (d+1) moment,
+    S = (d-1)! sigma-mass and T = d! sigma-moment."""
+
+    FACTORIAL = (1, 1, 2, 6)
+
+    @staticmethod
+    def cube(d):
+        rows = []
+        for i in range(d):
+            e = tuple(int(j == i) for j in range(d))
+            rows += [Halfspace(tuple(-x for x in e), 0), Halfspace(e, 1)]
+        return Polytope.from_halfspaces(d, rows)
+
+    @staticmethod
+    def simplex(d):
+        rows = [Halfspace(tuple(-int(j == i) for j in range(d)), 0) for i in range(d)]
+        return Polytope.from_halfspaces(d, rows + [Halfspace((1,) * d, 1)])
+
+    @staticmethod
+    def route_sums(p):
+        from futakizero.toric import (_boundary_route, _solid_route_divergence,
+                                      _solid_route_triangulation)
+        return (_solid_route_triangulation(p), _solid_route_divergence(p),
+                _boundary_route(p, "vertex"), _boundary_route(p, "centroid"))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unit_cube(self, d):
+        # vol 1, moment 1/2 each, 2d unit facets of sigma-moment d per coordinate
+        f = self.FACTORIAL[d]
+        solid = (f, (f * (d + 1) // 2,) * d)
+        boundary = (2 * f, (f * d,) * d)
+        assert self.route_sums(self.cube(d)) == (solid, solid, boundary, boundary)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_standard_simplex(self, d):
+        # vol 1/d!, moment 1/(d+1)! each; d + 1 unimodular facets, sigma-moment d/d!
+        solid = (1, (1,) * d)
+        boundary = (d + 1, (d,) * d)
+        assert self.route_sums(self.simplex(d)) == (solid, solid, boundary, boundary)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_integral_data_divides_once(self, d):
+        p = self.simplex(d)
+        f = self.FACTORIAL
+        assert volume(p) == Fraction(1, f[d])
+        assert moment(p) == (Fraction(1, f[d] * (d + 1)),) * d
+        assert boundary_integral(p) == (Fraction(d + 1, f[d - 1]), (Fraction(d, f[d]),) * d)
+        assert all(type(x) is Fraction for x in (volume(p), boundary_integral(p)[0]))
+
+    @pytest.mark.parametrize("route,mode,message", [
+        ("_solid_route_triangulation", None, "solid integral routes disagree"),
+        ("_solid_route_divergence", None, "solid integral routes disagree"),
+        ("_boundary_route", "centroid", "boundary routes disagree"),
+        ("_boundary_route", "vertex", "boundary routes disagree")])
+    def test_corrupted_sum_raises(self, monkeypatch, route, mode, message):
+        from futakizero import toric
+        real = getattr(toric, route)
+
+        def corrupted(p, *args):
+            total, sums = real(p, *args)
+            return (total + 1, sums) if mode in (None, *args) else (total, sums)
+
+        monkeypatch.setattr(toric, route, corrupted)
+        with pytest.raises(ToricError, match=message):
+            futaki_vector(self.cube(3))
+
+
 class TestDonaldsonFunctional:
     def test_constant_is_annihilated(self):
         for p in corpus():
@@ -287,6 +355,17 @@ class TestScan:
         assert {tuple(sorted(d.items())) for d in off} == {
             (("a", Fraction(1, 4)), ("b", Fraction(9, 4))),
             (("a", Fraction(9, 4)), ("b", Fraction(1, 4)))}
+
+    def test_grid_bound(self, monkeypatch):
+        from futakizero import cells
+        with pytest.raises(ToricError, match="a grid of 26999973000008999999 points"):
+            zero_locus_scan("s6", Fraction(1, 1000000))
+        # s6 at step 1/4 has 11^3 points: within a bound of 1331, over 1330
+        monkeypatch.setattr(cells, "MAX_SCAN_POINTS", 1331)
+        assert len(zero_locus_scan("s6", Fraction(1, 4)).points) == 290
+        monkeypatch.setattr(cells, "MAX_SCAN_POINTS", 1330)
+        with pytest.raises(ToricError, match="a grid of 1331 points at step 1/4 exceeds"):
+            zero_locus_scan("s6", Fraction(1, 4))
 
     def test_out_of_region_points_are_counted(self):
         report = zero_locus_scan("s6", Fraction(1, 2))
@@ -663,7 +742,7 @@ class TestIntegerKernelOracle:
 
 def oracle_scan(family, step, loci=(), fixed=None):
     """ScanReport of zero_locus_scan computed point by point."""
-    from futakizero.toric import LocusFit, ScanPoint, ScanReport
+    from futakizero.cells import LocusFit, ScanPoint, ScanReport
     fam = FAMILIES[family]
     pinned = dict(fam.fixed_for_scan, **{k: Fraction(v) for k, v in (fixed or {}).items()})
     names = [n for n in fam.param_names if n not in pinned]

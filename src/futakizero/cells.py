@@ -130,8 +130,8 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     # the multiples k * step below each upper bound: k = 1 .. ceil(upper / step) - 1
     counts = [-(-fam.scan_upper[n] // step) - 1 for n in scan_names]
     if prod(counts) > MAX_SCAN_POINTS:
-        raise toric.ToricError(f"a grid of {prod(counts)} points at step {step} exceeds the "
-                         f"bound {MAX_SCAN_POINTS}")
+        raise toric.ToricError(f"a grid of {prod(counts)} points at step {step} exceeds "
+                               f"the bound {MAX_SCAN_POINTS}")
     grids = [[k * step for k in range(1, count + 1)] for count in counts]
     points, skipped = scan_grid(fam, scan_names, pinned, grids, step.denominator)
     if not points:
@@ -167,7 +167,6 @@ def _locus_equations(loci, names):
 # ---------------------------------------------------------------------------
 # cells
 # ---------------------------------------------------------------------------
-
 
 class _SymbolicFacet:
     __slots__ = ("normal", "offset")

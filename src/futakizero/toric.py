@@ -450,7 +450,8 @@ def _fan_sums(p, normal, apex, rim):
 
 def _facet_sums(p, f):
     """(S_f, T_f) of facet f, a 3-D polygon fanned from its first vertex;
-    cached, as the boundary and divergence routes both read it."""
+    cached, as the boundary and divergence routes both read it.  A point
+    has S_f = 1 and an edge its lattice length."""
     key = ("facet", f)
     cached = p._cache.get(key)
     if cached is None:

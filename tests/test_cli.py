@@ -268,10 +268,11 @@ class TestToric:
 
     @pytest.mark.parametrize("old,new", [
         ("expected = full_cone", "expected = subcone(x)"),      # 9.1
-        ("weights(1, -1, 1, -1, 0)", "weights(1, -1, 0, 0, 0)"),
+        ("adjoint = tau : matrix(-1)", "adjoint = tau : matrix(-1;)"),     # 3.9
         ("kind = semisimple_full", "kind = unknown-kind")])
     def test_scan_reads_loci_past_unrelated_broken_records(self, tmp_path, old, new):
-        # the scan reads only locus, toric_family and factor values
+        # the scan reads only locus, toric_family and factor values; each of
+        # these edits used to stop it with exit 2
         assert self.scan_with_catalog(tmp_path, old, new) == run_cli(
             ["toric", "scan", "--family", "s6", "--step", "1/2"])
 

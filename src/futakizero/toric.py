@@ -14,7 +14,12 @@ centroid in dimension 3 only, as a facet point or edge has one measure.  The
 routes are written once, over Fractions or over polynomials in the family
 parameters.  Each sums lattice-normalised terms (d! vol, d! (d+1) moment,
 (d-1)! sigma-mass, d! sigma-moment) and divides none of them; the sums are
-compared as they are, and ``_integral_data`` divides each total once.
+compared as they are, and ``_integral_data`` divides each total once.  The
+lattice coefficient of a facet simplex is read as one minor of its edges per
+(c, j) pair of an integer u with <u, normal> = +-1: a 2x2 minor on the two
+axes other than j in dimension 3, a coordinate difference in dimension 2, so
+one minor for a normal with a unit entry.  The triangulation route keeps
+full determinants, so that it shares no coefficient with the other routes.
 
 Zero-locus scans (``zero_locus_scan``) run in module ``cells``, which loads
 on the first scan: grid points are grouped by combinatorial cell, whose
@@ -25,7 +30,8 @@ Construction runs on integers: each vertex is solved, tested, keyed and
 sorted as an integer point over one common denominator, the affine rank is
 one fraction-free (Bareiss) elimination, 3-D facet polygons are walked by
 vertex-facet incidence, and determinants are closed forms on cross products;
-Fractions are built once per distinct vertex.
+Fractions are built once per distinct vertex.  A family build sums each facet
+offset on integers, over the lcm of its parameters' denominators.
 """
 
 from __future__ import annotations
@@ -82,10 +88,6 @@ class Halfspace:
             return NotImplemented
         return self.normal == other.normal and self.offset == other.offset
 
-    def value(self, point):
-        # normals are ints and points Fractions; int*Fraction is exact
-        return sum(n * x for n, x in zip(self.normal, point))
-
     def render(self):
         nums = " ".join(str(n) for n in self.normal)
         return f"{nums} <= {self.offset}"
@@ -140,32 +142,6 @@ class Polytope:
 
     def facet_vertices(self, f):
         return [self.vertices[i] for i in self.facet_cycles[f]]
-
-    def translated(self, t):
-        t = [Fraction(x) for x in t]
-        hs = [Halfspace(h.normal, h.offset + sum(Fraction(n) * x for n, x in zip(h.normal, t)))
-              for h in self.halfspaces]
-        return Polytope.from_halfspaces(self.dim, hs)
-
-    def unimodular_image(self, umatrix, t=None):
-        """Image under x -> U x + t for an integer U with |det U| = 1."""
-        d = self.dim
-        if t is None:
-            t = [Fraction(0)] * d
-        u_inv_t = _inverse_transpose_int(umatrix)
-        hs = []
-        for h in self.halfspaces:
-            normal = tuple(sum(u_inv_t[i][j] * h.normal[j] for j in range(d)) for i in range(d))
-            shift = sum(Fraction(n) * Fraction(x) for n, x in zip(normal, t))
-            hs.append(Halfspace(normal, h.offset + shift))
-        return Polytope.from_halfspaces(d, hs)
-
-    def scaled(self, k):
-        k = Fraction(k)
-        if k <= 0:
-            raise ToricError("scale factor must be positive")
-        return Polytope.from_halfspaces(
-            self.dim, [Halfspace(h.normal, h.offset * k) for h in self.halfspaces])
 
     def render(self):
         return "\n".join(h.render() for h in self.halfspaces) + "\n"
@@ -356,15 +332,6 @@ def _facet_cycles(dim, halfspaces, points, tight):
     return cycles
 
 
-def _inverse_transpose_int(u):
-    det = _det(u)
-    if abs(det) != 1:
-        raise ToricError("matrix is not unimodular")
-    adj = _adjugate(u)
-    # U^-1 = adj / det = det * adj, as det = +-1
-    return [[det * row[i] for row in adj] for i in range(len(u))]
-
-
 def _det(u):
     """Determinant of a 1x1, 2x2 or 3x3 matrix in closed form; entries are
     ints, Fractions or PPoly."""
@@ -399,12 +366,11 @@ def _adjugate(u):
 # Each route sums lattice-normalised terms and divides none: a d-simplex has
 # volume |det| / d! and barycentre its vertex sum / (d + 1), a facet simplex
 # sigma-volume |k| / (d-1)! and barycentre its vertex sum / d, k its lattice
-# coefficient (``_along``).  So the solid routes sum V = d! vol and
+# coefficient (``_minor_terms``).  So the solid routes sum V = d! vol and
 # M = d! (d+1) moment, the boundary routes S = (d-1)! sigma-mass and
 # T = d! sigma-moment; they are compared on these sums, and
 # ``_integral_data`` divides them once.
 
-@lru_cache(maxsize=256)
 def _unit_functional(normal):
     """Integer u with <u, normal> = +-1 for a primitive integer normal, as
     (coefficient, index) pairs; a unit entry j gives the one pair (1, j)."""
@@ -421,28 +387,52 @@ def _unit_functional(normal):
     return tuple((c, j) for j, c in enumerate(coeffs) if c)
 
 
-def _along(normal, vector):
-    """+-k for a vector k * normal: <u, vector>, u = _unit_functional(normal);
-    every caller takes the magnitude."""
-    (c, j), *rest = _unit_functional(normal)
-    k = vector[j] if c == 1 else c * vector[j]
-    for c, j in rest:
-        k += c * vector[j]
-    return k
+@lru_cache(maxsize=256)
+def _minor_terms(normal):
+    """How a facet's edges give +-k = <u, vector> for a vector k * normal,
+    u = _unit_functional(normal): the vector is the quarter turn
+    (x, y) -> (y, -x) of an edge in 2-D and the cross product of two edges
+    in 3-D.  Its component j is a minor of the edges on the axes other than
+    j: the coordinate 1 - j in 2-D, negated for j = 1, and the 2x2 minor on
+    the axes j + 1, j + 2 (mod 3) in 3-D.  So each pair (c, j) of u gives
+    one term (c, axes) of a sum of c * minor; a normal with a unit entry
+    (every family normal) gives one."""
+    if len(normal) == 2:
+        return tuple((c if j == 0 else -c, (1 - j,)) for c, j in _unit_functional(normal))
+    return tuple((c, ((j + 1) % 3, (j + 2) % 3)) for c, j in _unit_functional(normal))
 
 
 def _edge_sigma(p, normal, v, w):
-    """Lattice length of an edge on the facet with this normal: |k|, where the
-    quarter turn (x, y) -> (y, -x) takes w - v to k * normal."""
-    return p.magnitude(_along(normal, (w[1] - v[1], v[0] - w[0])))
+    """Lattice length |k| of the edge from v to w on the facet with this
+    normal: one coordinate difference per term of ``_minor_terms``."""
+    k = None
+    for c, (a,) in _minor_terms(normal):
+        term = w[a] - v[a] if c == 1 else c * (w[a] - v[a])
+        k = term if k is None else k + term
+    return p.magnitude(k)
+
+
+def _fan_coefficients(normal, apex, rim):
+    """+-k, one sign per normal, for (b - apex) x (c - apex) = k * normal
+    and b, c consecutive in ``rim``: the apex-relative coordinates are taken
+    only on the axes the minors of ``_minor_terms`` read, one column each."""
+    terms = _minor_terms(normal)
+    columns = {a: [b[a] - apex[a] for b in rim] for _, axes in terms for a in axes}
+    ks = None
+    for c, (s, t) in terms:
+        x, y = columns[s], columns[t]
+        minors = [x0 * y1 - x1 * y0 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])]
+        if c != 1:
+            minors = [c * m for m in minors]
+        ks = minors if ks is None else [k + m for k, m in zip(ks, minors)]
+    return ks
 
 
 def _fan_sums(p, normal, apex, rim):
     """(sum |k|, sum |k| (apex + b + c)) over the triangles (apex, b, c) of
-    a facet polygon, b and c consecutive in ``rim``, with
-    (b - apex) x (c - apex) = k * normal."""
-    e = [[x - a for x, a in zip(b, apex)] for b in rim]
-    ks = [p.magnitude(_along(normal, _cross(x, y))) for x, y in zip(e, e[1:])]
+    a facet polygon, b and c consecutive in ``rim``, k as for
+    ``_fan_coefficients``."""
+    ks = [p.magnitude(k) for k in _fan_coefficients(normal, apex, rim)]
     mass = sum(ks)
     return mass, [apex[i] * mass + sum(k * (b[i] + c[i]) for k, b, c in zip(ks, rim, rim[1:]))
                   for i in range(3)]
@@ -608,12 +598,6 @@ def futaki_vector(p):
     return FutakiVector(tuple(sm / mass - m / vol for sm, m in zip(smoment, mom)))
 
 
-def product_polytope(p, q):
-    rows = _product_rows([(h.normal, h.offset) for h in p.halfspaces],
-                         [(h.normal, h.offset) for h in q.halfspaces])
-    return Polytope.from_halfspaces(p.dim + q.dim, [Halfspace(n, c) for n, c in rows])
-
-
 def _product_rows(first, second):
     """Facet rows (normal, offset) of a product: each factor's normals padded
     with zeros for the other factor's coordinates."""
@@ -627,14 +611,27 @@ def _product_rows(first, second):
 # ---------------------------------------------------------------------------
 
 def _aff(const=0, **coefficients):
-    """An offset affine in the parameters: (constant, ((name, coefficient), ...))."""
-    return Fraction(const), tuple(coefficients.items())
+    """An offset affine in the parameters, with integer constant and
+    coefficients: (constant, ((name, coefficient), ...))."""
+    return const, tuple(coefficients.items())
+
+
+def _parameter(name, value):
+    """(numerator, denominator) of a parameter value."""
+    try:
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ToricError(f"parameter {name} = {value!r} is not a rational number") from None
+    return q.numerator, q.denominator
 
 
 class ToricFamily:
     """Moment polytopes declared as data: one row (primitive integer outer
     normal, offset affine in the parameters) per facet.  The normals are
-    checked here, once, so that ``build`` does not check them again."""
+    checked here, once, so that ``build`` does not check them again.
+
+    ``build`` sums each offset on integers: with D the lcm of the parameter
+    denominators, D * offset is an integer, made a Fraction once per facet."""
 
     __slots__ = ("name", "param_names", "rows", "anticanonical", "scan_upper",
                  "fixed_for_scan")
@@ -644,8 +641,7 @@ class ToricFamily:
         self.param_names = param_names
         checked = []
         for normal, (const, terms) in rows:
-            h = Halfspace(normal, const)
-            checked.append((h.normal, (h.offset, terms)))
+            checked.append((Halfspace(normal, const).normal, (const, terms)))
         self.rows = tuple(checked)
         self.anticanonical = anticanonical
         self.scan_upper = scan_upper  # exclusive upper grid bound per scanned parameter
@@ -655,9 +651,12 @@ class ToricFamily:
     def dim(self):
         return len(self.rows[0][0])
 
-    def offsets(self, values):
-        """Facet offsets at ``values``: name -> Fraction, or PPoly."""
-        return [sum((c * values[n] for n, c in terms), const) for _, (const, terms) in self.rows]
+    def offsets(self, values, scale=1):
+        """Facet offsets times ``scale`` at ``values``, name -> ``scale``
+        times the value: a Fraction or PPoly with the default scale, or the
+        integer D * value with ``scale`` = D."""
+        return [sum((c * values[n] for n, c in terms), const * scale)
+                for _, (const, terms) in self.rows]
 
     def build(self, **params):
         missing = [n for n in self.param_names if n not in params]
@@ -666,11 +665,13 @@ class ToricFamily:
         extra = [n for n in params if n not in self.param_names]
         if extra:
             raise ToricError(f"unknown parameters {extra} for family {self.name}")
-        values = {n: Fraction(params[n]) for n in self.param_names}
+        values = {n: _parameter(n, params[n]) for n in self.param_names}
+        scale = lcm(*(den for _, den in values.values()))
+        scaled = {n: num * (scale // den) for n, (num, den) in values.items()}
         try:
             return Polytope.from_halfspaces(
-                self.dim, [Halfspace._checked(normal, offset) for (normal, _), offset
-                           in zip(self.rows, self.offsets(values))])
+                self.dim, [Halfspace._checked(normal, Fraction(offset, scale))
+                           for (normal, _), offset in zip(self.rows, self.offsets(scaled, scale))])
         except (DegenerateError, UnboundedError) as exc:
             raise KahlerRegionError(f"{self.name}: {exc}") from exc
 

@@ -90,3 +90,60 @@ def matmul(a, b):
 
 def identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# polytope transforms, for the invariance checks of the toric engine
+# ---------------------------------------------------------------------------
+
+def halfspace_value(h, point):
+    """<normal, point> of a Halfspace; ints times Fractions are exact."""
+    return sum(n * x for n, x in zip(h.normal, point))
+
+
+def translated(p, t):
+    """The polytope p + t."""
+    from futakizero.toric import Halfspace, Polytope
+    t = [Fraction(x) for x in t]
+    return Polytope.from_halfspaces(
+        p.dim, [Halfspace(h.normal, h.offset + halfspace_value(h, t)) for h in p.halfspaces])
+
+
+def scaled(p, k):
+    """The polytope k p for a rational k > 0."""
+    from futakizero.toric import Halfspace, Polytope
+    k = Fraction(k)
+    assert k > 0
+    return Polytope.from_halfspaces(p.dim, [Halfspace(h.normal, h.offset * k)
+                                            for h in p.halfspaces])
+
+
+def inverse_transpose_int(u):
+    """(U^-1)^T of an integer matrix U with |det U| = 1."""
+    from futakizero.toric import _adjugate, _det
+    det = _det(u)
+    assert abs(det) == 1, "matrix is not unimodular"
+    adj = _adjugate(u)
+    # U^-1 = adj / det = det * adj, as det = +-1
+    return [[det * row[i] for row in adj] for i in range(len(u))]
+
+
+def unimodular_image(p, umatrix, t=None):
+    """Image of p under x -> U x + t for an integer U with |det U| = 1."""
+    from futakizero.toric import Halfspace, Polytope
+    d = p.dim
+    t = [Fraction(0)] * d if t is None else [Fraction(x) for x in t]
+    u_inv_t = inverse_transpose_int(umatrix)
+    hs = []
+    for h in p.halfspaces:
+        normal = tuple(sum(u_inv_t[i][j] * h.normal[j] for j in range(d)) for i in range(d))
+        hs.append(Halfspace(normal, h.offset + sum(n * x for n, x in zip(normal, t))))
+    return Polytope.from_halfspaces(d, hs)
+
+
+def product_polytope(p, q):
+    """P x Q, each factor's normals padded with zeros for the other's coordinates."""
+    from futakizero.toric import Halfspace, Polytope, _product_rows
+    rows = _product_rows([(h.normal, h.offset) for h in p.halfspaces],
+                         [(h.normal, h.offset) for h in q.halfspaces])
+    return Polytope.from_halfspaces(p.dim + q.dim, [Halfspace(n, c) for n, c in rows])

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import product_polytope, scaled, translated, unimodular_image
 from futakizero.catalog import EXCEPTION_FAMILIES, load_catalog, validate_catalog
 from futakizero.character import analyze_polynomial_case
 from futakizero.cli import main
@@ -18,7 +19,7 @@ from futakizero.ratlinalg import in_column_span
 from futakizero.symmetry import AdjointUnsolvable, adjoint_matrix
 from futakizero.toric import (FAMILIES, anticanonical_parameters,
                               class_to_polytope, donaldson_L, futaki_vector,
-                              product_polytope, volume, zero_locus_scan)
+                              volume, zero_locus_scan)
 
 
 def run_cli(argv):
@@ -193,13 +194,13 @@ def test_criterion_7_property_suites(catalog):
         p = corpus[transforms % len(corpus)]
         fv = futaki_vector(p).components
         t = [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(p.dim)]
-        assert futaki_vector(p.translated(t)).components == fv
+        assert futaki_vector(translated(p, t)).components == fv
         k = Fraction(rng.randint(1, 4), rng.choice([1, 2]))
-        assert futaki_vector(p.scaled(k)).components == tuple(k * c for c in fv)
+        assert futaki_vector(scaled(p, k)).components == tuple(k * c for c in fv)
         u = _random_unimodular(rng, p.dim)
         expected = tuple(sum(Fraction(u[i][j]) * fv[j] for j in range(p.dim))
                          for i in range(p.dim))
-        assert futaki_vector(p.unimodular_image(u, t)).components == expected
+        assert futaki_vector(unimodular_image(p, u, t)).components == expected
         transforms += 1
 
     from futakizero.toric import (_boundary_route, _solid_route_divergence,

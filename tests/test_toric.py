@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import (halfspace_value, product_polytope, scaled, translated,
+                      unimodular_image)
 from futakizero.toric import (DegenerateError, FAMILIES, Halfspace,
                               KahlerRegionError, Polytope, ToricError,
                               UnboundedError, anticanonical_parameters,
                               boundary_integral, class_to_polytope,
                               donaldson_L, futaki_vector, moment,
-                              parse_polytope_text, product_polytope, volume,
-                              zero_locus_scan)
+                              parse_polytope_text, volume, zero_locus_scan)
 
 
 def corpus():
@@ -187,6 +188,106 @@ class TestRouteSums:
             futaki_vector(self.cube(3))
 
 
+def _along(normal, vector):
+    """+-k for a vector k * normal: <u, vector>, u = _unit_functional(normal)."""
+    from futakizero.toric import _unit_functional
+    (c, j), *rest = _unit_functional(normal)
+    k = vector[j] if c == 1 else c * vector[j]
+    for c, j in rest:
+        k += c * vector[j]
+    return k
+
+
+# every normal of these has no entry +-1, so each coefficient is a sum of minors
+NON_UNIT_POLYTOPES = (
+    "2 3 <= 5\n3 -2 <= 4\n-2 -3 <= 0\n-3 2 <= 1\n5 2 <= 6\n",
+    "2 3 0 <= 7\n-2 -3 0 <= 0\n0 2 3 <= 5\n0 -2 -3 <= 0\n3 0 2 <= 4\n-3 0 -2 <= 1/2\n"
+    "2 2 3 <= 5\n",
+)
+
+
+class TestMinorOracle:
+    """Each lattice coefficient read as minors (``_minor_terms``) against the
+    full cross product (the quarter turn in 2-D), <u, vector> with
+    u = _unit_functional(normal), on every facet the routes measure."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        from futakizero import toric
+        real_fan, real_edge = toric._fan_coefficients, toric._edge_sigma
+        seen = {"fan": 0, "edge": 0, "terms": set(), "kinds": set()}
+
+        def fan(normal, apex, rim):
+            ks = real_fan(normal, apex, rim)
+            e = [[x - a for x, a in zip(b, apex)] for b in rim]
+            crosses = [_oracle_cross(x, y) for x, y in zip(e, e[1:])]
+            assert ks == [_along(normal, c) for c in crosses]
+            unit = sum(c * normal[j] for c, j in toric._unit_functional(normal))
+            assert unit in (1, -1)
+            assert crosses == [[unit * k * n for n in normal] for k in ks]
+            seen["fan"] += len(ks)
+            seen["terms"].add(len(toric._minor_terms(normal)))
+            seen["kinds"].add(type(apex[0]).__name__)
+            return ks
+
+        def edge(p, normal, v, w):
+            sigma = real_edge(p, normal, v, w)
+            assert sigma == p.magnitude(_along(normal, (w[1] - v[1], v[0] - w[0])))
+            seen["edge"] += 1
+            seen["terms"].add(len(toric._minor_terms(normal)))
+            return sigma
+
+        monkeypatch.setattr(toric, "_fan_coefficients", fan)
+        monkeypatch.setattr(toric, "_edge_sigma", edge)
+        return seen
+
+    def test_anticanonical_polytopes(self, seen):
+        for family in FAMILIES:
+            futaki_vector(class_to_polytope(family, **anticanonical_parameters(family)))
+        assert seen["fan"] > 0 and seen["edge"] > 0 and seen["terms"] == {1}
+
+    def test_golden_points(self, seen):
+        import json
+        from pathlib import Path
+        goldens = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
+        seeds = json.loads((goldens / "toric_points.json").read_text("utf-8"))["seeds"]
+        points = {point for points in seeds.values() for point in points}
+        built = 0
+        for point in sorted(points):
+            family, _, text = point.partition(" ")
+            params = {k: Fraction(v) for k, _, v in
+                      (item.partition("=") for item in text.split(","))}
+            try:
+                futaki_vector(class_to_polytope(family, **params))
+                built += 1
+            except KahlerRegionError:
+                pass
+        assert len(points) > 1000 and built > 900 and seen["fan"] > 10000
+
+    def test_scan_cells(self, seen):
+        for family in FAMILIES:
+            zero_locus_scan(family, Fraction(1, 2))
+        assert "PPoly" in seen["kinds"] and "Fraction" in seen["kinds"]
+
+    def test_normals_without_unit_entries(self, seen):
+        for text in NON_UNIT_POLYTOPES:
+            p = parse_polytope_text(text)
+            assert all(1 not in map(abs, h.normal) for h in p.halfspaces)
+            futaki_vector(p)
+        assert seen["fan"] > 0 and seen["edge"] > 0 and seen["terms"] == {2}
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wrong_minor_axis_raises(self, monkeypatch, d):
+        # the next axis round: a facet x_j = const reads a minor on axis j,
+        # where its edges have no extent, so only the triangulation sees the volume
+        from futakizero import toric
+        real = toric._minor_terms
+        monkeypatch.setattr(toric, "_minor_terms", lambda normal: tuple(
+            (c, tuple((a + 1) % d for a in axes)) for c, axes in real(normal)))
+        with pytest.raises(ToricError, match="solid integral routes disagree"):
+            toric._integral_data(TestRouteSums.cube(d))
+
+
 class TestDonaldsonFunctional:
     def test_constant_is_annihilated(self):
         for p in corpus():
@@ -258,6 +359,21 @@ class TestBuilders:
             assert built.vertices == expected.vertices
             assert built.facet_cycles == expected.facet_cycles
 
+    @pytest.mark.parametrize("value", ["x", None, float("nan"), "1/0"])
+    def test_bad_parameter_value_names_the_parameter(self, value):
+        with pytest.raises(ToricError, match=f"^parameter a = {value!r} is not a rational"):
+            class_to_polytope("s6", b=1, c=1, a=value)
+
+    def test_parameter_values_of_every_rational_kind(self):
+        # the build sums offsets on integers over the lcm of the denominators
+        expected = class_to_polytope("s6", a=Fraction(1, 2), b=1, c=Fraction(3, 4))
+        for a, c in [(0.5, "3/4"), ("1/2", 0.75), (Fraction(2, 4), Fraction(6, 8))]:
+            p = class_to_polytope("s6", a=a, b=True, c=c)
+            assert p.halfspaces == expected.halfspaces
+            assert all(type(h.offset) is Fraction for h in p.halfspaces)
+        assert {h.offset for h in expected.halfspaces} == {0, 3, Fraction(-1, 2), 2,
+                                                           Fraction(9, 4)}
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(ToricError):
             class_to_polytope("s6", a=1, b=1)
@@ -275,11 +391,11 @@ class TestEquivariance:
             fv = futaki_vector(p).components
             t = [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
                  for _ in range(p.dim)]
-            assert futaki_vector(p.translated(t)).components == fv
+            assert futaki_vector(translated(p, t)).components == fv
             k = Fraction(rng.randint(1, 5), rng.choice([1, 2]))
-            assert futaki_vector(p.scaled(k)).components == tuple(k * c for c in fv)
+            assert futaki_vector(scaled(p, k)).components == tuple(k * c for c in fv)
             u = _random_unimodular(rng, p.dim)
-            image = p.unimodular_image(u, t)
+            image = unimodular_image(p, u, t)
             expected = tuple(sum(Fraction(u[i][j]) * fv[j] for j in range(p.dim))
                              for i in range(p.dim))
             assert futaki_vector(image).components == expected
@@ -289,7 +405,7 @@ class TestEquivariance:
         # reflection (x, y) -> (y, x) maps the symmetric hexagon to itself
         p = class_to_polytope("s6", a=1, b=1, c=1)
         u = [[0, 1], [1, 0]]
-        assert futaki_vector(p.unimodular_image(u)).components \
+        assert futaki_vector(unimodular_image(p, u)).components \
             == futaki_vector(p).components
 
     def test_dual_evaluation_paths_agree_on_corpus(self):
@@ -551,7 +667,7 @@ def oracle_polytope(dim, halfspaces):
     seen = {}
     for combo in combinations(halfspaces, dim):
         point = _oracle_cramer([h.normal for h in combo], [h.offset for h in combo])
-        if point is not None and all(h.value(point) <= h.offset for h in halfspaces):
+        if point is not None and all(halfspace_value(h, point) <= h.offset for h in halfspaces):
             seen[point] = None
     vertices = sorted(seen)
     if not vertices:
@@ -560,7 +676,7 @@ def oracle_polytope(dim, halfspaces):
         raise DegenerateError("lower-dimensional input")
     cycles = []
     for f, h in enumerate(halfspaces):
-        incident = [i for i, v in enumerate(vertices) if h.value(v) == h.offset]
+        incident = [i for i, v in enumerate(vertices) if halfspace_value(h, v) == h.offset]
         if dim == 1 and len(incident) != 1:
             raise DegenerateError(f"facet {f} does not support a point")
         if dim == 2 and len(incident) != 2:

@@ -78,14 +78,14 @@ class ProductFactorSpec:
 
 
 class CaseRecord:
-    __slots__ = ("id", "kind", "theorem", "expected", "aut", "notes", "provenance",
-                 "ambient", "params", "variety", "centers", "torus", "finite", "semisimple",
+    __slots__ = ("id", "kind", "theorem", "expected", "aut", "provenance", "ambient",
+                 "params", "variety", "centers", "torus", "finite", "semisimple",
                  "h11_labels", "anticanonical", "torus_rank", "adjoints", "fixed_dim",
                  "anticanonical_in_fixed", "product_factors", "loci", "toric_family",
                  "anticanonical_params", "expected_adjoint", "expected_toric",
                  "_invariances")
 
-    def __init__(self, id, kind, theorem, expected, aut="", notes=(), provenance=(),
+    def __init__(self, id, kind, theorem, expected, aut="", provenance=(),
                  ambient=None, params=None, variety=(), centers=(), torus=(), finite=(),
                  semisimple="", h11_labels=(), anticanonical=None, torus_rank=None,
                  adjoints=(), fixed_dim=None, anticanonical_in_fixed=None,
@@ -96,7 +96,6 @@ class CaseRecord:
         self.theorem = theorem
         self.expected = expected        # ("full_cone",) | ("subcone", d) | ("see_toric",)
         self.aut = aut
-        self.notes = notes
         self.provenance = provenance
         self.ambient = ambient          # AmbientSpace
         self.params = params            # ParamField
@@ -142,10 +141,9 @@ class CaseRecord:
 
 
 class Catalog:
-    __slots__ = ("version", "records", "segments")
+    __slots__ = ("records", "segments")
 
-    def __init__(self, version, records, segments):
-        self.version = version
+    def __init__(self, records, segments):
         self.records = records          # the built records: all, or those a case selects
         self.segments = segments        # render stream of the whole file
 
@@ -188,11 +186,11 @@ def load_catalog(path=None, text=None, case=None):
     every line is checked (the version line, headers, duplicate ids, the
     ``key = value`` form), but records are built from their values only if
     ``case`` is None or names their id or family: ``records`` may be empty."""
-    version, raw_records, segments = _structure(path, text)
+    raw_records, segments = _structure(path, text)
     records = tuple(_build_record(case_id, header_line, entries)
                     for case_id, header_line, entries in raw_records
                     if case is None or case in (case_id, family_of(case_id)))
-    return Catalog(version, records, tuple(segments))
+    return Catalog(records, tuple(segments))
 
 
 def toric_loci(toric_family, path=None):
@@ -203,7 +201,7 @@ def toric_loci(toric_family, path=None):
     ``locus``, ``toric_family`` and ``factor`` values alone: no record is
     built, so a record broken elsewhere does not stop a scan.  A malformed
     ``factor`` value of a record with loci does, as in ``load_catalog``."""
-    for case_id, _, entries in _structure(path, None)[1]:
+    for case_id, _, entries in _structure(path, None)[0]:
         loci = tuple(v for k, v, _ in entries if k == "locus")
         if not loci:
             continue
@@ -220,8 +218,8 @@ def toric_loci(toric_family, path=None):
 
 
 def _structure(path, text):
-    """(version, [(id, header line, [(key, value, line)])], render segments)
-    of the catalog at ``path``, or of ``text``, or of the shipped one."""
+    """([(id, header line, [(key, value, line)])], render segments) of the
+    catalog at ``path``, or of ``text``, or of the shipped one."""
     if text is None:
         if path is None:
             text = default_catalog_text()
@@ -274,7 +272,7 @@ def _structure(path, text):
         raise CatalogError("missing version line (empty catalog?)")
     if not raw_records:
         raise CatalogError("catalog has no records")
-    return version, raw_records, segments
+    return raw_records, segments
 
 
 _REQUIRED = object()     # the default of a key that must be given
@@ -334,7 +332,6 @@ def _build_record(case_id, header_line, entries):
     theorem = one("theorem", _convert, int, "theorem value")
     expected = one("expected", _parse_expected)
     aut = one("aut", default="")
-    notes = tuple(v for v, _ in all_of("note"))
     provenance = tuple(v for v, _ in all_of("provenance"))
     semisimple = one("semisimple", default="")
 
@@ -373,7 +370,7 @@ def _build_record(case_id, header_line, entries):
 
     return CaseRecord(
         id=case_id, kind=kind, theorem=theorem, expected=expected, aut=aut,
-        notes=notes, provenance=provenance, ambient=ambient, params=params,
+        provenance=provenance, ambient=ambient, params=params,
         variety=variety, centers=centers, torus=torus, finite=finite,
         semisimple=semisimple, h11_labels=h11, anticanonical=anticanonical,
         torus_rank=torus_rank, adjoints=adjoints, fixed_dim=fixed_dim,
@@ -698,6 +695,9 @@ def _validate_polynomialish(record):
             if uncovered:
                 findings.append(f"symmetry {name}: span-solve denominators vanish "
                                 f"at non-excluded values {uncovered}")
+            for d in inv.unlisted_denominators:
+                findings.append(f"symmetry {name}: span-solve denominator {d.render()} "
+                                f"has zeros that no excludes list can name")
     return findings
 
 

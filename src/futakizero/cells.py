@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import product
 from math import gcd, prod
 from operator import mul
 
@@ -112,9 +112,11 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     (``region_forms`` gives the proof).  An in-region point is built
     only when no known cell's chamber (its affine slack inequalities,
     checked on integers) contains it.  Candidate locus equations (catalog
-    data) are fitted against the computed zero set.  A grid with no point in
-    the region is a ToricError: it would confirm nothing.  So is a grid of
-    more than ``MAX_SCAN_POINTS`` points, before any grid list is built.
+    data) become integer forms once, and the same sweep tests each in-region
+    point on them; each locus is then fitted against the computed zero set.
+    A grid with no point in the region is a ToricError: it would confirm
+    nothing.  So is a grid of more than ``MAX_SCAN_POINTS`` points, before
+    any grid list is built.
     """
     fam = toric.FAMILIES.get(family)
     if fam is None:
@@ -122,46 +124,47 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     step = Fraction(step)
     if step <= 0:
         raise toric.ToricError("grid step must be positive")
-    equations = _locus_equations(loci, fam.param_names)
     pinned = dict(fam.fixed_for_scan)
     if fixed:
         pinned.update({k: Fraction(v) for k, v in fixed.items()})
     scan_names = [n for n in fam.param_names if n not in pinned]
+    forms = _locus_forms(loci, fam, pinned, scan_names, step.denominator)
     # the multiples k * step below each upper bound: k = 1 .. ceil(upper / step) - 1
     counts = [-(-fam.scan_upper[n] // step) - 1 for n in scan_names]
     if prod(counts) > MAX_SCAN_POINTS:
         raise toric.ToricError(f"a grid of {prod(counts)} points at step {step} exceeds "
                                f"the bound {MAX_SCAN_POINTS}")
     grids = [[k * step for k in range(1, count + 1)] for count in counts]
-    points, skipped = scan_grid(fam, scan_names, pinned, grids, step.denominator)
+    points, skipped, hits = scan_grid(fam, scan_names, pinned, grids, step.denominator, forms)
     if not points:
         raise toric.ToricError(
             f"no grid point of {family} at step {step} lies in the Kähler region")
-    fits = []
-    on_some_locus = [False] * len(points)
-    for eq, differences in zip(loci, equations):
-        on = on_locus(differences, pinned, step.denominator, points)
-        on_count = sum(on)
-        all_zero = all(pt.zero for pt, hit in zip(points, on) if hit)
-        on_some_locus = [a or b for a, b in zip(on_some_locus, on)]
-        fits.append(LocusFit(eq, all_zero and on_count > 0, on_count))
-    covered = (all(on_some_locus[i] for i, pt in enumerate(points) if pt.zero)
-               if loci else True)
+    fits = tuple(LocusFit(eq, any(on) and all(pt.zero for pt, hit in zip(points, on) if hit),
+                          sum(on))
+                 for eq, on in zip(loci, zip(*hits)))
+    covered = not loci or all(any(hit) for pt, hit in zip(points, hits) if pt.zero)
     zero_everywhere = all(pt.zero for pt in points)
-    return ScanReport(family, step, tuple(points), skipped, tuple(fits), covered,
-                      zero_everywhere)
+    return ScanReport(family, step, tuple(points), skipped, fits, covered, zero_everywhere)
 
 
-def _locus_equations(loci, names):
-    """Each locus equation as the differences of its sides over Q[names]."""
+def _locus_forms(loci, fam, pinned, scan_names, denominator):
+    """Per locus equation, the differences of its sides as integer forms
+    (``_integer_form``) in the scanned parameters, the ``pinned`` values
+    substituted.  A difference d is a PPoly in the family's parameters; its
+    form is taken of d.den times d, which has the same zeros."""
     from .polyring import PolyError, parse_equations     # loaded on first use
-    equations = []
+    names = tuple(scan_names)
+    symbols = [PPoly.var(names, n) if n in names else pinned[n] for n in fam.param_names]
+    forms = []
     for eq in loci:
         try:
-            equations.append(parse_equations(eq, names))
+            differences = parse_equations(eq, fam.param_names)
         except PolyError as exc:
             raise toric.ToricError(f"bad locus equation {eq!r}: {exc}") from exc
-    return equations
+        forms.append([_integer_form(sum((c * prod(map(pow, symbols, e))
+                                         for e, c in d.num.items()), PPoly.zero(names)),
+                                    denominator) for d in differences])
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +265,11 @@ def cell_vertices(fam, polytope, tight, params, scan_names):
     return vertices, offsets
 
 
-def scan_grid(fam, scan_names, pinned, grids, denominator):
+def scan_grid(fam, scan_names, pinned, grids, denominator, loci):
     """(ScanPoint per in-region grid point in lexicographic order, count of
-    grid points outside the Kähler region) for ``zero_locus_scan``.
+    grid points outside the Kähler region, per in-region point whether it
+    lies on each locus) for ``zero_locus_scan``; ``loci`` holds the integer
+    forms of each locus (see ``_locus_forms``).
 
     ``grids`` holds the values of each scanned parameter, all multiples of
     1/``denominator``; a point is handled as the integer numerators of its
@@ -277,7 +282,9 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
     is decided by the cell's numerators, each one integer polynomial in x
     on the line, evaluated by Horner's rule.  Any other in-region point is
     built: it opens a new cell or joins a cell without a chamber (a slice,
-    or one with a non-simple vertex)."""
+    or one with a non-simple vertex).  On a line with in-region points the
+    locus forms become polynomials in x too, and every point is tested on
+    them the same way."""
     region = region_forms(fam, pinned, scan_names, denominator)
     integer_grids = [_grid_integers(grid, denominator) for grid in grids]
     # a grid of no coordinates is one line of one point, whose placeholder
@@ -287,12 +294,15 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
     bounds = (last[0], last[-1]) if last else (1, 0)
     cells = {}          # cell key -> integer numerator forms, None on a slice
     chambers = []       # (integer slack forms, cell key) per chamber
-    points = []
+    points, hits = [], []
     skipped = 0
     for head, h in zip(product(*head_grids), product(*head_integers)):
         lo, hi = _line_interval(region, h, bounds)
         first, stop = bisect_left(last, lo), bisect_right(last, hi)
         skipped += len(last) - max(stop - first, 0)
+        if first >= stop:
+            continue
+        on_line = [[_on_line(form, h) for form in forms] for forms in loci]
         intervals = [(_line_interval(slacks, h, bounds), key) for slacks, key in chambers]
         polys = {}      # cell key -> its numerators on this line
         for value, x in zip(last_grid[first:stop], last[first:stop]):
@@ -321,7 +331,8 @@ def scan_grid(fam, scan_names, pinned, grids, denominator):
                     polys[key] = [_on_line(form, h) for form in cells[key]]
                 zero = not any(_horner(p, x) for p in polys[key])
             points.append(ScanPoint(tuple(zip(scan_names, values)), zero))
-    return points, skipped
+            hits.append(tuple(not any(_horner(p, x) for p in locus) for locus in on_line))
+    return points, skipped, hits
 
 
 def region_forms(fam, pinned, scan_names, denominator):
@@ -363,35 +374,6 @@ def region_forms(fam, pinned, scan_names, denominator):
                 circuits.add(tuple((f, c // common) for f, c in zip((*combo, g), lam) if c))
     return _affine_forms([sum((c * offsets[f] for f, c in lam), zero)
                           for lam in sorted(circuits)], denominator)
-
-
-def on_locus(differences, pinned, denominator, points):
-    """Whether each ScanPoint of ``points`` (in lexicographic order, all
-    values multiples of 1/``denominator``) satisfies the locus equation whose
-    sides differ by ``differences`` (PPoly in the family's parameters).  The
-    pinned values are substituted once; each difference then becomes one
-    integer polynomial in the last coordinate per line of the grid, and each
-    point is tested at the numerator of its last value by Horner's rule."""
-    forms = []
-    for d in differences:
-        scanned = tuple(n for n in d.names if n not in pinned)
-        terms = {}
-        for expo, c in d.num.items():       # d.den times d: the same zeros
-            for n, e in zip(d.names, expo):
-                if n in pinned:
-                    c *= pinned[n] ** e
-            key = tuple(e for n, e in zip(d.names, expo) if n not in pinned)
-            terms[key] = terms.get(key, 0) + c
-        forms.append(_integer_form(PPoly(scanned, terms), denominator))
-    result = []
-    for head, line in groupby(points, key=lambda pt: pt.values[:-1]):
-        polys = [_on_line(form, _grid_integers((v for _, v in head), denominator))
-                 for form in forms]
-        for pt in line:
-            # with no scanned coordinate every poly is a constant: any x serves
-            x, = _grid_integers((v for _, v in pt.values[-1:]), denominator) or [0]
-            result.append(not any(_horner(p, x) for p in polys))
-    return result
 
 
 def _grid_integers(values, denominator):

@@ -524,13 +524,15 @@ def multidegree(p):
 class SpanSolution:
     """p = sum coeff_i * gens_i with exact Q(params) coefficients."""
 
-    __slots__ = ("coefficients", "denominator_roots", "has_irrational_denominator")
+    __slots__ = ("coefficients", "denominator_roots", "unlisted_denominators")
 
-    def __init__(self, coefficients, denominator_roots, has_irrational_denominator):
+    def __init__(self, coefficients, denominator_roots, unlisted_denominators):
         self.coefficients = coefficients
         # rational parameter values killing a denominator
         self.denominator_roots = denominator_roots
-        self.has_irrational_denominator = has_irrational_denominator
+        # the denominators with zeros not among those values: in two or more
+        # parameters, or with an irrational root
+        self.unlisted_denominators = unlisted_denominators
 
 
 def in_span(targets, gens, params=None):
@@ -554,12 +556,13 @@ def in_span(targets, gens, params=None):
 
 def _span_solution(solution):
     roots = set()
-    irrational = False
+    unlisted = {}       # in coefficient order, each once
     for c in solution:
         if isinstance(c, Fraction) or c.den.is_constant():
             continue
         from .parampoly import rational_roots
         rs, irr = rational_roots(c.den)
         roots.update(rs)
-        irrational = irrational or irr
-    return SpanSolution(tuple(solution), tuple(sorted(roots)), irrational)
+        if irr:
+            unlisted[c.den] = None
+    return SpanSolution(tuple(solution), tuple(sorted(roots)), tuple(unlisted))

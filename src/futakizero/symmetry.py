@@ -266,12 +266,15 @@ class Reparam:
 
 
 class InvarianceResult:
-    __slots__ = ("invariant", "matrix", "denominator_roots", "failing_index")
+    __slots__ = ("invariant", "matrix", "denominator_roots", "unlisted_denominators",
+                 "failing_index")
 
-    def __init__(self, invariant, matrix, denominator_roots, failing_index=None):
+    def __init__(self, invariant, matrix, denominator_roots, unlisted_denominators,
+                 failing_index=None):
         self.invariant = invariant
         self.matrix = matrix      # rows: in_span coefficient vectors over Q(params)
         self.denominator_roots = denominator_roots
+        self.unlisted_denominators = unlisted_denominators    # see SpanSolution
         self.failing_index = failing_index
 
     def describe(self):
@@ -287,10 +290,11 @@ def check_variety_invariant(gens, tau):
     """
     solutions = in_span([tau.pullback(g) for g in gens], gens, tau.params)
     if None in solutions:
-        return InvarianceResult(False, (), (), failing_index=solutions.index(None))
+        return InvarianceResult(False, (), (), (), failing_index=solutions.index(None))
     roots = {r for sol in solutions for r in sol.denominator_roots}
+    unlisted = dict.fromkeys(d for sol in solutions for d in sol.unlisted_denominators)
     return InvarianceResult(True, tuple(sol.coefficients for sol in solutions),
-                            tuple(sorted(roots)))
+                            tuple(sorted(roots)), tuple(unlisted))
 
 
 class Equivariance:

@@ -27,11 +27,11 @@ Futaki numerators are polynomials derived once by these same routes, and a
 point inside a known cell's chamber is decided without building its polytope.
 
 Construction runs on integers: each vertex is solved, tested, keyed and
-sorted as an integer point over one common denominator, the affine rank is
-one fraction-free (Bareiss) elimination, 3-D facet polygons are walked by
-vertex-facet incidence, and determinants are closed forms on cross products;
-Fractions are built once per distinct vertex.  A family build sums each facet
-offset on integers, over the lcm of its parameters' denominators.
+sorted as an integer point over one common denominator, the input is flat
+exactly when some facet is tight at every vertex, 3-D facet polygons are
+walked by vertex-facet incidence, and determinants are closed forms on cross
+products; Fractions are built once per distinct vertex.  A family build sums
+each facet offset on integers, over the lcm of its parameters' denominators.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class Polytope:
         vertices, points, tight = _enumerate_vertices(dim, halfspaces)
         if not vertices:
             raise DegenerateError("no vertices: empty or degenerate halfspace system")
-        if _affine_rank(points) != dim:
+        if set(tight[0]).intersection(*tight[1:]):      # an implicit equality
             raise DegenerateError("lower-dimensional input")
         cycles = _facet_cycles(dim, halfspaces, points, tight)
         return cls(dim, halfspaces, vertices, cycles)
@@ -270,26 +270,6 @@ def _enumerate_vertices(dim, halfspaces):
     denom = common * scale
     vertices = [tuple(Fraction(x, denom) for x in p) for p in points]
     return vertices, points, [seen[p] for p in points]
-
-
-def _affine_rank(points):
-    """Affine rank of integer points: fraction-free (Bareiss) elimination of
-    their differences from the first, each division exact."""
-    base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    rank, previous = 0, 1
-    for c in range(len(base)):
-        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if i is None:
-            continue
-        rows[rank], rows[i] = rows[i], rows[rank]
-        pivot = rows[rank]
-        for r in rows[rank + 1:]:
-            for j in range(c + 1, len(base)):
-                r[j] = (pivot[c] * r[j] - r[c] * pivot[j]) // previous
-        previous = pivot[c]
-        rank += 1
-    return rank
 
 
 def _facet_cycles(dim, halfspaces, points, tight):

@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +217,17 @@ class TestToric:
         assert any(l.startswith("locus: a = b = c :: confirmed") for l in lines)
         assert any(l.startswith("locus: coverage :: exact") for l in lines)
 
+    def test_golden_scans_replay_byte_identical(self, monkeypatch):
+        # tests/goldens/capture_scan.py wrote these: every family at the
+        # default step, with the catalog's loci
+        monkeypatch.delenv("FUTAKIZERO_CATALOG", raising=False)
+        golden = Path(__file__).resolve().parent / "goldens" / "toric_scan.json"
+        commands = json.loads(golden.read_text("utf-8"))["commands"]
+        assert len(commands) == 8
+        differing = [command for command, want in commands.items()
+                     if run_cli(command.split()) != (want["code"], want["stdout"])]
+        assert differing == []
+
     @pytest.mark.parametrize("step", ["2", "5"])
     def test_scan_without_region_point_exits_three(self, capsys, step):
         # both catalog loci used to read "confirmed (0 grid points)", exit 0
@@ -367,6 +379,29 @@ class TestCatalogCommand:
         code, out = run_cli(["--catalog", str(path), "catalog", "validate"])
         assert code == 2
         assert "finding:" in out
+
+    @pytest.mark.parametrize("params,varieties,denominator", [
+        ("", "x*t + a*y*z\nvariety = a*x*t + 2*y*z", "-2 + a^2"),
+        ("\nparam = b", "x*t + a*y*z\nvariety = b*x*t + y*z", "-1 + a*b")],
+        ids=["irrational", "two-parameter"])
+    def test_span_denominator_without_listed_roots_exits_two(self, tmp_path, params,
+                                                            varieties, denominator):
+        # varsigma swaps x*t and y*z; its span solve divides by a polynomial
+        # whose zeros are irrational or a curve, so no excludes list names them
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        broken = text.replace("param = a excludes -1, 0, 1\n",
+                              f"param = a excludes -1, 0, 1{params}\n", 1).replace(
+            "variety = w^2 + x*y + z*t + a*(x*t + y*z)\n", f"variety = {varieties}\n", 1)
+        assert broken.count("variety = x*t + a*y*z\n") == 1
+        path = tmp_path / "broken.cat"
+        path.write_text(broken)
+        code, out = run_cli(["--catalog", str(path), "catalog", "validate"])
+        assert code == 2
+        assert out.splitlines() == [
+            f"finding: 3.10-a: symmetry varsigma: span-solve denominator {denominator} "
+            f"has zeros that no excludes list can name",
+            "catalog INVALID: 34 records, 1 findings"]
 
     @pytest.mark.parametrize("argv", [["catalog", "validate"], ["verify", "3.25"],
                                       ["report", "3.25"]])

@@ -138,7 +138,21 @@ class TestInSpan:
         sol = in_span([parse_poly("x0", amb, pf)], [parse_poly("(a - 2)*x0", amb, pf)], pf)[0]
         assert [c.render() for c in sol.coefficients] == ["1/(-2 + a)"]
         assert sol.denominator_roots == (Fraction(2),)
-        assert not sol.has_irrational_denominator
+        assert sol.unlisted_denominators == ()
+
+    @pytest.mark.parametrize("params,gens,denominator", [
+        (("a",), ["x0 + a*x1", "a*x0 + 2*x1"], "-2 + a^2"),
+        (("a", "b"), ["x0 + a*x1", "b*x0 + x1"], "-1 + a*b")],
+        ids=["irrational", "two-parameter"])
+    def test_denominator_without_listed_roots(self, params, gens, denominator):
+        # a^2 - 2 has no rational root, and a*b - 1 vanishes along a curve:
+        # neither one's zeros are among the listed roots
+        amb = AmbientSpace.product(("x0", "x1"))
+        pf = ParamField(params)
+        sol = in_span([parse_poly("x0", amb, pf)], [parse_poly(g, amb, pf) for g in gens],
+                      pf)[0]
+        assert sol.denominator_roots == ()
+        assert [d.render() for d in sol.unlisted_denominators] == [denominator]
 
     def test_not_in_span(self):
         amb = AmbientSpace.product(("x0", "x1", "x2", "x3"))

@@ -815,18 +815,33 @@ class TestIntegerKernelOracle:
             assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)]
                     for row in rows] == [[det * (i == j) for j in range(d)] for i in range(d)]
 
-    def test_affine_rank(self):
-        from futakizero.toric import _affine_rank
-        rng = random.Random(20233)
-        for _ in range(300):
-            d = rng.randint(1, 3)
-            k = rng.randint(0, d)       # the points span a k-flat
-            base = [rng.randint(-5, 5) for _ in range(d)]
-            spans = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(k)]
-            points = [tuple(b + sum(rng.randint(-2, 2) * s[i] for s in spans)
-                            for i, b in enumerate(base))
-                      for _ in range(rng.randint(1, 6))]
-            assert _affine_rank(points) == _oracle_affine_rank(points), points
+    def test_flat_systems(self):
+        # opposite halfspaces with equal offsets pin a coordinate or a
+        # direction, so the system cuts out a point, segment or polygon; the
+        # oracle finds it flat by elimination, the build by a facet tight at
+        # every vertex, before any facet walk
+        def box(dim, upper):
+            return [Halfspace(tuple(s * int(j == i) for j in range(dim)), upper if s > 0 else 0)
+                    for i in range(dim) for s in (1, -1)]
+
+        def pinned(normal, c):
+            return [Halfspace(normal, c), Halfspace(tuple(-n for n in normal), -c)]
+
+        half = Fraction(3, 2)
+        cases = [
+            (1, pinned((1,), half)),                                            # point
+            (1, pinned((1,), -2)),                                              # point
+            (2, pinned((1, 0), half) + box(2, 2)[2:]),                          # segment
+            (2, box(2, 2)[:2] + pinned((1, 1), 1)),                             # segment
+            (3, box(3, 2)[:4] + pinned((0, 0, 1), 1)),                          # square
+            (3, box(3, 2) + pinned((1, 1, 1), 3)),                              # hexagon
+            (3, box(3, 2)[:2] + pinned((0, 1, 0), half) + pinned((0, 0, 1), 1)),  # segment
+            (3, pinned((1, 0, 0), 1) + pinned((0, 1, 0), 0) + pinned((0, 0, 1), half)),  # point
+        ]
+        expected = (DegenerateError, "lower-dimensional input")
+        for dim, hs in cases:
+            assert _outcome(oracle_polytope, dim, hs) == expected, hs
+            assert _outcome(Polytope.from_halfspaces, dim, hs) == expected, hs
 
     @pytest.mark.parametrize("family,points", [("s6", 1331), ("bl2lines-p3", 225)])
     def test_scan_grids(self, family, points):

@@ -690,19 +690,12 @@ def _validate_polynomialish(record):
         if not tau.order_divides(order):
             findings.append(f"symmetry {name} does not have declared order {order}")
         if inv is not None and inv.invariant:
-            uncovered = [r for r in inv.denominator_roots
-                         if not _root_excluded(record.params, r)]
-            if uncovered:
-                findings.append(f"symmetry {name}: span-solve denominators vanish "
-                                f"at non-excluded values {uncovered}")
-            for d in inv.unlisted_denominators:
-                findings.append(f"symmetry {name}: span-solve denominator {d.render()} "
-                                f"has zeros that no excludes list can name")
+            for d in inv.denominators:
+                rest = record.params.uncovered(d)
+                if not rest.is_constant():
+                    findings.append(f"symmetry {name}: span-solve denominator {d.render()} "
+                                    f"vanishes off the excluded values: {rest.render()} = 0")
     return findings
-
-
-def _root_excluded(params, root):
-    return any(not params.admits(n, root) for n in params.names)
 
 
 def _validate_abstract(record):

@@ -126,7 +126,7 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
         raise toric.ToricError("grid step must be positive")
     pinned = dict(fam.fixed_for_scan)
     if fixed:
-        pinned.update({k: Fraction(v) for k, v in fixed.items()})
+        pinned.update({k: Fraction(*toric._parameter(k, v)) for k, v in fixed.items()})
     scan_names = [n for n in fam.param_names if n not in pinned]
     forms = _locus_forms(loci, fam, pinned, scan_names, step.denominator)
     # the multiples k * step below each upper bound: k = 1 .. ceil(upper / step) - 1

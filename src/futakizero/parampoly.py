@@ -514,75 +514,3 @@ def _reduce(num, den):
         den = -den
         scale = -scale
     return num.scaled(scale.numerator), den.scaled(scale.denominator)
-
-
-def rational_roots(p):
-    """All rational roots of a PPoly in at most one effective variable.
-
-    Returns (roots, has_nonrational_factor).  Multi-parameter polynomials with
-    an honest mixed dependence are reported via the flag.
-    """
-    if p.is_zero():
-        raise ParamPolyError("zero polynomial has every root")
-    active = [i for i in range(len(p.names)) if p.degree_in(i) > 0]
-    if not active:
-        return [], False
-    if len(active) > 1:
-        return [], True
-    i = active[0]
-    _, p = _int_content_and_primitive(p)
-    coeffs = {expo[i]: c for expo, c in p.num.items()}
-    top = max(coeffs)
-    dense = [coeffs.get(k, 0) for k in range(top + 1)]
-    roots = set()
-    low = next(k for k in range(top + 1) if dense[k] != 0)
-    if low > 0:
-        roots.add(Fraction(0))
-        dense = dense[low:]
-    a0, an = dense[0], dense[-1]
-    for pnum in _divisors(abs(a0)):
-        for q in _divisors(abs(an)):
-            for cand in (Fraction(pnum, q), Fraction(-pnum, q)):
-                if sum(Fraction(c) * cand ** k for k, c in enumerate(dense)) == 0:
-                    roots.add(cand)
-    return sorted(roots), _has_irrational_part(dense, roots)
-
-
-def _has_irrational_part(dense, roots):
-    # deflate found nonzero roots; anything of degree >= 1 left is irrational
-    coeffs = [Fraction(c) for c in dense]
-    for r in roots:
-        if r == 0:
-            continue
-        while True:
-            quot, rem = _deflate(coeffs, r)
-            if rem != 0:
-                break
-            coeffs = quot
-            if len(coeffs) == 1:
-                break
-    return len(coeffs) > 1
-
-
-def _deflate(coeffs, r):
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    acc = Fraction(0)
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[k] + acc * r
-        out[k - 1] = acc
-    rem = coeffs[0] + acc * r
-    return out, rem
-
-
-def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)

@@ -1,6 +1,6 @@
 """Multihomogeneous polynomials on products of projective spaces.
 
-Coefficients live in the fraction field Q(params); the surface syntax admits
+Coefficients live in the fraction field Q(params); the surface syntax allows
 `+ - * / ^`, parentheses, integer and rational literals, and declared
 coordinate/parameter names.  Division is restricted to coordinate-free
 divisors (enough for rational literals and parameter scalars such as
@@ -122,8 +122,21 @@ class ParamField:
         from .parampoly import RatFunc
         return RatFunc.var(self.names, name)
 
-    def admits(self, name, value):
-        return Fraction(value) not in self.excluded.get(name, ())
+    def uncovered(self, den):
+        """What is left of the polynomial ``den`` after dividing out each
+        excluded factor ``name - value`` as often as it divides.  The factors
+        are irreducible, so the leftover is constant exactly when every zero
+        of ``den`` lies where some parameter takes an excluded value."""
+        from .parampoly import ParamPolyError, PPoly, exact_div
+        for name, values in self.excluded.items():
+            for value in values:
+                factor = PPoly.var(self.names, name) - value
+                try:
+                    while True:
+                        den = exact_div(den, factor)
+                except ParamPolyError:
+                    pass
+        return den
 
 
 _ZERO = Fraction(0)
@@ -291,7 +304,7 @@ def _render_term(coeff, mono):
 # ---------------------------------------------------------------------------
 
 _TOKEN_CHARS = set("+-*/^()")
-_DIGITS = set("0123456789")     # str.isdigit also admits digits int() refuses, such as "²"
+_DIGITS = set("0123456789")     # str.isdigit also accepts digits int() refuses, such as "²"
 MAX_EXPONENT = 64       # the largest exponent of ``^``; the shipped catalog's is 5
 MAX_NESTING = 32        # the deepest ``(`` and prefix signs; the shipped catalog's is 1
 
@@ -522,17 +535,15 @@ def multidegree(p):
 # ---------------------------------------------------------------------------
 
 class SpanSolution:
-    """p = sum coeff_i * gens_i with exact Q(params) coefficients."""
+    """p = sum coeff_i * gens_i with exact Q(params) coefficients, valid
+    wherever none of ``denominators`` vanishes: the non-constant coefficient
+    denominators, each once, in coefficient order."""
 
-    __slots__ = ("coefficients", "denominator_roots", "unlisted_denominators")
+    __slots__ = ("coefficients", "denominators")
 
-    def __init__(self, coefficients, denominator_roots, unlisted_denominators):
+    def __init__(self, coefficients, denominators):
         self.coefficients = coefficients
-        # rational parameter values killing a denominator
-        self.denominator_roots = denominator_roots
-        # the denominators with zeros not among those values: in two or more
-        # parameters, or with an irrational root
-        self.unlisted_denominators = unlisted_denominators
+        self.denominators = denominators
 
 
 def in_span(targets, gens, params=None):
@@ -540,8 +551,9 @@ def in_span(targets, gens, params=None):
     a SpanSolution per target, None for one outside the span.
 
     One exact elimination over the fraction field serves every target
-    (``solve_generic``); each solution records the rational parameter values
-    where any coefficient denominator vanishes.
+    (``solve_generic``); each solution records its non-constant coefficient
+    denominators, which ``ParamField.uncovered`` checks against the
+    excluded values.
     """
     if params is None:
         params = targets[0].params
@@ -555,14 +567,6 @@ def in_span(targets, gens, params=None):
 
 
 def _span_solution(solution):
-    roots = set()
-    unlisted = {}       # in coefficient order, each once
-    for c in solution:
-        if isinstance(c, Fraction) or c.den.is_constant():
-            continue
-        from .parampoly import rational_roots
-        rs, irr = rational_roots(c.den)
-        roots.update(rs)
-        if irr:
-            unlisted[c.den] = None
-    return SpanSolution(tuple(solution), tuple(sorted(roots)), tuple(unlisted))
+    denominators = dict.fromkeys(c.den for c in solution
+                                 if not (isinstance(c, Fraction) or c.den.is_constant()))
+    return SpanSolution(tuple(solution), tuple(denominators))

@@ -142,11 +142,6 @@ class MonomialAutomorphism:
                         for i in range(len(self.perm)))
         return MonomialAutomorphism(self.ambient, perm, scalars, self.params)
 
-    def inverse(self):
-        inv = _invert(self.perm)
-        scalars = tuple(1 / self.scalars[inv[k]] for k in range(len(inv)))
-        return MonomialAutomorphism(self.ambient, tuple(inv), scalars, self.params)
-
     def is_projective_identity(self):
         """Identity as a projective map: per-factor scalar, no permutation.
 
@@ -168,13 +163,6 @@ class MonomialAutomorphism:
         for _ in range(n - 1):
             power = power.compose(self)
         return power.is_projective_identity()
-
-
-def _invert(perm):
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +254,14 @@ class Reparam:
 
 
 class InvarianceResult:
-    __slots__ = ("invariant", "matrix", "denominator_roots", "unlisted_denominators",
-                 "failing_index")
+    __slots__ = ("invariant", "matrix", "denominators", "failing_index")
 
-    def __init__(self, invariant, matrix, denominator_roots, unlisted_denominators,
-                 failing_index=None):
+    def __init__(self, invariant, matrix, denominators, failing_index=None):
         self.invariant = invariant
         self.matrix = matrix      # rows: in_span coefficient vectors over Q(params)
-        self.denominator_roots = denominator_roots
-        self.unlisted_denominators = unlisted_denominators    # see SpanSolution
+        # the non-constant denominators of the matrix entries, each once: the
+        # invariance holds wherever none of them vanishes
+        self.denominators = denominators
         self.failing_index = failing_index
 
     def describe(self):
@@ -290,11 +277,10 @@ def check_variety_invariant(gens, tau):
     """
     solutions = in_span([tau.pullback(g) for g in gens], gens, tau.params)
     if None in solutions:
-        return InvarianceResult(False, (), (), (), failing_index=solutions.index(None))
-    roots = {r for sol in solutions for r in sol.denominator_roots}
-    unlisted = dict.fromkeys(d for sol in solutions for d in sol.unlisted_denominators)
+        return InvarianceResult(False, (), (), failing_index=solutions.index(None))
+    denominators = dict.fromkeys(d for sol in solutions for d in sol.denominators)
     return InvarianceResult(True, tuple(sol.coefficients for sol in solutions),
-                            tuple(sorted(roots)), tuple(unlisted))
+                            tuple(denominators))
 
 
 class Equivariance:

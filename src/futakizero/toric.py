@@ -474,16 +474,12 @@ def _solid_route_triangulation(p):
     from their first vertex) that miss it."""
     d = p.dim
     base = p.vertices[0]
-    if d == 1:
-        a, b = base[0], p.vertices[-1][0]
-        vol = p.magnitude(b - a)
-        return vol, (vol * (a + b),)
     rel = [[x - y for x, y in zip(v, base)] for v in p.vertices]
     dets, moment = [], [[] for _ in range(d)]
     for cycle in p.facet_cycles:
         if 0 in cycle:      # the facet contains the base vertex
             continue
-        for simplex in [cycle] if d == 2 else zip(repeat(cycle[0]), cycle[1:], cycle[2:]):
+        for simplex in [cycle] if d < 3 else zip(repeat(cycle[0]), cycle[1:], cycle[2:]):
             det = p.magnitude(_det([rel[i] for i in simplex]))
             dets.append(det)
             for x in range(d):

@@ -83,6 +83,15 @@ def random_automorphism(rng, ambient, params=None):
     return MonomialAutomorphism(ambient, tuple(perm), scalars, params)
 
 
+def inverse_automorphism(tau):
+    """The monomial automorphism undoing tau: x_perm[i] -> x_i / scalar_i."""
+    inv = [0] * len(tau.perm)
+    for i, j in enumerate(tau.perm):
+        inv[j] = i
+    scalars = tuple(1 / tau.scalars[inv[k]] for k in range(len(inv)))
+    return MonomialAutomorphism(tau.ambient, tuple(inv), scalars, tau.params)
+
+
 def matmul(a, b):
     """Product of two matrices given by their rows, as row tuples."""
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)

@@ -120,21 +120,27 @@ class TestValidate:
             for name, _, tau in record.finite:
                 res = check_variety_invariant(record.variety, tau)
                 assert res.invariant, (record.id, name)
-                for root in res.denominator_roots:
-                    assert any(not record.params.admits(n, root)
-                               for n in record.params.names), (record.id, name)
+                for d in res.denominators:
+                    assert record.params.uncovered(d).is_constant(), (record.id, name)
 
     @pytest.mark.parametrize("param,findings", [
-        ("a", ["symmetry tau: span-solve denominators vanish at non-excluded values "
-               "[Fraction(2, 1)]"]),
+        ("a", ["symmetry tau: span-solve denominator -2 + a vanishes off the excluded "
+               "values: -2 + a = 0"]),
         ("a excludes 2", [])])
     def test_span_denominators_checked_against_exclusions(self, param, findings):
         # tau pulls x1^2 back to x0^2 = 1/(a - 2) * (a - 2)*x0^2
-        text = ('version = 1\n[case "x.1"]\nkind = polynomial\ntheorem = 1\n'
-                f'expected = full_cone\nparam = {param}\nambient = x0 x1\n'
-                'variety = (a - 2)*x0^2\nvariety = x1^2\n'
-                'finite = tau : order 2 : factors = (1) : map(x1, x0)\nh11 = h\n')
-        assert validate_case(load_catalog(text=text).by_id("x.1")) == findings
+        assert validate_case(_swap_case(param, "(a - 2)*x0^2")) == findings
+
+    def test_exclusion_of_another_parameter_covers_no_denominator(self):
+        # b excludes 2, but the denominator a - 2 vanishes at a = 2
+        assert validate_case(_swap_case("a\nparam = b excludes 2", "(a - 2)*x0^2")) == [
+            "symmetry tau: span-solve denominator -2 + a vanishes off the excluded "
+            "values: -2 + a = 0"]
+
+    def test_product_of_excluded_factors_is_covered(self):
+        # the denominator (a - 2)*(b - 3) vanishes only where a = 2 or b = 3
+        assert validate_case(_swap_case("a excludes 2\nparam = b excludes 3",
+                                        "(a - 2)*(b - 3)*x0^2")) == []
 
     def test_sampled_parameter_crosscheck(self, catalog):
         # deterministic sample values: first admissible of (1/2, 2, 3, 1/3, 5...)
@@ -165,9 +171,19 @@ _SAMPLE_SEQUENCE = (Fraction(1, 2), Fraction(2), Fraction(3), Fraction(1, 3),
                     Fraction(11), Fraction(13))
 
 
+def _swap_case(param, variety):
+    """A one-record catalog's record: the given parameter lines, the variety
+    and x1^2, and the symmetry tau swapping x0 and x1."""
+    text = ('version = 1\n[case "x.1"]\nkind = polynomial\ntheorem = 1\n'
+            f'expected = full_cone\nparam = {param}\nambient = x0 x1\n'
+            f'variety = {variety}\nvariety = x1^2\n'
+            'finite = tau : order 2 : factors = (1) : map(x1, x0)\nh11 = h\n')
+    return load_catalog(text=text).by_id("x.1")
+
+
 def _sample(params, name):
     """First admissible member of the fixed cross-check sequence."""
-    return next(v for v in _SAMPLE_SEQUENCE if params.admits(name, v))
+    return next(v for v in _SAMPLE_SEQUENCE if v not in params.excluded.get(name, ()))
 
 
 def _sample_point(params):

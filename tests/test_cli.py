@@ -387,7 +387,7 @@ class TestCatalogCommand:
     def test_span_denominator_without_listed_roots_exits_two(self, tmp_path, params,
                                                             varieties, denominator):
         # varsigma swaps x*t and y*z; its span solve divides by a polynomial
-        # whose zeros are irrational or a curve, so no excludes list names them
+        # with zeros off the excluded values of a: irrational ones, or a curve
         from futakizero.catalog import default_catalog_text
         text = default_catalog_text()
         broken = text.replace("param = a excludes -1, 0, 1\n",
@@ -400,7 +400,7 @@ class TestCatalogCommand:
         assert code == 2
         assert out.splitlines() == [
             f"finding: 3.10-a: symmetry varsigma: span-solve denominator {denominator} "
-            f"has zeros that no excludes list can name",
+            f"vanishes off the excluded values: {denominator} = 0",
             "catalog INVALID: 34 records, 1 findings"]
 
     @pytest.mark.parametrize("argv", [["catalog", "validate"], ["verify", "3.25"],

@@ -9,7 +9,7 @@ from futakizero import parampoly
 from futakizero.catalog import load_catalog, validate_catalog
 from futakizero.parampoly import (ParamPolyError, PPoly, RatFunc, _int_content_and_primitive,
                                   _leading, _pseudo_rem, _strip, _uni_degree, exact_div,
-                                  poly_gcd, rational_roots)
+                                  poly_gcd)
 
 
 def upoly(*coeffs):
@@ -587,25 +587,3 @@ class TestIntegerFormOracle:
             else:
                 assert same(exact_div(other, h), want)
 
-
-class TestRationalRoots:
-    def test_quadratic_with_double_root(self):
-        p = upoly(-1, 0, 1) * upoly(1, 1)
-        roots, irrational = rational_roots(p)
-        assert roots == [Fraction(-1), Fraction(1)]
-        assert not irrational
-
-    def test_zero_root_and_fraction_root(self):
-        # s * (2s - 1)
-        p = upoly(0, -1, 2)
-        roots, irrational = rational_roots(p)
-        assert roots == [Fraction(0), Fraction(1, 2)]
-        assert not irrational
-
-    def test_irrational_flagged(self):
-        roots, irrational = rational_roots(upoly(-2, 0, 1))   # s^2 - 2
-        assert roots == []
-        assert irrational
-
-    def test_constant_has_no_roots(self):
-        assert rational_roots(upoly(5)) == ([], False)

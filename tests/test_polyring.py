@@ -7,7 +7,10 @@ from futakizero.polyring import (AmbientSpace, InhomogeneousError, MultiPoly,
                                  ParamField, ParseError, PolyError, in_span,
                                  multidegree, parse_equations, parse_poly)
 
-from conftest import random_ambient, random_automorphism, random_poly
+from futakizero.parampoly import PPoly
+
+from conftest import (inverse_automorphism, random_ambient, random_automorphism,
+                      random_fraction, random_poly)
 
 P4 = AmbientSpace.product(("x", "y", "z", "t", "w"))
 P2xP2 = AmbientSpace.product(("x", "y", "z"), ("u", "v", "w"))
@@ -137,8 +140,9 @@ class TestInSpan:
         pf = ParamField(("a",))
         sol = in_span([parse_poly("x0", amb, pf)], [parse_poly("(a - 2)*x0", amb, pf)], pf)[0]
         assert [c.render() for c in sol.coefficients] == ["1/(-2 + a)"]
-        assert sol.denominator_roots == (Fraction(2),)
-        assert sol.unlisted_denominators == ()
+        assert [d.render() for d in sol.denominators] == ["-2 + a"]
+        assert pf.uncovered(sol.denominators[0]).render() == "-2 + a"
+        assert ParamField(("a",), {"a": (2,)}).uncovered(sol.denominators[0]).is_constant()
 
     @pytest.mark.parametrize("params,gens,denominator", [
         (("a",), ["x0 + a*x1", "a*x0 + 2*x1"], "-2 + a^2"),
@@ -146,13 +150,13 @@ class TestInSpan:
         ids=["irrational", "two-parameter"])
     def test_denominator_without_listed_roots(self, params, gens, denominator):
         # a^2 - 2 has no rational root, and a*b - 1 vanishes along a curve:
-        # neither one's zeros are among the listed roots
+        # excluding the values 1, 2 and -1 of each parameter leaves both whole
         amb = AmbientSpace.product(("x0", "x1"))
-        pf = ParamField(params)
+        pf = ParamField(params, {n: (1, 2, -1) for n in params})
         sol = in_span([parse_poly("x0", amb, pf)], [parse_poly(g, amb, pf) for g in gens],
                       pf)[0]
-        assert sol.denominator_roots == ()
-        assert [d.render() for d in sol.unlisted_denominators] == [denominator]
+        assert [d.render() for d in sol.denominators] == [denominator]
+        assert pf.uncovered(sol.denominators[0]).render() == denominator
 
     def test_not_in_span(self):
         amb = AmbientSpace.product(("x0", "x1", "x2", "x3"))
@@ -165,7 +169,7 @@ class TestInSpan:
         varsigma = MonomialAutomorphism.from_images(["y", "x", "t", "z", "w"], P4, pf)
         sol = in_span([varsigma.pullback(qa)], [qa], pf)[0]
         assert sol.coefficients == (1,) and type(sol.coefficients[0]) is Fraction
-        assert sol.denominator_roots == ()
+        assert sol.denominators == ()
 
     def test_reconstruction_identity(self):
         rng = random.Random(17)
@@ -208,6 +212,27 @@ class TestInSpan:
                     assert got.coefficients == single.coefficients
                     assert (reconstruct(gens, got) - target).is_zero()
         assert in_span([], gens, ParamField()) == []
+
+
+class TestUncovered:
+    def test_leftover_constant_exactly_without_an_extra_factor(self):
+        # products of excluded factors name - value, times at most one factor
+        # whose zeros leave the excluded values: an irreducible quadric, a
+        # hyperplane or curve in both names, or a value that is not excluded
+        rng = random.Random(41)
+        names = ("a", "b")
+        pf = ParamField(names, {"a": (-1, 0, 1), "b": (Fraction(1, 2), 3)})
+        a, b = (PPoly.var(names, n) for n in names)
+        extras = [a * a - 2, a - b, a * b - 1, a - 2, b - Fraction(1, 3)]
+        for _ in range(200):
+            den = PPoly.const(names, random_fraction(rng, allow_zero=False))
+            for _ in range(rng.randint(0, 4)):
+                name = rng.choice(names)
+                den = den * (PPoly.var(names, name) - rng.choice(pf.excluded[name]))
+            extra = rng.random() < 0.5
+            if extra:
+                den = den * rng.choice(extras)
+            assert pf.uncovered(den).is_constant() != extra, den
 
 
 class TestEquations:
@@ -254,7 +279,7 @@ class TestRingHomomorphism:
             amb = random_ambient(rng)
             p = random_poly(rng, amb)
             tau = random_automorphism(rng, amb)
-            assert tau.inverse().pullback(tau.pullback(p)) == p
+            assert inverse_automorphism(tau).pullback(tau.pullback(p)) == p
 
 
 class TestCanonicalForm:

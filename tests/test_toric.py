@@ -483,6 +483,12 @@ class TestScan:
         with pytest.raises(ToricError, match="a grid of 1331 points at step 1/4 exceeds"):
             zero_locus_scan("s6", Fraction(1, 4))
 
+    @pytest.mark.parametrize("value", ["x", None, float("nan"), "1/0"])
+    def test_bad_pinned_value_names_the_parameter(self, value):
+        # the same error as a build with that value
+        with pytest.raises(ToricError, match=f"^parameter a = {value!r} is not a rational"):
+            zero_locus_scan("s6", "1/4", fixed={"a": value})
+
     def test_out_of_region_points_are_counted(self):
         report = zero_locus_scan("s6", Fraction(1, 2))
         assert report.skipped > 0

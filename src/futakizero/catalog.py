@@ -603,9 +603,9 @@ def parse_assignments(text):
     out = {}
     for chunk in text.split(","):
         key, _, v = chunk.partition("=")
-        if not v:
-            raise CatalogError(f"bad parameter assignment {chunk!r}")
         key = key.strip()
+        if not key or not v:
+            raise CatalogError(f"bad parameter assignment {chunk!r}")
         if key in out:
             raise CatalogError(f"repeated parameter {key!r}")
         out[key] = _convert(v.strip(), Fraction, "parameter value")

@@ -121,7 +121,7 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     fam = toric.FAMILIES.get(family)
     if fam is None:
         raise toric.ToricError(f"unknown toric family {family!r}")
-    step = Fraction(step)
+    step = Fraction(*toric._parameter("step", step, kind="grid"))
     if step <= 0:
         raise toric.ToricError("grid step must be positive")
     pinned = dict(fam.fixed_for_scan)

@@ -9,12 +9,13 @@ catalog families declared as affine halfspace rows.
 Every integral is evaluated along two independent routes and the public
 operations insist the routes agree exactly: the solid integrals by base-vertex
 triangulation vs divergence theorem over the boundary data, in every
-dimension; the boundary measures by facet fans from a vertex vs from the
-centroid in dimension 3 only, as a facet point or edge has one measure.  The
-routes are written once, over Fractions or over polynomials in the family
-parameters.  Each sums lattice-normalised terms (d! vol, d! (d+1) moment,
-(d-1)! sigma-mass, d! sigma-moment) and divides none of them; the sums are
-compared as they are, and ``_integral_data`` divides each total once.  The
+dimension; the boundary measures by facet fans from a vertex vs signed fans
+from a point of the facet's plane, read from its row, in dimension 3 only, as
+a facet point or edge has one measure.  The routes are written once, over
+Fractions or over polynomials in the family parameters.  Each sums
+lattice-normalised terms (d! vol, d! (d+1) moment, (d-1)! sigma-mass,
+d! sigma-moment) and divides none of them; the sums are compared as they
+are, and ``_integral_data`` divides each total once.  The
 lattice coefficient of a facet simplex is read as one minor of its edges per
 (c, j) pair of an integer u with <u, normal> = +-1: a 2x2 minor on the two
 axes other than j in dimension 3, a coordinate difference in dimension 2, so
@@ -349,7 +350,7 @@ def _adjugate(u):
 # coefficient (``_minor_terms``).  So the solid routes sum V = d! vol and
 # M = d! (d+1) moment, the boundary routes S = (d-1)! sigma-mass and
 # T = d! sigma-moment; they are compared on these sums, and
-# ``_integral_data`` divides them once.
+# ``_integral_data`` divides them once.  The plane route signs whole facets.
 
 def _unit_functional(normal):
     """Integer u with <u, normal> = +-1 for a primitive integer normal, as
@@ -408,11 +409,9 @@ def _fan_coefficients(normal, apex, rim):
     return ks
 
 
-def _fan_sums(p, normal, apex, rim):
-    """(sum |k|, sum |k| (apex + b + c)) over the triangles (apex, b, c) of
-    a facet polygon, b and c consecutive in ``rim``, k as for
-    ``_fan_coefficients``."""
-    ks = [p.magnitude(k) for k in _fan_coefficients(normal, apex, rim)]
+def _fan_sums(ks, apex, rim):
+    """(sum k, sum k (apex + b + c)) over the triangles (apex, b, c) of a
+    facet polygon, b and c consecutive in ``rim``, k the triangle's weight."""
     mass = sum(ks)
     return mass, [apex[i] * mass + sum(k * (b[i] + c[i]) for k, b, c in zip(ks, rim, rim[1:]))
                   for i in range(3)]
@@ -434,39 +433,39 @@ def _facet_sums(p, f):
             sigma = _edge_sigma(p, normal, v, w)
             cached = (sigma, [sigma * (a + b) for a, b in zip(v, w)])
         else:
-            cached = _fan_sums(p, normal, verts[0], verts[1:])
+            ks = _fan_coefficients(normal, verts[0], verts[1:])
+            cached = _fan_sums([p.magnitude(k) for k in ks], verts[0], verts[1:])
         p._cache[key] = cached
     return cached
 
 
-def _boundary_route(p, origin_mode):
-    """(S, T) of the boundary; origin_mode picks the fan apex of a 3-D facet
-    polygon, its first vertex ('vertex') or its centroid ('centroid'); a
-    point or an edge has one measure for both.
+def _boundary_route_vertex(p):
+    """(S, T) of the boundary from ``_facet_sums``, |k| per 3-D triangle: a
+    signed fan would match the plane route even on a misordered cycle."""
+    return _boundary_totals(p, [_facet_sums(p, f) for f in range(len(p.halfspaces))])
 
-    The centroid fans run on the boundary dilated by m, the lcm of the facet
-    vertex counts, where the centroid of a k-gon is m / k times its vertex
-    sum, so that no fan divides; their totals, m^2 S and m^3 T, are divided
-    once at the end."""
-    d = p.dim
-    if origin_mode == "vertex" or d < 3:
-        m = 1
-        sums = [_facet_sums(p, f) for f in range(len(p.halfspaces))]
-    else:
-        m = lcm(*map(len, p.facet_cycles))
-        sums = []
-        for f, h in enumerate(p.halfspaces):
-            verts = p.facet_vertices(f)
-            scale = m // len(verts)     # exact, on ints
-            rim = [[m * x for x in v] for v in verts]
-            apex = [scale * sum(v[i] for v in verts) for i in range(3)]
-            sums.append(_fan_sums(p, h.normal, apex, rim + rim[:1]))
-    mass = sum(s for s, _ in sums)
-    moment = tuple(sum(t[i] for _, t in sums) for i in range(d))
-    if m == 1:
-        return mass, moment
-    area = Fraction(m * m)
-    return mass / area, tuple(x / (area * m) for x in moment)
+
+def _boundary_route_plane(p):
+    """(S, T) of a 3-D boundary, each facet fanned from the point
+    P = <u, n> b u of its plane (<n, P> = b), u = _unit_functional(n), read
+    from its row alone.  The coefficients k stay signed: over the closed
+    cycle their sums do not depend on P, and each facet's sign is fixed once."""
+    sums = []
+    for f, h in enumerate(p.halfspaces):
+        unit = _unit_functional(h.normal)
+        scale = sum(c * h.normal[j] for c, j in unit) * h.offset      # +-b
+        apex = [0, 0, 0]
+        for c, j in unit:
+            apex[j] = scale if c == 1 else c * scale
+        rim = p.facet_vertices(f)
+        rim.append(rim[0])
+        mass, moment = _fan_sums(_fan_coefficients(h.normal, apex, rim), apex, rim)
+        sums.append((mass, moment) if p.magnitude(mass) == mass else (-mass, [-x for x in moment]))
+    return _boundary_totals(p, sums)
+
+
+def _boundary_totals(p, sums):
+    return sum(s for s, _ in sums), tuple(sum(t[i] for _, t in sums) for i in range(p.dim))
 
 
 def _solid_route_triangulation(p):
@@ -510,11 +509,11 @@ def _integral_data(p):
         div = _solid_route_divergence(p)
         if tri != div:
             raise ToricError(f"solid integral routes disagree: {tri} vs {div}")
-        bv = _boundary_route(p, "vertex")
+        bv = _boundary_route_vertex(p)
         if p.dim == 3:
-            bc = _boundary_route(p, "centroid")
-            if bv != bc:
-                raise ToricError(f"boundary routes disagree: {bv} vs {bc}")
+            bp = _boundary_route_plane(p)
+            if bv != bp:
+                raise ToricError(f"boundary routes disagree: {bv} vs {bp}")
         (vol, mom), (mass, smoment) = tri, bv
         simplex = Fraction(factorial(p.dim))
         data = (vol / simplex, tuple(x / (simplex * (p.dim + 1)) for x in mom),
@@ -592,12 +591,12 @@ def _aff(const=0, **coefficients):
     return const, tuple(coefficients.items())
 
 
-def _parameter(name, value):
-    """(numerator, denominator) of a parameter value."""
+def _parameter(name, value, kind="parameter"):
+    """(numerator, denominator) of a rational input, a parameter by default."""
     try:
         q = value if isinstance(value, (int, Fraction)) else Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ToricError(f"parameter {name} = {value!r} is not a rational number") from None
+        raise ToricError(f"{kind} {name} = {value!r} is not a rational number") from None
     return q.numerator, q.denominator
 
 

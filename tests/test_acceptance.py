@@ -203,11 +203,12 @@ def test_criterion_7_property_suites(catalog):
         assert futaki_vector(unimodular_image(p, u, t)).components == expected
         transforms += 1
 
-    from futakizero.toric import (_boundary_route, _solid_route_divergence,
-                                  _solid_route_triangulation)
+    from futakizero.toric import (_boundary_route_plane, _boundary_route_vertex,
+                                  _solid_route_divergence, _solid_route_triangulation)
     for p in corpus:
         assert _solid_route_triangulation(p) == _solid_route_divergence(p)
-        assert _boundary_route(p, "vertex") == _boundary_route(p, "centroid")
+        if p.dim == 3:
+            assert _boundary_route_vertex(p) == _boundary_route_plane(p)
 
     products = 0
     two_d = [c for c in corpus if c.dim == 2]

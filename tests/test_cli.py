@@ -201,8 +201,11 @@ class TestToric:
         ("a=abc", "bad parameter value 'abc'"),
         ("a=1/0", "bad parameter value '1/0'"),
         ("a=1, a=2", "repeated parameter 'a'"),
-        ("", "bad parameter assignment ''")])
+        ("", "bad parameter assignment ''"),
+        ("=1", "bad parameter assignment '=1'"),
+        ("a=1,=2", "bad parameter assignment '=2'")])
     def test_bad_params_exit_three(self, capsys, params, message):
+        # an empty name used to read "missing parameters ['a']" or "unknown parameters ['']"
         code, out = run_cli(["toric", "futaki", "--family", "p1", "--params", params])
         assert (code, out) == (3, "")
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -141,10 +141,12 @@ class TestRouteSums:
 
     @staticmethod
     def route_sums(p):
-        from futakizero.toric import (_boundary_route, _solid_route_divergence,
-                                      _solid_route_triangulation)
+        from futakizero.toric import (_boundary_route_plane, _boundary_route_vertex,
+                                      _solid_route_divergence, _solid_route_triangulation)
+        # a point or an edge has one measure, so the plane route is 3-D only
+        vertex = _boundary_route_vertex(p)
         return (_solid_route_triangulation(p), _solid_route_divergence(p),
-                _boundary_route(p, "vertex"), _boundary_route(p, "centroid"))
+                vertex, _boundary_route_plane(p) if p.dim == 3 else vertex)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_unit_cube(self, d):
@@ -170,22 +172,51 @@ class TestRouteSums:
         assert boundary_integral(p) == (Fraction(d + 1, f[d - 1]), (Fraction(d, f[d]),) * d)
         assert all(type(x) is Fraction for x in (volume(p), boundary_integral(p)[0]))
 
-    @pytest.mark.parametrize("route,mode,message", [
-        ("_solid_route_triangulation", None, "solid integral routes disagree"),
-        ("_solid_route_divergence", None, "solid integral routes disagree"),
-        ("_boundary_route", "centroid", "boundary routes disagree"),
-        ("_boundary_route", "vertex", "boundary routes disagree")])
-    def test_corrupted_sum_raises(self, monkeypatch, route, mode, message):
+    @pytest.mark.parametrize("route,message", [
+        ("_solid_route_triangulation", "solid integral routes disagree"),
+        ("_solid_route_divergence", "solid integral routes disagree"),
+        ("_boundary_route_plane", "boundary routes disagree"),
+        ("_boundary_route_vertex", "boundary routes disagree")])
+    def test_corrupted_sum_raises(self, monkeypatch, route, message):
         from futakizero import toric
         real = getattr(toric, route)
 
-        def corrupted(p, *args):
-            total, sums = real(p, *args)
-            return (total + 1, sums) if mode in (None, *args) else (total, sums)
+        def corrupted(p):
+            total, sums = real(p)
+            return total + 1, sums
 
         monkeypatch.setattr(toric, route, corrupted)
         with pytest.raises(ToricError, match=message):
             futaki_vector(self.cube(3))
+
+    @staticmethod
+    def recycled(p, cycle):
+        """p with its first facet walked as ``cycle``."""
+        return Polytope(p.dim, p.halfspaces, p.vertices, (cycle,) + p.facet_cycles[1:])
+
+    def test_misordered_cycle_raises(self):
+        # a bowtie on x = 0, which holds vertex 0 and has offset 0, so the solid
+        # routes skip it: the signed plane fan cancels, the vertex fan keeps |k|
+        p = self.cube(3)
+        a, b, c, *rest = p.facet_cycles[0]
+        with pytest.raises(ToricError, match="boundary routes disagree"):
+            futaki_vector(self.recycled(p, (a, c, b, *rest)))
+
+    def test_reversed_cycle_agrees(self):
+        p = self.cube(3)
+        assert futaki_vector(self.recycled(p, p.facet_cycles[0][::-1])).is_zero()
+
+    def test_centroid_fan_oracle(self):
+        from futakizero.toric import _boundary_route_plane, _boundary_route_vertex
+        polytopes = corpus() + [parse_polytope_text(text) for text in NON_UNIT_POLYTOPES]
+        checked = 0
+        for p in polytopes:
+            if p.dim == 3:
+                expected = _oracle_centroid_fans(p.halfspaces)
+                assert _boundary_route_vertex(p) == expected
+                assert _boundary_route_plane(p) == expected
+                checked += 1
+        assert checked == 7
 
 
 def _along(normal, vector):
@@ -409,11 +440,12 @@ class TestEquivariance:
             == futaki_vector(p).components
 
     def test_dual_evaluation_paths_agree_on_corpus(self):
-        from futakizero.toric import (_boundary_route, _solid_route_divergence,
-                                      _solid_route_triangulation)
+        from futakizero.toric import (_boundary_route_plane, _boundary_route_vertex,
+                                      _solid_route_divergence, _solid_route_triangulation)
         for p in corpus():
             assert _solid_route_triangulation(p) == _solid_route_divergence(p)
-            assert _boundary_route(p, "vertex") == _boundary_route(p, "centroid")
+            if p.dim == 3:
+                assert _boundary_route_vertex(p) == _boundary_route_plane(p)
 
     def test_product_identity(self):
         rng = random.Random(43)
@@ -488,6 +520,12 @@ class TestScan:
         # the same error as a build with that value
         with pytest.raises(ToricError, match=f"^parameter a = {value!r} is not a rational"):
             zero_locus_scan("s6", "1/4", fixed={"a": value})
+
+    @pytest.mark.parametrize("step", ["x", None, "1/0"])
+    def test_bad_step_is_named(self, step):
+        # these used to end in a ValueError, TypeError and ZeroDivisionError
+        with pytest.raises(ToricError, match=f"^grid step = {step!r} is not a rational"):
+            zero_locus_scan("s6", step)
 
     def test_out_of_region_points_are_counted(self):
         report = zero_locus_scan("s6", Fraction(1, 2))
@@ -647,6 +685,23 @@ def _oracle_order_polygon(normal, labelled):
 
     planar = sorted(((idx, plane(p)) for idx, p in labelled), key=cmp_to_key(compare))
     return tuple(idx for idx, _ in planar)
+
+
+def _oracle_centroid_fans(halfspaces):
+    """(S, T) of a 3-D boundary from ``oracle_polytope``: each facet fanned
+    from its centroid g, |k| = |<(b - g) x (c - g), n>| / <n, n> per triangle."""
+    vertices, cycles = oracle_polytope(3, halfspaces)
+    mass, moment = 0, [0, 0, 0]
+    for h, cycle in zip(halfspaces, cycles):
+        n = h.normal
+        polygon = [vertices[i] for i in cycle]
+        g = [sum(v[i] for v in polygon) / len(polygon) for i in range(3)]
+        for b, c in zip(polygon, polygon[1:] + polygon[:1]):
+            cross = _oracle_cross([x - y for x, y in zip(b, g)], [x - y for x, y in zip(c, g)])
+            k = abs(Fraction(sum(x * y for x, y in zip(cross, n)), sum(x * x for x in n)))
+            mass += k
+            moment = [m + k * (g[i] + b[i] + c[i]) for i, m in enumerate(moment)]
+    return mass, tuple(moment)
 
 
 def oracle_polytope(dim, halfspaces):

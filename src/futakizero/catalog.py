@@ -133,12 +133,6 @@ class CaseRecord:
                 for _, _, tau in self.finite)
         return self._invariances
 
-    def finite_by_name(self, name):
-        for entry in self.finite:
-            if entry[0] == name:
-                return entry
-        raise KeyError(name)
-
 
 class Catalog:
     __slots__ = ("records", "segments")
@@ -146,12 +140,6 @@ class Catalog:
     def __init__(self, records, segments):
         self.records = records          # the built records: all, or those a case selects
         self.segments = segments        # render stream of the whole file
-
-    def by_id(self, case_id):
-        for r in self.records:
-            if r.id == case_id:
-                return r
-        raise KeyError(case_id)
 
     def families(self):
         return tuple(dict.fromkeys(r.family for r in self.records))

@@ -171,14 +171,6 @@ def _locus_forms(loci, fam, pinned, scan_names, denominator):
 # cells
 # ---------------------------------------------------------------------------
 
-class _SymbolicFacet:
-    __slots__ = ("normal", "offset")
-
-    def __init__(self, normal, offset):
-        self.normal = normal
-        self.offset = offset        # PPoly
-
-
 class _CellPolytope(toric.Polytope):
     """The polytopes of one cell, with PPoly vertex coordinates and offsets,
     labelled and ordered as at the sample point; every sign is read there."""
@@ -202,7 +194,7 @@ def numerators(fam, polytope, solved, sample):
     Both route pairs must agree as polynomials, and the numerators must agree
     with the numeric Futaki vector at the sample."""
     vertices, offsets = solved
-    cell = _CellPolytope(polytope.dim, [_SymbolicFacet(h.normal, c) for h, c
+    cell = _CellPolytope(polytope.dim, [toric.Halfspace._checked(h.normal, c) for h, c
                                         in zip(polytope.halfspaces, offsets)],
                          vertices, polytope.facet_cycles, sample)
     vol, mom, mass, smoment = toric._integral_data(cell)

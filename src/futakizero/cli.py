@@ -135,8 +135,12 @@ _HEADER = ("case", "aut", "computed", "expected", "match")
 
 
 def _family_key(fam):
+    """Numeric ``N.M`` families first, in numeric order, then any other by
+    its text."""
     major, _, minor = fam.partition(".")
-    return (int(major), int(minor))
+    if major.isdecimal() and minor.isdecimal():
+        return (0, int(major), int(minor))
+    return (1, fam)
 
 
 def cmd_catalog_validate(args, out):

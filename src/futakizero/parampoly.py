@@ -165,28 +165,31 @@ class PPoly:
 
     def render(self):
         """Canonical text form, ascending lex exponent order."""
-        if self.is_zero():
-            return "0"
-        parts = []
-        for expo, c in self.sorted_terms():
-            mono = "*".join(
-                n if e == 1 else f"{n}^{e}"
-                for n, e in zip(self.names, expo) if e > 0
-            )
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_terms(self.sorted_terms(), self.names)
 
     def __repr__(self):
         return f"PPoly({self.render()!r})"
+
+
+def render_terms(terms, names):
+    """The text of a sum of (exponent, coefficient) terms in ``names``, in the
+    order given: a rational coefficient prints as itself, a unit one before a
+    monomial as its sign only, and a ``RatFunc`` as its ``render``, in
+    parentheses unless it is one term over a constant.  PPoly and
+    ``polyring.MultiPoly`` both print through it."""
+    text = ""
+    for expo, c in terms:
+        term = c.render() if isinstance(c, RatFunc) else str(c)
+        if isinstance(c, RatFunc) and (len(c.num.num) > 1 or not c.den.is_constant()):
+            term = f"({term})"
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, expo) if e > 0)
+        if mono:
+            term = {"1": "", "-1": "-"}.get(term, term + "*") + mono
+        if not text:
+            text = term
+        else:
+            text += f" - {term[1:]}" if term[0] == "-" else f" + {term}"
+    return text or "0"
 
 
 def _raw(names, num, den):

@@ -9,8 +9,9 @@ vector, reduced nonzero coefficients, one multidegree for the whole
 polynomial.  Locus equations over the parameters alone go through the same
 parser (``parse_equations``), once per line and parameter names.
 
-``parampoly`` loads where a non-constant element of Q(params) is built, so a
-polynomial without parameters never compiles it.
+``parampoly`` loads where a non-constant element of Q(params) is built or a
+polynomial is printed (``render_terms``), so a polynomial without parameters
+compiles it only when it is printed.
 """
 
 from __future__ import annotations
@@ -262,41 +263,11 @@ class MultiPoly:
         return result
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                n if k == 1 else f"{n}^{k}"
-                for n, k in zip(self.ambient.coords, e) if k > 0)
-            parts.append(_render_term(c, mono))
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-") and not p.startswith("-("):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        from .parampoly import render_terms
+        return render_terms(self.sorted_terms(), self.ambient.coords)
 
     def __repr__(self):
         return f"MultiPoly({self.render()!r})"
-
-
-def _render_term(coeff, mono):
-    if isinstance(coeff, Fraction):
-        if not mono:
-            return str(coeff)
-        if coeff == 1:
-            return mono
-        if coeff == -1:
-            return f"-{mono}"
-        return f"{coeff}*{mono}"
-    if coeff.den.is_constant() and len(coeff.num.num) == 1:
-        # bare monomial scalar such as a or 2*a
-        body = coeff.render()
-        return f"{body}*{mono}" if mono else body
-    body = f"({coeff.render()})"
-    return f"{body}*{mono}" if mono else body
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +357,7 @@ class _Parser:
         while self.peek()[0] in "+-":
             op = self.take()[0]
             rhs = self.term()
-            value = self._add(value, rhs) if op == "+" else self._add(value, self._neg(rhs))
+            value = self._add(value, rhs) if op == "+" else self._add(value, -rhs)
         return value
 
     def term(self):
@@ -406,7 +377,7 @@ class _Parser:
             self.nest()
             value = self.unary()
             self.depth -= 1
-            return value if op == "+" else self._neg(value)
+            return value if op == "+" else -value
         return self.power()
 
     def power(self):
@@ -458,10 +429,6 @@ class _Parser:
         for e, c in b.terms.items():
             terms[e] = terms.get(e, self.params.zero()) + c
         return MultiPoly(self.ambient, self.params, terms, check=False)
-
-    def _neg(self, a):
-        return MultiPoly(self.ambient, self.params,
-                         {e: -c for e, c in a.terms.items()}, check=False)
 
     def _divide(self, a, b):
         const = _as_scalar(b)
@@ -524,10 +491,6 @@ def _equations(text, names):
             raise ParseError(f"{part.strip()!r} is not a polynomial in {', '.join(names)}")
         sides.append(value.num / value.den.constant_value())
     return tuple(side - sides[0] for side in sides[1:])
-
-
-def multidegree(p):
-    return p.multidegree()
 
 
 # ---------------------------------------------------------------------------

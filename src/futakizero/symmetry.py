@@ -87,11 +87,6 @@ class MonomialAutomorphism:
         self.params = params
 
     @classmethod
-    def identity(cls, ambient, params):
-        n = len(ambient.coords)
-        return cls(ambient, tuple(range(n)), tuple(params.one() for _ in range(n)), params)
-
-    @classmethod
     def from_images(cls, images, ambient, params):
         """Build from the image expression of each coordinate in ambient
         order; every image must be scalar * single coordinate."""

@@ -78,7 +78,8 @@ class Halfspace:
     @classmethod
     def _checked(cls, normal, offset):
         """The halfspace of a normal that a Halfspace already checked (a
-        family row's) and a Fraction offset, without checking them again."""
+        family row's) and an offset, without checking them again: a Fraction,
+        or a PPoly on a scan cell."""
         h = object.__new__(cls)
         h.normal = normal
         h.offset = offset
@@ -88,10 +89,6 @@ class Halfspace:
         if not isinstance(other, Halfspace):
             return NotImplemented
         return self.normal == other.normal and self.offset == other.offset
-
-    def render(self):
-        nums = " ".join(str(n) for n in self.normal)
-        return f"{nums} <= {self.offset}"
 
 
 def _integer_entry(n):
@@ -143,40 +140,6 @@ class Polytope:
 
     def facet_vertices(self, f):
         return [self.vertices[i] for i in self.facet_cycles[f]]
-
-    def render(self):
-        return "\n".join(h.render() for h in self.halfspaces) + "\n"
-
-
-def parse_polytope_text(text, dim=None):
-    """One halfspace per line: ``n1 n2 [n3] <= c``; ``#`` comments allowed."""
-    halfspaces = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "<=" not in line:
-            raise ToricError(f"line {lineno}: missing '<='")
-        lhs, _, rhs = line.partition("<=")
-        try:
-            normal = tuple(int(tok) for tok in lhs.split())
-            offset = Fraction(rhs.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ToricError(f"line {lineno}: expected integers '<=' a rational number, "
-                             f"got {line!r}") from None
-        try:
-            halfspaces.append(Halfspace(normal, offset))
-        except ToricError as exc:
-            raise ToricError(f"line {lineno}: {exc}") from None
-    if not halfspaces:
-        raise ToricError("no halfspaces")
-    dims = {len(h.normal) for h in halfspaces}
-    if len(dims) != 1:
-        raise ToricError("inconsistent dimensions")
-    d = dims.pop()
-    if dim is not None and dim != d:
-        raise ToricError("dimension mismatch")
-    return Polytope.from_halfspaces(d, halfspaces)
 
 
 # ---------------------------------------------------------------------------
@@ -522,22 +485,6 @@ def _integral_data(p):
     return data
 
 
-def volume(p):
-    """Exact Lebesgue volume; triangulation and divergence routes must agree."""
-    return _integral_data(p)[0]
-
-
-def moment(p):
-    """Exact first moment vector (integral of x over P)."""
-    return _integral_data(p)[1]
-
-
-def boundary_integral(p):
-    """(sigma mass of the boundary, sigma moment vector), lattice measure."""
-    data = _integral_data(p)
-    return data[2], data[3]
-
-
 def donaldson_L(p, affine):
     """L(f) = int_dP f dsigma - (sigma mass / volume) int_P f dmu for the
     affine function f(x) = affine[0] + sum affine[1:][i] x_i.  L(1) = 0 by
@@ -694,12 +641,6 @@ def class_to_polytope(family, **params):
     if family not in FAMILIES:
         raise ToricError(f"unknown toric family {family!r}")
     return FAMILIES[family].build(**params)
-
-
-def anticanonical_parameters(family):
-    if family not in FAMILIES:
-        raise ToricError(f"unknown toric family {family!r}")
-    return dict(FAMILIES[family].anticanonical)
 
 
 # ---------------------------------------------------------------------------

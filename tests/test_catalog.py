@@ -68,7 +68,7 @@ class TestValidate:
         assert validate_catalog(catalog) == []
 
     def test_both_presentation_cross_checks(self, catalog):
-        record = catalog.by_id("3.5")
+        (record,) = [r for r in catalog.records if r.id == "3.5"]
         assert validate_case(record) == []
         center = record.centers[0].presentation
         assert center.kind() == "both"
@@ -76,10 +76,10 @@ class TestValidate:
             assert center.curve.substituted(g).is_zero()
 
     def test_wrong_torus_yields_finding(self, catalog):
-        base = catalog.by_id("3.10-a")
+        (base,) = [r for r in catalog.records if r.id == "3.10-a"]
         text = default_catalog_text().replace(
             "weights(1, -1, 1, -1, 0)", "weights(1, -1, 0, 0, 0)")
-        broken = load_catalog(text=text).by_id("3.10-a")
+        (broken,) = load_catalog(text=text, case="3.10-a").records
         findings = validate_case(broken)
         assert any("torus" in f for f in findings)
         assert validate_case(base) == []
@@ -88,7 +88,7 @@ class TestValidate:
         # an involution composed three times is itself, never the identity
         text = default_catalog_text().replace(
             "varsigma : order 2", "varsigma : order 3", 1)
-        broken = load_catalog(text=text).by_id("3.10-a")
+        (broken,) = load_catalog(text=text, case="3.10-a").records
         findings = validate_case(broken)
         assert any("order" in f for f in findings)
 
@@ -97,10 +97,12 @@ class TestValidate:
         bad_locus = text.replace("locus = a = b = c\n", "locus = a = b = t\n", 1)
         assert bad_locus != text
         # t is a parameter of p1xs6 but not of the scanned s6 factor
-        assert validate_case(load_catalog(text=bad_locus).by_id("5.3")) == [
+        (record,) = load_catalog(text=bad_locus, case="5.3").records
+        assert validate_case(record) == [
             "bad locus equation 'a = b = t' on s6: unknown symbol 't'"]
         unknown = text.replace("toric_family = bl2lines-p3\n", "toric_family = nope\n", 1)
-        assert validate_case(load_catalog(text=unknown).by_id("3.25")) == [
+        (record,) = load_catalog(text=unknown, case="3.25").records
+        assert validate_case(record) == [
             "unknown toric family 'nope'"]
 
     def test_theorem_partition_matches_expected_verdicts(self, catalog):
@@ -178,7 +180,8 @@ def _swap_case(param, variety):
             f'expected = full_cone\nparam = {param}\nambient = x0 x1\n'
             f'variety = {variety}\nvariety = x1^2\n'
             'finite = tau : order 2 : factors = (1) : map(x1, x0)\nh11 = h\n')
-    return load_catalog(text=text).by_id("x.1")
+    (record,) = load_catalog(text=text, case="x.1").records
+    return record
 
 
 def _sample(params, name):

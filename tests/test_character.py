@@ -98,7 +98,7 @@ class TestH11Action:
         assert len(kernel_basis(minus_identity(matrix))) == 2
 
     def test_identity_symmetry(self):
-        ident = MonomialAutomorphism.identity(P2xP2, PF)
+        ident = MonomialAutomorphism.from_images(list(P2xP2.coords), P2xP2, PF)
         matrix, rho = h11_action(ident, [])
         assert matrix == identity(2)
         assert rho == ()
@@ -242,7 +242,8 @@ class TestCatalogVerdicts:
         assert len(calls) == len(record.finite) + len(certificate)
 
     def test_two_distinct_families_for_triple_intersection(self, catalog):
-        analysis = analyze_polynomial_case(catalog.by_id("3.13"))
+        (record,) = [r for r in catalog.records if r.id == "3.13"]
+        analysis = analyze_polynomial_case(record)
         verdict = analysis.verdict
         assert verdict.tag == "subcone"
         assert verdict.fixed_dim == 2

@@ -341,6 +341,30 @@ class TestReport:
         rows = [l for l in out.splitlines() if l.startswith("2.24")]
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    @pytest.mark.parametrize("case_id", ["x.19", "7"])
+    def test_family_that_is_not_numeric(self, tmp_path, case_id, fmt):
+        # report used to print the rows, then end in exit 4 with
+        # "internal error: ValueError: invalid literal for int()"
+        from futakizero.catalog import default_catalog_text
+        old = '[case "3.19"]\nkind = polynomial\ntheorem = 2\nexpected = subcone(2)\n'
+        new = f'[case "{case_id}"]\nkind = polynomial\ntheorem = 1\nexpected = full_cone\n'
+        path = tmp_path / "family.cat"
+        path.write_text(default_catalog_text().replace(old, new, 1))
+        numeric = ["3.9", "3.13", "3.20", "4.2", "4.4", "4.7", "5.3"]
+        for argv, exceptions in ((["report"], numeric + [case_id]),
+                                 (["report", case_id], [case_id])):
+            code, out = run_cli(["--catalog", str(path), *argv, "--format", fmt])
+            assert code == 1
+            lines = out.splitlines()
+            if fmt == "json-lines":
+                rows = [json.loads(line) for line in lines]
+                assert [r["match"] for r in rows if r.get("case") == case_id] == ["MISMATCH"]
+                assert rows[-1]["exception_families"] == exceptions
+            else:
+                assert [l.split()[-1] for l in lines if l.split()[0] == case_id] == ["MISMATCH"]
+                assert f"theorem-1 exception list (computed): {' '.join(exceptions)}" in lines
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self):
@@ -661,22 +685,29 @@ class TestStartup:
     WATCHED = ("dataclasses", "inspect", "json", "futakizero.toric", "futakizero.cells",
                "futakizero.polyring", "futakizero.parampoly", "futakizero.symmetry")
 
-    def loaded(self, code):
-        """The WATCHED modules loaded after running ``code`` in a new interpreter."""
+    # the source lines of every loaded futakizero module: what a fresh command
+    # compiles when no bytecode cache is written
+    SOURCE_LINES = ("sum(len(open(m.__file__, encoding='utf-8').read().splitlines()) "
+                    "for n, m in list(sys.modules.items()) "
+                    "if n.partition('.')[0] == 'futakizero' and getattr(m, '__file__', None))")
+
+    def loaded(self, code, expression=None):
+        """The WATCHED modules loaded after running ``code`` in a new
+        interpreter, or the value of ``expression`` there."""
         import os
         import subprocess
         import sys
-        code += (f"; import sys; "
-                 f"print(sorted(m for m in {self.WATCHED!r} if m in sys.modules))")
+        expression = expression or f"sorted(m for m in {self.WATCHED!r} if m in sys.modules)"
+        code += f"; import sys; print({expression})"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         env.pop("FUTAKIZERO_CATALOG", None)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True).stdout
         return ast.literal_eval(out.strip())
 
-    def run(self, argv):
+    def run(self, argv, expression=None):
         return self.loaded("import io; from futakizero.cli import main; "
-                           f"assert main({argv!r}, out=io.StringIO()) == 0")
+                           f"assert main({argv!r}, out=io.StringIO()) == 0", expression)
 
     def test_cli_import_loads_no_generated_code_or_toric_engine(self):
         assert self.loaded("import futakizero.cli") == []
@@ -703,3 +734,18 @@ class TestStartup:
     ], ids=lambda modules: "-".join(modules) or "none")
     def test_command_loads_only_the_engines_its_records_use(self, argv, modules):
         assert sorted(m.removeprefix("futakizero.") for m in self.run(argv)) == modules
+
+    @pytest.mark.parametrize("argv,lines", [
+        (["verify", "6.1"], 1638),
+        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2293),
+        (["verify", "2.20"], 2709),
+        (["verify", "3.13"], 3228),
+        (["toric", "scan", "--family", "s6"], 3793),
+        (["catalog", "validate"], 3883),
+        (["verify", "--all"], 4329),
+    ], ids=["verify-6.1", "toric-futaki", "verify-2.20", "verify-3.13", "toric-scan",
+            "catalog-validate", "verify-all"])
+    def test_source_lines_each_command_compiles(self, argv, lines):
+        # a deterministic counter: any edit of a module a command loads moves
+        # its pin, and a change of a pin is recorded with the change
+        assert self.run(argv, self.SOURCE_LINES) == lines

@@ -84,7 +84,8 @@ class TestCurveEquivariance:
     def test_identity_automorphism(self):
         amb = AmbientSpace.product(("z0", "z1", "z2", "z3"))
         curve = ParamCurve.from_texts(["r^3", "r^2*s", "r*s^2", "s^3"], amb, PF)
-        eq = check_curve_equivariance(curve, MonomialAutomorphism.identity(amb, PF))
+        ident = MonomialAutomorphism.from_images(list(amb.coords), amb, PF)
+        eq = check_curve_equivariance(curve, ident)
         assert eq.reparam == Reparam(swap=False, gamma=Fraction(1))
 
     def test_quartic_normal_curve_under_reversal(self):
@@ -147,7 +148,7 @@ class TestMatchCenters:
         assert err.value.index == 0
 
     def test_stage_boundaries_respected(self):
-        ident = MonomialAutomorphism.identity(P3, PF)
+        ident = MonomialAutomorphism.from_images(list(P3.coords), P3, PF)
         a = SubvarietyPresentation(ideal=(parse_poly("x0", P3),))
         b = SubvarietyPresentation(ideal=(parse_poly("x0", P3),))
         # identical presentations in different stages must not cross-match
@@ -193,7 +194,7 @@ class TestAdjointMatrix:
     def test_identity_map(self):
         v1 = TorusGenerator(P2xP2, (2, 0, 0, -1, 0, 0))
         v2 = TorusGenerator(P2xP2, (0, 2, 0, 0, -1, 0))
-        ident = MonomialAutomorphism.identity(P2xP2, PF)
+        ident = MonomialAutomorphism.from_images(list(P2xP2.coords), P2xP2, PF)
         assert adjoint_matrix(ident, [v1, v2]) == identity(2)
 
     def test_rank_one_inversion(self):

@@ -8,10 +8,8 @@ from conftest import (halfspace_value, product_polytope, scaled, translated,
                       unimodular_image)
 from futakizero.toric import (DegenerateError, FAMILIES, Halfspace,
                               KahlerRegionError, Polytope, ToricError,
-                              UnboundedError, anticanonical_parameters,
-                              boundary_integral, class_to_polytope,
-                              donaldson_L, futaki_vector, moment,
-                              parse_polytope_text, volume, zero_locus_scan)
+                              UnboundedError, _integral_data, class_to_polytope,
+                              donaldson_L, futaki_vector, zero_locus_scan)
 
 
 def corpus():
@@ -68,31 +66,33 @@ class TestVertices:
 
 class TestIntegrals:
     def test_unit_square(self):
-        p = class_to_polytope("p1xp1", a=1, b=1)
-        assert volume(p) == 1
-        assert moment(p) == (Fraction(1, 2), Fraction(1, 2))
-        mass, smoment = boundary_integral(p)
+        vol, mom, mass, smoment = _integral_data(class_to_polytope("p1xp1", a=1, b=1))
+        assert vol == 1
+        assert mom == (Fraction(1, 2), Fraction(1, 2))
         assert mass == 4
         assert [x / mass for x in smoment] == [Fraction(1, 2), Fraction(1, 2)]
 
     def test_triple_simplex(self):
-        p = class_to_polytope("p2", h=3)
-        assert volume(p) == Fraction(9, 2)
-        assert [m / volume(p) for m in moment(p)] == [1, 1]
-        mass, smoment = boundary_integral(p)
+        vol, mom, mass, smoment = _integral_data(class_to_polytope("p2", h=3))
+        assert vol == Fraction(9, 2)
+        assert [m / vol for m in mom] == [1, 1]
         assert mass == 9                 # each edge has lattice length 3
         assert [x / mass for x in smoment] == [1, 1]
 
+    def test_rational_offsets(self):
+        p = Polytope.from_halfspaces(1, [((-1,), 0), ((1,), Fraction(7, 2))])
+        assert _integral_data(p)[0] == Fraction(7, 2)
+
     def test_hexagon_volume_by_corner_subtraction(self):
         p = class_to_polytope("s6", a=1, b=1, c=1)
-        assert volume(p) == Fraction(9, 2) - 3 * Fraction(1, 2)
+        assert _integral_data(p)[0] == Fraction(9, 2) - 3 * Fraction(1, 2)
 
     def test_edge_lattice_length_gcd_rule(self):
         p = Polytope.from_halfspaces(2, [Halfspace((-1, 0), 0),
                                          Halfspace((2, -1), 0),
                                          Halfspace((0, 1), 4)])
         # the edge from (0,0) to (2,4) has lattice length gcd(2,4) = 2
-        mass, _ = boundary_integral(p)
+        mass = _integral_data(p)[2]
         edge = next(h for h in p.halfspaces if h.normal == (2, -1))
         idx = p.halfspaces.index(edge)
         verts = p.facet_vertices(idx)
@@ -167,10 +167,11 @@ class TestRouteSums:
     def test_integral_data_divides_once(self, d):
         p = self.simplex(d)
         f = self.FACTORIAL
-        assert volume(p) == Fraction(1, f[d])
-        assert moment(p) == (Fraction(1, f[d] * (d + 1)),) * d
-        assert boundary_integral(p) == (Fraction(d + 1, f[d - 1]), (Fraction(d, f[d]),) * d)
-        assert all(type(x) is Fraction for x in (volume(p), boundary_integral(p)[0]))
+        vol, mom, mass, smoment = _integral_data(p)
+        assert vol == Fraction(1, f[d])
+        assert mom == (Fraction(1, f[d] * (d + 1)),) * d
+        assert (mass, smoment) == (Fraction(d + 1, f[d - 1]), (Fraction(d, f[d]),) * d)
+        assert all(type(x) is Fraction for x in (vol, mass))
 
     @pytest.mark.parametrize("route,message", [
         ("_solid_route_triangulation", "solid integral routes disagree"),
@@ -208,7 +209,7 @@ class TestRouteSums:
 
     def test_centroid_fan_oracle(self):
         from futakizero.toric import _boundary_route_plane, _boundary_route_vertex
-        polytopes = corpus() + [parse_polytope_text(text) for text in NON_UNIT_POLYTOPES]
+        polytopes = corpus() + [non_unit_polytope(rows) for rows in NON_UNIT_POLYTOPES]
         checked = 0
         for p in polytopes:
             if p.dim == 3:
@@ -231,10 +232,15 @@ def _along(normal, vector):
 
 # every normal of these has no entry +-1, so each coefficient is a sum of minors
 NON_UNIT_POLYTOPES = (
-    "2 3 <= 5\n3 -2 <= 4\n-2 -3 <= 0\n-3 2 <= 1\n5 2 <= 6\n",
-    "2 3 0 <= 7\n-2 -3 0 <= 0\n0 2 3 <= 5\n0 -2 -3 <= 0\n3 0 2 <= 4\n-3 0 -2 <= 1/2\n"
-    "2 2 3 <= 5\n",
+    [((2, 3), 5), ((3, -2), 4), ((-2, -3), 0), ((-3, 2), 1), ((5, 2), 6)],
+    [((2, 3, 0), 7), ((-2, -3, 0), 0), ((0, 2, 3), 5), ((0, -2, -3), 0), ((3, 0, 2), 4),
+     ((-3, 0, -2), Fraction(1, 2)), ((2, 2, 3), 5)],
 )
+
+
+def non_unit_polytope(rows):
+    """The polytope of (normal, offset) rows of NON_UNIT_POLYTOPES."""
+    return Polytope.from_halfspaces(len(rows[0][0]), rows)
 
 
 class TestMinorOracle:
@@ -274,7 +280,7 @@ class TestMinorOracle:
 
     def test_anticanonical_polytopes(self, seen):
         for family in FAMILIES:
-            futaki_vector(class_to_polytope(family, **anticanonical_parameters(family)))
+            futaki_vector(class_to_polytope(family, **FAMILIES[family].anticanonical))
         assert seen["fan"] > 0 and seen["edge"] > 0 and seen["terms"] == {1}
 
     def test_golden_points(self, seen):
@@ -301,8 +307,8 @@ class TestMinorOracle:
         assert "PPoly" in seen["kinds"] and "Fraction" in seen["kinds"]
 
     def test_normals_without_unit_entries(self, seen):
-        for text in NON_UNIT_POLYTOPES:
-            p = parse_polytope_text(text)
+        for rows in NON_UNIT_POLYTOPES:
+            p = non_unit_polytope(rows)
             assert all(1 not in map(abs, h.normal) for h in p.halfspaces)
             futaki_vector(p)
         assert seen["fan"] > 0 and seen["edge"] > 0 and seen["terms"] == {2}
@@ -347,7 +353,7 @@ class TestFutakiVector:
 
     def test_anticanonical_zeros_for_all_builder_families(self):
         for family in FAMILIES:
-            params = anticanonical_parameters(family)
+            params = FAMILIES[family].anticanonical
             vec = futaki_vector(class_to_polytope(family, **params))
             assert vec.is_zero(), family
 
@@ -361,13 +367,13 @@ class TestBuilders:
 
     def test_triple_simplex_builder(self):
         p = class_to_polytope("p2", h=3)
-        assert volume(p) == Fraction(9, 2)
+        assert _integral_data(p)[0] == Fraction(9, 2)
 
     def test_two_line_blowup_builder(self):
         p = class_to_polytope("bl2lines-p3", h=4, a=1, b=1)
         assert len(p.halfspaces) == 6
         # slab integral: vol = int_1^3 s*(4-s) ds with s = x2+x3
-        assert volume(p) == Fraction(22, 3)
+        assert _integral_data(p)[0] == Fraction(22, 3)
 
     def test_out_of_region_is_typed(self):
         with pytest.raises(KahlerRegionError):
@@ -458,9 +464,9 @@ class TestEquivariance:
                                                    rng.choice([1, 2])))
             f = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
             lhs = donaldson_L(product_polytope(p, q), f + (0,))
-            assert lhs == volume(q) * donaldson_L(p, f)
+            assert lhs == _integral_data(q)[0] * donaldson_L(p, f)
             rhs_zero = donaldson_L(product_polytope(q, p), (f[0], 0) + f[1:])
-            assert rhs_zero == volume(q) * donaldson_L(p, f)
+            assert rhs_zero == _integral_data(q)[0] * donaldson_L(p, f)
 
 
 def _random_unimodular(rng, d):
@@ -566,40 +572,19 @@ class TestPackageImport:
         assert futakizero.Polytope is Polytope
 
 
-class TestTextFormat:
-    def test_parse_and_render(self):
-        text = "# simplex\n-1 0 <= 0\n0 -1 <= 0\n1 1 <= 3\n"
-        p = parse_polytope_text(text)
-        assert volume(p) == Fraction(9, 2)
-        rendered = p.render()
-        assert parse_polytope_text(rendered).vertices == p.vertices
-
-    def test_rational_offsets(self):
-        p = parse_polytope_text("-1 <= 0\n1 <= 7/2\n")
-        assert volume(p) == Fraction(7, 2)
-
-    def test_bad_line_rejected(self):
-        with pytest.raises(ToricError):
-            parse_polytope_text("1 0 1\n")
-
-    @pytest.mark.parametrize("line", ["1.5 0 <= 1", "1 0 <= x", "1 0 <= 1/0", "1 0 <= 1 <= 2"])
-    def test_bad_number_names_its_line(self, line):
-        with pytest.raises(ToricError, match=f"^line 2: .*{line!r}"):
-            parse_polytope_text(f"-1 0 <= 0\n{line}\n0 -1 <= 0\n")
-
-    @pytest.mark.parametrize("line,message", [("0 0 <= 1", "zero normal"),
-                                              ("2 4 <= 1", r"normal \(2, 4\) is not primitive")])
-    def test_bad_normal_names_its_line(self, line, message):
-        with pytest.raises(ToricError, match=f"^line 2: {message}$"):
-            parse_polytope_text(f"-1 0 <= 0\n{line}\n0 -1 <= 0\n")
-
-
 class TestHalfspace:
     @pytest.mark.parametrize("normal", [(Fraction(3, 2), 1), (Fraction(1, 2), 0), (1.5, 1),
                                         ("x", 1), (float("inf"), 1)])
     def test_non_integer_normal_rejected(self, normal):
         with pytest.raises(ToricError, match="is not an integer"):
             Halfspace(normal, 3)
+
+    @pytest.mark.parametrize("normal,message", [((0, 0), "zero normal"),
+                                                ((2, 4), r"normal \(2, 4\) is not primitive")],
+                             ids=["zero", "not-primitive"])
+    def test_bad_normal_rejected(self, normal, message):
+        with pytest.raises(ToricError, match=f"^{message}$"):
+            Halfspace(normal, 1)
 
     def test_integral_entries_accepted(self):
         assert Halfspace((Fraction(2), 1.0, True), 1).normal == (2, 1, 1)

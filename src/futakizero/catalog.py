@@ -47,6 +47,12 @@ def family_of(case_id):
     return case_id.split("-")[0]
 
 
+def family_number(family):
+    """(N, M) of an ``N.M`` family, None for any other family id."""
+    major, _, minor = family.partition(".")
+    return (int(major), int(minor)) if major.isdecimal() and minor.isdecimal() else None
+
+
 class CatalogError(ValueError):
     def __init__(self, message, line=None):
         if line is not None:
@@ -82,15 +88,14 @@ class CaseRecord:
                  "params", "variety", "centers", "torus", "finite", "semisimple",
                  "h11_labels", "anticanonical", "torus_rank", "adjoints", "fixed_dim",
                  "anticanonical_in_fixed", "product_factors", "loci", "toric_family",
-                 "anticanonical_params", "expected_adjoint", "expected_toric",
-                 "_invariances")
+                 "expected_adjoint", "expected_toric", "_invariances")
 
     def __init__(self, id, kind, theorem, expected, aut="", provenance=(),
                  ambient=None, params=None, variety=(), centers=(), torus=(), finite=(),
                  semisimple="", h11_labels=(), anticanonical=None, torus_rank=None,
                  adjoints=(), fixed_dim=None, anticanonical_in_fixed=None,
-                 product_factors=(), loci=(), toric_family="", anticanonical_params=None,
-                 expected_adjoint="", expected_toric=""):
+                 product_factors=(), loci=(), toric_family="", expected_adjoint="",
+                 expected_toric=""):
         self.id = id
         self.kind = kind
         self.theorem = theorem
@@ -113,7 +118,6 @@ class CaseRecord:
         self.product_factors = product_factors
         self.loci = loci
         self.toric_family = toric_family
-        self.anticanonical_params = anticanonical_params or {}
         self.expected_adjoint = expected_adjoint
         self.expected_toric = expected_toric
         self._invariances = None
@@ -346,13 +350,12 @@ def _build_record(case_id, header_line, entries):
 
     torus_rank = one("torus_rank", _convert, int, "torus_rank value", default=None)
     adjoints = each("adjoint", _parse_adjoint)
-    fixed_dim = one("fixed_dim", _convert, int, "fixed_dim value", default=None)
+    fixed_dim = one("fixed_dim", _positive, "fixed_dim value", default=None)
     aif = one("anticanonical_in_fixed", _parse_bool, default=None)
 
     factors = each("factor", _parse_factor)
     loci = tuple(v for v, _ in all_of("locus"))
     toric_family = one("toric_family", default="")
-    anticanonical_params = one("anticanonical_params", parse_assignments, default={})
     expected_adjoint = one("expected_adjoint", default="")
     expected_toric = one("expected_toric", default="")
 
@@ -363,14 +366,14 @@ def _build_record(case_id, header_line, entries):
         semisimple=semisimple, h11_labels=h11, anticanonical=anticanonical,
         torus_rank=torus_rank, adjoints=adjoints, fixed_dim=fixed_dim,
         anticanonical_in_fixed=aif, product_factors=factors, loci=loci,
-        toric_family=toric_family, anticanonical_params=anticanonical_params,
-        expected_adjoint=expected_adjoint, expected_toric=expected_toric)
+        toric_family=toric_family, expected_adjoint=expected_adjoint,
+        expected_toric=expected_toric)
 
 
 _KEYS = {"kind", "theorem", "expected", "aut", "note", "provenance", "ambient", "param",
          "variety", "center", "torus", "finite", "semisimple", "h11", "anticanonical",
          "torus_rank", "adjoint", "fixed_dim", "anticanonical_in_fixed", "factor", "locus",
-         "toric_family", "anticanonical_params", "expected_adjoint", "expected_toric"}
+         "toric_family", "expected_adjoint", "expected_toric"}
 
 
 def _convert(text, convert, what):
@@ -379,6 +382,14 @@ def _convert(text, convert, what):
         return convert(text)
     except (ValueError, ZeroDivisionError):
         raise CatalogError(f"bad {what} {text!r}") from None
+
+
+def _positive(text, what):
+    """``int(text)``, which must be at least 1: a dimension or a rank."""
+    n = _convert(text, int, what)
+    if n < 1:
+        raise CatalogError(f"{what} {n} is below 1")
+    return n
 
 
 def _parse_kind(value):
@@ -394,9 +405,13 @@ def _parse_expected(value):
         return ("see_toric",)
     if value.startswith("subcone(") and value.endswith(")"):
         try:
-            return ("subcone", int(value[len("subcone("):-1]))
+            dim = int(value[len("subcone("):-1])
         except ValueError:
             pass
+        else:
+            if dim < 1:
+                raise CatalogError(f"subcone dimension {dim} is below 1")
+            return ("subcone", dim)
     raise CatalogError(f"bad expected verdict {value!r}")
 
 
@@ -573,7 +588,7 @@ def _parse_factor(value):
             dims = tuple(_convert(x.strip(), int, "families entry")
                          for x in part[len("families "):].split(","))
         elif part.startswith("rank "):
-            rank = _convert(part[len("rank "):], int, "factor rank")
+            rank = _positive(part[len("rank "):], "factor rank")
         elif part.startswith("toric "):
             toric = part[len("toric "):]
         elif part.startswith("anticanonical_in_families "):
@@ -582,12 +597,15 @@ def _parse_factor(value):
             raise CatalogError(f"bad factor clause {part!r}")
     if tag is None or rank is None:
         raise CatalogError("factor needs a verdict and a rank")
+    for dim in dims:
+        if not 0 < dim < rank:
+            raise CatalogError(f"families entry {dim} outside 1..{rank - 1}")
     return ProductFactorSpec(name, tag, rank, dims, toric, anticanonical_in_families)
 
 
 def parse_assignments(text):
-    """``{name: Fraction}`` of ``k=v, ...``: an ``anticanonical_params``
-    value, or the ``--params`` of ``toric futaki``."""
+    """``{name: Fraction}`` of ``k=v, ...``, the ``--params`` of ``toric
+    futaki``."""
     out = {}
     for chunk in text.split(","):
         key, _, v = chunk.partition("=")
@@ -623,7 +641,7 @@ def validate_case(record):
     elif record.kind == "product":
         findings.extend(_validate_product(record))
     findings.extend(_validate_loci(record))
-    findings.extend(_validate_anticanonical_params(record))
+    findings.extend(_validate_picard_rank(record))
     if record.kind in ("polynomial", "toric-crosscheck"):
         expected_labels = record.ambient.nfactors + len(record.centers)
         if len(record.h11_labels) != expected_labels:
@@ -732,21 +750,30 @@ def _validate_loci(record):
     return findings
 
 
-def _validate_anticanonical_params(record):
-    """The anticanonical point must name exactly the parameters of the
-    record's toric family; whether it lies in the Kähler region is a claim
-    that evaluation checks."""
-    names = sorted(record.anticanonical_params)
-    if not names:
+def _validate_picard_rank(record):
+    """Dimensions and ranks against the Picard rank N of an ``N.M`` family
+    id; no rule for any other id."""
+    number = family_number(record.family)
+    if number is None:
         return []
-    if not record.toric_family:
-        return ["anticanonical_params without a toric_family"]
-    from .toric import FAMILIES
-    family = FAMILIES.get(record.toric_family)
-    if family is None or names == sorted(family.param_names):
-        return []       # an unknown family is reported by _validate_loci
-    return [f"anticanonical_params names {names} != {record.toric_family} "
-            f"parameters {sorted(family.param_names)}"]
+    rho = number[0]
+    findings = []
+    if record.expected[0] == "subcone" and record.expected[1] >= rho:
+        findings.append(f"subcone({record.expected[1]}) is not below the Picard rank {rho}")
+    if record.fixed_dim is not None and record.fixed_dim > rho:
+        findings.append(f"fixed_dim {record.fixed_dim} exceeds the Picard rank {rho}")
+    if record.h11_labels and len(record.h11_labels) != rho:
+        findings.append(f"{len(record.h11_labels)} h11 labels for the Picard rank {rho}")
+    if record.toric_family:
+        from .toric import FAMILIES
+        family = FAMILIES.get(record.toric_family)     # unknown: see _validate_loci
+        if family is not None and len(family.rows) - family.dim != rho:
+            findings.append(f"toric family {record.toric_family} has Picard rank "
+                            f"{len(family.rows) - family.dim}, not {rho}")
+    ranks = sum(f.rank for f in record.product_factors)
+    if record.product_factors and ranks != rho:
+        findings.append(f"factor ranks sum to {ranks}, not the Picard rank {rho}")
+    return findings
 
 
 def validate_catalog(catalog):

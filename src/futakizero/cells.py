@@ -192,16 +192,15 @@ def numerators(fam, polytope, solved, sample):
     ``cell_vertices``).
 
     Both route pairs must agree as polynomials, and the numerators must agree
-    with the numeric Futaki vector at the sample."""
+    at the sample with those of the numeric integrals."""
     vertices, offsets = solved
     cell = _CellPolytope(polytope.dim, [toric.Halfspace._checked(h.normal, c) for h, c
                                         in zip(polytope.halfspaces, offsets)],
                          vertices, polytope.facet_cycles, sample)
     vol, mom, mass, smoment = toric._integral_data(cell)
     result = tuple(s * vol - m * mass for s, m in zip(smoment, mom))
-    numeric = toric.futaki_vector(polytope).components
-    num_vol, _, num_mass, _ = toric._integral_data(polytope)
-    if any(n.evaluate(sample) != c * num_vol * num_mass for n, c in zip(result, numeric)):
+    vol, mom, mass, smoment = toric._integral_data(polytope)
+    if any(n.evaluate(sample) != s * vol - m * mass for n, s, m in zip(result, smoment, mom)):
         raise toric.ToricError(f"cell numerators of {fam.name} disagree with the numeric "
                                f"Futaki vector at {sample}")
     return result

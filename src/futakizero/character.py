@@ -12,7 +12,9 @@ ideal).
 ``evaluate_record`` gives a catalog record its verdict by kind (symmetry
 analysis, recorded adjoints, a semisimple algebra, a product of factors with
 toric scans, or symmetry analysis audited by a toric scan) and checks it
-against the record's expected verdict.
+against the record's expected verdict.  A record with a toric family also
+needs a zero Futaki vector at the family's anticanonical parameters, which
+``ToricFamily.anticanonical`` derives from the fan.
 
 ``symmetry`` and ``toric`` load in the functions that use them, so a
 semisimple or abstract record compiles neither.
@@ -351,15 +353,11 @@ def _plain_consistent(record, verdict):
 
 
 def _anticanonical_zero(record):
-    if not record.toric_family or not record.anticanonical_params:
+    if not record.toric_family:
         return True, ""
     from . import toric
-    try:
-        polytope = toric.class_to_polytope(record.toric_family,
-                                           **record.anticanonical_params)
-    except toric.KahlerRegionError as exc:
-        return False, f"anticanonical parameters outside the Kähler region: {exc}"
-    vec = toric.futaki_vector(polytope)
+    family = toric.FAMILIES[record.toric_family]
+    vec = toric.futaki_vector(family.build(**family.anticanonical()))
     if vec.is_zero():
         return True, ""
     return False, f"anticanonical Futaki vector is {vec.render()}"

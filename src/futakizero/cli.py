@@ -38,7 +38,7 @@ from fractions import Fraction
 # built by ``dataclasses`` (perfbench ``peak_rss_mb``, medians of 10 runs on
 # one CPU without a bytecode cache).
 from .catalog import CatalogError, load_catalog, parse_assignments, validate_case
-from .catalog import toric_loci, validate_catalog
+from .catalog import family_number, toric_loci, validate_catalog
 from .character import DEFAULT_SCAN_STEP, evaluate_record, verdict_json_fields, verdict_line
 
 ENV_CATALOG = "FUTAKIZERO_CATALOG"
@@ -137,10 +137,8 @@ _HEADER = ("case", "aut", "computed", "expected", "match")
 def _family_key(fam):
     """Numeric ``N.M`` families first, in numeric order, then any other by
     its text."""
-    major, _, minor = fam.partition(".")
-    if major.isdecimal() and minor.isdecimal():
-        return (0, int(major), int(minor))
-    return (1, fam)
+    number = family_number(fam)
+    return (0, *number) if number else (1, fam)
 
 
 def cmd_catalog_validate(args, out):

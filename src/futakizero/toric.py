@@ -4,7 +4,8 @@ Halfspace representations with primitive integer outer normals, exact
 vertex/volume/moment computation, the lattice-normalized boundary measure
 (dmu = dsigma ^ d<u,.>, computed with lattice determinants only, no
 radicals), the Donaldson-type functional L(f), Futaki vectors, and the toric
-catalog families declared as affine halfspace rows.
+catalog families declared as affine halfspace rows, each deriving its
+anticanonical parameters from its fan (Cox-Little-Schenck 4.3, 8.2.3).
 
 Every integral is evaluated along two independent routes and the public
 operations insist the routes agree exactly: the solid integrals by base-vertex
@@ -73,7 +74,7 @@ class Halfspace:
         if g != 1:
             raise ToricError(f"normal {normal} is not primitive")
         self.normal = normal
-        self.offset = Fraction(offset)
+        self.offset = Fraction(*_parameter(normal, offset, kind="offset of normal"))
 
     @classmethod
     def _checked(cls, normal, offset):
@@ -464,25 +465,21 @@ def _solid_route_divergence(p):
 
 def _integral_data(p):
     """(volume, moment, sigma mass, sigma moment), each summed along two
-    routes that must agree; cached.  The only division of the route sums is
-    here, by Fractions, so that a sum of ints still gives Fractions."""
-    data = p._cache.get("integrals")
-    if data is None:
-        tri = _solid_route_triangulation(p)
-        div = _solid_route_divergence(p)
-        if tri != div:
-            raise ToricError(f"solid integral routes disagree: {tri} vs {div}")
-        bv = _boundary_route_vertex(p)
-        if p.dim == 3:
-            bp = _boundary_route_plane(p)
-            if bv != bp:
-                raise ToricError(f"boundary routes disagree: {bv} vs {bp}")
-        (vol, mom), (mass, smoment) = tri, bv
-        simplex = Fraction(factorial(p.dim))
-        data = (vol / simplex, tuple(x / (simplex * (p.dim + 1)) for x in mom),
-                mass / Fraction(factorial(p.dim - 1)), tuple(x / simplex for x in smoment))
-        p._cache["integrals"] = data
-    return data
+    routes that must agree.  The only division of the route sums is here,
+    by Fractions, so that a sum of ints still gives Fractions."""
+    tri = _solid_route_triangulation(p)
+    div = _solid_route_divergence(p)
+    if tri != div:
+        raise ToricError(f"solid integral routes disagree: {tri} vs {div}")
+    bv = _boundary_route_vertex(p)
+    if p.dim == 3:
+        bp = _boundary_route_plane(p)
+        if bv != bp:
+            raise ToricError(f"boundary routes disagree: {bv} vs {bp}")
+    (vol, mom), (mass, smoment) = tri, bv
+    simplex = Fraction(factorial(p.dim))
+    return (vol / simplex, tuple(x / (simplex * (p.dim + 1)) for x in mom),
+            mass / Fraction(factorial(p.dim - 1)), tuple(x / simplex for x in smoment))
 
 
 def donaldson_L(p, affine):
@@ -555,17 +552,15 @@ class ToricFamily:
     ``build`` sums each offset on integers: with D the lcm of the parameter
     denominators, D * offset is an integer, made a Fraction once per facet."""
 
-    __slots__ = ("name", "param_names", "rows", "anticanonical", "scan_upper",
-                 "fixed_for_scan")
+    __slots__ = ("name", "param_names", "rows", "scan_upper", "fixed_for_scan")
 
-    def __init__(self, name, param_names, rows, anticanonical, scan_upper, fixed_for_scan):
+    def __init__(self, name, param_names, rows, scan_upper, fixed_for_scan):
         self.name = name
         self.param_names = param_names
         checked = []
         for normal, (const, terms) in rows:
             checked.append((Halfspace(normal, const).normal, (const, terms)))
         self.rows = tuple(checked)
-        self.anticanonical = anticanonical
         self.scan_upper = scan_upper  # exclusive upper grid bound per scanned parameter
         self.fixed_for_scan = fixed_for_scan  # parameters pinned during scans
 
@@ -597,6 +592,17 @@ class ToricFamily:
         except (DegenerateError, UnboundedError) as exc:
             raise KahlerRegionError(f"{self.name}: {exc}") from exc
 
+    def anticanonical(self):
+        """The parameters of -K, name -> Fraction: -K is {x : <n_f, x> <= 1}
+        up to a translation t, so one solve of offset_f = 1 + <n_f, t>."""
+        from .ratlinalg import solve_generic
+        rows = [[Fraction(dict(terms).get(n, 0)) for n in self.param_names]
+                + [Fraction(-x) for x in normal] for normal, (_, terms) in self.rows]
+        (solution,) = solve_generic(rows, [[Fraction(1 - c) for _, (c, _) in self.rows]])
+        if solution is None:
+            raise ToricError(f"{self.name}: no parameters give the anticanonical polytope")
+        return dict(zip(self.param_names, solution))
+
 
 def _interval(name):
     """[0, name] on the line."""
@@ -613,27 +619,24 @@ _BL2LINES = (((-1, 0, 0), _aff()), ((0, -1, 0), _aff()), ((0, 0, -1), _aff()),
              ((1, 1, 1), _aff(h=1)), ((0, 1, 1), _aff(h=1, a=-1)), ((0, -1, -1), _aff(b=-1)))
 
 
-def _family(name, param_names, rows, anticanonical, scan_upper, fixed_for_scan=None):
+def _family(name, param_names, rows, scan_upper, fixed_for_scan=None):
     def fractions(values):
         return {n: Fraction(v) for n, v in values.items()}
-    return ToricFamily(name, param_names, rows,
-                       fractions(anticanonical), fractions(scan_upper),
+    return ToricFamily(name, param_names, rows, fractions(scan_upper),
                        fractions(fixed_for_scan or {}))
 
 
 FAMILIES = {f.name: f for f in (
-    _family("p1", ("a",), _interval("a"), {"a": 2}, {"a": 3}),
-    _family("p2", ("h",), _P2, {"h": 3}, {"h": 3}),
-    _family("p1xp1", ("a", "b"), _P1XP1, {"a": 2, "b": 2}, {"a": 3, "b": 3}),
-    _family("p1xp2", ("a", "h"), _product_rows(_interval("a"), _P2), {"a": 2, "h": 3},
-            {"a": 3, "h": 3}),
+    _family("p1", ("a",), _interval("a"), {"a": 3}),
+    _family("p2", ("h",), _P2, {"h": 3}),
+    _family("p1xp1", ("a", "b"), _P1XP1, {"a": 3, "b": 3}),
+    _family("p1xp2", ("a", "h"), _product_rows(_interval("a"), _P2), {"a": 3, "h": 3}),
     _family("p1cubed", ("a", "b", "c"), _product_rows(_P1XP1, _interval("c")),
-            {"a": 2, "b": 2, "c": 2}, {"a": 3, "b": 3, "c": 3}),
-    _family("s6", ("a", "b", "c"), _S6, {"a": 1, "b": 1, "c": 1}, {"a": 3, "b": 3, "c": 3}),
+            {"a": 3, "b": 3, "c": 3}),
+    _family("s6", ("a", "b", "c"), _S6, {"a": 3, "b": 3, "c": 3}),
     _family("p1xs6", ("t", "a", "b", "c"), _product_rows(_interval("t"), _S6),
-            {"t": 2, "a": 1, "b": 1, "c": 1}, {"a": 3, "b": 3, "c": 3}, {"t": 2}),
-    _family("bl2lines-p3", ("h", "a", "b"), _BL2LINES, {"h": 4, "a": 1, "b": 1},
-            {"a": 4, "b": 4}, {"h": 4}),
+            {"a": 3, "b": 3, "c": 3}, {"t": 2}),
+    _family("bl2lines-p3", ("h", "a", "b"), _BL2LINES, {"a": 4, "b": 4}, {"h": 4}),
 )}
 
 

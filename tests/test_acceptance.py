@@ -118,15 +118,12 @@ def test_criterion_4_adjoint_spot_checks(catalog):
 
 
 def test_criterion_5_anticanonical_zeros(catalog):
-    checked = []
-    for family in ("s6", "p1xp2", "p1cubed", "p1xs6"):
-        params = FAMILIES[family].anticanonical
+    # the surface factor of 5.3, then each record's family, 3.25's included
+    checked = ["s6"] + [r.toric_family for r in catalog.records if r.toric_family]
+    assert checked == ["s6", "p1xp2", "bl2lines-p3", "p1cubed", "p1xs6"]
+    for family in checked:
+        params = FAMILIES[family].anticanonical()
         assert futaki_vector(class_to_polytope(family, **params)).is_zero(), family
-        checked.append(family)
-    (record,) = [r for r in catalog.records if r.id == "3.25"]
-    polytope = class_to_polytope(record.toric_family, **record.anticanonical_params)
-    assert futaki_vector(polytope).is_zero()
-    checked.append(record.toric_family)
     print(f"ACCEPTANCE 5 PASS: Futaki vector exactly zero at the anticanonical "
           f"parameters of {', '.join(checked)}")
 

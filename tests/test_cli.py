@@ -70,7 +70,8 @@ class TestVerify:
         monkeypatch.setattr(toric.ToricFamily, "build",
                             counted("build", toric.ToricFamily.build))
         # the integrals of a polytope are computed once: 6 numeric polytopes
-        # and 2 symbolic cells, though cells.numerators asks twice per cell
+        # and 2 symbolic cells, each cell's numerators checked against one
+        # read of its first polytope's integrals
         monkeypatch.setattr(toric, "_solid_route_triangulation",
                             counted("triangulation", toric._solid_route_triangulation))
         # each (locus line, family) pair is parsed once, though the catalog
@@ -78,7 +79,7 @@ class TestVerify:
         polyring._equations.cache_clear()
         assert main(["verify", "--all"], out=io.StringIO()) == 0
         counts["equations"] = polyring._equations.cache_info().misses
-        assert counts == {"rref": 188, "in_span": 81, "build": 6, "triangulation": 8,
+        assert counts == {"rref": 192, "in_span": 81, "build": 6, "triangulation": 8,
                           "equations": 5}
 
     @pytest.mark.parametrize("argv,built", [
@@ -113,7 +114,7 @@ class TestVerify:
         case = text.index('[case "3.9"]')
         path = tmp_path / "mismatch.cat"
         path.write_text(text[:case] + text[case:].replace(
-            "expected = subcone(2)", "expected = subcone(3)", 1))
+            "expected = subcone(2)", "expected = subcone(1)", 1))
         code, out = run_cli(["--catalog", str(path), "verify", "--all", "--format", "json-lines"])
         assert code == 1
         rows = [json.loads(line) for line in out.splitlines()]
@@ -126,7 +127,7 @@ class TestVerify:
             'expected = subcone(2)\naut = C* x PGL2, plus an involution\n'
             'ambient = x0 x1 x2 x3 x4\nvariety = x0^2 + x1*x2 + x3*x4\n'
             'center = ideal(x0, x1, x2, x4)',
-            'expected = subcone(3)\naut = C* x PGL2, plus an involution\n'
+            'expected = subcone(1)\naut = C* x PGL2, plus an involution\n'
             'ambient = x0 x1 x2 x3 x4\nvariety = x0^2 + x1*x2 + x3*x4\n'
             'center = ideal(x0, x1, x2, x4)', 1)
         assert broken != default_catalog_text()
@@ -203,7 +204,8 @@ class TestToric:
         ("a=1, a=2", "repeated parameter 'a'"),
         ("", "bad parameter assignment ''"),
         ("=1", "bad parameter assignment '=1'"),
-        ("a=1,=2", "bad parameter assignment '=2'")])
+        ("a=1,=2", "bad parameter assignment '=2'"),
+        ("a=1, h3", "bad parameter assignment ' h3'")])
     def test_bad_params_exit_three(self, capsys, params, message):
         # an empty name used to read "missing parameters ['a']" or "unknown parameters ['']"
         code, out = run_cli(["toric", "futaki", "--family", "p1", "--params", params])
@@ -473,8 +475,6 @@ class TestCatalogCommand:
         ("factor = p1 : full_cone : rank 1", "factor = p1 : full_cone : rank l",
          "bad factor rank 'l'"),
         ("adjoint = tau : matrix(-1)", "adjoint = tau : matrix(-l)", "bad matrix entry '-l'"),
-        ("anticanonical_params = a=2, h=3", "anticanonical_params = a=2, h=z",
-         "bad parameter value 'z'"),
         ("variety = x4*x5 - x0*x2 + x1^2\n", "variety = x4*x5 - x0*x2 + x1^200000000\n",
          "exponent 200000000 exceeds the bound 64"),
         # each used to end in a RecursionError, exit 1
@@ -512,11 +512,9 @@ class TestCatalogCommand:
         ([("anticanonical_in_families yes", "anticanonical_in_families maybe")],
          ["verify", "5.3"], "factor = s6 : families 3, 2",
          "record 5.3: expected yes/no, got 'maybe'"),
-        ([("anticanonical_params = a=2, h=3", "anticanonical_params = a=2, h3")],
-         ["report", "2.34"], "anticanonical_params = a=2, h3",
-         "record 2.34: bad parameter assignment ' h3'")],
+        ],
         ids=["no-ambient-center", "no-ambient-finite", "ragged-adjoint", "unbalanced-adjoint",
-             "bad-bool", "bad-assignment"])
+             "bad-bool"])
     def test_malformed_shipped_record_exits_two(self, tmp_path, capsys, edits, argv, at,
                                                 message):
         from futakizero.catalog import default_catalog_text
@@ -531,27 +529,69 @@ class TestCatalogCommand:
         assert code == 2
         assert f"line {lineno}: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("old,new,finding", [
-        ("anticanonical_params = a=2, h=3", "anticanonical_params = a=2",
-         "anticanonical_params names ['a'] != p1xp2 parameters ['a', 'h']"),
-        ("anticanonical_params = a=2, h=3", "anticanonical_params = a=2, h=3, q=1",
-         "anticanonical_params names ['a', 'h', 'q'] != p1xp2 parameters ['a', 'h']"),
-        ("toric_family = p1xp2\n", "", "anticanonical_params without a toric_family")],
-        ids=["missing-name", "extra-name", "no-family"])
-    def test_anticanonical_names_exit_two(self, tmp_path, capsys, old, new, finding):
-        # the names used to pass catalog validate; verify and report then ended
-        # in a ToricError traceback, exit 1
+    @pytest.mark.parametrize("old,new", [
+        ("toric_family = p1xp2\n", "toric_family = p1xp2\nanticanonical_params = a=2\n"),
+        ("toric_family = p1xp2\n",
+         "toric_family = p1xp2\nanticanonical_params = a=2, h=3, q=1\n"),
+        ("toric_family = p1xp2\n", "anticanonical_params = a=2, h=3\n"),
+        ("toric_family = p1xp2\n", "toric_family = p1xp2\nanticanonical_params = a=2, h=3\n")],
+        ids=["missing-name", "extra-name", "no-family", "derived-point"])
+    def test_anticanonical_names_exit_two(self, tmp_path, capsys, old, new):
+        # each toric family derives its anticanonical point from its fan, so
+        # a catalog that still names one is stopped by the key itself
         from futakizero.catalog import default_catalog_text
         text = default_catalog_text()
         assert old in text
+        text = text.replace(old, new, 1)
+        lineno = text[:text.index("anticanonical_params")].count("\n") + 1
         path = tmp_path / "anticanonical.cat"
-        path.write_text(text.replace(old, new, 1))
-        code, out = run_cli(["--catalog", str(path), "catalog", "validate"])
-        assert code == 2
-        assert f"finding: 2.34: {finding}\n" in out
-        for argv in (["verify", "2.34"], ["verify", "--all"], ["report"]):
+        path.write_text(text)
+        for argv in (["catalog", "validate"], ["verify", "2.34"], ["verify", "--all"],
+                     ["report"]):
             assert run_cli(["--catalog", str(path), *argv]) == (2, "")
-            assert capsys.readouterr().err == f"catalog error: 2.34: {finding}\n"
+            assert capsys.readouterr().err == (
+                f"catalog error: line {lineno}: record 2.34: "
+                "unknown key 'anticanonical_params'\n")
+
+    @pytest.mark.parametrize("case_id,old,new,message", [
+        # each used to pass catalog validate, and verify exited 1:
+        # MISMATCH case=3.9 expected=subcone(0) computed=subcone(2)
+        ("3.9", "expected = subcone(2)", "expected = subcone(0)",
+         "line {}: record 3.9: subcone dimension 0 is below 1"),
+        # MISMATCH ... computed=subcone(-1)
+        ("3.9", "fixed_dim = 2", "fixed_dim = -1",
+         "line {}: record 3.9: fixed_dim value -1 is below 1"),
+        # MISMATCH ... computed=subcone(31), on a threefold of Picard rank 5
+        ("5.3", "families 3, 2", "families 30, 2",
+         "line {}: record 5.3: families entry 30 outside 1..3"),
+        # both commands exited 0
+        ("5.3", "rank 4", "rank -4", "line {}: record 5.3: factor rank -4 is below 1"),
+        ("3.9", "expected = subcone(2)", "expected = subcone(3)",
+         "3.9: subcone(3) is not below the Picard rank 3"),
+        ("3.9", "fixed_dim = 2", "fixed_dim = 4", "3.9: fixed_dim 4 exceeds the Picard rank 3"),
+        ("2.20", "h11 = h, E", "h11 = h", "2.20: 1 h11 labels for the Picard rank 2"),
+        ("2.34", "toric_family = p1xp2", "toric_family = p1cubed",
+         "2.34: toric family p1cubed has Picard rank 3, not 2"),
+        ("5.3", "full_cone : rank 1", "full_cone : rank 2",
+         "5.3: factor ranks sum to 6, not the Picard rank 5")],
+        ids=["subcone-0", "fixed_dim-negative", "families-above-rank", "rank-negative",
+             "subcone-at-rank", "fixed_dim-above-rank", "h11-labels", "toric-family-rank",
+             "factor-ranks"])
+    def test_dimension_out_of_range_exits_two(self, tmp_path, capsys, case_id, old, new,
+                                              message):
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        case = text.index(f'[case "{case_id}"]')
+        at = text.index(old, case)
+        assert at < text.index("[case", case + 1)
+        text = text[:at] + new + text[at + len(old):]
+        message = message.format(text[:at].count("\n") + 1)
+        path = tmp_path / "dimension.cat"
+        path.write_text(text)
+        for argv in (["catalog", "validate"], ["verify", case_id]):
+            code, out = run_cli(["--catalog", str(path), *argv])
+            assert code == 2
+            assert f"{message}\n" in out + capsys.readouterr().err
 
     def test_single_record_command_skips_other_records_values(self, tmp_path, capsys):
         # verify 2.20 reads no value of 3.9; the commands that build every
@@ -586,23 +626,6 @@ class TestCatalogCommand:
         assert run_cli(["--catalog", str(path), "verify", "2.20"]) == (2, "")
         assert message in capsys.readouterr().err
 
-    def test_anticanonical_point_outside_region_is_a_mismatch(self, tmp_path):
-        # used to pass catalog validate, then end in a KahlerRegionError
-        # traceback, exit 1
-        from futakizero.catalog import default_catalog_text
-        path = tmp_path / "anticanonical.cat"
-        path.write_text(default_catalog_text().replace(
-            "anticanonical_params = a=2, h=3", "anticanonical_params = a=0, h=3", 1))
-        assert run_cli(["--catalog", str(path), "catalog", "validate"]) == \
-            (0, "catalog OK: 34 records, 0 findings\n")
-        code, out = run_cli(["--catalog", str(path), "verify", "2.34"])
-        assert code == 1
-        assert out.splitlines()[1].startswith(
-            "MISMATCH case=2.34 expected=full_cone computed=full_cone anticanonical "
-            "parameters outside the Kähler region: ")
-        for argv in (["verify", "--all"], ["report"]):
-            assert run_cli(["--catalog", str(path), *argv])[0] == 1
-
     def test_theorem_partition_stops_verify_and_report(self, tmp_path, capsys):
         # a partition error used to surface only in catalog validate: verify
         # and report exited 1 with a MISMATCH on 2.27
@@ -611,7 +634,7 @@ class TestCatalogCommand:
         case = text.index('[case "2.27"]')
         path = tmp_path / "partition.cat"
         path.write_text(text[:case] + text[case:].replace(
-            "expected = full_cone", "expected = subcone(2)", 1))
+            "expected = full_cone", "expected = subcone(1)", 1))
         finding = "2.27: theorem 1 record expects a subcone"
         for argv in (["verify", "2.27"], ["verify", "--all"], ["report"]):
             assert run_cli(["--catalog", str(path), *argv]) == (2, "")
@@ -627,9 +650,8 @@ class TestCatalogCommand:
          "repeated key 'fixed_dim'"),
         ("2.21", "param = t excludes -1, 0, 1\n", "param = t\nparam = t excludes -1, 0, 1\n",
          "repeated parameter 't'"),
-        # the last value used to win silently: the record loaded with a = 1
-        ("2.34", "anticanonical_params = a=2, h=3\n", "anticanonical_params = a=2, h=3, a=1\n",
-         "repeated parameter 'a'"),
+        ("2.34", "toric_family = p1xp2\n", "toric_family = p1xp2\ntoric_family = p1cubed\n",
+         "repeated key 'toric_family'"),
         # the certificate used to read sigma+sigma, citing neither map alone
         ("2.24", "tau : order 2 : factors = (1 2) : map(x",
          "sigma : order 2 : factors = (1 2) : map(x",
@@ -640,7 +662,7 @@ class TestCatalogCommand:
          "'x*u^2 - x*u^2' is the zero polynomial"),
         ("3.8", "center = ideal(y, z)", "center = ideal(y, z, y - y)",
          "'y - y' is the zero polynomial")],
-        ids=["fixed_dim", "param", "anticanonical_params", "finite", "zero-variety",
+        ids=["fixed_dim", "param", "toric_family", "finite", "zero-variety",
              "zero-ideal"])
     @pytest.mark.parametrize("argv", [["catalog", "validate"], ["verify", "--all"]],
                              ids=["validate", "verify"])
@@ -736,13 +758,13 @@ class TestStartup:
         assert sorted(m.removeprefix("futakizero.") for m in self.run(argv)) == modules
 
     @pytest.mark.parametrize("argv,lines", [
-        (["verify", "6.1"], 1638),
-        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2293),
-        (["verify", "2.20"], 2709),
-        (["verify", "3.13"], 3228),
-        (["toric", "scan", "--family", "s6"], 3793),
-        (["catalog", "validate"], 3883),
-        (["verify", "--all"], 4329),
+        (["verify", "6.1"], 1661),
+        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2319),
+        (["verify", "2.20"], 2732),
+        (["verify", "3.13"], 3251),
+        (["toric", "scan", "--family", "s6"], 3818),
+        (["catalog", "validate"], 3909),
+        (["verify", "--all"], 4354),
     ], ids=["verify-6.1", "toric-futaki", "verify-2.20", "verify-3.13", "toric-scan",
             "catalog-validate", "verify-all"])
     def test_source_lines_each_command_compiles(self, argv, lines):

@@ -32,3 +32,15 @@ def test_layout_dotted_names_resolve():
               for name in re.findall(r"`([A-Za-z_]\w*\.[A-Za-z_]\w*)`", contents)]
     assert dotted
     assert [(m, n) for m, n in dotted if resolve(m, n) is None] == []
+
+
+def test_bl2lines_anticanonical_parameters():
+    # the README and the note of 3.25 both write the point the family derives
+    from futakizero.catalog import default_catalog_text
+    from futakizero.toric import FAMILIES
+    point = FAMILIES["bl2lines-p3"].anticanonical()
+    written = ",".join(str(point[n]) for n in ("h", "a", "b"))
+    assert f"the anticanonical parameters are `(h,a,b) = ({written})`" in \
+        " ".join(README.read_text("utf-8").split())
+    note = default_catalog_text().split('[case "3.25"]', 1)[1].split("[case", 1)[0]
+    assert f"the anticanonical parameters ({written}) give the zero vector" in note

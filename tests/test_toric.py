@@ -280,7 +280,7 @@ class TestMinorOracle:
 
     def test_anticanonical_polytopes(self, seen):
         for family in FAMILIES:
-            futaki_vector(class_to_polytope(family, **FAMILIES[family].anticanonical))
+            futaki_vector(class_to_polytope(family, **FAMILIES[family].anticanonical()))
         assert seen["fan"] > 0 and seen["edge"] > 0 and seen["terms"] == {1}
 
     def test_golden_points(self, seen):
@@ -353,7 +353,7 @@ class TestFutakiVector:
 
     def test_anticanonical_zeros_for_all_builder_families(self):
         for family in FAMILIES:
-            params = FAMILIES[family].anticanonical
+            params = FAMILIES[family].anticanonical()
             vec = futaki_vector(class_to_polytope(family, **params))
             assert vec.is_zero(), family
 
@@ -416,6 +416,58 @@ class TestBuilders:
             class_to_polytope("s6", a=1, b=1)
         with pytest.raises(ToricError):
             class_to_polytope("s6", a=1, b=1, c=1, d=1)
+
+
+class TestAnticanonical:
+    """Each family's -K point solves offset_f = 1 + <n_f, t> over its rows."""
+
+    POINTS = {"p1": {"a": 2}, "p2": {"h": 3}, "p1xp1": {"a": 2, "b": 2},
+              "p1xp2": {"a": 2, "h": 3}, "p1cubed": {"a": 2, "b": 2, "c": 2},
+              "s6": {"a": 1, "b": 1, "c": 1}, "p1xs6": {"t": 2, "a": 1, "b": 1, "c": 1},
+              "bl2lines-p3": {"h": 4, "a": 1, "b": 1}}
+    # d! vol of -K: the anticanonical degree (-K)^d
+    DEGREES = {"p1": 2, "p2": 9, "p1xp1": 8, "p1xp2": 54, "p1cubed": 48, "s6": 6,
+               "p1xs6": 36, "bl2lines-p3": 44}
+
+    def test_points(self):
+        assert {name: fam.anticanonical() for name, fam in FAMILIES.items()} == self.POINTS
+
+    def test_each_system_has_full_column_rank(self, monkeypatch):
+        from futakizero import ratlinalg
+        real = ratlinalg.solve_generic
+        systems = []
+
+        def recorded(rows, targets):
+            systems.append(rows)
+            return real(rows, targets)
+
+        monkeypatch.setattr(ratlinalg, "solve_generic", recorded)
+        for fam in FAMILIES.values():
+            fam.anticanonical()
+            rows = systems[-1]
+            assert len(rows[0]) == len(fam.param_names) + fam.dim
+            assert len(ratlinalg.rref(rows)[1]) == len(rows[0]), fam.name
+        assert len(systems) == len(FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_reflexive_smooth_and_balanced(self, family):
+        from math import factorial
+        from futakizero.toric import _det
+        p = FAMILIES[family].build(**FAMILIES[family].anticanonical())
+        assert _integral_data(p)[0] * factorial(p.dim) == self.DEGREES[family]
+        for v in p.vertices:
+            normals = [h.normal for h in p.halfspaces
+                       if sum(map(operator.mul, h.normal, v)) == h.offset]
+            assert len(normals) == p.dim and abs(_det(normals)) == 1, v
+        assert futaki_vector(p).is_zero()
+
+    def test_no_anticanonical_point_raises(self):
+        # [0, 1] with no parameters: the rows need t = 1 and t = 0
+        from futakizero.toric import ToricFamily, _aff
+        interval = ToricFamily("unit", (), (((-1,), _aff()), ((1,), _aff(1))), {}, {})
+        with pytest.raises(ToricError, match="^unit: no parameters give the anticanonical "
+                                             "polytope$"):
+            interval.anticanonical()
 
 
 class TestEquivariance:
@@ -586,6 +638,14 @@ class TestHalfspace:
         with pytest.raises(ToricError, match=f"^{message}$"):
             Halfspace(normal, 1)
 
+    @pytest.mark.parametrize("offset", ["x", float("nan"), None, "1/0"],
+                             ids=["text", "nan", "none", "zero-division"])
+    def test_bad_offset_rejected(self, offset):
+        # each used to end in a ValueError, TypeError or ZeroDivisionError
+        with pytest.raises(ToricError, match=r"^offset of normal \(1, 0\) = .* is not a "
+                                             r"rational number$"):
+            Halfspace((1, 0), offset)
+
     def test_integral_entries_accepted(self):
         assert Halfspace((Fraction(2), 1.0, True), 1).normal == (2, 1, 1)
         assert all(type(n) is int for n in Halfspace((Fraction(-1), 0), 1).normal)
@@ -593,7 +653,7 @@ class TestHalfspace:
     def test_family_normals_checked_once_at_declaration(self, monkeypatch):
         from futakizero.toric import _aff, _family
         with pytest.raises(ToricError, match=r"normal \(2,\) is not primitive"):
-            _family("bad", ("a",), (((-1,), _aff()), ((2,), _aff(a=2))), {"a": 1}, {"a": 2})
+            _family("bad", ("a",), (((-1,), _aff()), ((2,), _aff(a=2))), {"a": 2})
         checks = []
         real = Halfspace.__init__
 
@@ -1046,8 +1106,7 @@ def _cut_cube():
     rows = (((-1, 0, 0), _aff()), ((0, -1, 0), _aff()), ((0, 0, -1), _aff()),
             ((1, 0, 0), _aff(2)), ((0, 1, 0), _aff(2)), ((0, 0, 1), _aff(2)),
             ((-1, -1, -1), _aff(b=-1)), ((1, 1, 1), _aff(c=1)))
-    return ToricFamily("cut-cube", ("b", "c"), rows, {},
-                       {"b": Fraction(3), "c": Fraction(6)}, {})
+    return ToricFamily("cut-cube", ("b", "c"), rows, {"b": Fraction(3), "c": Fraction(6)}, {})
 
 
 class TestCellScanOracle:
@@ -1121,7 +1180,7 @@ class TestCellScanOracle:
         rows = (((0, 0, -1), _aff()),) + tuple(
             (normal, _aff(a=1)) for normal in ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)))
         monkeypatch.setitem(FAMILIES, "pyramid", ToricFamily(
-            "pyramid", ("a",), rows, {}, {"a": Fraction(3)}, {}))
+            "pyramid", ("a",), rows, {"a": Fraction(3)}, {}))
         cells = self.record_cells(monkeypatch)
         report = zero_locus_scan("pyramid", Fraction(1, 4))
         assert report == oracle_scan("pyramid", Fraction(1, 4))
@@ -1129,13 +1188,17 @@ class TestCellScanOracle:
         assert solved is not None and max(len(t) for t in tight) == 4
 
     def test_sample_disagreement_raises(self, monkeypatch):
+        # the integrals of each built polytope shifted, the cells' left as they are
         from futakizero import toric
-        real = toric.futaki_vector
+        real = toric._integral_data
 
         def shifted(p):
-            return toric.FutakiVector(tuple(c + 1 for c in real(p).components))
+            vol, mom, mass, smoment = real(p)
+            if type(p) is toric.Polytope:
+                smoment = tuple(x + 1 for x in smoment)
+            return vol, mom, mass, smoment
 
-        monkeypatch.setattr(toric, "futaki_vector", shifted)
+        monkeypatch.setattr(toric, "_integral_data", shifted)
         with pytest.raises(ToricError, match="disagree with the numeric Futaki vector"):
             zero_locus_scan("s6", Fraction(1, 2))
 
@@ -1195,7 +1258,7 @@ class TestChambers:
         fam = FAMILIES[family]
         pinned = dict(fam.fixed_for_scan)
         names = [n for n in fam.param_names if n not in pinned]
-        sample = dict(fam.anticanonical, **pinned)
+        sample = dict(fam.anticanonical(), **pinned)
         polytope = fam.build(**sample)
         tight = _tight_sets(polytope)
         key = frozenset(tight)

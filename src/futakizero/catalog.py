@@ -40,6 +40,10 @@ FAMILY_LIST = (
 EXCEPTION_FAMILIES = ("3.9", "3.13", "3.19", "3.20", "4.2", "4.4", "4.7", "5.3")
 
 KINDS = ("polynomial", "abstract", "product", "semisimple_full", "toric-crosscheck")
+# a toric-crosscheck record's audit outcomes: of the adjoint solves, and of
+# the scan (the values of ``cells.ScanReport.classify``)
+ADJOINT_OUTCOMES = ("solvable", "partial", "unsolvable")
+SCAN_OUTCOMES = ("identically_zero", "on_locus", "locus_and_more", "off_locus")
 
 
 def family_of(case_id):
@@ -355,9 +359,12 @@ def _build_record(case_id, header_line, entries):
 
     factors = each("factor", _parse_factor)
     loci = tuple(v for v, _ in all_of("locus"))
-    toric_family = one("toric_family", default="")
-    expected_adjoint = one("expected_adjoint", default="")
-    expected_toric = one("expected_toric", default="")
+    audited = _REQUIRED if kind == "toric-crosscheck" else ""
+    toric_family = one("toric_family", default=audited)
+    expected_adjoint = one("expected_adjoint", _one_of, ADJOINT_OUTCOMES, "expected_adjoint",
+                           default=audited)
+    expected_toric = one("expected_toric", _one_of, SCAN_OUTCOMES, "expected_toric",
+                         default=audited)
 
     return CaseRecord(
         id=case_id, kind=kind, theorem=theorem, expected=expected, aut=aut,
@@ -395,6 +402,12 @@ def _positive(text, what):
 def _parse_kind(value):
     if value not in KINDS:
         raise CatalogError(f"unknown kind {value!r}")
+    return value
+
+
+def _one_of(value, allowed, what):
+    if value not in allowed:
+        raise CatalogError(f"bad {what} {value!r}: not one of {', '.join(allowed)}")
     return value
 
 
@@ -651,6 +664,8 @@ def validate_case(record):
         if record.anticanonical is not None and \
                 len(record.anticanonical) != len(record.h11_labels):
             findings.append("anticanonical vector length mismatch")
+    if (record.expected == ("see_toric",)) != (record.kind == "toric-crosscheck"):
+        findings.append("expected = see_toric exactly when kind = toric-crosscheck")
     if (record.family in EXCEPTION_FAMILIES) != (record.theorem == 2):
         findings.append("theorem tag does not match the partition")
     if record.theorem == 1 and record.expected[0] == "subcone":
@@ -665,22 +680,19 @@ def _validate_polynomialish(record):
     findings = []
     for v_index, v in enumerate(record.torus):
         for g_index, g in enumerate(record.variety):
-            res = torus_eigencheck([g], v)
-            if not res.ok:
-                findings.append(f"torus {v_index} vs variety generator {g_index}: "
-                                f"{res.detail}")
+            reason = torus_eigencheck([g], v)
+            if reason:
+                findings.append(f"torus {v_index} vs variety generator {g_index}: {reason}")
         for c_index, center in enumerate(record.centers):
             pres = center.presentation
             if pres.ideal:
-                res = torus_eigencheck(list(pres.ideal), v)
-                if not res.ok:
-                    findings.append(f"torus {v_index} vs center {c_index} ideal: "
-                                    f"{res.detail}")
+                reason = torus_eigencheck(list(pres.ideal), v)
+                if reason:
+                    findings.append(f"torus {v_index} vs center {c_index} ideal: {reason}")
             if pres.curve is not None:
-                res = torus_eigencheck(pres.curve, v)
-                if not res.ok:
-                    findings.append(f"torus {v_index} vs center {c_index} curve: "
-                                    f"{res.detail}")
+                reason = torus_eigencheck(pres.curve, v)
+                if reason:
+                    findings.append(f"torus {v_index} vs center {c_index} curve: {reason}")
     for c_index, center in enumerate(record.centers):
         pres = center.presentation
         if pres.curve is not None:

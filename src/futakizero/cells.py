@@ -95,8 +95,9 @@ class ScanReport:
 MAX_SCAN_POINTS = 10 ** 6    # the grid points a scan may take; s6 at step 1/4 has 1,331
 
 
-def zero_locus_scan(family, step, loci=(), fixed=None):
-    """Exact zero test of the Futaki vector over a rational grid.
+def zero_locus_scan(family, step, loci=()):
+    """Exact zero test of the Futaki vector over a rational grid of the
+    family's scanned parameters, those not pinned by ``fixed_for_scan``.
 
     Out-of-region grid points are skipped and counted.  In-region points are
     grouped by combinatorial cell (the tight-facet sets of the vertices).  On
@@ -124,18 +125,20 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     step = Fraction(*toric._parameter("step", step, kind="grid"))
     if step <= 0:
         raise toric.ToricError("grid step must be positive")
-    pinned = dict(fam.fixed_for_scan)
-    if fixed:
-        pinned.update({k: Fraction(*toric._parameter(k, v)) for k, v in fixed.items()})
-    scan_names = [n for n in fam.param_names if n not in pinned]
-    forms = _locus_forms(loci, fam, pinned, scan_names, step.denominator)
+    pinned = fam.fixed_for_scan
+    names = tuple(n for n in fam.param_names if n not in pinned)
+    zero = PPoly.zero(names)
+    # each parameter over Q[names], and the facet offsets at them, all PPoly
+    symbols = {n: pinned[n] if n in pinned else PPoly.var(names, n) for n in fam.param_names}
+    offsets = [zero + c for c in fam.offsets(symbols)]
+    forms = _locus_forms(loci, symbols, zero, step.denominator)
     # the multiples k * step below each upper bound: k = 1 .. ceil(upper / step) - 1
-    counts = [-(-fam.scan_upper[n] // step) - 1 for n in scan_names]
+    counts = [-(-fam.scan_upper[n] // step) - 1 for n in names]
     if prod(counts) > MAX_SCAN_POINTS:
         raise toric.ToricError(f"a grid of {prod(counts)} points at step {step} exceeds "
                                f"the bound {MAX_SCAN_POINTS}")
     grids = [[k * step for k in range(1, count + 1)] for count in counts]
-    points, skipped, hits = scan_grid(fam, scan_names, pinned, grids, step.denominator, forms)
+    points, skipped, hits = scan_grid(fam, offsets, grids, step.denominator, forms)
     if not points:
         raise toric.ToricError(
             f"no grid point of {family} at step {step} lies in the Kähler region")
@@ -147,22 +150,22 @@ def zero_locus_scan(family, step, loci=(), fixed=None):
     return ScanReport(family, step, tuple(points), skipped, fits, covered, zero_everywhere)
 
 
-def _locus_forms(loci, fam, pinned, scan_names, denominator):
+def _locus_forms(loci, symbols, zero, denominator):
     """Per locus equation, the differences of its sides as integer forms
-    (``_integer_form``) in the scanned parameters, the ``pinned`` values
-    substituted.  A difference d is a PPoly in the family's parameters; its
-    form is taken of d.den times d, which has the same zeros."""
+    (``_integer_form``) in the scanned parameters, ``symbols`` (parameter
+    name -> its PPoly or pinned value) substituted; ``zero`` is the zero
+    PPoly.  A difference d is a PPoly in the family's parameters; its form is
+    taken of d.den times d, which has the same zeros."""
     from .polyring import PolyError, parse_equations     # loaded on first use
-    names = tuple(scan_names)
-    symbols = [PPoly.var(names, n) if n in names else pinned[n] for n in fam.param_names]
+    values = list(symbols.values())
     forms = []
     for eq in loci:
         try:
-            differences = parse_equations(eq, fam.param_names)
+            differences = parse_equations(eq, tuple(symbols))
         except PolyError as exc:
             raise toric.ToricError(f"bad locus equation {eq!r}: {exc}") from exc
-        forms.append([_integer_form(sum((c * prod(map(pow, symbols, e))
-                                         for e, c in d.num.items()), PPoly.zero(names)),
+        forms.append([_integer_form(sum((c * prod(map(pow, values, e))
+                                         for e, c in d.num.items()), zero),
                                     denominator) for d in differences])
     return forms
 
@@ -225,42 +228,38 @@ def slack_forms(polytope, tight, solved):
             for on, v in zip(tight, vertices) for f in range(len(normals)) if f not in on]
 
 
-def cell_vertices(fam, polytope, tight, params, scan_names):
-    """(vertices, facet offsets) over Q[scan_names] of the cell of
-    ``polytope``, built at ``params`` with ``tight`` the facets tight at each
-    of its vertices.  Each vertex is solved, with the integer adjugate of a
-    nonsingular subset of its tight facets, against the affine offsets;
-    pinned parameters enter as constants.  Every offset is a PPoly, constant
-    ones too, so that both integral routes give PPoly even with every
-    parameter pinned.
+def cell_vertices(polytope, tight, offsets):
+    """(vertices, facet offsets) over Q[scanned names] of the cell of
+    ``polytope``, with ``tight`` the facets tight at each of its vertices and
+    ``offsets`` the family's facet offsets as PPoly in the scanned names
+    (see ``zero_locus_scan``).  Each vertex is solved, with the integer
+    adjugate of a nonsingular subset of its tight facets, against the affine
+    offsets.
 
     None when a vertex's other tight facets are not tight identically in the
     parameters: the cell is then a slice of parameter space (such as c = 4
     for a box cut by x + y + z <= c through its edge), where no polynomial
     identity holds, and each of its points is tested numerically."""
-    names = tuple(scan_names)
-    zero = PPoly.zero(names)
-    symbols = {n: PPoly.var(names, n) if n in names else params[n] for n in fam.param_names}
-    offsets = [zero + c for c in fam.offsets(symbols)]
     normals = tuple(h.normal for h in polytope.halfspaces)
     solves = toric._subset_solves(polytope.dim, normals)
     vertices = []
     for on in tight:
         combo, det, adj = next(s for s in solves if s[1] and on.issuperset(s[0]))
         rhs = [offsets[f] for f in combo]
-        vertex = tuple(sum((a * b for a, b in zip(row, rhs)), zero) / det for row in adj)
+        vertex = tuple(sum(a * b for a, b in zip(row, rhs)) / det for row in adj)
         for f in on.difference(combo):
-            if not (sum((n * x for n, x in zip(normals[f], vertex)), zero) - offsets[f]).is_zero():
+            if not (sum(n * x for n, x in zip(normals[f], vertex)) - offsets[f]).is_zero():
                 return None
         vertices.append(vertex)
     return vertices, offsets
 
 
-def scan_grid(fam, scan_names, pinned, grids, denominator, loci):
+def scan_grid(fam, offsets, grids, denominator, loci):
     """(ScanPoint per in-region grid point in lexicographic order, count of
     grid points outside the Kähler region, per in-region point whether it
-    lies on each locus) for ``zero_locus_scan``; ``loci`` holds the integer
-    forms of each locus (see ``_locus_forms``).
+    lies on each locus) for ``zero_locus_scan``; ``offsets`` are the facet
+    offsets over Q[scanned names] (see ``cell_vertices``), and ``loci``
+    holds the integer forms of each locus (see ``_locus_forms``).
 
     ``grids`` holds the values of each scanned parameter, all multiples of
     1/``denominator``; a point is handled as the integer numerators of its
@@ -276,12 +275,11 @@ def scan_grid(fam, scan_names, pinned, grids, denominator, loci):
     or one with a non-simple vertex).  On a line with in-region points the
     locus forms become polynomials in x too, and every point is tested on
     them the same way."""
-    region = region_forms(fam, pinned, scan_names, denominator)
-    integer_grids = [_grid_integers(grid, denominator) for grid in grids]
-    # a grid of no coordinates is one line of one point, whose placeholder
-    # last coordinate every zip with the names or the forms drops
-    *head_grids, last_grid = grids or [[None]]
-    *head_integers, last = integer_grids or [[0]]
+    names = offsets[0].names        # the scanned parameters
+    region = region_forms(fam, offsets, denominator)
+    *head_grids, last_grid = grids
+    *head_integers, last = [[v.numerator * (denominator // v.denominator) for v in grid]
+                            for grid in grids]
     bounds = (last[0], last[-1]) if last else (1, 0)
     cells = {}          # cell key -> integer numerator forms, None on a slice
     chambers = []       # (integer slack forms, cell key) per chamber
@@ -300,16 +298,15 @@ def scan_grid(fam, scan_names, pinned, grids, denominator, loci):
             values = (*head, value)
             key = next((key for (c_lo, c_hi), key in intervals if c_lo <= x <= c_hi), None)
             if key is None:
-                params = dict(pinned, **dict(zip(scan_names, values)))
-                polytope = fam.build(**params)
+                sample = dict(zip(names, values))
+                polytope = fam.build(**fam.fixed_for_scan, **sample)
                 tight = _tight_sets(polytope)
                 key = frozenset(tight)
                 if key not in cells:
                     cells[key] = None
-                    solved = cell_vertices(fam, polytope, tight, params, scan_names)
+                    solved = cell_vertices(polytope, tight, offsets)
                     if solved is not None:
-                        nums = numerators(fam, polytope, solved,
-                                          {n: params[n] for n in scan_names})
+                        nums = numerators(fam, polytope, solved, sample)
                         cells[key] = [_integer_form(n, denominator) for n in nums]
                         slacks = slack_forms(polytope, tight, solved)
                         if slacks is not None:
@@ -321,15 +318,16 @@ def scan_grid(fam, scan_names, pinned, grids, denominator, loci):
                 if key not in polys:
                     polys[key] = [_on_line(form, h) for form in cells[key]]
                 zero = not any(_horner(p, x) for p in polys[key])
-            points.append(ScanPoint(tuple(zip(scan_names, values)), zero))
+            points.append(ScanPoint(tuple(zip(names, values)), zero))
             hits.append(tuple(not any(_horner(p, x) for p in locus) for locus in on_line))
     return points, skipped, hits
 
 
-def region_forms(fam, pinned, scan_names, denominator):
-    """Integer affine forms (as for ``_affine_forms``) such that
-    ``fam.build`` rejects the family's polytope {x : n_f . x <= offset_f}
-    exactly where one of them is at most 0.
+def region_forms(fam, offsets, denominator):
+    """Integer affine forms (as for ``_affine_forms``) in the scanned
+    parameters such that ``fam.build`` rejects the family's polytope
+    {x : n_f . x <= offset_f} exactly where one of them is at most 0;
+    ``offsets`` are as for ``cell_vertices``.
 
     The build succeeds exactly when every facet f supports a (dim-1)-face of
     a full-dimensional polytope, that is when for every f some x has
@@ -348,10 +346,6 @@ def region_forms(fam, pinned, scan_names, denominator):
     with mu = n_g A / det, so lambda is det at g and -mu_f * det on S.  The
     normals of a bounded family span, so every circuit appears this way, with
     each facet of positive weight as g."""
-    names = tuple(scan_names)
-    zero = PPoly.zero(names)
-    symbols = {n: PPoly.var(names, n) if n in names else pinned[n] for n in fam.param_names}
-    offsets = fam.offsets(symbols)
     normals = tuple(normal for normal, _ in fam.rows)
     circuits = set()
     for combo, det, adj in toric._subset_solves(fam.dim, normals):
@@ -363,13 +357,8 @@ def region_forms(fam, pinned, scan_names, denominator):
                 lam.append(det)
                 common = gcd(*lam)
                 circuits.add(tuple((f, c // common) for f, c in zip((*combo, g), lam) if c))
-    return _affine_forms([sum((c * offsets[f] for f, c in lam), zero)
-                          for lam in sorted(circuits)], denominator)
-
-
-def _grid_integers(values, denominator):
-    """The numerators over ``denominator`` of grid values."""
-    return [v.numerator * (denominator // v.denominator) for v in values]
+    return _affine_forms([sum(c * offsets[f] for f, c in lam) for lam in sorted(circuits)],
+                         denominator)
 
 
 def _integer_form(poly, denominator):
@@ -406,7 +395,7 @@ def _line_interval(forms, head, bounds):
     lo, hi = bounds
     for const, coeffs in forms:
         c = const + sum(map(mul, coeffs, head))
-        k = coeffs[-1] if coeffs else 0
+        k = coeffs[-1]
         if k > 0:
             lo = max(lo, -((c - 1) // k))
         elif k < 0:
@@ -422,7 +411,7 @@ def _on_line(form, head):
     ``head``."""
     coeffs = {}
     for c, e in form:
-        d = e[-1] if e else 0
+        d = e[-1]
         coeffs[d] = coeffs.get(d, 0) + c * prod(map(pow, head, e))
     return [coeffs.get(d, 0) for d in range(max(coeffs, default=0), -1, -1)]
 

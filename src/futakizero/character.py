@@ -111,10 +111,9 @@ class Verdict:
         return self.tag == "full_cone"
 
 
-def full_cone(certificate, diagnostics=()):
+def full_cone(certificate):
     return Verdict("full_cone", fixed_dim=None, families=(),
-                   certificate=tuple(certificate), diagnostics=tuple(diagnostics),
-                   anticanonical_in_fixed=True)
+                   certificate=tuple(certificate), anticanonical_in_fixed=True)
 
 
 def vanishing_verdict(system, anticanonical=None):
@@ -244,37 +243,23 @@ def product_verdict(factors):
 # per-case analysis driver
 # ---------------------------------------------------------------------------
 
-class SymmetryAnalysis:
-    __slots__ = ("name", "variety_invariant", "center_permutation", "h11_matrix", "adjoint",
-                 "notes")
-
-    def __init__(self, name, variety_invariant, center_permutation, h11_matrix, adjoint,
-                 notes=()):
-        self.name = name
-        self.variety_invariant = variety_invariant      # InvarianceResult or None
-        self.center_permutation = center_permutation    # rho or None
-        self.h11_matrix = h11_matrix
-        self.adjoint = adjoint
-        self.notes = notes
-
-
 class CaseAnalysis:
-    __slots__ = ("case_id", "system", "verdict", "symmetries", "diagnostics")
+    __slots__ = ("system", "verdict", "adjoints")
 
-    def __init__(self, case_id, system, verdict, symmetries, diagnostics):
-        self.case_id = case_id
+    def __init__(self, system, verdict, adjoints):
         self.system = system
         self.verdict = verdict
-        self.symmetries = symmetries
-        self.diagnostics = diagnostics
+        self.adjoints = adjoints    # per finite symmetry, constrained or not
 
 
 def analyze_polynomial_case(record):
     """Run the invariance machinery and the verdict for a polynomial-style
-    record (also used by the toric-crosscheck kind)."""
+    record (also used by the toric-crosscheck kind).  A symmetry whose
+    variety check or center matching fails gives a diagnostic in place of a
+    constraint."""
     from .symmetry import CenterMatchError, adjoint_matrix
     diagnostics = []
-    analyses = []
+    adjoints = []
     constraints = []
     stages = [c.stage for c in record.centers]
     presentations = [c.presentation for c in record.centers]
@@ -282,15 +267,13 @@ def analyze_polynomial_case(record):
         notes = []
         if inv is not None and not inv.invariant:
             notes.append(f"variety check inconclusive: {inv.describe()}")
-        rho = None
         h11_matrix = None
         try:
-            h11_matrix, rho = h11_action(tau, presentations, stages)
+            h11_matrix, _ = h11_action(tau, presentations, stages)
         except CenterMatchError as exc:
             notes.append(f"center matching failed at index {exc.index}")
         adjoint = adjoint_matrix(tau, list(record.torus)) if record.torus else None
-        analyses.append(SymmetryAnalysis(name, inv, rho, h11_matrix, adjoint,
-                                         tuple(notes)))
+        adjoints.append(adjoint)
         if notes:
             diagnostics.extend(f"{name}: {n}" for n in notes)
             continue
@@ -299,11 +282,8 @@ def analyze_polynomial_case(record):
                               picard_rank=len(record.h11_labels),
                               constraints=tuple(constraints))
     verdict = vanishing_verdict(system, anticanonical=record.anticanonical)
-    verdict = Verdict(verdict.tag, verdict.fixed_dim, verdict.families,
-                      verdict.certificate,
-                      tuple(diagnostics) + verdict.diagnostics,
-                      verdict.anticanonical_in_fixed)
-    return CaseAnalysis(record.id, system, verdict, tuple(analyses), tuple(diagnostics))
+    verdict.diagnostics = tuple(diagnostics) + verdict.diagnostics
+    return CaseAnalysis(system, verdict, tuple(adjoints))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +366,8 @@ def _evaluate_product(record):
 def _evaluate_crosscheck(record):
     from .symmetry import AdjointUnsolvable
     analysis = analyze_polynomial_case(record)
-    unsolved = [a.name for a in analysis.symmetries
-                if isinstance(a.adjoint, AdjointUnsolvable)]
-    adjoint_outcome = "unsolvable" if len(unsolved) == len(analysis.symmetries) \
+    unsolved = sum(isinstance(a, AdjointUnsolvable) for a in analysis.adjoints)
+    adjoint_outcome = "unsolvable" if unsolved == len(analysis.adjoints) \
         else ("partial" if unsolved else "solvable")
     from . import toric
     toric_outcome = toric.zero_locus_scan(record.toric_family, DEFAULT_SCAN_STEP,

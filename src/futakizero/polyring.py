@@ -96,7 +96,7 @@ class AmbientSpace:
 class ParamField:
     """Declared parameters with excluded rational values (catalog smoothness
     constraints such as a not in {-1, 1}).  A constant of the field is a
-    Fraction, a non-constant element a ``RatFunc``."""
+    plain Fraction, a non-constant element a ``RatFunc`` (see ``var``)."""
 
     __slots__ = ("names", "excluded")
 
@@ -107,15 +107,6 @@ class ParamField:
         for n in self.excluded:
             if n not in self.names:
                 raise PolyError(f"exclusions for undeclared parameter {n!r}")
-
-    def zero(self):
-        return _ZERO
-
-    def one(self):
-        return _ONE
-
-    def const(self, value):
-        return Fraction(value)
 
     def var(self, name):
         if name not in self.names:
@@ -174,13 +165,13 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, ambient, params, value):
-        return cls(ambient, params, {(0,) * len(ambient.coords): params.const(value)}, False)
+        return cls(ambient, params, {(0,) * len(ambient.coords): Fraction(value)}, False)
 
     @classmethod
     def coordinate(cls, ambient, params, name):
         i = ambient.coord_index(name)
         expo = tuple(int(j == i) for j in range(len(ambient.coords)))
-        return cls(ambient, params, {expo: params.one()}, False)     # one term: homogeneous
+        return cls(ambient, params, {expo: _ONE}, False)     # one term: homogeneous
 
     def is_zero(self):
         return not self.terms
@@ -203,7 +194,7 @@ class MultiPoly:
         self._same_ring(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, self.params.zero()) + c
+            terms[e] = terms.get(e, _ZERO) + c
         return MultiPoly(self.ambient, self.params, terms)
 
     def __sub__(self, other):
@@ -223,7 +214,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, self.params.zero()) + c1 * c2
+                terms[e] = terms.get(e, _ZERO) + c1 * c2
         return MultiPoly(self.ambient, self.params, terms, check=False)
 
     __rmul__ = __mul__
@@ -427,7 +418,7 @@ class _Parser:
     def _add(self, a, b):
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            terms[e] = terms.get(e, self.params.zero()) + c
+            terms[e] = terms.get(e, _ZERO) + c
         return MultiPoly(self.ambient, self.params, terms, check=False)
 
     def _divide(self, a, b):
@@ -442,7 +433,7 @@ class _Parser:
 def _as_scalar(p):
     """Q(params) value of a coordinate-free polynomial, else None."""
     if not p.terms:
-        return p.params.zero()
+        return _ZERO
     if len(p.terms) != 1:     # a coordinate-free polynomial has one term at most
         return None
     e, c = next(iter(p.terms.items()))
@@ -509,7 +500,7 @@ class SpanSolution:
         self.denominators = denominators
 
 
-def in_span(targets, gens, params=None):
+def in_span(targets, gens):
     """Express each of ``targets`` as a Q(params)-linear combination of gens:
     a SpanSolution per target, None for one outside the span.
 
@@ -518,14 +509,11 @@ def in_span(targets, gens, params=None):
     denominators, which ``ParamField.uncovered`` checks against the
     excluded values.
     """
-    if params is None:
-        params = targets[0].params
     if any(g.ambient != p.ambient for g in gens for p in targets):
         raise PolyError("ambient mismatch in span check")
     monomials = sorted({e for q in (*gens, *targets) for e in q.terms}, reverse=True)
-    zero = params.zero()
-    rows = [[g.terms.get(m, zero) for g in gens] for m in monomials]
-    columns = [[p.terms.get(m, zero) for m in monomials] for p in targets]
+    rows = [[g.terms.get(m, _ZERO) for g in gens] for m in monomials]
+    columns = [[p.terms.get(m, _ZERO) for m in monomials] for p in targets]
     return [None if s is None else _span_solution(s) for s in solve_generic(rows, columns)]
 
 

@@ -125,7 +125,7 @@ class MonomialAutomorphism:
                 for _ in range(k):
                     coeff = coeff * self.scalars[j]
             key = tuple(new_e)
-            terms[key] = terms.get(key, p.params.zero()) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return MultiPoly(p.ambient, p.params, terms)
 
     def compose(self, other):
@@ -196,7 +196,7 @@ class ParamCurve:
     def reparametrized(self, rep):
         r = MultiPoly.coordinate(CURVE_AMBIENT, self.params, "r")
         s = MultiPoly.coordinate(CURVE_AMBIENT, self.params, "s")
-        gamma = self.params.const(rep.gamma)
+        gamma = Fraction(rep.gamma)
         if rep.swap:
             images = [s, r.scale(gamma)]
         else:
@@ -270,7 +270,7 @@ def check_variety_invariant(gens, tau):
 
     A failed span check is inconclusive, never a proof of non-invariance.
     """
-    solutions = in_span([tau.pullback(g) for g in gens], gens, tau.params)
+    solutions = in_span([tau.pullback(g) for g in gens], gens)
     if None in solutions:
         return InvarianceResult(False, (), (), failing_index=solutions.index(None))
     denominators = dict.fromkeys(d for sol in solutions for d in sol.denominators)
@@ -453,33 +453,24 @@ def _presentations_match(target_i, source_j, tau):
         return check_curve_match(target_i.curve, source_j.curve, tau) is not None
     if target_i.kind() == "ideal" and source_j.kind() == "ideal":
         pulled = [tau.pullback(g) for g in source_j.ideal]
-        return (None not in in_span(pulled, target_i.ideal, tau.params)
-                and None not in in_span(target_i.ideal, pulled, tau.params))
+        return (None not in in_span(pulled, target_i.ideal)
+                and None not in in_span(target_i.ideal, pulled))
     return False
 
 
-class EigencheckResult:
-    __slots__ = ("ok", "detail")
-
-    def __init__(self, ok, detail=""):
-        self.ok = ok
-        self.detail = detail
-
-
 def torus_eigencheck(target, v):
-    """Ideal generators must be weight eigenvectors; curve coordinate weights
-    must be an affine function of the (r, s)-bidegree."""
+    """Why the torus generator v does not act diagonally on ``target``, or
+    None when it does: ideal generators must be weight eigenvectors; curve
+    coordinate weights must be an affine function of the (r, s)-bidegree."""
     if isinstance(target, ParamCurve):
         return _curve_eigencheck(target, v)
     for idx, g in enumerate(target):
         weights = {v.monomial_weight(e) for e in g.terms}
         if len(weights) > 1:
             pair = sorted(g.terms)[:2]
-            return EigencheckResult(
-                False,
-                f"generator {idx} mixes weights {sorted(weights)} "
-                f"(monomials {pair[0]} vs {pair[-1]})")
-    return EigencheckResult(True)
+            return (f"generator {idx} mixes weights {sorted(weights)} "
+                    f"(monomials {pair[0]} vs {pair[-1]})")
+    return None
 
 
 def _curve_eigencheck(curve, v):
@@ -497,8 +488,8 @@ def _curve_eigencheck(curve, v):
                 rows.append(row)
                 rhs.append(Fraction(v.weights[i]))
     if solve_generic(rows, [rhs])[0] is None:
-        return EigencheckResult(False, "weights are not affine in the (r,s)-bidegree")
-    return EigencheckResult(True)
+        return "weights are not affine in the (r,s)-bidegree"
+    return None
 
 
 class AdjointUnsolvable:

@@ -650,9 +650,9 @@ def class_to_polytope(family, **params):
 # zero-locus scans
 # ---------------------------------------------------------------------------
 
-def zero_locus_scan(family, step, loci=(), fixed=None):
-    """Exact zero test of the Futaki vector over a rational grid: the
-    ``ScanReport`` of ``cells.zero_locus_scan``, whose module, the scan
-    engine, loads on the first scan."""
+def zero_locus_scan(family, step, loci=()):
+    """Exact zero test of the Futaki vector over a rational grid of the
+    family's parameters not in ``fixed_for_scan``: the ``ScanReport`` of
+    ``cells.zero_locus_scan``, whose module loads on the first scan."""
     from . import cells
-    return cells.zero_locus_scan(family, step, loci, fixed)
+    return cells.zero_locus_scan(family, step, loci)

@@ -53,7 +53,7 @@ def random_poly(rng, ambient, params=None, degree=None, max_terms=4):
             expo.extend(part)
         coeff = random_fraction(rng, allow_zero=False)
         key = tuple(expo)
-        terms[key] = params.const(coeff)
+        terms[key] = coeff
     return MultiPoly(ambient, params, terms)
 
 
@@ -78,7 +78,7 @@ def random_automorphism(rng, ambient, params=None):
         rng.shuffle(source_block)
         for i, j in zip(image_block, source_block):
             perm[i] = j
-    scalars = tuple(params.const(random_fraction(rng, allow_zero=False))
+    scalars = tuple(random_fraction(rng, allow_zero=False)
                     for _ in perm)
     return MonomialAutomorphism(ambient, tuple(perm), scalars, params)
 

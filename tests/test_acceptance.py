@@ -131,10 +131,9 @@ def test_criterion_5_anticanonical_zeros(catalog):
 def test_criterion_6_family_3_25_audit(catalog):
     (record,) = [r for r in catalog.records if r.id == "3.25"]
     analysis = analyze_polynomial_case(record)
-    unsolved = [a for a in analysis.symmetries
-                if isinstance(a.adjoint, AdjointUnsolvable)]
-    assert len(unsolved) == len(analysis.symmetries) == 2
-    assert unsolved[0].adjoint.permuted_weights == (0, 1, 0, 0)
+    unsolved = [a for a in analysis.adjoints if isinstance(a, AdjointUnsolvable)]
+    assert len(unsolved) == len(analysis.adjoints) == 2
+    assert unsolved[0].permuted_weights == (0, 1, 0, 0)
     report = zero_locus_scan(record.toric_family, Fraction(1, 4), loci=record.loci)
     assert not report.zero_everywhere
     assert all(f.on_locus_all_zero for f in report.loci)

@@ -161,6 +161,16 @@ class TestValidate:
                     for g, s in zip(grow, srow):
                         assert type(s) is Fraction and _value_at(g, point) == s
 
+    def test_scan_outcomes_are_the_classify_values(self):
+        # expected_toric is checked against this list at load time
+        from futakizero.catalog import SCAN_OUTCOMES
+        from futakizero.cells import LocusFit, ScanReport
+        outcomes = {ScanReport("s6", 1, (), 0, loci, covered, zero).classify()
+                    for loci in ((), (LocusFit("a = b", False, 0),),
+                                 (LocusFit("a = b", True, 1),))
+                    for covered in (False, True) for zero in (False, True)}
+        assert outcomes == set(SCAN_OUTCOMES)
+
     def test_sample_sequence_skips_excluded(self):
         from futakizero.polyring import ParamField
         pf = ParamField(("t",), {"t": (Fraction(1, 2), 2, 3)})

@@ -632,16 +632,62 @@ class TestCatalogCommand:
         from futakizero.catalog import default_catalog_text
         text = default_catalog_text()
         case = text.index('[case "2.27"]')
-        path = tmp_path / "partition.cat"
-        path.write_text(text[:case] + text[case:].replace(
-            "expected = full_cone", "expected = subcone(1)", 1))
-        finding = "2.27: theorem 1 record expects a subcone"
-        for argv in (["verify", "2.27"], ["verify", "--all"], ["report"]):
-            assert run_cli(["--catalog", str(path), *argv]) == (2, "")
-            assert capsys.readouterr().err == f"catalog error: {finding}\n"
-        code, out = run_cli(["--catalog", str(path), "catalog", "validate"])
-        assert code == 2
-        assert f"finding: {finding}\n" in out
+        partition = "2.27: theorem 1 record expects a subcone"
+        # subcone(2) adds a second finding: each gets its own prefixed line
+        for expected, findings in (
+                ("subcone(1)", [partition]),
+                ("subcone(2)", ["2.27: subcone(2) is not below the Picard rank 2", partition])):
+            path = tmp_path / "partition.cat"
+            path.write_text(text[:case] + text[case:].replace(
+                "expected = full_cone", f"expected = {expected}", 1))
+            for argv in (["verify", "2.27"], ["verify", "--all"], ["report"]):
+                assert run_cli(["--catalog", str(path), *argv]) == (2, "")
+                assert capsys.readouterr().err == "".join(
+                    f"catalog error: {f}\n" for f in findings)
+            code, out = run_cli(["--catalog", str(path), "catalog", "validate"])
+            assert code == 2
+            assert "".join(f"finding: {f}\n" for f in findings) in out
+
+    @pytest.mark.parametrize("case_id,old,new,message", [
+        # verify 3.25 exited 4: internal error: ToricError: unknown toric family ''
+        ("3.25", "toric_family = bl2lines-p3\n", "",
+         "line {header}: record 3.25: missing key 'toric_family'"),
+        # each of these exited 1: MISMATCH case=3.25 expected=see_toric
+        # computed=inconclusive
+        ("3.25", "expected_toric = locus_and_more\n", "",
+         "line {header}: record 3.25: missing key 'expected_toric'"),
+        ("3.25", "expected_toric = locus_and_more", "expected_toric = banana",
+         "line {at}: record 3.25: bad expected_toric 'banana': not one of identically_zero, "
+         "on_locus, locus_and_more, off_locus"),
+        ("3.25", "expected_adjoint = unsolvable\n", "",
+         "line {header}: record 3.25: missing key 'expected_adjoint'"),
+        ("3.25", "expected_adjoint = unsolvable", "expected_adjoint = banana",
+         "line {at}: record 3.25: bad expected_adjoint 'banana': not one of solvable, "
+         "partial, unsolvable"),
+        # exited 1: MISMATCH case=2.20 expected=see_toric computed=full_cone
+        ("2.20", "expected = full_cone", "expected = see_toric",
+         "2.20: expected = see_toric exactly when kind = toric-crosscheck"),
+        # exited 0: nothing read the expected verdict of a cross-check
+        ("3.25", "expected = see_toric", "expected = full_cone",
+         "3.25: expected = see_toric exactly when kind = toric-crosscheck")],
+        ids=["no-family", "no-expected-toric", "bad-expected-toric", "no-expected-adjoint",
+             "bad-expected-adjoint", "see-toric-off-crosscheck", "crosscheck-not-see-toric"])
+    def test_malformed_crosscheck_exits_two(self, tmp_path, capsys, case_id, old, new,
+                                            message):
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        case = text.index(f'[case "{case_id}"]')
+        at = text.index(old, case)
+        assert at < text.index("[case", case + 1)
+        text = text[:at] + new + text[at + len(old):]
+        message = message.format(header=text[:case].count("\n") + 1,
+                                 at=text[:at].count("\n") + 1)
+        path = tmp_path / "crosscheck.cat"
+        path.write_text(text)
+        for argv in (["catalog", "validate"], ["verify", case_id], ["verify", "--all"]):
+            code, out = run_cli(["--catalog", str(path), *argv])
+            assert code == 2, argv
+            assert f"{message}\n" in out + capsys.readouterr().err, argv
 
     @pytest.mark.parametrize("case_id,old,new,message", [
         # a first, wrong fixed_dim used to win silently: verify exited 1 with
@@ -758,13 +804,13 @@ class TestStartup:
         assert sorted(m.removeprefix("futakizero.") for m in self.run(argv)) == modules
 
     @pytest.mark.parametrize("argv,lines", [
-        (["verify", "6.1"], 1661),
-        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2319),
-        (["verify", "2.20"], 2732),
-        (["verify", "3.13"], 3251),
-        (["toric", "scan", "--family", "s6"], 3818),
-        (["catalog", "validate"], 3909),
-        (["verify", "--all"], 4354),
+        (["verify", "6.1"], 1652),
+        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2310),
+        (["verify", "2.20"], 2702),
+        (["verify", "3.13"], 3221),
+        (["toric", "scan", "--family", "s6"], 3786),
+        (["catalog", "validate"], 3879),
+        (["verify", "--all"], 4313),
     ], ids=["verify-6.1", "toric-futaki", "verify-2.20", "verify-3.13", "toric-scan",
             "catalog-validate", "verify-all"])
     def test_source_lines_each_command_compiles(self, argv, lines):

@@ -130,7 +130,7 @@ class TestInSpan:
         from futakizero.symmetry import MonomialAutomorphism
         tau = MonomialAutomorphism.from_images(
             ["z1", "z0", "z2", "y1", "y0", "y2", "x1", "x0", "x2"], TRIPLE, pf)
-        sol = in_span([tau.pullback(eq1)], [eq1, eq2, eq3], pf)[0]
+        sol = in_span([tau.pullback(eq1)], [eq1, eq2, eq3])[0]
         assert sol.coefficients == (0, 1, 0)
         assert all(type(c) is Fraction for c in sol.coefficients)
 
@@ -138,7 +138,7 @@ class TestInSpan:
         # the elimination pivots on the non-constant entry a - 2
         amb = AmbientSpace.product(("x0", "x1"))
         pf = ParamField(("a",))
-        sol = in_span([parse_poly("x0", amb, pf)], [parse_poly("(a - 2)*x0", amb, pf)], pf)[0]
+        sol = in_span([parse_poly("x0", amb, pf)], [parse_poly("(a - 2)*x0", amb, pf)])[0]
         assert [c.render() for c in sol.coefficients] == ["1/(-2 + a)"]
         assert [d.render() for d in sol.denominators] == ["-2 + a"]
         assert pf.uncovered(sol.denominators[0]).render() == "-2 + a"
@@ -153,8 +153,7 @@ class TestInSpan:
         # excluding the values 1, 2 and -1 of each parameter leaves both whole
         amb = AmbientSpace.product(("x0", "x1"))
         pf = ParamField(params, {n: (1, 2, -1) for n in params})
-        sol = in_span([parse_poly("x0", amb, pf)], [parse_poly(g, amb, pf) for g in gens],
-                      pf)[0]
+        sol = in_span([parse_poly("x0", amb, pf)], [parse_poly(g, amb, pf) for g in gens])[0]
         assert [d.render() for d in sol.denominators] == [denominator]
         assert pf.uncovered(sol.denominators[0]).render() == denominator
 
@@ -167,7 +166,7 @@ class TestInSpan:
         qa = parse_poly("w^2 + x*y + z*t + a*(x*t + y*z)", P4, pf)
         from futakizero.symmetry import MonomialAutomorphism
         varsigma = MonomialAutomorphism.from_images(["y", "x", "t", "z", "w"], P4, pf)
-        sol = in_span([varsigma.pullback(qa)], [qa], pf)[0]
+        sol = in_span([varsigma.pullback(qa)], [qa])[0]
         assert sol.coefficients == (1,) and type(sol.coefficients[0]) is Fraction
         assert sol.denominators == ()
 
@@ -211,7 +210,7 @@ class TestInSpan:
                 if got is not None:
                     assert got.coefficients == single.coefficients
                     assert (reconstruct(gens, got) - target).is_zero()
-        assert in_span([], gens, ParamField()) == []
+        assert in_span([], gens) == []
 
 
 class TestUncovered:

@@ -573,12 +573,6 @@ class TestScan:
         with pytest.raises(ToricError, match="a grid of 1331 points at step 1/4 exceeds"):
             zero_locus_scan("s6", Fraction(1, 4))
 
-    @pytest.mark.parametrize("value", ["x", None, float("nan"), "1/0"])
-    def test_bad_pinned_value_names_the_parameter(self, value):
-        # the same error as a build with that value
-        with pytest.raises(ToricError, match=f"^parameter a = {value!r} is not a rational"):
-            zero_locus_scan("s6", "1/4", fixed={"a": value})
-
     @pytest.mark.parametrize("step", ["x", None, "1/0"])
     def test_bad_step_is_named(self, step):
         # these used to end in a ValueError, TypeError and ZeroDivisionError
@@ -590,19 +584,51 @@ class TestScan:
         assert report.skipped > 0
 
     @pytest.mark.parametrize("family,fixed", [
-        ("p1", {"a": 1}),
-        ("s6", {"a": 1, "b": 1, "c": 1}),
-        ("s6", {"a": 1, "b": Fraction(1, 2), "c": 1}),
-        ("p1xs6", {"a": 1, "b": 1, "c": 1}),
+        ("p1xp1", {"a": 1}),
+        ("bl2lines-p3", {"a": 1}),
+        ("p1cubed", {"a": 1, "b": 2}),
+        ("s6", {"b": Fraction(1, 2), "c": 1}),
         ("p1xs6", {"a": 1})])
-    def test_pinned_scan_agrees_with_builds(self, family, fixed):
-        # with every parameter pinned both integral routes still run over Q[]
-        fam = FAMILIES[family]
-        report = zero_locus_scan(family, Fraction(1, 4), fixed=fixed)
+    def test_pinned_scan_agrees_with_builds(self, monkeypatch, family, fixed):
+        # a family pinning more of its parameters than it ships with
+        fam = install_pinned(monkeypatch, family, fixed)
+        report = zero_locus_scan(family, Fraction(1, 4))
         assert report.points
+        assert all(set(dict(pt.values)) == set(fam.scan_upper) for pt in report.points)
         for pt in report.points:
-            params = {**fam.fixed_for_scan, **fixed, **dict(pt.values)}
+            params = {**fam.fixed_for_scan, **dict(pt.values)}
             assert pt.zero == futaki_vector(fam.build(**params)).is_zero(), params
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family_scan_data(self, family):
+        # a scan sweeps at least one parameter and has an upper bound for
+        # each parameter it sweeps and for no other
+        fam = FAMILIES[family]
+        assert set(fam.fixed_for_scan) <= set(fam.param_names)
+        scanned = set(fam.param_names) - set(fam.fixed_for_scan)
+        assert scanned and set(fam.scan_upper) == scanned
+
+
+def install_pinned(monkeypatch, family, fixed):
+    """Install, under its own name, a copy of ``family`` whose scans also
+    pin ``fixed``; returns the copy."""
+    from futakizero.toric import ToricFamily
+    fam = FAMILIES[family]
+    pins = {**fam.fixed_for_scan, **{n: Fraction(v) for n, v in fixed.items()}}
+    upper = {n: u for n, u in fam.scan_upper.items() if n not in pins}
+    copy = ToricFamily(family, fam.param_names, fam.rows, upper, pins)
+    monkeypatch.setitem(FAMILIES, family, copy)
+    return copy
+
+
+def scan_offsets(fam):
+    """The facet offsets of ``fam`` as PPoly in its scanned parameters, the
+    pinned ones substituted, as ``zero_locus_scan`` builds them."""
+    from futakizero.parampoly import PPoly
+    pinned = fam.fixed_for_scan
+    names = tuple(n for n in fam.param_names if n not in pinned)
+    symbols = {n: pinned[n] if n in pinned else PPoly.var(names, n) for n in fam.param_names}
+    return [PPoly.zero(names) + c for c in fam.offsets(symbols)]
 
 
 class TestPackageImport:
@@ -977,11 +1003,11 @@ class TestIntegerKernelOracle:
 # oracle: the per-point scan, a numeric Futaki vector at every in-region point
 # ---------------------------------------------------------------------------
 
-def oracle_scan(family, step, loci=(), fixed=None):
+def oracle_scan(family, step, loci=()):
     """ScanReport of zero_locus_scan computed point by point."""
     from futakizero.cells import LocusFit, ScanPoint, ScanReport
     fam = FAMILIES[family]
-    pinned = dict(fam.fixed_for_scan, **{k: Fraction(v) for k, v in (fixed or {}).items()})
+    pinned = fam.fixed_for_scan
     names = [n for n in fam.param_names if n not in pinned]
     grids = [[k * step for k in range(1, int(fam.scan_upper[n] / step) + 2)
               if k * step < fam.scan_upper[n]] for n in names]
@@ -1120,17 +1146,22 @@ class TestCellScanOracle:
         # a step whose numerator is not 1: grid numerators 3, 6, 9, ...
         ("s6", Fraction(3, 8), None),
         ("bl2lines-p3", Fraction(3, 8), None),
-        # every parameter pinned: a grid of no coordinates, one point
-        ("s6", Fraction(1, 4), {"a": 1, "b": Fraction(1, 2), "c": 1}),
-        ("p1xs6", Fraction(1, 4), {"a": 1, "b": 1, "c": 1}),
+        # one grid value per coordinate: a grid of one point
+        ("p1xp1", Fraction(3, 2), None),
+        ("p1xp2", Fraction(3, 2), None),
         # one scanned coordinate: the grid is one line
         ("p1", Fraction(1, 8), None),
         ("p2", Fraction(1, 8), None),
+        # (None: the family as shipped; else pins added to its fixed_for_scan)
         ("p1xs6", Fraction(1, 8), {"a": 1, "b": 1})])
-    def test_line_sweep_edges(self, family, step, fixed):
+    def test_line_sweep_edges(self, monkeypatch, family, step, fixed):
+        if fixed:
+            install_pinned(monkeypatch, family, fixed)
         loci = SCAN_LOCI.get(family, ())
-        report = zero_locus_scan(family, step, loci=loci, fixed=fixed)
-        assert report == oracle_scan(family, step, loci, fixed)
+        report = zero_locus_scan(family, step, loci=loci)
+        assert report == oracle_scan(family, step, loci)
+        if family in ("p1xp1", "p1xp2"):
+            assert len(report.points) == 1
 
     def test_lines_cross_several_chambers_and_a_slice(self, monkeypatch):
         from futakizero.cells import _tight_sets
@@ -1152,8 +1183,8 @@ class TestCellScanOracle:
         real = cell_engine.cell_vertices
         cells = []
 
-        def recording(fam, polytope, tight, params, scan_names):
-            solved = real(fam, polytope, tight, params, scan_names)
+        def recording(polytope, tight, offsets):
+            solved = real(polytope, tight, offsets)
             cells.append((tight, solved))
             return solved
 
@@ -1225,7 +1256,7 @@ class TestCellNumerators:
         params = {n: Fraction(v) for n, v in params.items()}
         polytope = fam.build(**params)
         names = [n for n in fam.param_names if n not in fam.fixed_for_scan]
-        solved = cell_vertices(fam, polytope, _tight_sets(polytope), params, names)
+        solved = cell_vertices(polytope, _tight_sets(polytope), scan_offsets(fam))
         return numerators(fam, polytope, solved, {n: params[n] for n in names})
 
     def test_hexagon_numerators_vanish_on_anticanonical_degree(self):
@@ -1262,7 +1293,7 @@ class TestChambers:
         polytope = fam.build(**sample)
         tight = _tight_sets(polytope)
         key = frozenset(tight)
-        slacks = slack_forms(polytope, tight, cell_vertices(fam, polytope, tight, sample, names))
+        slacks = slack_forms(polytope, tight, cell_vertices(polytope, tight, scan_offsets(fam)))
         rng = random.Random(f"chamber-{family}")
 
         def random_value(n):
@@ -1330,7 +1361,7 @@ class TestEmptinessCertificates:
         fam = FAMILIES[family]
         pinned = dict(fam.fixed_for_scan)
         names = [n for n in fam.param_names if n not in pinned]
-        forms = region_forms(fam, pinned, names, step.denominator)
+        forms = region_forms(fam, scan_offsets(fam), step.denominator)
         combos = [()]
         for n in names:
             combos = [c + (k * step,) for c in combos

@@ -4,8 +4,10 @@ Line-oriented UTF-8: ``[case "ID"]`` headers, ``key = value`` pairs with
 repeated keys for lists (``center``, ``torus``, ``finite``, ...), polynomial
 values in the shared surface syntax, maps as ``map(expr, ...)`` listing the
 image of every coordinate in ambient order with an explicit
-``factors = (permutation)`` clause.  ``param a excludes -1, 1`` declares a
-parameter.  The shipped catalog is stored canonically, so print(load(path))
+``factors = (permutation)`` clause; an abstract record's ``adjoint = name :
+matrix(rows) : classes (permutation)`` gives a symmetry's action on the torus
+and on the ``h11`` labels in the same notation.  ``param a excludes -1, 1``
+declares a parameter.  The shipped catalog is stored canonically, so print(load(path))
 round-trips byte for byte.
 
 A malformed catalog raises CatalogError, ``line N: record ID: message``
@@ -90,14 +92,12 @@ class ProductFactorSpec:
 class CaseRecord:
     __slots__ = ("id", "kind", "theorem", "expected", "aut", "provenance", "ambient",
                  "params", "variety", "centers", "torus", "finite", "semisimple",
-                 "h11_labels", "anticanonical", "torus_rank", "adjoints", "fixed_dim",
-                 "anticanonical_in_fixed", "product_factors", "loci", "toric_family",
-                 "expected_adjoint", "expected_toric", "_invariances")
+                 "h11_labels", "anticanonical", "adjoints", "product_factors", "loci",
+                 "toric_family", "expected_adjoint", "expected_toric", "_invariances")
 
     def __init__(self, id, kind, theorem, expected, aut="", provenance=(),
                  ambient=None, params=None, variety=(), centers=(), torus=(), finite=(),
-                 semisimple="", h11_labels=(), anticanonical=None, torus_rank=None,
-                 adjoints=(), fixed_dim=None, anticanonical_in_fixed=None,
+                 semisimple="", h11_labels=(), anticanonical=None, adjoints=(),
                  product_factors=(), loci=(), toric_family="", expected_adjoint="",
                  expected_toric=""):
         self.id = id
@@ -115,10 +115,7 @@ class CaseRecord:
         self.semisimple = semisimple
         self.h11_labels = h11_labels
         self.anticanonical = anticanonical
-        self.torus_rank = torus_rank    # abstract records
-        self.adjoints = adjoints        # (name, rows)
-        self.fixed_dim = fixed_dim
-        self.anticanonical_in_fixed = anticanonical_in_fixed
+        self.adjoints = adjoints        # abstract records: (name, rows, class images)
         self.product_factors = product_factors
         self.loci = loci
         self.toric_family = toric_family
@@ -351,11 +348,7 @@ def _build_record(case_id, header_line, entries):
     h11 = one("h11", lambda v: tuple(x.strip() for x in v.split(",")), default=())
     anticanonical = one("anticanonical", _convert, lambda v: tuple(
         Fraction(x.strip()) for x in v.split(",")), "anticanonical value", default=None)
-
-    torus_rank = one("torus_rank", _convert, int, "torus_rank value", default=None)
     adjoints = each("adjoint", _parse_adjoint)
-    fixed_dim = one("fixed_dim", _positive, "fixed_dim value", default=None)
-    aif = one("anticanonical_in_fixed", _parse_bool, default=None)
 
     factors = each("factor", _parse_factor)
     loci = tuple(v for v, _ in all_of("locus"))
@@ -371,16 +364,13 @@ def _build_record(case_id, header_line, entries):
         provenance=provenance, ambient=ambient, params=params,
         variety=variety, centers=centers, torus=torus, finite=finite,
         semisimple=semisimple, h11_labels=h11, anticanonical=anticanonical,
-        torus_rank=torus_rank, adjoints=adjoints, fixed_dim=fixed_dim,
-        anticanonical_in_fixed=aif, product_factors=factors, loci=loci,
-        toric_family=toric_family, expected_adjoint=expected_adjoint,
-        expected_toric=expected_toric)
+        adjoints=adjoints, product_factors=factors, loci=loci, toric_family=toric_family,
+        expected_adjoint=expected_adjoint, expected_toric=expected_toric)
 
 
 _KEYS = {"kind", "theorem", "expected", "aut", "note", "provenance", "ambient", "param",
          "variety", "center", "torus", "finite", "semisimple", "h11", "anticanonical",
-         "torus_rank", "adjoint", "fixed_dim", "anticanonical_in_fixed", "factor", "locus",
-         "toric_family", "expected_adjoint", "expected_toric"}
+         "adjoint", "factor", "locus", "toric_family", "expected_adjoint", "expected_toric"}
 
 
 def _convert(text, convert, what):
@@ -555,10 +545,7 @@ def _parse_finite(value, ambient, params):
     if not parts[1].startswith("order "):
         raise CatalogError("expected order clause")
     order = _convert(parts[1][len("order "):], int, "finite order")
-    if not (parts[2].startswith("factors = (") and parts[2].endswith(")")):
-        raise CatalogError("expected factors = (...) clause")
-    declared = tuple(_convert(x, int, "factors entry")
-                     for x in parts[2][len("factors = ("):-1].split())
+    declared = _images(parts[2], "factors =", "factors entry")
     body, rest = _take_call(parts[3], "map")
     if body is None or rest:
         raise CatalogError("expected map(...) clause")
@@ -570,17 +557,31 @@ def _parse_finite(value, ambient, params):
     return (name, order, tau)
 
 
+def _images(clause, head, what):
+    """The 1-based images of a ``head (i j ...)`` clause, such as
+    ``factors = (2 1)``."""
+    if not (clause.startswith(head + " (") and clause.endswith(")")):
+        raise CatalogError(f"expected {head} (...) clause")
+    return tuple(_convert(x, int, what) for x in clause[len(head) + 2:-1].split())
+
+
 def _parse_adjoint(value):
-    name, _, rest = value.partition(" : ")
-    body, tail = _take_call(rest.strip(), "matrix")
+    """(name, rows, class images) of ``name : matrix(rows) : classes (...)``:
+    the action on the torus, and the 0-based image of each h11 label."""
+    parts = [p.strip() for p in value.split(" : ")]
+    body, tail = _take_call(parts[1], "matrix") if len(parts) == 3 else (None, "")
     if body is None or tail:
-        raise CatalogError("adjoint must be name : matrix(...)")
+        raise CatalogError("adjoint must be name : matrix(...) : classes (...)")
+    name = parts[0]
     rows = [r.strip() for r in body.split(";")]
     entries = tuple(tuple(_convert(x, Fraction, "matrix entry") for x in row.split())
                     for row in rows)
     if any(len(row) != len(entries[0]) for row in entries):
-        raise CatalogError(f"adjoint {name.strip()}: ragged rows")
-    return (name.strip(), entries)
+        raise CatalogError(f"adjoint {name}: ragged rows")
+    classes = _images(parts[2], "classes", "classes entry")
+    if sorted(classes) != list(range(1, len(classes) + 1)):
+        raise CatalogError(f"adjoint {name}: classes {classes} is not a permutation")
+    return (name, entries, tuple(c - 1 for c in classes))
 
 
 def _parse_factor(value):
@@ -661,9 +662,9 @@ def validate_case(record):
             findings.append(
                 f"h11 label count {len(record.h11_labels)} != factors+centers "
                 f"{expected_labels}")
-        if record.anticanonical is not None and \
-                len(record.anticanonical) != len(record.h11_labels):
-            findings.append("anticanonical vector length mismatch")
+    if record.anticanonical is not None and \
+            len(record.anticanonical) != len(record.h11_labels):
+        findings.append("anticanonical vector length mismatch")
     if (record.expected == ("see_toric",)) != (record.kind == "toric-crosscheck"):
         findings.append("expected = see_toric exactly when kind = toric-crosscheck")
     if (record.family in EXCEPTION_FAMILIES) != (record.theorem == 2):
@@ -717,16 +718,16 @@ def _validate_polynomialish(record):
 
 
 def _validate_abstract(record):
+    if not (record.h11_labels and record.anticanonical is not None and record.adjoints):
+        return ["abstract record needs h11, anticanonical and an adjoint"]
     findings = []
-    if record.torus_rank is None or record.fixed_dim is None:
-        findings.append("abstract record needs torus_rank and fixed_dim")
-        return findings
-    for name, m in record.adjoints:
-        if len(m) != record.torus_rank or len(m[0]) != record.torus_rank:
-            findings.append(f"adjoint {name} is not {record.torus_rank}x"
-                            f"{record.torus_rank}")
-    if record.h11_labels and record.fixed_dim > len(record.h11_labels):
-        findings.append("fixed_dim exceeds the class-lattice rank")
+    rank = len(record.adjoints[0][1])
+    for name, m, classes in record.adjoints:
+        if len(m) != rank or len(m[0]) != rank:
+            findings.append(f"adjoint {name} is not {rank}x{rank}")
+        if len(classes) != len(record.h11_labels):
+            findings.append(f"adjoint {name}: classes of {len(classes)} labels for "
+                            f"{len(record.h11_labels)} h11 labels")
     if not record.provenance:
         findings.append("abstract record without provenance notes")
     return findings
@@ -772,8 +773,6 @@ def _validate_picard_rank(record):
     findings = []
     if record.expected[0] == "subcone" and record.expected[1] >= rho:
         findings.append(f"subcone({record.expected[1]}) is not below the Picard rank {rho}")
-    if record.fixed_dim is not None and record.fixed_dim > rho:
-        findings.append(f"fixed_dim {record.fixed_dim} exceeds the Picard rank {rho}")
     if record.h11_labels and len(record.h11_labels) != rho:
         findings.append(f"{len(record.h11_labels)} h11 labels for the Picard rank {rho}")
     if record.toric_family:

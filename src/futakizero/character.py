@@ -10,11 +10,14 @@ Semisimple summands contribute no unknowns (a character kills the derived
 ideal).
 
 ``evaluate_record`` gives a catalog record its verdict by kind (symmetry
-analysis, recorded adjoints, a semisimple algebra, a product of factors with
-toric scans, or symmetry analysis audited by a toric scan) and checks it
-against the record's expected verdict.  A record with a toric family also
-needs a zero Futaki vector at the family's anticanonical parameters, which
-``ToricFamily.anticanonical`` derives from the fan.
+analysis, recorded adjoint and class actions, a semisimple algebra, a product
+of factors with toric scans, or symmetry analysis audited by a toric scan) and
+checks it against the record's expected verdict.  Both the symmetry analysis
+and an abstract record's recorded actions reach ``vanishing_verdict``, which
+computes the fixed-class dimension and the anticanonical membership.  A record
+with a toric family also needs a zero Futaki vector at the family's
+anticanonical parameters, which ``ToricFamily.anticanonical`` derives from the
+fan.
 
 ``symmetry`` and ``toric`` load in the functions that use them, so a
 semisimple or abstract record compiles neither.
@@ -38,11 +41,12 @@ class SymmetryConstraint:
     def __init__(self, name, adjoint, h11_matrix):
         self.name = name
         self.adjoint = adjoint          # rows, AdjointUnsolvable, or None (rank 0)
-        self.h11_matrix = h11_matrix    # permutation rows or None (abstract records)
+        self.h11_matrix = h11_matrix    # permutation rows
 
     def usable(self):
-        from .symmetry import AdjointUnsolvable
-        return not isinstance(self.adjoint, AdjointUnsolvable)
+        """Whether the adjoint was solved: rows (a tuple) or rank 0 (None),
+        not an AdjointUnsolvable."""
+        return self.adjoint is None or isinstance(self.adjoint, tuple)
 
 
 class ConstraintSystem:
@@ -53,7 +57,7 @@ class ConstraintSystem:
             if c.adjoint is not None and c.usable() and (len(c.adjoint) != torus_rank or any(
                     len(row) != torus_rank for row in c.adjoint)):
                 raise CharacterError(f"adjoint matrix of {c.name} has the wrong size")
-            if c.h11_matrix is not None and not _is_permutation(c.h11_matrix):
+            if not _is_permutation(c.h11_matrix):
                 raise CharacterError(f"H11 action of {c.name} is not a permutation matrix")
         self.torus_rank = torus_rank
         self.picard_rank = picard_rank  # one hyperplane class per factor, one per center
@@ -65,21 +69,21 @@ def _is_permutation(rows):
     return all(sorted(line) == unit for line in (*rows, *zip(*rows)))
 
 
+def _permutation_matrix(images):
+    """Rows of the matrix sending basis vector g to basis vector images[g]."""
+    return tuple(tuple(int(image == r) for image in images) for r in range(len(images)))
+
+
 def h11_action(tau, centers, stages=None):
-    """Permutation matrix (rows) of tau^* on the H11 basis, plus the center
-    permutation; raises CenterMatchError if the centers are not permuted."""
+    """Permutation matrix (rows) of tau^* on the H11 basis; raises
+    CenterMatchError if the centers are not permuted."""
     from .symmetry import match_centers
     rho = match_centers([c for c in centers], tau, stages)
     nf = tau.ambient.nfactors
-    nc = len(centers)
-    size = nf + nc
-    entries = [[0] * size for _ in range(size)]
-    delta = tau.factor_map
-    for g in range(nf):
-        entries[delta[g]][g] = 1      # tau^* h_g = h_{delta(g)}
-    for i in range(nc):
-        entries[nf + i][nf + rho[i]] = 1   # tau^* E_{rho(i)} = E_i
-    return tuple(map(tuple, entries)), rho
+    images = list(tau.factor_map) + [None] * len(centers)   # tau^* h_g = h_{delta(g)}
+    for i, j in enumerate(rho):
+        images[nf + j] = nf + i                              # tau^* E_{rho(i)} = E_i
+    return _permutation_matrix(images)
 
 
 class FixedFamily:
@@ -170,10 +174,8 @@ def _kernel_trivial(chosen, rank):
 
 
 def _fixed_classes(chosen, picard):
-    with_action = [c for c in chosen if c.h11_matrix is not None]
-    if not with_action:
-        return [tuple(Fraction(int(i == j)) for j in range(picard)) for i in range(picard)]
-    return kernel_basis([row for c in with_action for row in minus_identity(c.h11_matrix)])
+    rows = [row for c in chosen for row in minus_identity(c.h11_matrix)]
+    return kernel_basis(rows or [(0,) * picard])
 
 
 def _dedupe_families(families):
@@ -189,24 +191,8 @@ def _dedupe_families(families):
 
 
 # ---------------------------------------------------------------------------
-# abstract records and products
+# products
 # ---------------------------------------------------------------------------
-
-def abstract_verdict(adjoints, fixed_dim, picard_rank, anticanonical_in_fixed):
-    """Kernel step only; the fixed-class data is transcribed record data."""
-    if not adjoints:
-        return Verdict("inconclusive", diagnostics=("no adjoint data",))
-    if kernel_basis([row for _, m in adjoints for row in minus_identity(zip(*m))]):
-        return Verdict("inconclusive",
-                       diagnostics=("recorded adjoints leave a character direction free",))
-    names = tuple(n for n, _ in adjoints)
-    if fixed_dim == picard_rank:
-        return full_cone(names)
-    family = FixedFamily(dim=fixed_dim, basis=(), subset=names,
-                         description="fixed-class dimension transcribed, not recomputed")
-    return Verdict("subcone", fixed_dim=fixed_dim, families=(family,),
-                   certificate=names, anticanonical_in_fixed=anticanonical_in_fixed)
-
 
 def product_verdict(factors):
     """Vanishing locus of a product = product of the factor loci inside the
@@ -267,9 +253,8 @@ def analyze_polynomial_case(record):
         notes = []
         if inv is not None and not inv.invariant:
             notes.append(f"variety check inconclusive: {inv.describe()}")
-        h11_matrix = None
         try:
-            h11_matrix, _ = h11_action(tau, presentations, stages)
+            h11_matrix = h11_action(tau, presentations, stages)
         except CenterMatchError as exc:
             notes.append(f"center matching failed at index {exc.index}")
         adjoint = adjoint_matrix(tau, list(record.torus)) if record.torus else None
@@ -313,10 +298,11 @@ def evaluate_record(record):
     if record.kind == "polynomial":
         verdict = analyze_polynomial_case(record).verdict
     elif record.kind == "abstract":
-        verdict = abstract_verdict(
-            record.adjoints, record.fixed_dim,
-            len(record.h11_labels) if record.h11_labels else record.fixed_dim + 1,
-            record.anticanonical_in_fixed)
+        system = ConstraintSystem(
+            torus_rank=len(record.adjoints[0][1]), picard_rank=len(record.h11_labels),
+            constraints=tuple(SymmetryConstraint(name, rows, _permutation_matrix(classes))
+                              for name, rows, classes in record.adjoints))
+        verdict = vanishing_verdict(system, anticanonical=record.anticanonical)
     else:   # the kind left: a semisimple symmetry algebra, which every character kills
         verdict = full_cone(("semisimple",))
     return CaseResult(record, verdict, _plain_consistent(record, verdict))

@@ -547,7 +547,9 @@ def _parameter(name, value, kind="parameter"):
 class ToricFamily:
     """Moment polytopes declared as data: one row (primitive integer outer
     normal, offset affine in the parameters) per facet.  The normals are
-    checked here, once, so that ``build`` does not check them again.
+    checked here, once, so that ``build`` does not check them again, and so
+    is the scan data: ``fixed_for_scan`` pins parameters, ``scan_upper``
+    bounds each other one above 0, and a family with parameters scans one.
 
     ``build`` sums each offset on integers: with D the lcm of the parameter
     denominators, D * offset is an integer, made a Fraction once per facet."""
@@ -561,6 +563,14 @@ class ToricFamily:
         for normal, (const, terms) in rows:
             checked.append((Halfspace(normal, const).normal, (const, terms)))
         self.rows = tuple(checked)
+        unknown = sorted(set(fixed_for_scan) - set(param_names))
+        if unknown:
+            raise ToricError(f"{name}: pinned {unknown} are not parameters")
+        scanned = [n for n in param_names if n not in fixed_for_scan]
+        if (param_names and not scanned) or set(scan_upper) != set(scanned) \
+                or any(u <= 0 for u in scan_upper.values()):
+            raise ToricError(f"{name}: scan bounds for {sorted(scan_upper)}, not positive "
+                             f"ones for each unpinned parameter of {scanned}")
         self.scan_upper = scan_upper  # exclusive upper grid bound per scanned parameter
         self.fixed_for_scan = fixed_for_scan  # parameters pinned during scans
 

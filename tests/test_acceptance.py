@@ -13,7 +13,7 @@ import pytest
 
 from conftest import product_polytope, scaled, translated, unimodular_image
 from futakizero.catalog import EXCEPTION_FAMILIES, load_catalog, validate_catalog
-from futakizero.character import analyze_polynomial_case
+from futakizero.character import analyze_polynomial_case, evaluate_record
 from futakizero.cli import main
 from futakizero.ratlinalg import in_column_span
 from futakizero.symmetry import AdjointUnsolvable, adjoint_matrix
@@ -55,8 +55,9 @@ def test_criterion_2_theorem_two_reproduction(catalog):
     for record in catalog.records:
         if record.family not in EXCEPTION_FAMILIES:
             continue
-        if record.kind == "polynomial":
-            verdict = analyze_polynomial_case(record).verdict
+        if record.kind in ("polynomial", "abstract"):
+            # the abstract records' class actions reach the same verdict code
+            verdict = evaluate_record(record).verdict
             assert verdict.tag == "subcone", record.id
             assert verdict.fixed_dim >= 2, record.id
             assert verdict.anticanonical_in_fixed is True, record.id
@@ -68,13 +69,8 @@ def test_criterion_2_theorem_two_reproduction(catalog):
                 assert len(verdict.families) == 2
                 assert {f.dim for f in verdict.families} == {2}
                 assert len({f.basis for f in verdict.families}) == 2
-            if record.id in ("4.4",):
+            if record.id in ("4.2", "4.4"):
                 assert verdict.fixed_dim >= 3
-        elif record.kind == "abstract":
-            assert record.fixed_dim >= 2, record.id
-            assert record.anticanonical_in_fixed is True, record.id
-            if record.id == "4.2":
-                assert record.fixed_dim >= 3
         elif record.kind == "product":
             code, out = run_cli(["verify", record.id])
             assert code == 0, out

@@ -92,6 +92,23 @@ class TestValidate:
         findings = validate_case(broken)
         assert any("order" in f for f in findings)
 
+    @pytest.mark.parametrize("old,new,findings", [
+        ("h11 = c1, S, S'\n", "",
+         ["abstract record needs h11, anticanonical and an adjoint",
+          "anticanonical vector length mismatch"]),
+        ("matrix(-1) : classes (1 3 2)", "matrix(-1 0) : classes (1 3 2)",
+         ["adjoint tau is not 1x1"]),
+        ("classes (1 3 2)\n", "classes (1 3 2)\nadjoint = sigma : matrix(1 0; 0 1) : "
+         "classes (1 2 3)\n", ["adjoint sigma is not 1x1"]),
+        ("anticanonical = 1, 0, 0", "anticanonical = 1, 0",
+         ["anticanonical vector length mismatch"])],
+        ids=["no-h11", "not-square", "two-sizes", "anticanonical-length"])
+    def test_abstract_record_findings(self, old, new, findings):
+        text = default_catalog_text()
+        assert text.count(old) == 1
+        (broken,) = load_catalog(text=text.replace(old, new), case="3.9").records
+        assert validate_case(broken) == findings
+
     def test_loci_checked_on_every_scanned_family(self):
         text = default_catalog_text()
         bad_locus = text.replace("locus = a = b = c\n", "locus = a = b = t\n", 1)

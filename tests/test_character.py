@@ -6,14 +6,14 @@ import pytest
 from futakizero.catalog import ProductFactorSpec, load_catalog
 from futakizero.character import (CharacterError, ConstraintSystem,
                                   SymmetryConstraint, _fixed_classes,
-                                  analyze_polynomial_case, abstract_verdict,
-                                  evaluate_record, h11_action, product_verdict,
-                                  vanishing_verdict, verdict_line)
+                                  analyze_polynomial_case, evaluate_record, h11_action,
+                                  product_verdict, vanishing_verdict, verdict_line)
 from futakizero.polyring import AmbientSpace, ParamField, parse_poly
 from futakizero.ratlinalg import in_column_span, kernel_basis, minus_identity
 from futakizero import symmetry
 from futakizero.symmetry import (AdjointUnsolvable, MonomialAutomorphism,
-                                 SubvarietyPresentation, TorusGenerator, adjoint_matrix)
+                                 SubvarietyPresentation, TorusGenerator, adjoint_matrix,
+                                 match_centers)
 
 from conftest import identity
 
@@ -60,7 +60,7 @@ def replay_certificate(record, certificate):
         if record.variety and not symmetry.check_variety_invariant(record.variety,
                                                                    tau).invariant:
             return "inconclusive"
-        h11_matrix, _ = h11_action(tau, presentations, stages)
+        h11_matrix = h11_action(tau, presentations, stages)
         adjoint = adjoint_matrix(tau, list(record.torus)) if record.torus else None
         if isinstance(adjoint, AdjointUnsolvable):
             return "inconclusive"
@@ -92,16 +92,16 @@ class TestH11Action:
                                            parse_poly("y", P2xP2)))
         c2 = SubvarietyPresentation(ideal=(parse_poly("u", P2xP2),
                                            parse_poly("v", P2xP2)))
-        matrix, rho = h11_action(swap, [c1, c2])
-        assert rho == (1, 0)
+        matrix = h11_action(swap, [c1, c2])
+        assert match_centers([c1, c2], swap) == (1, 0)
         # h1 <-> h2 and E1 <-> E2: fixed subspace has dimension 2
         assert len(kernel_basis(minus_identity(matrix))) == 2
 
     def test_identity_symmetry(self):
         ident = MonomialAutomorphism.from_images(list(P2xP2.coords), P2xP2, PF)
-        matrix, rho = h11_action(ident, [])
+        matrix = h11_action(ident, [])
         assert matrix == identity(2)
-        assert rho == ()
+        assert match_centers([], ident) == ()
 
     def test_point_swap_fixes_hyperplane(self):
         amb = AmbientSpace.product(("x0", "x1", "x2", "x3", "x4"))
@@ -111,8 +111,8 @@ class TestH11Action:
             parse_poly(t, amb) for t in ("x0", "x1", "x2", "x4")))
         p2 = SubvarietyPresentation(ideal=tuple(
             parse_poly(t, amb) for t in ("x0", "x1", "x2", "x3")))
-        matrix, rho = h11_action(tau, [p1, p2])
-        assert rho == (1, 0)
+        matrix = h11_action(tau, [p1, p2])
+        assert match_centers([p1, p2], tau) == (1, 0)
         basis = kernel_basis(minus_identity(matrix))
         assert len(basis) == 2
         assert (1, 0, 0) in basis            # the hyperplane class is fixed
@@ -159,17 +159,23 @@ class TestVanishingVerdict:
                                  "tau", ((-1,),), bad),))
 
 
+def abstract_record(adjoint="matrix(-1) : classes (1 3 2)", anticanonical="1, 0, 0"):
+    return load_catalog(text=(
+        'version = 1\n[case "3.9"]\nkind = abstract\ntheorem = 2\nexpected = subcone(2)\n'
+        f"h11 = c1, S, S'\nanticanonical = {anticanonical}\nadjoint = tau : {adjoint}\n"
+        "provenance = class action\n")).records[0]
+
+
 class TestAbstractVerdict:
-    def test_kernel_step_with_recorded_dimension(self):
-        verdict = abstract_verdict(
-            (("tau", ((-1,),)),), 2, 3, True)
+    def test_kernel_step_with_computed_dimension(self):
+        verdict = evaluate_record(abstract_record()).verdict
         assert verdict.tag == "subcone"
         assert verdict.fixed_dim == 2
         assert verdict.anticanonical_in_fixed is True
+        assert verdict.families[0].basis == ((1, 0, 0), (0, 1, 1))
 
     def test_trivial_adjoint_is_inconclusive(self):
-        verdict = abstract_verdict(
-            (("tau", identity(1)),), 2, 3, True)
+        verdict = evaluate_record(abstract_record("matrix(1) : classes (1 3 2)")).verdict
         assert verdict.tag == "inconclusive"
 
 

@@ -79,7 +79,7 @@ class TestVerify:
         polyring._equations.cache_clear()
         assert main(["verify", "--all"], out=io.StringIO()) == 0
         counts["equations"] = polyring._equations.cache_info().misses
-        assert counts == {"rref": 192, "in_span": 81, "build": 6, "triangulation": 8,
+        assert counts == {"rref": 196, "in_span": 81, "build": 6, "triangulation": 8,
                           "equations": 5}
 
     @pytest.mark.parametrize("argv,built", [
@@ -136,6 +136,25 @@ class TestVerify:
         code, out = run_cli(["--catalog", str(path), "verify", "3.19"])
         assert code == 1
         assert "MISMATCH" in out
+
+    @pytest.mark.parametrize("case_id,old,new,mismatch", [
+        # the identity class action fixes every class
+        ("4.2", "classes (1 2 4 3)", "classes (1 2 3 4)",
+         "expected=subcone(3) computed=full_cone"),
+        # -K leaves the computed family span{c1, S + S'}
+        ("3.9", "anticanonical = 1, 0, 0", "anticanonical = 0, 1, 0",
+         "expected=subcone(2) computed=subcone(2)")],
+        ids=["4.2-identity-classes", "3.9-anticanonical-outside"])
+    def test_abstract_record_verdict_is_computed(self, tmp_path, case_id, old, new,
+                                                  mismatch):
+        from futakizero.catalog import default_catalog_text
+        text = default_catalog_text()
+        assert text.count(old) == 1
+        path = tmp_path / "abstract.cat"
+        path.write_text(text.replace(old, new))
+        code, out = run_cli(["--catalog", str(path), "verify", case_id])
+        assert code == 1
+        assert f"MISMATCH case={case_id} {mismatch}\n" in out
 
     def test_internal_error_exits_four(self, monkeypatch, capsys):
         # exit 1 is left to verdict mismatches
@@ -558,9 +577,9 @@ class TestCatalogCommand:
         # MISMATCH case=3.9 expected=subcone(0) computed=subcone(2)
         ("3.9", "expected = subcone(2)", "expected = subcone(0)",
          "line {}: record 3.9: subcone dimension 0 is below 1"),
-        # MISMATCH ... computed=subcone(-1)
-        ("3.9", "fixed_dim = 2", "fixed_dim = -1",
-         "line {}: record 3.9: fixed_dim value -1 is below 1"),
+        # a class image listed twice
+        ("3.9", "classes (1 3 2)", "classes (1 1 2)",
+         "line {}: record 3.9: adjoint tau: classes (1, 1, 2) is not a permutation"),
         # MISMATCH ... computed=subcone(31), on a threefold of Picard rank 5
         ("5.3", "families 3, 2", "families 30, 2",
          "line {}: record 5.3: families entry 30 outside 1..3"),
@@ -568,14 +587,15 @@ class TestCatalogCommand:
         ("5.3", "rank 4", "rank -4", "line {}: record 5.3: factor rank -4 is below 1"),
         ("3.9", "expected = subcone(2)", "expected = subcone(3)",
          "3.9: subcone(3) is not below the Picard rank 3"),
-        ("3.9", "fixed_dim = 2", "fixed_dim = 4", "3.9: fixed_dim 4 exceeds the Picard rank 3"),
+        ("3.9", "classes (1 3 2)", "classes (1 3 2 4)",
+         "3.9: adjoint tau: classes of 4 labels for 3 h11 labels"),
         ("2.20", "h11 = h, E", "h11 = h", "2.20: 1 h11 labels for the Picard rank 2"),
         ("2.34", "toric_family = p1xp2", "toric_family = p1cubed",
          "2.34: toric family p1cubed has Picard rank 3, not 2"),
         ("5.3", "full_cone : rank 1", "full_cone : rank 2",
          "5.3: factor ranks sum to 6, not the Picard rank 5")],
-        ids=["subcone-0", "fixed_dim-negative", "families-above-rank", "rank-negative",
-             "subcone-at-rank", "fixed_dim-above-rank", "h11-labels", "toric-family-rank",
+        ids=["subcone-0", "classes-repeated", "families-above-rank", "rank-negative",
+             "subcone-at-rank", "classes-length", "h11-labels", "toric-family-rank",
              "factor-ranks"])
     def test_dimension_out_of_range_exits_two(self, tmp_path, capsys, case_id, old, new,
                                               message):
@@ -690,10 +710,8 @@ class TestCatalogCommand:
             assert f"{message}\n" in out + capsys.readouterr().err, argv
 
     @pytest.mark.parametrize("case_id,old,new,message", [
-        # a first, wrong fixed_dim used to win silently: verify exited 1 with
-        # MISMATCH case=3.9 expected=subcone(2) computed=subcone(9)
-        ("3.9", "fixed_dim = 2\n", "fixed_dim = 9\nfixed_dim = 2\n",
-         "repeated key 'fixed_dim'"),
+        ("3.9", "anticanonical = 1, 0, 0\n", "anticanonical = 0, 1, 0\nanticanonical = 1, 0, 0\n",
+         "repeated key 'anticanonical'"),
         ("2.21", "param = t excludes -1, 0, 1\n", "param = t\nparam = t excludes -1, 0, 1\n",
          "repeated parameter 't'"),
         ("2.34", "toric_family = p1xp2\n", "toric_family = p1xp2\ntoric_family = p1cubed\n",
@@ -708,7 +726,7 @@ class TestCatalogCommand:
          "'x*u^2 - x*u^2' is the zero polynomial"),
         ("3.8", "center = ideal(y, z)", "center = ideal(y, z, y - y)",
          "'y - y' is the zero polynomial")],
-        ids=["fixed_dim", "param", "toric_family", "finite", "zero-variety",
+        ids=["anticanonical", "param", "toric_family", "finite", "zero-variety",
              "zero-ideal"])
     @pytest.mark.parametrize("argv", [["catalog", "validate"], ["verify", "--all"]],
                              ids=["validate", "verify"])
@@ -729,8 +747,6 @@ class TestCatalogCommand:
 
     @pytest.mark.parametrize("line,key", [
         ("theorem =", "theorem"),
-        ("torus_rank = two", "torus_rank"),
-        ("fixed_dim = 1.5", "fixed_dim"),
         ("anticanonical = 1, 1/0", "anticanonical")])
     def test_bad_scalar_value_names_its_line(self, tmp_path, capsys, line, key):
         text = ('version = 1\n[case "9.1"]\nkind = semisimple_full\ntheorem = 1\n'
@@ -791,6 +807,7 @@ class TestStartup:
     @pytest.mark.parametrize("argv,modules", [
         (["verify", "6.1"], []),            # semisimple
         (["verify", "3.9"], []),            # abstract
+        (["verify", "4.2"], []),
         (["verify", "2.34"], ["toric"]),    # product: the anticanonical polytope only
         (["verify", "2.24"], ["polyring", "symmetry"]),     # no parameter
         (["verify", "3.13"], ["parampoly", "polyring", "symmetry"]),
@@ -804,13 +821,13 @@ class TestStartup:
         assert sorted(m.removeprefix("futakizero.") for m in self.run(argv)) == modules
 
     @pytest.mark.parametrize("argv,lines", [
-        (["verify", "6.1"], 1652),
-        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2310),
-        (["verify", "2.20"], 2702),
-        (["verify", "3.13"], 3221),
-        (["toric", "scan", "--family", "s6"], 3786),
-        (["catalog", "validate"], 3879),
-        (["verify", "--all"], 4313),
+        (["verify", "6.1"], 1637),
+        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2305),
+        (["verify", "2.20"], 2687),
+        (["verify", "3.13"], 3206),
+        (["toric", "scan", "--family", "s6"], 3781),
+        (["catalog", "validate"], 3874),
+        (["verify", "--all"], 4308),
     ], ids=["verify-6.1", "toric-futaki", "verify-2.20", "verify-3.13", "toric-scan",
             "catalog-validate", "verify-all"])
     def test_source_lines_each_command_compiles(self, argv, lines):

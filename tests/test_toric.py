@@ -608,6 +608,23 @@ class TestScan:
         scanned = set(fam.param_names) - set(fam.fixed_for_scan)
         assert scanned and set(fam.scan_upper) == scanned
 
+    @pytest.mark.parametrize("upper, fixed, message", [
+        ({}, {"a": Fraction(1)}, r"scan bounds for \[\], not positive ones for each "
+                                 r"unpinned parameter of \[\]"),
+        ({}, {}, r"scan bounds for \[\], not positive ones for each unpinned "
+                 r"parameter of \['a'\]"),
+        ({"a": Fraction(0)}, {}, "not positive ones"),
+        ({"a": Fraction(3), "b": Fraction(3)}, {}, r"scan bounds for \['a', 'b'\]"),
+        ({"a": Fraction(3)}, {"b": Fraction(1)}, r"^p1: pinned \['b'\] are not parameters$"),
+    ], ids=["all-pinned", "unbounded", "zero-bound", "extra-bound", "unknown-pin"])
+    def test_bad_scan_data_is_rejected_at_construction(self, upper, fixed, message):
+        # the first two once built and then failed inside zero_locus_scan,
+        # with a ValueError and a KeyError
+        from futakizero.toric import ToricFamily
+        fam = FAMILIES["p1"]
+        with pytest.raises(ToricError, match=message):
+            ToricFamily("p1", fam.param_names, fam.rows, upper, fixed)
+
 
 def install_pinned(monkeypatch, family, fixed):
     """Install, under its own name, a copy of ``family`` whose scans also

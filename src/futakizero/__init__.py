@@ -9,7 +9,7 @@ __version__ = "1.0.0"
 # use, so that a caller of the toric engine alone does not load the others.
 _EXPORTS = {
     "Verdict": "character", "vanishing_verdict": "character",
-    "product_verdict": "character",
+    "product_verdict": "products",
     "load_catalog": "catalog", "validate_case": "catalog", "validate_catalog": "catalog",
     "AmbientSpace": "polyring", "MultiPoly": "polyring", "ParamField": "polyring",
     "parse_poly": "polyring",

@@ -19,12 +19,10 @@ rule, the theorem partition included, so ``verify``, ``report`` and
 ``load_catalog(case=...)`` checks the line structure of the whole file but
 builds only the records that a single-record command selects: no verdict of
 one record reads another, so the keys and values of the others go unparsed.
-``toric_loci`` builds none: after the same structure check it reads the
-candidate loci of a scan from the ``locus``, ``toric_family`` and ``factor``
-values alone.
 
-The engines load in the parsers and checks that use them, so a record
-without an ambient or a toric family compiles none.
+The engines, ``products`` and ``curves`` load in the parsers and checks that
+use them, so a record without an ambient, a toric family, a ``factor`` or a
+curve centre compiles none of them.
 """
 
 from __future__ import annotations
@@ -73,20 +71,6 @@ class Center:
     def __init__(self, stage, presentation):
         self.stage = stage
         self.presentation = presentation    # SubvarietyPresentation
-
-
-class ProductFactorSpec:
-    __slots__ = ("name", "verdict_tag", "rank", "family_dims", "toric_family",
-                 "anticanonical_in_families")
-
-    def __init__(self, name, verdict_tag, rank, family_dims=(), toric_family="",
-                 anticanonical_in_families=True):
-        self.name = name
-        self.verdict_tag = verdict_tag      # full_cone | families
-        self.rank = rank
-        self.family_dims = family_dims
-        self.toric_family = toric_family
-        self.anticanonical_in_families = anticanonical_in_families
 
 
 class CaseRecord:
@@ -184,30 +168,6 @@ def load_catalog(path=None, text=None, case=None):
                     for case_id, header_line, entries in raw_records
                     if case is None or case in (case_id, family_of(case_id)))
     return Catalog(records, tuple(segments))
-
-
-def toric_loci(toric_family, path=None):
-    """The candidate zero-locus equations of the first record that scans
-    this toric family, itself or as a product factor; () if none.
-
-    Read after the structure pass, which still checks every line, from the
-    ``locus``, ``toric_family`` and ``factor`` values alone: no record is
-    built, so a record broken elsewhere does not stop a scan.  A malformed
-    ``factor`` value of a record with loci does, as in ``load_catalog``."""
-    for case_id, _, entries in _structure(path, None)[0]:
-        loci = tuple(v for k, v, _ in entries if k == "locus")
-        if not loci:
-            continue
-        scanned = {v for k, v, _ in entries if k == "toric_family"}
-        for key, value, line in entries:
-            if key == "factor":
-                try:
-                    scanned.add(_parse_factor(value).toric_family)
-                except CatalogError as exc:
-                    raise CatalogError(f"record {case_id}: {exc}", line) from exc
-        if toric_family in scanned:
-            return loci
-    return ()
 
 
 def _structure(path, text):
@@ -350,7 +310,10 @@ def _build_record(case_id, header_line, entries):
         Fraction(x.strip()) for x in v.split(",")), "anticanonical value", default=None)
     adjoints = each("adjoint", _parse_adjoint)
 
-    factors = each("factor", _parse_factor)
+    factors = ()
+    if all_of("factor"):
+        from .products import _parse_factor
+        factors = each("factor", _parse_factor)
     loci = tuple(v for v, _ in all_of("locus"))
     audited = _REQUIRED if kind == "toric-crosscheck" else ""
     toric_family = one("toric_family", default=audited)
@@ -379,14 +342,6 @@ def _convert(text, convert, what):
         return convert(text)
     except (ValueError, ZeroDivisionError):
         raise CatalogError(f"bad {what} {text!r}") from None
-
-
-def _positive(text, what):
-    """``int(text)``, which must be at least 1: a dimension or a rank."""
-    n = _convert(text, int, what)
-    if n < 1:
-        raise CatalogError(f"{what} {n} is below 1")
-    return n
 
 
 def _parse_kind(value):
@@ -497,7 +452,7 @@ def _take_call(text, name):
 def _parse_center(value, ambient, params):
     if ambient is None:
         raise CatalogError("center without an ambient")
-    from .symmetry import ParamCurve, SubvarietyPresentation
+    from .symmetry import SubvarietyPresentation
     stage = 1
     rest = value.strip()
     if rest.startswith("stage "):
@@ -507,6 +462,7 @@ def _parse_center(value, ambient, params):
     curve = None
     ideal = ()
     if rest.startswith("curve("):
+        from .curves import ParamCurve
         body, rest = _take_call(rest, "curve")
         curve = ParamCurve.from_texts(_split_args(body), ambient, params)
         if rest.startswith("with "):
@@ -584,39 +540,6 @@ def _parse_adjoint(value):
     return (name, entries, tuple(c - 1 for c in classes))
 
 
-def _parse_factor(value):
-    parts = [p.strip() for p in value.split(" : ")]
-    if len(parts) < 3:
-        raise CatalogError("factor needs name : verdict : rank")
-    name = parts[0]
-    rank = None
-    toric = ""
-    dims = ()
-    anticanonical_in_families = True
-    tag = None
-    for part in parts[1:]:
-        if part == "full_cone":
-            tag = "full_cone"
-        elif part.startswith("families "):
-            tag = "families"
-            dims = tuple(_convert(x.strip(), int, "families entry")
-                         for x in part[len("families "):].split(","))
-        elif part.startswith("rank "):
-            rank = _positive(part[len("rank "):], "factor rank")
-        elif part.startswith("toric "):
-            toric = part[len("toric "):]
-        elif part.startswith("anticanonical_in_families "):
-            anticanonical_in_families = _parse_bool(part[len("anticanonical_in_families "):])
-        else:
-            raise CatalogError(f"bad factor clause {part!r}")
-    if tag is None or rank is None:
-        raise CatalogError("factor needs a verdict and a rank")
-    for dim in dims:
-        if not 0 < dim < rank:
-            raise CatalogError(f"families entry {dim} outside 1..{rank - 1}")
-    return ProductFactorSpec(name, tag, rank, dims, toric, anticanonical_in_families)
-
-
 def parse_assignments(text):
     """``{name: Fraction}`` of ``k=v, ...``, the ``--params`` of ``toric
     futaki``."""
@@ -632,14 +555,6 @@ def parse_assignments(text):
     return out
 
 
-def _parse_bool(value):
-    if value == "yes":
-        return True
-    if value == "no":
-        return False
-    raise CatalogError(f"expected yes/no, got {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -653,6 +568,7 @@ def validate_case(record):
     elif record.kind == "abstract":
         findings.extend(_validate_abstract(record))
     elif record.kind == "product":
+        from .products import _validate_product
         findings.extend(_validate_product(record))
     findings.extend(_validate_loci(record))
     findings.extend(_validate_picard_rank(record))
@@ -730,16 +646,6 @@ def _validate_abstract(record):
                             f"{len(record.h11_labels)} h11 labels")
     if not record.provenance:
         findings.append("abstract record without provenance notes")
-    return findings
-
-
-def _validate_product(record):
-    findings = []
-    if not record.product_factors:
-        findings.append("product record without factors")
-    for f in record.product_factors:
-        if f.verdict_tag == "families" and not f.family_dims:
-            findings.append(f"factor {f.name}: families verdict without dimensions")
     return findings
 
 

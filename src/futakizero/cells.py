@@ -115,9 +115,9 @@ def zero_locus_scan(family, step, loci=()):
     checked on integers) contains it.  Candidate locus equations (catalog
     data) become integer forms once, and the same sweep tests each in-region
     point on them; each locus is then fitted against the computed zero set.
-    A grid with no point in the region is a ToricError: it would confirm
-    nothing.  So is a grid of more than ``MAX_SCAN_POINTS`` points, before
-    any grid list is built.
+    A family without parameters, or a grid with no point in the region, is a
+    ToricError: it would confirm nothing.  So is a grid of more than
+    ``MAX_SCAN_POINTS`` points, before any grid list is built.
     """
     fam = toric.FAMILIES.get(family)
     if fam is None:
@@ -127,6 +127,8 @@ def zero_locus_scan(family, step, loci=()):
         raise toric.ToricError("grid step must be positive")
     pinned = fam.fixed_for_scan
     names = tuple(n for n in fam.param_names if n not in pinned)
+    if not names:
+        raise toric.ToricError(f"{family}: no parameters to scan")
     zero = PPoly.zero(names)
     # each parameter over Q[names], and the facet offsets at them, all PPoly
     symbols = {n: pinned[n] if n in pinned else PPoly.var(names, n) for n in fam.param_names}

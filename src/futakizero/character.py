@@ -19,16 +19,15 @@ with a toric family also needs a zero Futaki vector at the family's
 anticanonical parameters, which ``ToricFamily.anticanonical`` derives from the
 fan.
 
-``symmetry`` and ``toric`` load in the functions that use them, so a
-semisimple or abstract record compiles neither.
+``symmetry`` and ``ratlinalg`` load in the functions that use them, and
+``products`` in ``evaluate_record`` for a product or cross-check record, so a
+semisimple record compiles none of them and an abstract one ``ratlinalg``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-
-from .ratlinalg import in_column_span, kernel_basis, minus_identity
 
 
 class CharacterError(ValueError):
@@ -127,6 +126,7 @@ def vanishing_verdict(system, anticanonical=None):
     kernel; otherwise the maximal vanishing subspaces; otherwise inconclusive
     with diagnostics.
     """
+    from .ratlinalg import in_column_span
     diagnostics = [c.name + ": " + c.adjoint.describe()
                    for c in system.constraints if not c.usable()]
     usable = [c for c in system.constraints if c.usable()]
@@ -166,6 +166,7 @@ def vanishing_verdict(system, anticanonical=None):
 
 
 def _kernel_trivial(chosen, rank):
+    from .ratlinalg import kernel_basis, minus_identity
     if rank == 0:
         return True
     if not chosen:
@@ -174,6 +175,7 @@ def _kernel_trivial(chosen, rank):
 
 
 def _fixed_classes(chosen, picard):
+    from .ratlinalg import kernel_basis, minus_identity
     rows = [row for c in chosen for row in minus_identity(c.h11_matrix)]
     return kernel_basis(rows or [(0,) * picard])
 
@@ -188,41 +190,6 @@ def _dedupe_families(families):
         seen.append(key)
         out.append(f)
     return out
-
-
-# ---------------------------------------------------------------------------
-# products
-# ---------------------------------------------------------------------------
-
-def product_verdict(factors):
-    """Vanishing locus of a product = product of the factor loci inside the
-    direct-sum class space; FullCone iff every factor is FullCone.  The
-    factors are the catalog's ``ProductFactorSpec`` entries of a product
-    record."""
-    if not factors:
-        raise CharacterError("empty product")
-    if all(f.verdict_tag == "full_cone" for f in factors):
-        return full_cone(tuple(f.name for f in factors))
-    option_dims = []
-    for f in factors:
-        if f.verdict_tag == "full_cone":
-            option_dims.append((("all", f.rank),))
-        else:
-            option_dims.append(tuple((f"family{i}", d) for i, d in enumerate(f.family_dims)))
-    combos = [()]
-    for options in option_dims:
-        combos = [c + (o,) for c in combos for o in options]
-    families = []
-    for combo in combos:
-        dim = sum(d for _, d in combo)
-        description = " x ".join(
-            f"{f.name}:{tag}({d})" for f, (tag, d) in zip(factors, combo))
-        families.append(FixedFamily(dim=dim, basis=(), subset=(), description=description))
-    best = max(f.dim for f in families)
-    maximal = tuple(f for f in families if f.dim == best)
-    contained = all(f.anticanonical_in_families for f in factors)
-    return Verdict("subcone", fixed_dim=best, families=maximal,
-                   certificate=("product",), anticanonical_in_fixed=contained)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +259,10 @@ class CaseResult:
 def evaluate_record(record):
     """Full evaluation of one catalog record, including toric cross-checks."""
     if record.kind == "product":
+        from .products import _evaluate_product
         return _evaluate_product(record)
     if record.kind == "toric-crosscheck":
+        from .products import _evaluate_crosscheck
         return _evaluate_crosscheck(record)
     if record.kind == "polynomial":
         verdict = analyze_polynomial_case(record).verdict
@@ -316,56 +285,6 @@ def _plain_consistent(record, verdict):
                 and verdict.fixed_dim == record.expected[1]
                 and verdict.anticanonical_in_fixed is True)
     return False
-
-
-def _anticanonical_zero(record):
-    if not record.toric_family:
-        return True, ""
-    from . import toric
-    family = toric.FAMILIES[record.toric_family]
-    vec = toric.futaki_vector(family.build(**family.anticanonical()))
-    if vec.is_zero():
-        return True, ""
-    return False, f"anticanonical Futaki vector is {vec.render()}"
-
-
-def _evaluate_product(record):
-    verdict = product_verdict(record.product_factors)
-    consistent = _plain_consistent(record, verdict)
-    details = []
-    for f in record.product_factors:
-        if not f.toric_family:
-            continue
-        from . import toric
-        outcome = toric.zero_locus_scan(f.toric_family, DEFAULT_SCAN_STEP,
-                                        loci=record.loci).classify()
-        if outcome not in ("on_locus", "locus_and_more", "identically_zero"):
-            consistent = False
-        details.append(f"{f.toric_family} scan: {outcome}")
-    anti_ok, anti_detail = _anticanonical_zero(record)
-    if not anti_ok:
-        consistent = False
-        details.append(anti_detail)
-    return CaseResult(record, verdict, consistent, detail="; ".join(details))
-
-
-def _evaluate_crosscheck(record):
-    from .symmetry import AdjointUnsolvable
-    analysis = analyze_polynomial_case(record)
-    unsolved = sum(isinstance(a, AdjointUnsolvable) for a in analysis.adjoints)
-    adjoint_outcome = "unsolvable" if unsolved == len(analysis.adjoints) \
-        else ("partial" if unsolved else "solvable")
-    from . import toric
-    toric_outcome = toric.zero_locus_scan(record.toric_family, DEFAULT_SCAN_STEP,
-                                          loci=record.loci).classify()
-    anti_ok, anti_detail = _anticanonical_zero(record)
-    theorem1 = "agrees" if toric_outcome == "identically_zero" else "disagrees"
-    audit = f"adjoint={adjoint_outcome};toric={toric_outcome};theorem1={theorem1}"
-    consistent = (adjoint_outcome == record.expected_adjoint
-                  and toric_outcome == record.expected_toric
-                  and anti_ok)
-    return CaseResult(record, analysis.verdict, consistent, audit=audit,
-                      detail=anti_detail)
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,22 @@ Commands: ``verify [ID | --all]``, ``toric futaki --family F --params k=v``,
 mismatch, 2 catalog or usage errors, 3 toric errors (out-of-region
 parameters, bad ``--params``, a bad grid step or locus equation, a scan
 with no grid point in the Kähler region, a grid of more than
-``cells.MAX_SCAN_POINTS`` points), 4 internal errors.  ``main`` alone
-turns a CatalogError, a load error or a validation finding of a selected
-record, into exit 2, and any other exception into one ``internal error:``
-line on stderr and exit 4, so that exit 1 always means a verdict mismatch.
-A command naming one case loads the catalog with that case and so builds
-and validates only the records it selects; ``verify --all``, ``report``
-without a case and ``catalog validate`` build every record, and ``toric
-scan`` builds none: it reads its loci with ``catalog.toric_loci``.  Records
-are evaluated by ``character.evaluate_record``, one after another in catalog
-order; this module holds no evaluation policy.
+``cells.MAX_SCAN_POINTS`` points), 4 internal errors, 141 (128 + SIGPIPE) a
+closed stdout.  ``main`` alone turns a CatalogError, a load error or a
+validation finding of a selected record, into exit 2, a reader that closed
+stdout into exit 141 with nothing on stderr, and any other exception into
+one ``internal error:`` line on stderr and exit 4, so that exit 1 always
+means a verdict mismatch.  A command naming one case loads the catalog with
+that case and so builds and validates only the records it selects; ``verify
+--all``, ``report`` without a case and ``catalog validate`` build every
+record, and ``toric scan`` builds none: it reads its loci with
+``products.toric_loci``.  Records are evaluated by
+``character.evaluate_record``, one after another in catalog order; this
+module holds no evaluation policy.
 
-Importing this module loads ``catalog``, ``character`` and ``ratlinalg``
-only; the engines load on first use, so a command compiles those its records
-need: none for a semisimple or abstract record, ``toric`` for a toric family,
-``cells`` for a scan, ``polyring`` and ``symmetry`` for an ambient, and
-``parampoly`` for parameters.  ``json`` loads for ``--format json-lines``.
+Importing this module loads ``catalog`` and ``character`` only; every other
+module loads on first use, so a command compiles only what its records need
+(see the README's layout table), and ``json`` loads for ``--format json-lines``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from fractions import Fraction
 # built by ``dataclasses`` (perfbench ``peak_rss_mb``, medians of 10 runs on
 # one CPU without a bytecode cache).
 from .catalog import CatalogError, load_catalog, parse_assignments, validate_case
-from .catalog import family_number, toric_loci, validate_catalog
+from .catalog import family_number, validate_catalog
 from .character import DEFAULT_SCAN_STEP, evaluate_record, verdict_json_fields, verdict_line
 
 ENV_CATALOG = "FUTAKIZERO_CATALOG"
@@ -48,6 +48,7 @@ EXIT_MISMATCH = 1
 EXIT_CATALOG = 2
 EXIT_REGION = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,9 @@ def cmd_verify(args, out):
         print(verdict_line(res.record.id, res.verdict, audit), file=out)
         if not res.consistent:
             computed = _verdict_text(res.verdict.tag, res.verdict.fixed_dim)
+            membership = res.verdict.anticanonical_in_fixed
+            if res.verdict.tag == "subcone" and membership is not True:
+                computed += f" anticanonical_in_fixed={str(membership).lower()}"
             print(f"MISMATCH case={res.record.id} expected={expected} computed={computed}"
                   + (f" {res.detail}" if res.detail else ""), file=out)
     if args.format == "text":
@@ -172,6 +176,7 @@ def cmd_toric_scan(args, out):
     from . import toric
     loci = args.loci
     if loci is None:
+        from .products import toric_loci
         loci = toric_loci(args.family, args.catalog)
     try:
         report = toric.zero_locus_scan(args.family, args.step, loci=loci)
@@ -277,7 +282,15 @@ def main(argv=None, out=None):
     if getattr(args, "all", False):
         args.case = None
     try:
-        return args.func(args, out)
+        status = args.func(args, out)
+        out.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: the flush at exit writes to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except CatalogError as exc:
         for message in str(exc).split("\n"):
             print(f"catalog error: {message}", file=sys.stderr)

@@ -4,14 +4,15 @@ A MonomialAutomorphism is a generalized permutation map tau(x)_i =
 c_i * x_{sigma(i)} together with the factor bijection it induces; a
 TorusGenerator is an integer weight vector modulo one constant per factor.
 The checks here mechanize the invariance hypotheses (variety, blow-up
-centers, curve parametrizations) and the adjoint action on torus generators.
+centers, curve parametrizations) and the adjoint action on torus generators;
+``curves`` holds the curve parametrizations, loaded for a curve center only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyring import AmbientSpace, MultiPoly, in_span, parse_poly
+from .polyring import MultiPoly, in_span, parse_poly
 from .ratlinalg import kernel_basis, solve_generic
 
 
@@ -25,9 +26,6 @@ class CenterMatchError(SymmetryError):
     def __init__(self, index, message):
         super().__init__(message)
         self.index = index
-
-
-CURVE_AMBIENT = AmbientSpace.product(("r", "s"))
 
 
 class TorusGenerator:
@@ -164,53 +162,6 @@ class MonomialAutomorphism:
 # subvariety presentations
 # ---------------------------------------------------------------------------
 
-class ParamCurve:
-    """Map P^1 -> ambient given per coordinate by a homogeneous polynomial in
-    (r, s); coordinates within a factor share their (r, s)-degree."""
-
-    __slots__ = ("ambient", "params", "coords")
-
-    def __init__(self, ambient, params, coords):
-        if len(coords) != len(ambient.coords):
-            raise SymmetryError("curve needs one component per ambient coordinate")
-        for f in range(ambient.nfactors):
-            degrees = {coords[i].multidegree()[0]
-                       for i in ambient.block(f) if not coords[i].is_zero()}
-            if not degrees:
-                raise SymmetryError(f"curve is identically zero on factor {f}")
-            if len(degrees) != 1:
-                raise SymmetryError(f"mixed (r,s)-degrees on factor {f}")
-        self.ambient = ambient
-        self.params = params
-        self.coords = coords  # MultiPoly over CURVE_AMBIENT
-
-    @classmethod
-    def from_texts(cls, texts, ambient, params):
-        coords = tuple(parse_poly(t, CURVE_AMBIENT, params) for t in texts)
-        return cls(ambient, params, coords)
-
-    def substituted(self, p):
-        """Value of the ambient polynomial p along the curve."""
-        return p.substitute(list(self.coords))
-
-    def reparametrized(self, rep):
-        r = MultiPoly.coordinate(CURVE_AMBIENT, self.params, "r")
-        s = MultiPoly.coordinate(CURVE_AMBIENT, self.params, "s")
-        gamma = Fraction(rep.gamma)
-        if rep.swap:
-            images = [s, r.scale(gamma)]
-        else:
-            images = [r, s.scale(gamma)]
-        return ParamCurve(self.ambient, self.params,
-                          tuple(c.substitute(images) for c in self.coords))
-
-    def transformed(self, tau):
-        """tau o phi as a ParamCurve."""
-        return ParamCurve(self.ambient, self.params,
-                          tuple(self.coords[tau.perm[i]].scale(tau.scalars[i])
-                                for i in range(len(self.coords))))
-
-
 class SubvarietyPresentation:
     """Blow-up center: ideal generators, a P^1 parametrization, or both.
 
@@ -231,21 +182,6 @@ class SubvarietyPresentation:
         if self.curve is not None and self.ideal:
             return "both"
         return "curve" if self.curve is not None else "ideal"
-
-
-class Reparam:
-    """[r:s] -> [r : gamma s], composed with the swap when flagged."""
-
-    __slots__ = ("swap", "gamma")
-
-    def __init__(self, swap, gamma):
-        self.swap = swap
-        self.gamma = gamma
-
-    def __eq__(self, other):
-        if not isinstance(other, Reparam):
-            return NotImplemented
-        return self.swap == other.swap and self.gamma == other.gamma
 
 
 class InvarianceResult:
@@ -278,149 +214,6 @@ def check_variety_invariant(gens, tau):
                             tuple(denominators))
 
 
-class Equivariance:
-    __slots__ = ("reparam", "factor_scalars")
-
-    def __init__(self, reparam, factor_scalars):
-        self.reparam = reparam
-        self.factor_scalars = factor_scalars  # Q(params) scalar per ambient factor
-
-
-def check_curve_match(source, target, tau):
-    """Find psi with tau o source = target o psi projectively, or None.
-
-    The search family is {identity, swap} composed with one diagonal scaling
-    [r:s] -> [r:gamma s]; gamma is solved for exactly.
-    """
-    moved = source.transformed(tau)
-    for swap in (False, True):
-        found = _match_with_form(moved, target, swap)
-        if found is not None:
-            return found
-    return None
-
-
-def _match_with_form(moved, target, swap):
-    ambient = target.ambient
-    params = target.params
-    constraints = []  # (gamma exponent, Q(params) ratio)
-    for f in range(ambient.nfactors):
-        block = list(ambient.block(f))
-        base = None
-        for i in block:
-            lhs = moved.coords[i]
-            rhs = target.coords[i]
-            lhs_support = set(lhs.terms)
-            rhs_support = {_form_image(e, swap) for e in rhs.terms}
-            if lhs_support != rhs_support:
-                return None
-            for e_rhs, c_rhs in rhs.terms.items():
-                e_lhs = _form_image(e_rhs, swap)
-                # both reparametrization forms feed gamma to the curve's s-slot
-                expo = e_rhs[1]
-                ratio = lhs.terms[e_lhs] / c_rhs
-                if base is None:
-                    base = (expo, ratio)
-                else:
-                    constraints.append((expo - base[0], ratio / base[1]))
-        if base is None:
-            return None
-    candidates = _gamma_candidates(constraints)
-    for gamma in candidates:
-        rep = Reparam(swap, gamma)
-        scalars = _verify_proportional(moved, target, rep)
-        if scalars is not None:
-            return Equivariance(rep, tuple(scalars))
-    return None
-
-
-def _form_image(e, swap):
-    a, b = e
-    return (b, a) if swap else (a, b)
-
-
-def _gamma_candidates(constraints):
-    fixed = []
-    for d, ratio in constraints:
-        if d == 0:
-            if ratio != 1:
-                return []
-        else:
-            if not isinstance(ratio, Fraction):
-                return []
-            fixed.append((d, ratio))
-    if not fixed:
-        return [Fraction(1)]
-    d, q = fixed[0]
-    roots = _rational_power_roots(q, d)
-    return [g for g in roots
-            if all(g ** dd == qq for dd, qq in fixed)]
-
-
-def _rational_power_roots(q, d):
-    """All rational gamma with gamma^d = q."""
-    if d < 0:
-        if q == 0:
-            return []
-        q, d = 1 / q, -d
-    if q == 0:
-        return []
-    sign = 1 if q > 0 else -1
-    num = _perfect_root(abs(q.numerator), d)
-    den = _perfect_root(abs(q.denominator), d)
-    if num is None or den is None:
-        return []
-    root = Fraction(num, den)
-    if sign > 0:
-        return [root, -root] if d % 2 == 0 else [root]
-    return [] if d % 2 == 0 else [-root]
-
-
-def _perfect_root(n, d):
-    if n == 0:
-        return 0
-    lo, hi = 0, 1
-    while hi ** d < n:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** d < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** d == n else None
-
-
-def _verify_proportional(moved, target, rep):
-    """Exact per-factor proportionality of moved vs target o rep, by cross
-    multiplication; returns the factor scalars or None."""
-    composed = target.reparametrized(rep)
-    scalars = []
-    for f in range(target.ambient.nfactors):
-        block = list(target.ambient.block(f))
-        scalar = None
-        for i in block:
-            lhs = moved.coords[i]
-            rhs = composed.coords[i]
-            if lhs.is_zero() != rhs.is_zero():
-                return None
-            if lhs.is_zero():
-                continue
-            if scalar is None:
-                e = next(iter(rhs.terms))
-                if e not in lhs.terms:
-                    return None
-                scalar = lhs.terms[e] / rhs.terms[e]
-        if scalar is None:
-            return None
-        for i in block:
-            lhs = moved.coords[i]
-            if not (lhs - composed.coords[i].scale(scalar)).is_zero():
-                return None
-        scalars.append(scalar)
-    return scalars
-
-
 def match_centers(centers, tau, stages=None):
     """Permutation rho with pullback of center rho(i) matching center i.
 
@@ -450,6 +243,7 @@ def match_centers(centers, tau, stages=None):
 def _presentations_match(target_i, source_j, tau):
     """True iff tau maps center i onto center j (pullback of j matches i)."""
     if target_i.kind() in ("curve", "both") and source_j.kind() in ("curve", "both"):
+        from .curves import check_curve_match
         return check_curve_match(target_i.curve, source_j.curve, tau) is not None
     if target_i.kind() == "ideal" and source_j.kind() == "ideal":
         pulled = [tau.pullback(g) for g in source_j.ideal]
@@ -462,7 +256,8 @@ def torus_eigencheck(target, v):
     """Why the torus generator v does not act diagonally on ``target``, or
     None when it does: ideal generators must be weight eigenvectors; curve
     coordinate weights must be an affine function of the (r, s)-bidegree."""
-    if isinstance(target, ParamCurve):
+    if not isinstance(target, (list, tuple)):       # a curves.ParamCurve
+        from .curves import _curve_eigencheck
         return _curve_eigencheck(target, v)
     for idx, g in enumerate(target):
         weights = {v.monomial_weight(e) for e in g.terms}
@@ -470,25 +265,6 @@ def torus_eigencheck(target, v):
             pair = sorted(g.terms)[:2]
             return (f"generator {idx} mixes weights {sorted(weights)} "
                     f"(monomials {pair[0]} vs {pair[-1]})")
-    return None
-
-
-def _curve_eigencheck(curve, v):
-    ambient = curve.ambient
-    nf = ambient.nfactors
-    rows = []
-    rhs = []
-    for f in range(nf):
-        for i in ambient.block(f):
-            c = curve.coords[i]
-            if c.is_zero():
-                continue
-            for (er, es) in c.terms:
-                row = [Fraction(er), Fraction(es)] + [Fraction(int(g == f)) for g in range(nf)]
-                rows.append(row)
-                rhs.append(Fraction(v.weights[i]))
-    if solve_generic(rows, [rhs])[0] is None:
-        return "weights are not affine in the (r,s)-bidegree"
     return None
 
 

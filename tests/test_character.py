@@ -3,12 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from futakizero.catalog import ProductFactorSpec, load_catalog
+from futakizero.catalog import load_catalog
 from futakizero.character import (CharacterError, ConstraintSystem,
                                   SymmetryConstraint, _fixed_classes,
                                   analyze_polynomial_case, evaluate_record, h11_action,
-                                  product_verdict, vanishing_verdict, verdict_line)
+                                  vanishing_verdict, verdict_line)
 from futakizero.polyring import AmbientSpace, ParamField, parse_poly
+from futakizero.products import ProductFactorSpec, product_verdict
 from futakizero.ratlinalg import in_column_span, kernel_basis, minus_identity
 from futakizero import symmetry
 from futakizero.symmetry import (AdjointUnsolvable, MonomialAutomorphism,

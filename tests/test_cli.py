@@ -141,9 +141,10 @@ class TestVerify:
         # the identity class action fixes every class
         ("4.2", "classes (1 2 4 3)", "classes (1 2 3 4)",
          "expected=subcone(3) computed=full_cone"),
-        # -K leaves the computed family span{c1, S + S'}
+        # -K leaves the computed family span{c1, S + S'}, which the line
+        # states: tag and dimension alone match the expected ones
         ("3.9", "anticanonical = 1, 0, 0", "anticanonical = 0, 1, 0",
-         "expected=subcone(2) computed=subcone(2)")],
+         "expected=subcone(2) computed=subcone(2) anticanonical_in_fixed=false")],
         ids=["4.2-identity-classes", "3.9-anticanonical-outside"])
     def test_abstract_record_verdict_is_computed(self, tmp_path, case_id, old, new,
                                                   mismatch):
@@ -155,6 +156,22 @@ class TestVerify:
         code, out = run_cli(["--catalog", str(path), "verify", case_id])
         assert code == 1
         assert f"MISMATCH case={case_id} {mismatch}\n" in out
+
+    @pytest.mark.parametrize("argv", [["verify", "--all"], ["report"], ["verify", "2.24"]],
+                             ids=["verify-all", "report", "verify-2.24"])
+    def test_closed_stdout_exits_quietly(self, argv):
+        # each used to print internal error: BrokenPipeError and exit 4
+        import os
+        import subprocess
+        import sys
+        from futakizero.cli import EXIT_PIPE
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("FUTAKIZERO_CATALOG", None)
+        proc = subprocess.Popen([sys.executable, "-m", "futakizero", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()         # before the interpreter has imported the package
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (EXIT_PIPE, b"")
 
     def test_internal_error_exits_four(self, monkeypatch, capsys):
         # exit 1 is left to verdict mismatches
@@ -767,7 +784,8 @@ class TestStartup:
     """A command loads only what it uses: modules are counted, nothing is timed."""
 
     WATCHED = ("dataclasses", "inspect", "json", "futakizero.toric", "futakizero.cells",
-               "futakizero.polyring", "futakizero.parampoly", "futakizero.symmetry")
+               "futakizero.polyring", "futakizero.parampoly", "futakizero.symmetry",
+               "futakizero.products", "futakizero.curves")
 
     # the source lines of every loaded futakizero module: what a fresh command
     # compiles when no bytecode cache is written
@@ -808,28 +826,44 @@ class TestStartup:
         (["verify", "6.1"], []),            # semisimple
         (["verify", "3.9"], []),            # abstract
         (["verify", "4.2"], []),
-        (["verify", "2.34"], ["toric"]),    # product: the anticanonical polytope only
-        (["verify", "2.24"], ["polyring", "symmetry"]),     # no parameter
+        # product: the anticanonical polytope only
+        (["verify", "2.34"], ["products", "toric"]),
+        (["verify", "2.24"], ["polyring", "symmetry"]),     # no parameter, no curve
+        (["verify", "2.20"], ["curves", "polyring", "symmetry"]),   # curve centres
         (["verify", "3.13"], ["parampoly", "polyring", "symmetry"]),
         (["report", "2.24", "--format", "json-lines"], ["json", "polyring", "symmetry"]),
-        (["verify", "--all"], ["cells", "parampoly", "polyring", "symmetry", "toric"]),
-        (["catalog", "validate"], ["parampoly", "polyring", "symmetry", "toric"]),
+        (["verify", "--all"], ["cells", "curves", "parampoly", "polyring", "products",
+                               "symmetry", "toric"]),
+        (["catalog", "validate"], ["curves", "parampoly", "polyring", "products",
+                                   "symmetry", "toric"]),
         # the loci come from the structure pass: no record is built
-        (["toric", "scan", "--family", "s6"], ["cells", "parampoly", "polyring", "toric"]),
+        (["toric", "scan", "--family", "s6"], ["cells", "parampoly", "polyring", "products",
+                                               "toric"]),
     ], ids=lambda modules: "-".join(modules) or "none")
     def test_command_loads_only_the_engines_its_records_use(self, argv, modules):
         assert sorted(m.removeprefix("futakizero.") for m in self.run(argv)) == modules
 
+    @pytest.mark.parametrize("code", [
+        "import futakizero.cli",
+        "import io; from futakizero.cli import main; main(['verify', '6.1'], out=io.StringIO())"],
+        ids=["import", "verify-6.1"])
+    def test_semisimple_verdict_loads_no_linear_algebra(self, code):
+        assert self.loaded(code, "'futakizero.ratlinalg' in sys.modules") is False
+
     @pytest.mark.parametrize("argv,lines", [
-        (["verify", "6.1"], 1637),
-        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2305),
-        (["verify", "2.20"], 2687),
-        (["verify", "3.13"], 3206),
-        (["toric", "scan", "--family", "s6"], 3781),
-        (["catalog", "validate"], 3874),
-        (["verify", "--all"], 4308),
-    ], ids=["verify-6.1", "toric-futaki", "verify-2.20", "verify-3.13", "toric-scan",
-            "catalog-validate", "verify-all"])
+        (["verify", "6.1"], 1365),
+        (["verify", "3.9"], 1475),
+        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2033),
+        (["report", "2.24", "--format", "json-lines"], 2301),
+        (["verify", "2.34"], 2330),
+        (["verify", "2.20"], 2538),
+        (["verify", "3.13"], 2820),
+        (["toric", "scan", "--family", "s6"], 3808),
+        (["catalog", "validate"], 3912),
+        (["verify", "--all"], 4348),
+    ], ids=["verify-6.1", "verify-3.9", "toric-futaki", "report-2.24-json-lines",
+            "verify-2.34", "verify-2.20", "verify-3.13", "toric-scan", "catalog-validate",
+            "verify-all"])
     def test_source_lines_each_command_compiles(self, argv, lines):
         # a deterministic counter: any edit of a module a command loads moves
         # its pin, and a change of a pin is recorded with the change

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from futakizero.curves import ParamCurve, Reparam, check_curve_match
 from futakizero.polyring import AmbientSpace, ParamField, parse_poly
 from futakizero.symmetry import (AdjointUnsolvable, CenterMatchError,
-                                 MonomialAutomorphism, ParamCurve, Reparam,
-                                 SubvarietyPresentation, TorusGenerator,
-                                 adjoint_matrix, check_curve_match,
+                                 MonomialAutomorphism, SubvarietyPresentation,
+                                 TorusGenerator, adjoint_matrix,
                                  check_variety_invariant, match_centers,
                                  torus_eigencheck)
 

@@ -583,6 +583,17 @@ class TestScan:
         report = zero_locus_scan("s6", Fraction(1, 2))
         assert report.skipped > 0
 
+    def test_family_without_parameters_is_named(self, monkeypatch):
+        # [-1, 1] has no parameter to scan: the sweep used to end in
+        # ValueError: not enough values to unpack
+        from futakizero import cells
+        from futakizero.toric import FAMILIES, ToricFamily, _aff
+        interval = ToricFamily("unit", (), (((-1,), _aff(1)), ((1,), _aff(1))), {}, {})
+        monkeypatch.setitem(FAMILIES, "unit", interval)
+        monkeypatch.setattr(cells, "scan_grid", None)     # never reached
+        with pytest.raises(ToricError, match="^unit: no parameters to scan$"):
+            zero_locus_scan("unit", Fraction(1, 4))
+
     @pytest.mark.parametrize("family,fixed", [
         ("p1xp1", {"a": 1}),
         ("bl2lines-p3", {"a": 1}),

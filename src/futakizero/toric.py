@@ -32,8 +32,11 @@ Construction runs on integers: each vertex is solved, tested, keyed and
 sorted as an integer point over one common denominator, the input is flat
 exactly when some facet is tight at every vertex, 3-D facet polygons are
 walked by vertex-facet incidence, and determinants are closed forms on cross
-products; Fractions are built once per distinct vertex.  A family build sums
-each facet offset on integers, over the lcm of its parameters' denominators.
+products.  A vertex coordinate is an int where the common denominator
+divides it and a Fraction in lowest terms otherwise, so the routes multiply
+and add ints wherever the geometry is integral (every vertex of a smooth
+family's -K polytope is a lattice point).  A family build sums each facet
+offset on integers, over the lcm of its parameters' denominators.
 """
 
 from __future__ import annotations
@@ -103,7 +106,12 @@ def _integer_entry(n):
 
 
 class Polytope:
-    """Bounded full-dimensional polytope in dimension 1, 2 or 3."""
+    """Bounded full-dimensional polytope in dimension 1, 2 or 3.
+
+    Each vertex coordinate is an int or a Fraction that is not an integer.
+    So no ``/`` may take a value derived from vertices before
+    ``_integral_data``, which divides each total by a Fraction: an int / int
+    is a float."""
 
     __slots__ = ("dim", "halfspaces", "vertices", "facet_cycles", "_cache")
 
@@ -206,7 +214,8 @@ def _vertex_solves(dim, normals):
 
 def _enumerate_vertices(dim, halfspaces):
     """(sorted vertices, the same as integer points over one denominator, the
-    facets tight at each).  With offsets scaled to integers b by the lcm s of
+    facets tight at each); a vertex coordinate is an int when that
+    denominator divides it.  With offsets scaled to integers b by the lcm s of
     their denominators, a subset's vertex is k = A b (``_vertex_solves``) over
     L s, and facet (n, b_f) holds at it exactly when b_f L - <n, k> >= 0."""
     scale = 1
@@ -233,7 +242,8 @@ def _enumerate_vertices(dim, halfspaces):
         seen[point] = tight
     points = sorted(p for p, tight in seen.items() if tight is not None)
     denom = common * scale
-    vertices = [tuple(Fraction(x, denom) for x in p) for p in points]
+    vertices = [tuple(x // denom if x % denom == 0 else Fraction(x, denom) for x in p)
+                for p in points]
     return vertices, points, [seen[p] for p in points]
 
 
@@ -303,8 +313,9 @@ def _adjugate(u):
 # exact integrals
 # ---------------------------------------------------------------------------
 #
-# The routes are written once over a field: vertex coordinates and offsets are
-# Fractions on a Polytope, or PPoly on a cell of the ``cells`` module.  Each
+# The routes are written once over a field: on a Polytope vertex coordinates
+# are ints or Fractions and offsets Fractions, on a cell of the ``cells`` module
+# both are PPoly.  Each
 # absolute value goes through ``p.magnitude``, which reads the sign at the
 # cell's sample point; for Fractions that point is the value itself.
 #

@@ -853,14 +853,14 @@ class TestStartup:
     @pytest.mark.parametrize("argv,lines", [
         (["verify", "6.1"], 1365),
         (["verify", "3.9"], 1475),
-        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2033),
+        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2044),
         (["report", "2.24", "--format", "json-lines"], 2301),
-        (["verify", "2.34"], 2330),
+        (["verify", "2.34"], 2341),
         (["verify", "2.20"], 2538),
         (["verify", "3.13"], 2820),
-        (["toric", "scan", "--family", "s6"], 3808),
-        (["catalog", "validate"], 3912),
-        (["verify", "--all"], 4348),
+        (["toric", "scan", "--family", "s6"], 3819),
+        (["catalog", "validate"], 3923),
+        (["verify", "--all"], 4359),
     ], ids=["verify-6.1", "verify-3.9", "toric-futaki", "report-2.24-json-lines",
             "verify-2.34", "verify-2.20", "verify-3.13", "toric-scan", "catalog-validate",
             "verify-all"])

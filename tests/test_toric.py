@@ -220,6 +220,21 @@ class TestRouteSums:
         assert checked == 7
 
 
+def golden_points():
+    """(family, params) of every point of the benchmark's toric goldens, each
+    once, in the order of their text keys."""
+    import json
+    from pathlib import Path
+    goldens = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
+    seeds = json.loads((goldens / "toric_points.json").read_text("utf-8"))["seeds"]
+    points = []
+    for point in sorted({point for points in seeds.values() for point in points}):
+        family, _, text = point.partition(" ")
+        points.append((family, {k: Fraction(v) for k, _, v in
+                                (item.partition("=") for item in text.split(","))}))
+    return points
+
+
 def _along(normal, vector):
     """+-k for a vector k * normal: <u, vector>, u = _unit_functional(normal)."""
     from futakizero.toric import _unit_functional
@@ -284,16 +299,9 @@ class TestMinorOracle:
         assert seen["fan"] > 0 and seen["edge"] > 0 and seen["terms"] == {1}
 
     def test_golden_points(self, seen):
-        import json
-        from pathlib import Path
-        goldens = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
-        seeds = json.loads((goldens / "toric_points.json").read_text("utf-8"))["seeds"]
-        points = {point for points in seeds.values() for point in points}
+        points = golden_points()
         built = 0
-        for point in sorted(points):
-            family, _, text = point.partition(" ")
-            params = {k: Fraction(v) for k, _, v in
-                      (item.partition("=") for item in text.split(","))}
+        for family, params in points:
             try:
                 futaki_vector(class_to_polytope(family, **params))
                 built += 1
@@ -459,7 +467,36 @@ class TestAnticanonical:
             normals = [h.normal for h in p.halfspaces
                        if sum(map(operator.mul, h.normal, v)) == h.offset]
             assert len(normals) == p.dim and abs(_det(normals)) == 1, v
+            # a unimodular vertex cone of integer offsets: a lattice point,
+            # so its coordinates are ints and the routes run on them
+            assert all(type(x) is int for x in v), v
         assert futaki_vector(p).is_zero()
+
+    # fractions _add/_sub/_mul/_div calls of the eight -K Futaki vectors: a
+    # work counter of the integral routes that, unlike a time, repeats exactly
+    FRACTION_OPERATIONS = 547
+
+    def test_fraction_arithmetic_count(self):
+        import fractions
+        import sys
+        polytopes = [fam.build(**fam.anticanonical()) for fam in FAMILIES.values()]
+        operators = {"_add", "_sub", "_mul", "_div"}
+        calls = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_name in operators
+                    and code.co_filename == fractions.__file__):
+                calls.append(code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for p in polytopes:
+                futaki_vector(p)
+        finally:
+            sys.setprofile(previous)
+        assert len(calls) == self.FRACTION_OPERATIONS
 
     def test_no_anticanonical_point_raises(self):
         # [0, 1] with no parameters: the rows need t = 1 and t = 0
@@ -1025,6 +1062,55 @@ class TestIntegerKernelOracle:
         for dim, hs in systems:
             assert (_outcome(Polytope.from_halfspaces, dim, hs)
                     == _outcome(oracle_polytope, dim, hs))
+
+
+class TestIntegralCoordinates:
+    """Integral vertex coordinates are ints, so the routes add and multiply
+    ints there; the totals are those of the same polytope with every
+    coordinate a Fraction."""
+
+    @staticmethod
+    def check(p):
+        """(int coordinates, Fraction coordinates) of p, after checking its
+        coordinate types and its totals against all-Fraction coordinates."""
+        coordinates = [x for v in p.vertices for x in v]
+        ints = sum(type(x) is int for x in coordinates)
+        fractions = sum(type(x) is Fraction and x.denominator > 1 for x in coordinates)
+        assert ints + fractions == len(coordinates), p.vertices
+        totals = _integral_data(p)
+        vol, mom, mass, smoment = totals
+        assert all(type(x) is Fraction for x in (vol, *mom, mass, *smoment)), totals
+        as_fractions = Polytope(p.dim, p.halfspaces,
+                                [tuple(map(Fraction, v)) for v in p.vertices], p.facet_cycles)
+        assert totals == _integral_data(as_fractions), p.vertices
+        return ints, fractions
+
+    def test_golden_points(self):
+        built = ints = fractions = 0
+        for family, params in golden_points():
+            try:
+                p = class_to_polytope(family, **params)
+            except KahlerRegionError:
+                continue
+            built += 1
+            i, f = self.check(p)
+            ints += i
+            fractions += f
+        assert built > 900 and ints > 10000 and fractions > 5000
+
+    def test_random_systems(self):
+        rng = random.Random(20233)
+        built = ints = fractions = 0
+        for _ in range(400):
+            try:
+                p = Polytope.from_halfspaces(*_random_system(rng))
+            except ToricError:
+                continue
+            built += 1
+            i, f = self.check(p)
+            ints += i
+            fractions += f
+        assert built > 150 and ints > 200 and fractions > 500
 
 
 # ---------------------------------------------------------------------------

@@ -501,6 +501,8 @@ def _parse_finite(value, ambient, params):
     if not parts[1].startswith("order "):
         raise CatalogError("expected order clause")
     order = _convert(parts[1][len("order "):], int, "finite order")
+    if order < 1:
+        raise CatalogError(f"finite order {order} is below 1")
     declared = _images(parts[2], "factors =", "factors entry")
     body, rest = _take_call(parts[3], "map")
     if body is None or rest:

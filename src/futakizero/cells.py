@@ -182,26 +182,24 @@ class _CellPolytope(toric.Polytope):
 
     __slots__ = ("sample",)
 
-    def __init__(self, dim, facets, vertices, facet_cycles, sample):
-        super().__init__(dim, facets, vertices, facet_cycles)
+    def __init__(self, polytope, facets, vertices, sample):
+        super().__init__(polytope.dim, facets, vertices, polytope.facet_cycles, polytope.tight)
         self.sample = sample
 
     def magnitude(self, x):
         return -x if x.evaluate(self.sample) < 0 else x
 
 
-def numerators(fam, polytope, solved, sample):
+def numerators(fam, polytope, vertices, offsets, sample):
     """N_i = sigma-moment_i * volume - moment_i * sigma-mass over Q[scan
     names] on the cell of ``polytope``, the cell's point ``sample`` (scan
-    name -> value), from its ``solved`` vertices and offsets (see
-    ``cell_vertices``).
+    name -> value), from its ``vertices`` (see ``cell_vertices``) and facet
+    ``offsets`` over Q[scan names].
 
     Both route pairs must agree as polynomials, and the numerators must agree
     at the sample with those of the numeric integrals."""
-    vertices, offsets = solved
-    cell = _CellPolytope(polytope.dim, [toric.Halfspace._checked(h.normal, c) for h, c
-                                        in zip(polytope.halfspaces, offsets)],
-                         vertices, polytope.facet_cycles, sample)
+    cell = _CellPolytope(polytope, [toric.Halfspace._checked(h.normal, c) for h, c
+                                    in zip(polytope.halfspaces, offsets)], vertices, sample)
     vol, mom, mass, smoment = toric._integral_data(cell)
     result = tuple(s * vol - m * mass for s, m in zip(smoment, mom))
     vol, mom, mass, smoment = toric._integral_data(polytope)
@@ -211,49 +209,47 @@ def numerators(fam, polytope, solved, sample):
     return result
 
 
-def slack_forms(polytope, tight, solved):
-    """The chamber of the cell of ``polytope``, with ``tight`` the facets
-    tight at each vertex and ``solved`` as for ``numerators``:
-    ``offset_f - n_f . v`` for each vertex v and each facet f not tight at v.
-    None when some vertex lies on more than ``dim`` facets.
+def slack_forms(polytope, vertices, offsets):
+    """The chamber of the cell of ``polytope``, with ``vertices`` and
+    ``offsets`` as for ``numerators``: ``offset_f - n_f . v`` for each vertex
+    v and each facet f not in its ``polytope.tight``.  None when some vertex
+    lies on more than ``dim`` facets.
 
     Where every form is positive, each vertex of the cell is a feasible simple
     vertex and every edge from it ends at another vertex of the cell, so by
     Balinski's theorem (the graph of a polytope is connected) these are all
     the vertices, with the same tight facets: the polytope builds and lies in
     this cell."""
-    if any(len(on) != polytope.dim for on in tight):
+    if any(len(on) != polytope.dim for on in polytope.tight):
         return None
-    vertices, offsets = solved
     normals = [h.normal for h in polytope.halfspaces]
-    return [offsets[f] - sum(n * x for n, x in zip(normals[f], v))
-            for on, v in zip(tight, vertices) for f in range(len(normals)) if f not in on]
+    return [offsets[f] - sum(map(mul, normals[f], v)) for on, v in zip(polytope.tight, vertices)
+            for f in range(len(normals)) if f not in on]
 
 
-def cell_vertices(polytope, tight, offsets):
-    """(vertices, facet offsets) over Q[scanned names] of the cell of
-    ``polytope``, with ``tight`` the facets tight at each of its vertices and
-    ``offsets`` the family's facet offsets as PPoly in the scanned names
-    (see ``zero_locus_scan``).  Each vertex is solved, with the integer
-    adjugate of a nonsingular subset of its tight facets, against the affine
-    offsets.
+def cell_vertices(polytope, offsets):
+    """The vertices over Q[scanned names] of the cell of ``polytope``, with
+    ``offsets`` the family's facet offsets as PPoly in the scanned names (see
+    ``zero_locus_scan``).  Each vertex is A b / L, with (L, A) the solve of
+    the first nonsingular subset of its ``polytope.tight`` facets in
+    ``toric._vertex_solves`` and b the affine offsets.
 
     None when a vertex's other tight facets are not tight identically in the
     parameters: the cell is then a slice of parameter space (such as c = 4
     for a box cut by x + y + z <= c through its edge), where no polynomial
     identity holds, and each of its points is tested numerically."""
     normals = tuple(h.normal for h in polytope.halfspaces)
-    solves = toric._subset_solves(polytope.dim, normals)
+    common, solves = toric._vertex_solves(polytope.dim, normals)
     vertices = []
-    for on in tight:
-        combo, det, adj = next(s for s in solves if s[1] and on.issuperset(s[0]))
+    for on in polytope.tight:
+        combo, adj = next(s for s in solves if on.issuperset(s[0]))
         rhs = [offsets[f] for f in combo]
-        vertex = tuple(sum(a * b for a, b in zip(row, rhs)) / det for row in adj)
+        vertex = tuple(sum(a * b for a, b in zip(row, rhs)) / common for row in adj)
         for f in on.difference(combo):
             if not (sum(n * x for n, x in zip(normals[f], vertex)) - offsets[f]).is_zero():
                 return None
         vertices.append(vertex)
-    return vertices, offsets
+    return vertices
 
 
 def scan_grid(fam, offsets, grids, denominator, loci):
@@ -302,15 +298,14 @@ def scan_grid(fam, offsets, grids, denominator, loci):
             if key is None:
                 sample = dict(zip(names, values))
                 polytope = fam.build(**fam.fixed_for_scan, **sample)
-                tight = _tight_sets(polytope)
-                key = frozenset(tight)
+                key = frozenset(polytope.tight)
                 if key not in cells:
                     cells[key] = None
-                    solved = cell_vertices(polytope, tight, offsets)
-                    if solved is not None:
-                        nums = numerators(fam, polytope, solved, sample)
+                    vertices = cell_vertices(polytope, offsets)
+                    if vertices is not None:
+                        nums = numerators(fam, polytope, vertices, offsets, sample)
                         cells[key] = [_integer_form(n, denominator) for n in nums]
-                        slacks = slack_forms(polytope, tight, solved)
+                        slacks = slack_forms(polytope, vertices, offsets)
                         if slacks is not None:
                             chambers.append((_affine_forms(slacks, denominator), key))
                             intervals.append((_line_interval(chambers[-1][0], h, bounds), key))
@@ -343,22 +338,21 @@ def region_forms(fam, offsets, denominator):
     So the forms are sum lambda_g * offset_g over the circuits lambda with at
     most one negative weight.
 
-    A circuit is read from the integer adjugate A of a nonsingular
-    dim-subset S and one more facet g: n_g = sum over f in S of mu_f * n_f
-    with mu = n_g A / det, so lambda is det at g and -mu_f * det on S.  The
-    normals of a bounded family span, so every circuit appears this way, with
-    each facet of positive weight as g."""
+    A circuit is read from the scaled adjugate A = (L / det) adj of a
+    nonsingular dim-subset S (``toric._vertex_solves``) and one more facet g:
+    n_g = sum over f in S of mu_f * n_f with mu = n_g A / L, so L / |det| > 0
+    times lambda is L at g and -mu_f * L on S.  The normals of a bounded
+    family span, so every circuit appears this way, each positive facet as g."""
     normals = tuple(normal for normal, _ in fam.rows)
     circuits = set()
-    for combo, det, adj in toric._subset_solves(fam.dim, normals):
-        if not det:
-            continue
+    common, solves = toric._vertex_solves(fam.dim, normals)
+    for combo, adj in solves:
         for g in range(len(normals)):
             lam = [-sum(n * row[k] for n, row in zip(normals[g], adj)) for k in range(fam.dim)]
             if g not in combo and sum(x < 0 for x in lam) <= 1:
-                lam.append(det)
-                common = gcd(*lam)
-                circuits.add(tuple((f, c // common) for f, c in zip((*combo, g), lam) if c))
+                lam.append(common)
+                k = gcd(*lam)
+                circuits.add(tuple((f, c // k) for f, c in zip((*combo, g), lam) if c))
     return _affine_forms([sum(c * offsets[f] for f, c in lam) for lam in sorted(circuits)],
                          denominator)
 
@@ -425,12 +419,3 @@ def _horner(coeffs, x):
     for c in coeffs:
         total = total * x + c
     return total
-
-
-def _tight_sets(polytope):
-    """The facets tight at each vertex, as frozensets in vertex order."""
-    tight = [set() for _ in polytope.vertices]
-    for f, cycle in enumerate(polytope.facet_cycles):
-        for i in cycle:
-            tight[i].add(f)
-    return [frozenset(t) for t in tight]

@@ -11,6 +11,7 @@ centers, curve parametrizations) and the adjoint action on torus generators;
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .polyring import MultiPoly, in_span, parse_poly
 from .ratlinalg import kernel_basis, solve_generic
@@ -152,8 +153,15 @@ class MonomialAutomorphism:
         return True
 
     def order_divides(self, n):
+        """Whether tau^n is the projective identity, n >= 1: tau^m is diagonal
+        for m the order of the permutation, and squares to the identity if it
+        has finite order, as +-1 are the only roots of unity in Q(params).  So
+        tau^n is the identity exactly when tau^gcd(n, 2m) is."""
+        m, perm = 1, self.perm
+        while perm != tuple(range(len(perm))):
+            m, perm = m + 1, tuple(self.perm[j] for j in perm)
         power = self
-        for _ in range(n - 1):
+        for _ in range(gcd(n, 2 * m) - 1):
             power = power.compose(self)
         return power.is_projective_identity()
 

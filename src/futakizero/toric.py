@@ -28,15 +28,16 @@ on the first scan: grid points are grouped by combinatorial cell, whose
 Futaki numerators are polynomials derived once by these same routes, and a
 point inside a known cell's chamber is decided without building its polytope.
 
-Construction runs on integers: each vertex is solved, tested, keyed and
-sorted as an integer point over one common denominator, the input is flat
-exactly when some facet is tight at every vertex, 3-D facet polygons are
-walked by vertex-facet incidence, and determinants are closed forms on cross
-products.  A vertex coordinate is an int where the common denominator
-divides it and a Fraction in lowest terms otherwise, so the routes multiply
-and add ints wherever the geometry is integral (every vertex of a smooth
-family's -K polytope is a lattice point).  A family build sums each facet
-offset on integers, over the lcm of its parameters' denominators.
+Construction runs on integers: each vertex is solved from one table of the
+normals' subsets, then tested, keyed and sorted as an integer point over one
+common denominator; the input is flat exactly when some facet is tight at
+every vertex, the polytope keeps that incidence and walks 3-D facet polygons
+by it, and determinants are closed forms on cross products.  A vertex
+coordinate is an int where the common denominator divides it and a Fraction
+in lowest terms otherwise, so the routes multiply and add ints wherever the
+geometry is integral (every vertex of a smooth family's -K polytope is a
+lattice point).  A family build sums each facet offset on integers, over the
+lcm of its parameters' denominators.
 """
 
 from __future__ import annotations
@@ -106,21 +107,22 @@ def _integer_entry(n):
 
 
 class Polytope:
-    """Bounded full-dimensional polytope in dimension 1, 2 or 3.
+    """Bounded full-dimensional polytope in dimension 1, 2 or 3; ``tight``
+    holds the frozenset of the facets tight at each vertex.
 
     Each vertex coordinate is an int or a Fraction that is not an integer.
     So no ``/`` may take a value derived from vertices before
     ``_integral_data``, which divides each total by a Fraction: an int / int
     is a float."""
 
-    __slots__ = ("dim", "halfspaces", "vertices", "facet_cycles", "_cache")
+    __slots__ = ("dim", "halfspaces", "vertices", "facet_cycles", "tight")
 
-    def __init__(self, dim, halfspaces, vertices, facet_cycles):
+    def __init__(self, dim, halfspaces, vertices, facet_cycles, tight):
         self.dim = dim
         self.halfspaces = tuple(halfspaces)
         self.vertices = tuple(vertices)
         self.facet_cycles = tuple(facet_cycles)
-        self._cache = {}
+        self.tight = tuple(tight)
 
     @classmethod
     def from_halfspaces(cls, dim, halfspaces):
@@ -138,10 +140,10 @@ class Polytope:
         vertices, points, tight = _enumerate_vertices(dim, halfspaces)
         if not vertices:
             raise DegenerateError("no vertices: empty or degenerate halfspace system")
-        if set(tight[0]).intersection(*tight[1:]):      # an implicit equality
+        if tight[0].intersection(*tight[1:]):       # an implicit equality
             raise DegenerateError("lower-dimensional input")
         cycles = _facet_cycles(dim, halfspaces, points, tight)
-        return cls(dim, halfspaces, vertices, cycles)
+        return cls(dim, halfspaces, vertices, cycles, tight)
 
     # the integral routes take absolute values through this; a symbolic cell
     # reads the sign at its sample point instead
@@ -163,7 +165,7 @@ def _unbounded_reason(dim, normals):
     candidates = []
     if dim == 1:
         candidates = [(1,), (-1,)]
-    elif not any(det for _, det, _ in _subset_solves(dim, normals)):
+    elif not _vertex_solves(dim, normals)[1]:
         return "normals do not span the space"
     elif dim == 2:
         for n in normals:
@@ -188,25 +190,17 @@ def _cross(a, b):
 
 
 @lru_cache(maxsize=64)
-def _subset_solves(dim, normals):
-    """(subset, det, adjugate) for every dim-subset of the integer normals,
-    the sign folded so that det >= 0; singular subsets have det 0."""
-    out = []
+def _vertex_solves(dim, normals):
+    """(L, ((subset, A), ...)) over the nonsingular dim-subsets of the integer
+    normals, in lexicographic order: L is the lcm of their determinants and
+    A = (L / det) adj, so the subset's vertex against offsets b is A b / L.
+    Empty exactly when the normals do not span."""
+    solves = []
     for combo in combinations(range(len(normals)), dim):
         rows = [normals[i] for i in combo]
         det = _det(rows)
-        sign = -1 if det < 0 else 1
-        out.append((combo, sign * det,
-                    tuple(tuple(sign * x for x in row) for row in _adjugate(rows))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _vertex_solves(dim, normals):
-    """(L, ((subset, A), ...)) over the nonsingular dim-subsets of the integer
-    normals: L is the lcm of their determinants and A = (L / det) adj, so the
-    subset's vertex against integer offsets b is A b / L."""
-    solves = [s for s in _subset_solves(dim, normals) if s[1]]
+        if det:
+            solves.append((combo, det, _adjugate(rows)))
     common = lcm(*(det for _, det, _ in solves))
     return common, tuple((combo, tuple(tuple(common // det * x for x in row) for row in adj))
                          for combo, det, adj in solves)
@@ -214,7 +208,7 @@ def _vertex_solves(dim, normals):
 
 def _enumerate_vertices(dim, halfspaces):
     """(sorted vertices, the same as integer points over one denominator, the
-    facets tight at each); a vertex coordinate is an int when that
+    frozenset of facets tight at each); a vertex coordinate is an int when that
     denominator divides it.  With offsets scaled to integers b by the lcm s of
     their denominators, a subset's vertex is k = A b (``_vertex_solves``) over
     L s, and facet (n, b_f) holds at it exactly when b_f L - <n, k> >= 0."""
@@ -244,7 +238,7 @@ def _enumerate_vertices(dim, halfspaces):
     denom = common * scale
     vertices = [tuple(x // denom if x % denom == 0 else Fraction(x, denom) for x in p)
                 for p in points]
-    return vertices, points, [seen[p] for p in points]
+    return vertices, points, [frozenset(seen[p]) for p in points]
 
 
 def _facet_cycles(dim, halfspaces, points, tight):
@@ -393,31 +387,24 @@ def _fan_sums(ks, apex, rim):
 
 
 def _facet_sums(p, f):
-    """(S_f, T_f) of facet f, a 3-D polygon fanned from its first vertex;
-    cached, as the boundary and divergence routes both read it.  A point
-    has S_f = 1 and an edge its lattice length."""
-    key = ("facet", f)
-    cached = p._cache.get(key)
-    if cached is None:
-        verts = p.facet_vertices(f)
-        normal = p.halfspaces[f].normal
-        if p.dim == 1:
-            cached = (1, list(verts[0]))
-        elif p.dim == 2:
-            v, w = verts
-            sigma = _edge_sigma(p, normal, v, w)
-            cached = (sigma, [sigma * (a + b) for a, b in zip(v, w)])
-        else:
-            ks = _fan_coefficients(normal, verts[0], verts[1:])
-            cached = _fan_sums([p.magnitude(k) for k in ks], verts[0], verts[1:])
-        p._cache[key] = cached
-    return cached
+    """(S_f, T_f) of facet f, a 3-D polygon fanned from its first vertex.  A
+    point has S_f = 1 and an edge its lattice length."""
+    verts = p.facet_vertices(f)
+    normal = p.halfspaces[f].normal
+    if p.dim == 1:
+        return 1, list(verts[0])
+    if p.dim == 2:
+        v, w = verts
+        sigma = _edge_sigma(p, normal, v, w)
+        return sigma, [sigma * (a + b) for a, b in zip(v, w)]
+    ks = _fan_coefficients(normal, verts[0], verts[1:])
+    return _fan_sums([p.magnitude(k) for k in ks], verts[0], verts[1:])
 
 
-def _boundary_route_vertex(p):
-    """(S, T) of the boundary from ``_facet_sums``, |k| per 3-D triangle: a
+def _boundary_route_vertex(p, facets):
+    """(S, T) of the boundary from the facet sums, |k| per 3-D triangle: a
     signed fan would match the plane route even on a misordered cycle."""
-    return _boundary_totals(p, [_facet_sums(p, f) for f in range(len(p.halfspaces))])
+    return _boundary_totals(p, facets)
 
 
 def _boundary_route_plane(p):
@@ -462,12 +449,11 @@ def _solid_route_triangulation(p):
     return vol, tuple(base[x] * vol + sum(terms) for x, terms in enumerate(moment))
 
 
-def _solid_route_divergence(p):
+def _solid_route_divergence(p, facets):
     """(V, M) = sum over facets of offset * (S_f, T_f), by the divergence
     theorem for x -> x and x -> x_i x."""
     vol, moment = [], [[] for _ in range(p.dim)]
-    for f, h in enumerate(p.halfspaces):
-        s, t = _facet_sums(p, f)
+    for h, (s, t) in zip(p.halfspaces, facets):
         vol.append(h.offset * s)
         for i in range(p.dim):
             moment[i].append(h.offset * t[i])
@@ -478,11 +464,12 @@ def _integral_data(p):
     """(volume, moment, sigma mass, sigma moment), each summed along two
     routes that must agree.  The only division of the route sums is here,
     by Fractions, so that a sum of ints still gives Fractions."""
+    facets = [_facet_sums(p, f) for f in range(len(p.halfspaces))]   # read by two routes
     tri = _solid_route_triangulation(p)
-    div = _solid_route_divergence(p)
+    div = _solid_route_divergence(p, facets)
     if tri != div:
         raise ToricError(f"solid integral routes disagree: {tri} vs {div}")
-    bv = _boundary_route_vertex(p)
+    bv = _boundary_route_vertex(p, facets)
     if p.dim == 3:
         bp = _boundary_route_plane(p)
         if bv != bp:

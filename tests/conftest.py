@@ -150,6 +150,19 @@ def unimodular_image(p, umatrix, t=None):
     return Polytope.from_halfspaces(d, hs)
 
 
+def route_sums(p):
+    """(triangulation, divergence, vertex, plane) sums of the integral routes
+    of p, the two routes that read facet sums given them as
+    ``_integral_data`` does.  A point or an edge has one measure, so below
+    dimension 3 the plane entry repeats the vertex route."""
+    from futakizero.toric import (_boundary_route_plane, _boundary_route_vertex, _facet_sums,
+                                  _solid_route_divergence, _solid_route_triangulation)
+    facets = [_facet_sums(p, f) for f in range(len(p.halfspaces))]
+    vertex = _boundary_route_vertex(p, facets)
+    return (_solid_route_triangulation(p), _solid_route_divergence(p, facets),
+            vertex, _boundary_route_plane(p) if p.dim == 3 else vertex)
+
+
 def product_polytope(p, q):
     """P x Q, each factor's normals padded with zeros for the other's coordinates."""
     from futakizero.toric import Halfspace, Polytope, _product_rows

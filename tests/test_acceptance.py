@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import product_polytope, scaled, translated, unimodular_image
+from conftest import product_polytope, route_sums, scaled, translated, unimodular_image
 from futakizero.catalog import EXCEPTION_FAMILIES, load_catalog, validate_catalog
 from futakizero.character import analyze_polynomial_case, evaluate_record
 from futakizero.cli import main
@@ -194,12 +194,9 @@ def test_criterion_7_property_suites(catalog):
         assert futaki_vector(unimodular_image(p, u, t)).components == expected
         transforms += 1
 
-    from futakizero.toric import (_boundary_route_plane, _boundary_route_vertex,
-                                  _solid_route_divergence, _solid_route_triangulation)
     for p in corpus:
-        assert _solid_route_triangulation(p) == _solid_route_divergence(p)
-        if p.dim == 3:
-            assert _boundary_route_vertex(p) == _boundary_route_plane(p)
+        tri, div, vertex, plane = route_sums(p)
+        assert tri == div and vertex == plane
 
     products = 0
     two_d = [c for c in corpus if c.dim == 2]

@@ -602,6 +602,9 @@ class TestCatalogCommand:
          "line {}: record 5.3: families entry 30 outside 1..3"),
         # both commands exited 0
         ("5.3", "rank 4", "rank -4", "line {}: record 5.3: factor rank -4 is below 1"),
+        # order 0 was a finding, and a negative order tested the map itself
+        ("4.7", "order 2", "order 0", "line {}: record 4.7: finite order 0 is below 1"),
+        ("4.7", "order 2", "order -2", "line {}: record 4.7: finite order -2 is below 1"),
         ("3.9", "expected = subcone(2)", "expected = subcone(3)",
          "3.9: subcone(3) is not below the Picard rank 3"),
         ("3.9", "classes (1 3 2)", "classes (1 3 2 4)",
@@ -612,8 +615,8 @@ class TestCatalogCommand:
         ("5.3", "full_cone : rank 1", "full_cone : rank 2",
          "5.3: factor ranks sum to 6, not the Picard rank 5")],
         ids=["subcone-0", "classes-repeated", "families-above-rank", "rank-negative",
-             "subcone-at-rank", "classes-length", "h11-labels", "toric-family-rank",
-             "factor-ranks"])
+             "order-0", "order-negative", "subcone-at-rank", "classes-length", "h11-labels",
+             "toric-family-rank", "factor-ranks"])
     def test_dimension_out_of_range_exits_two(self, tmp_path, capsys, case_id, old, new,
                                               message):
         from futakizero.catalog import default_catalog_text
@@ -629,6 +632,31 @@ class TestCatalogCommand:
             code, out = run_cli(["--catalog", str(path), *argv])
             assert code == 2
             assert f"{message}\n" in out + capsys.readouterr().err
+
+    @pytest.mark.parametrize("order,code,out", [
+        (200000000, 0, "catalog OK: 34 records, 0 findings\n"),
+        (200000001, 2, "finding: 4.7: symmetry tau does not have declared order 200000001\n"
+                       "catalog INVALID: 34 records, 1 findings\n")], ids=["even", "odd"])
+    def test_large_declared_order(self, tmp_path, monkeypatch, order, code, out):
+        # the order test composed the map order - 1 times, and catalog
+        # validate hung; tau^n is the identity exactly when tau^gcd(n, 2m) is,
+        # m the order of its permutation (2 for this swap of factors)
+        from futakizero.catalog import default_catalog_text
+        from futakizero.symmetry import MonomialAutomorphism
+        real = MonomialAutomorphism.compose
+        calls = []
+
+        def counting(self, other):
+            calls.append(self)
+            return real(self, other)
+
+        monkeypatch.setattr(MonomialAutomorphism, "compose", counting)
+        text = default_catalog_text()
+        at = text.index("order 2", text.index('[case "4.7"]'))
+        path = tmp_path / "order.cat"
+        path.write_text(f"{text[:at]}order {order}{text[at + len('order 2'):]}")
+        assert run_cli(["--catalog", str(path), "catalog", "validate"]) == (code, out)
+        assert len(calls) < 100
 
     def test_single_record_command_skips_other_records_values(self, tmp_path, capsys):
         # verify 2.20 reads no value of 3.9; the commands that build every
@@ -851,16 +879,16 @@ class TestStartup:
         assert self.loaded(code, "'futakizero.ratlinalg' in sys.modules") is False
 
     @pytest.mark.parametrize("argv,lines", [
-        (["verify", "6.1"], 1365),
-        (["verify", "3.9"], 1475),
-        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2044),
-        (["report", "2.24", "--format", "json-lines"], 2301),
-        (["verify", "2.34"], 2341),
-        (["verify", "2.20"], 2538),
-        (["verify", "3.13"], 2820),
-        (["toric", "scan", "--family", "s6"], 3819),
-        (["catalog", "validate"], 3923),
-        (["verify", "--all"], 4359),
+        (["verify", "6.1"], 1367),
+        (["verify", "3.9"], 1477),
+        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2033),
+        (["report", "2.24", "--format", "json-lines"], 2311),
+        (["verify", "2.34"], 2330),
+        (["verify", "2.20"], 2548),
+        (["verify", "3.13"], 2830),
+        (["toric", "scan", "--family", "s6"], 3793),
+        (["catalog", "validate"], 3920),
+        (["verify", "--all"], 4341),
     ], ids=["verify-6.1", "verify-3.9", "toric-futaki", "report-2.24-json-lines",
             "verify-2.34", "verify-2.20", "verify-3.13", "toric-scan", "catalog-validate",
             "verify-all"])

@@ -225,6 +225,29 @@ class TestAdjointMatrix:
             assert adjoint_matrix(with_scalars(sigma, scalars), [v1, v2]) == base
 
 
+class TestOrder:
+    def test_reduced_order_test_against_composition(self):
+        # tau^n is tested as tau^gcd(n, 2m), m the order of the permutation;
+        # scalars +-1 give maps of finite order 2m and below, which random
+        # scalars rarely do
+        from conftest import random_ambient, random_automorphism
+        rng = random.Random(2034)
+        orders = set()
+        for _ in range(60):
+            tau = random_automorphism(rng, random_ambient(rng))
+            if rng.random() < 0.5:
+                tau = with_scalars(tau, [rng.choice((1, -1)) for _ in tau.perm])
+            power, order = tau, None
+            for n in range(1, 25):
+                identity = power.is_projective_identity()
+                assert tau.order_divides(n) == identity, (tau.perm, tau.scalars, n)
+                if identity and order is None:
+                    order = n
+                power = power.compose(tau)
+            orders.add(order)
+        assert None in orders and {1, 2, 3, 4, 6} <= orders
+
+
 class TestCatalogWideProperties:
     def test_every_declared_symmetry_has_its_order(self, catalog):
         for record in catalog.records:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (halfspace_value, product_polytope, scaled, translated,
+from conftest import (halfspace_value, product_polytope, route_sums, scaled, translated,
                       unimodular_image)
 from futakizero.toric import (DegenerateError, FAMILIES, Halfspace,
                               KahlerRegionError, Polytope, ToricError,
@@ -139,29 +139,20 @@ class TestRouteSums:
         rows = [Halfspace(tuple(-int(j == i) for j in range(d)), 0) for i in range(d)]
         return Polytope.from_halfspaces(d, rows + [Halfspace((1,) * d, 1)])
 
-    @staticmethod
-    def route_sums(p):
-        from futakizero.toric import (_boundary_route_plane, _boundary_route_vertex,
-                                      _solid_route_divergence, _solid_route_triangulation)
-        # a point or an edge has one measure, so the plane route is 3-D only
-        vertex = _boundary_route_vertex(p)
-        return (_solid_route_triangulation(p), _solid_route_divergence(p),
-                vertex, _boundary_route_plane(p) if p.dim == 3 else vertex)
-
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_unit_cube(self, d):
         # vol 1, moment 1/2 each, 2d unit facets of sigma-moment d per coordinate
         f = self.FACTORIAL[d]
         solid = (f, (f * (d + 1) // 2,) * d)
         boundary = (2 * f, (f * d,) * d)
-        assert self.route_sums(self.cube(d)) == (solid, solid, boundary, boundary)
+        assert route_sums(self.cube(d)) == (solid, solid, boundary, boundary)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_standard_simplex(self, d):
         # vol 1/d!, moment 1/(d+1)! each; d + 1 unimodular facets, sigma-moment d/d!
         solid = (1, (1,) * d)
         boundary = (d + 1, (d,) * d)
-        assert self.route_sums(self.simplex(d)) == (solid, solid, boundary, boundary)
+        assert route_sums(self.simplex(d)) == (solid, solid, boundary, boundary)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_integral_data_divides_once(self, d):
@@ -182,8 +173,8 @@ class TestRouteSums:
         from futakizero import toric
         real = getattr(toric, route)
 
-        def corrupted(p):
-            total, sums = real(p)
+        def corrupted(p, *facets):
+            total, sums = real(p, *facets)
             return total + 1, sums
 
         monkeypatch.setattr(toric, route, corrupted)
@@ -193,7 +184,8 @@ class TestRouteSums:
     @staticmethod
     def recycled(p, cycle):
         """p with its first facet walked as ``cycle``."""
-        return Polytope(p.dim, p.halfspaces, p.vertices, (cycle,) + p.facet_cycles[1:])
+        return Polytope(p.dim, p.halfspaces, p.vertices, (cycle,) + p.facet_cycles[1:],
+                        p.tight)
 
     def test_misordered_cycle_raises(self):
         # a bowtie on x = 0, which holds vertex 0 and has offset 0, so the solid
@@ -208,14 +200,12 @@ class TestRouteSums:
         assert futaki_vector(self.recycled(p, p.facet_cycles[0][::-1])).is_zero()
 
     def test_centroid_fan_oracle(self):
-        from futakizero.toric import _boundary_route_plane, _boundary_route_vertex
         polytopes = corpus() + [non_unit_polytope(rows) for rows in NON_UNIT_POLYTOPES]
         checked = 0
         for p in polytopes:
             if p.dim == 3:
                 expected = _oracle_centroid_fans(p.halfspaces)
-                assert _boundary_route_vertex(p) == expected
-                assert _boundary_route_plane(p) == expected
+                assert route_sums(p)[2:] == (expected, expected)
                 checked += 1
         assert checked == 7
 
@@ -535,12 +525,9 @@ class TestEquivariance:
             == futaki_vector(p).components
 
     def test_dual_evaluation_paths_agree_on_corpus(self):
-        from futakizero.toric import (_boundary_route_plane, _boundary_route_vertex,
-                                      _solid_route_divergence, _solid_route_triangulation)
         for p in corpus():
-            assert _solid_route_triangulation(p) == _solid_route_divergence(p)
-            if p.dim == 3:
-                assert _boundary_route_vertex(p) == _boundary_route_plane(p)
+            tri, div, vertex, plane = route_sums(p)
+            assert tri == div and vertex == plane
 
     def test_product_identity(self):
         rng = random.Random(43)
@@ -1080,8 +1067,8 @@ class TestIntegralCoordinates:
         totals = _integral_data(p)
         vol, mom, mass, smoment = totals
         assert all(type(x) is Fraction for x in (vol, *mom, mass, *smoment)), totals
-        as_fractions = Polytope(p.dim, p.halfspaces,
-                                [tuple(map(Fraction, v)) for v in p.vertices], p.facet_cycles)
+        as_fractions = Polytope(p.dim, p.halfspaces, [tuple(map(Fraction, v)) for v in p.vertices],
+                                p.facet_cycles, p.tight)
         assert totals == _integral_data(as_fractions), p.vertices
         return ints, fractions
 
@@ -1111,6 +1098,47 @@ class TestIntegralCoordinates:
             ints += i
             fractions += f
         assert built > 150 and ints > 200 and fractions > 500
+
+
+class TestTightSets:
+    """``Polytope.tight`` against the incidence read from ``facet_cycles``,
+    and against the facets each vertex satisfies with equality."""
+
+    @staticmethod
+    def check(p):
+        from_cycles = [set() for _ in p.vertices]
+        for f, cycle in enumerate(p.facet_cycles):
+            for i in cycle:
+                from_cycles[i].add(f)
+        assert p.tight == tuple(map(frozenset, from_cycles))
+        assert p.tight == tuple(frozenset(f for f, h in enumerate(p.halfspaces)
+                                          if halfspace_value(h, v) == h.offset)
+                                for v in p.vertices)
+
+    def test_corpus_and_golden_points(self):
+        for p in corpus():
+            self.check(p)
+        built = 0
+        for family, params in golden_points():
+            try:
+                p = class_to_polytope(family, **params)
+            except KahlerRegionError:
+                continue
+            self.check(p)
+            built += 1
+        assert built == 988
+
+    def test_random_systems(self):
+        rng = random.Random(20234)
+        built = 0
+        for _ in range(400):
+            try:
+                p = Polytope.from_halfspaces(*_random_system(rng))
+            except ToricError:
+                continue
+            self.check(p)
+            built += 1
+        assert built > 150
 
 
 # ---------------------------------------------------------------------------
@@ -1278,14 +1306,13 @@ class TestCellScanOracle:
             assert len(report.points) == 1
 
     def test_lines_cross_several_chambers_and_a_slice(self, monkeypatch):
-        from futakizero.cells import _tight_sets
         monkeypatch.setitem(FAMILIES, "cut-cube", _cut_cube())
         step, loci = Fraction(1, 3), ("b + c = 6", "c = b + 2")
         report = zero_locus_scan("cut-cube", step, loci=loci)
         assert report == oracle_scan("cut-cube", step, loci)
         # the line b = 1 meets at least two chambers and the slice c = 4
         line = [dict(pt.values) for pt in report.points if pt.values[0] == ("b", 1)]
-        cells = {frozenset(_tight_sets(FAMILIES["cut-cube"].build(**v))) for v in line}
+        cells = {frozenset(FAMILIES["cut-cube"].build(**v).tight) for v in line}
         slices = [cell for cell in cells if any(len(t) > 3 for t in cell)]
         assert slices and len(cells) - len(slices) >= 2
         assert {"b": 1, "c": 4} in line
@@ -1297,10 +1324,10 @@ class TestCellScanOracle:
         real = cell_engine.cell_vertices
         cells = []
 
-        def recording(polytope, tight, offsets):
-            solved = real(polytope, tight, offsets)
-            cells.append((tight, solved))
-            return solved
+        def recording(polytope, offsets):
+            vertices = real(polytope, offsets)
+            cells.append((polytope.tight, vertices))
+            return vertices
 
         monkeypatch.setattr(cell_engine, "cell_vertices", recording)
         return cells
@@ -1351,8 +1378,8 @@ class TestCellScanOracle:
         from futakizero import toric
         real = toric._solid_route_divergence
 
-        def shifted(p):
-            vol, mom = real(p)
+        def shifted(p, facets):
+            vol, mom = real(p, facets)
             return vol, (mom[0] + 1,) + mom[1:]
 
         monkeypatch.setattr(toric, "_solid_route_divergence", shifted)
@@ -1365,13 +1392,14 @@ class TestCellNumerators:
 
     @staticmethod
     def numerators(family, **params):
-        from futakizero.cells import _tight_sets, cell_vertices, numerators
+        from futakizero.cells import cell_vertices, numerators
         fam = FAMILIES[family]
         params = {n: Fraction(v) for n, v in params.items()}
         polytope = fam.build(**params)
         names = [n for n in fam.param_names if n not in fam.fixed_for_scan]
-        solved = cell_vertices(polytope, _tight_sets(polytope), scan_offsets(fam))
-        return numerators(fam, polytope, solved, {n: params[n] for n in names})
+        offsets = scan_offsets(fam)
+        vertices = cell_vertices(polytope, offsets)
+        return numerators(fam, polytope, vertices, offsets, {n: params[n] for n in names})
 
     def test_hexagon_numerators_vanish_on_anticanonical_degree(self):
         from futakizero.parampoly import PPoly, exact_div
@@ -1399,15 +1427,15 @@ class TestChambers:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_chamber_against_build(self, family):
-        from futakizero.cells import _tight_sets, cell_vertices, slack_forms
+        from futakizero.cells import cell_vertices, slack_forms
         fam = FAMILIES[family]
         pinned = dict(fam.fixed_for_scan)
         names = [n for n in fam.param_names if n not in pinned]
         sample = dict(fam.anticanonical(), **pinned)
         polytope = fam.build(**sample)
-        tight = _tight_sets(polytope)
-        key = frozenset(tight)
-        slacks = slack_forms(polytope, tight, cell_vertices(polytope, tight, scan_offsets(fam)))
+        key = frozenset(polytope.tight)
+        offsets = scan_offsets(fam)
+        slacks = slack_forms(polytope, cell_vertices(polytope, offsets), offsets)
         rng = random.Random(f"chamber-{family}")
 
         def random_value(n):
@@ -1434,13 +1462,24 @@ class TestChambers:
         for values in points:
             inside = all(s.evaluate(values) > 0 for s in slacks)
             try:
-                built = frozenset(_tight_sets(fam.build(**values, **pinned)))
+                built = frozenset(fam.build(**values, **pinned).tight)
             except KahlerRegionError:
                 built = None
             if inside:
                 assert built == key, values
             seen.add((inside, built is not None))
         assert (True, True) in seen and (False, False) in seen
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_cell_vertices_at_sample(self, family):
+        from futakizero.cells import cell_vertices
+        fam = FAMILIES[family]
+        pinned = dict(fam.fixed_for_scan)
+        sample = {n: v for n, v in fam.anticanonical().items() if n not in pinned}
+        polytope = fam.build(**sample, **pinned)
+        vertices = cell_vertices(polytope, scan_offsets(fam))
+        assert [tuple(x.evaluate(sample) for x in v) for v in vertices] \
+            == list(polytope.vertices)
 
     @pytest.mark.parametrize("family,step,builds,skipped", [
         ("s6", Fraction(1, 4), 1, 1041), ("s6", Fraction(1, 8), 1, 9318),

@@ -21,8 +21,8 @@ builds only the records that a single-record command selects: no verdict of
 one record reads another, so the keys and values of the others go unparsed.
 
 The engines, ``products`` and ``curves`` load in the parsers and checks that
-use them, so a record without an ambient, a toric family, a ``factor`` or a
-curve centre compiles none of them.
+use them, so a record without an ambient, a toric family, a product kind or a
+curve centre compiles none of them; a ``factor`` is a (family, tag) pair.
 """
 
 from __future__ import annotations
@@ -310,10 +310,7 @@ def _build_record(case_id, header_line, entries):
         Fraction(x.strip()) for x in v.split(",")), "anticanonical value", default=None)
     adjoints = each("adjoint", _parse_adjoint)
 
-    factors = ()
-    if all_of("factor"):
-        from .products import _parse_factor
-        factors = each("factor", _parse_factor)
+    factors = each("factor", _parse_factor)
     loci = tuple(v for v, _ in all_of("locus"))
     audited = _REQUIRED if kind == "toric-crosscheck" else ""
     toric_family = one("toric_family", default=audited)
@@ -371,6 +368,13 @@ def _parse_expected(value):
                 raise CatalogError(f"subcone dimension {dim} is below 1")
             return ("subcone", dim)
     raise CatalogError(f"bad expected verdict {value!r}")
+
+
+def _parse_factor(value):
+    """(name, tag) of a product factor ``NAME : full_cone`` or ``NAME :
+    families``, NAME a toric family; ``products`` derives the rest."""
+    name, _, tag = (part.strip() for part in value.partition(":"))
+    return name, _one_of(tag, ("full_cone", "families"), "factor verdict")
 
 
 def _parse_param(value):
@@ -652,22 +656,21 @@ def _validate_abstract(record):
 
 
 def _validate_loci(record):
-    """Every locus must parse over the parameters of each family it is
-    scanned on: the record's toric family and its factors'."""
+    """Every locus must parse over the parameters of the record's toric
+    family; ``products`` checks them on a scanned factor."""
+    if not record.toric_family:
+        return []
+    from .toric import FAMILIES
+    family = FAMILIES.get(record.toric_family)
+    if family is None:
+        return [f"unknown toric family {record.toric_family!r}"]
     findings = []
-    scanned = [record.toric_family] + [f.toric_family for f in record.product_factors]
-    for name in filter(None, scanned):
-        from .toric import FAMILIES
-        family = FAMILIES.get(name)
-        if family is None:
-            findings.append(f"unknown toric family {name!r}")
-            continue
-        for eq in record.loci:
-            from .polyring import PolyError, parse_equations
-            try:
-                parse_equations(eq, family.param_names)
-            except PolyError as exc:
-                findings.append(f"bad locus equation {eq!r} on {name}: {exc}")
+    for eq in record.loci:
+        from .polyring import PolyError, parse_equations
+        try:
+            parse_equations(eq, family.param_names)
+        except PolyError as exc:
+            findings.append(f"bad locus equation {eq!r} on {record.toric_family}: {exc}")
     return findings
 
 
@@ -689,9 +692,6 @@ def _validate_picard_rank(record):
         if family is not None and len(family.rows) - family.dim != rho:
             findings.append(f"toric family {record.toric_family} has Picard rank "
                             f"{len(family.rows) - family.dim}, not {rho}")
-    ranks = sum(f.rank for f in record.product_factors)
-    if record.product_factors and ranks != rho:
-        findings.append(f"factor ranks sum to {ranks}, not the Picard rank {rho}")
     return findings
 
 

@@ -17,7 +17,8 @@ membership in a known chamber, on integers without building a polytope.
 
 ``toric.zero_locus_scan`` imports this module on its first scan, so that
 ``import futakizero.toric`` alone compiles no scan code and loads no symbolic
-engine, and a command that runs no scan never loads it.
+engine, and a command that runs no scan never loads it.  ``toric scan``
+reads its candidate loci from the catalog here too (``toric_loci``).
 """
 
 from __future__ import annotations
@@ -90,6 +91,33 @@ class ScanReport:
         if self.loci and all(f.on_locus_all_zero for f in self.loci):
             return "on_locus" if self.covered else "locus_and_more"
         return "off_locus"
+
+
+def toric_loci(family, path=None):
+    """The candidate zero-locus equations of the first record that scans
+    this toric family, as its ``toric_family`` or a ``families`` factor; ()
+    if none.  Read after the catalog's structure pass, which checks every
+    line, from the ``locus``, ``toric_family`` and ``factor`` values alone:
+    no record is built, so a record broken elsewhere does not stop a scan.
+    A malformed ``factor`` value of a record with loci does, as in
+    ``catalog.load_catalog``."""
+    from .catalog import CatalogError, _parse_factor, _structure
+    for case_id, _, entries in _structure(path, None)[0]:
+        loci = tuple(v for k, v, _ in entries if k == "locus")
+        if not loci:
+            continue
+        scanned = {v for k, v, _ in entries if k == "toric_family"}
+        for key, value, line in entries:
+            if key == "factor":
+                try:
+                    name, tag = _parse_factor(value)
+                except CatalogError as exc:
+                    raise CatalogError(f"record {case_id}: {exc}", line) from exc
+                if tag == "families":
+                    scanned.add(name)
+        if family in scanned:
+            return loci
+    return ()
 
 
 MAX_SCAN_POINTS = 10 ** 6    # the grid points a scan may take; s6 at step 1/4 has 1,331

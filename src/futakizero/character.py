@@ -11,7 +11,7 @@ ideal).
 
 ``evaluate_record`` gives a catalog record its verdict by kind (symmetry
 analysis, recorded adjoint and class actions, a semisimple algebra, a product
-of factors with toric scans, or symmetry analysis audited by a toric scan) and
+of toric families, or symmetry analysis audited by a toric scan) and
 checks it against the record's expected verdict.  Both the symmetry analysis
 and an abstract record's recorded actions reach ``vanishing_verdict``, which
 computes the fixed-class dimension and the anticanonical membership.  A record

@@ -16,7 +16,7 @@ means a verdict mismatch.  A command naming one case loads the catalog with
 that case and so builds and validates only the records it selects; ``verify
 --all``, ``report`` without a case and ``catalog validate`` build every
 record, and ``toric scan`` builds none: it reads its loci with
-``products.toric_loci``.  Records are evaluated by
+``cells.toric_loci``.  Records are evaluated by
 ``character.evaluate_record``, one after another in catalog order; this
 module holds no evaluation policy.
 
@@ -176,7 +176,7 @@ def cmd_toric_scan(args, out):
     from . import toric
     loci = args.loci
     if loci is None:
-        from .products import toric_loci
+        from .cells import toric_loci
         loci = toric_loci(args.family, args.catalog)
     try:
         report = toric.zero_locus_scan(args.family, args.step, loci=loci)

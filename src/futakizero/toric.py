@@ -602,14 +602,17 @@ class ToricFamily:
 
     def anticanonical(self):
         """The parameters of -K, name -> Fraction: -K is {x : <n_f, x> <= 1}
-        up to a translation t, so one solve of offset_f = 1 + <n_f, t>."""
-        from .ratlinalg import solve_generic
-        rows = [[Fraction(dict(terms).get(n, 0)) for n in self.param_names]
-                + [Fraction(-x) for x in normal] for normal, (_, terms) in self.rows]
-        (solution,) = solve_generic(rows, [[Fraction(1 - c) for _, (c, _) in self.rows]])
-        if solution is None:
+        up to a translation t, so the one solution of offset_f = 1 + <n_f, t>."""
+        from .ratlinalg import rref
+        unknowns = len(self.param_names) + self.dim
+        rows, pivots = rref([[Fraction(dict(terms).get(n, 0)) for n in self.param_names]
+                             + [Fraction(-x) for x in normal] + [Fraction(1 - c)]
+                             for normal, (c, terms) in self.rows], unknowns)
+        if any(row[-1] for row in rows[len(pivots):]):
             raise ToricError(f"{self.name}: no parameters give the anticanonical polytope")
-        return dict(zip(self.param_names, solution))
+        if len(pivots) < unknowns:
+            raise ToricError(f"{self.name}: the anticanonical parameters are not unique")
+        return {n: row[-1] for n, row in zip(self.param_names, rows)}
 
 
 def _interval(name):

@@ -75,6 +75,11 @@ def test_criterion_2_theorem_two_reproduction(catalog):
             code, out = run_cli(["verify", record.id])
             assert code == 0, out
             assert "verdict=subcone" in out
+            # the factor families and -K's membership are computed from the
+            # fan and the loci, not read from the catalog
+            verdict = evaluate_record(record).verdict
+            assert verdict.fixed_dim >= 2, record.id
+            assert verdict.anticanonical_in_fixed is True, record.id
     print("ACCEPTANCE 2 PASS: every exception family has a >= 2-dim vanishing "
           "family containing the anticanonical class (4.2, 4.4 >= 3; "
           "3.13 two distinct families)")

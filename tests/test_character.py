@@ -9,7 +9,7 @@ from futakizero.character import (CharacterError, ConstraintSystem,
                                   analyze_polynomial_case, evaluate_record, h11_action,
                                   vanishing_verdict, verdict_line)
 from futakizero.polyring import AmbientSpace, ParamField, parse_poly
-from futakizero.products import ProductFactorSpec, product_verdict
+from futakizero.products import product_verdict
 from futakizero.ratlinalg import in_column_span, kernel_basis, minus_identity
 from futakizero import symmetry
 from futakizero.symmetry import (AdjointUnsolvable, MonomialAutomorphism,
@@ -181,26 +181,38 @@ class TestAbstractVerdict:
 
 
 class TestProductVerdict:
+    LOCI = ("c = 3 - a - b", "a = b = c")
+
     def test_all_full_cone(self):
-        verdict = product_verdict([ProductFactorSpec("p1", "full_cone", 1),
-                                   ProductFactorSpec("p2", "full_cone", 1)])
+        verdict = product_verdict([("p1", "full_cone"), ("p2", "full_cone")])
         assert verdict.tag == "full_cone"
+        assert verdict.certificate == ("p1", "p2")
 
     def test_locus_factor_composes_dimensions(self):
-        verdict = product_verdict([
-            ProductFactorSpec("p1", "full_cone", 1),
-            ProductFactorSpec("s6", "families", 4, (3, 2))])
+        # s6 has rank 4 = 3 parameters + 1: c = 3 - a - b leaves 3, a = b = c
+        # leaves 2, and a = b = c = 1 lies on both
+        verdict = product_verdict([("p1", "full_cone"), ("s6", "families")], self.LOCI)
         assert verdict.tag == "subcone"
         assert verdict.fixed_dim == 4
+        assert [f.description for f in verdict.families] == ["p1:all(1) x s6:family0(3)"]
         assert verdict.anticanonical_in_fixed is True
 
     def test_single_factor_unchanged(self):
-        full = product_verdict([ProductFactorSpec("p2", "full_cone", 1)])
+        full = product_verdict([("p2", "full_cone")])
         assert full.tag == "full_cone"
-        partial = product_verdict([ProductFactorSpec("s6", "families", 4, (3, 2))])
+        partial = product_verdict([("s6", "families")], self.LOCI)
         assert partial.tag == "subcone"
         assert partial.fixed_dim == 3
 
+    @pytest.mark.parametrize("loci,dims,contained", [
+        (("c = 4 - a - b",), [3], False),
+        (("a = b",), [3], True),
+        (("a = 1", "a = b = c = 1"), [3, 1], True),
+        (("a = b", "b = 2*c"), [3, 3], False)])
+    def test_families_read_off_the_loci(self, loci, dims, contained):
+        from futakizero.products import _families
+        from futakizero.toric import FAMILIES
+        assert _families(FAMILIES["s6"], loci) == (dims, contained)
 
 class TestCatalogVerdicts:
     def test_monotonicity_on_all_catalog_cases(self, catalog):

@@ -79,7 +79,9 @@ class TestVerify:
         polyring._equations.cache_clear()
         assert main(["verify", "--all"], out=io.StringIO()) == 0
         counts["equations"] = polyring._equations.cache_info().misses
-        assert counts == {"rref": 196, "in_span": 81, "build": 6, "triangulation": 8,
+        # 5.3 derives its s6 factor's data: one kernel per locus for the
+        # family dimensions, and the anticanonical solve of s6
+        assert counts == {"rref": 199, "in_span": 81, "build": 6, "triangulation": 8,
                           "equations": 5}
 
     @pytest.mark.parametrize("argv,built", [
@@ -144,8 +146,13 @@ class TestVerify:
         # -K leaves the computed family span{c1, S + S'}, which the line
         # states: tag and dimension alone match the expected ones
         ("3.9", "anticanonical = 1, 0, 0", "anticanonical = 0, 1, 0",
-         "expected=subcone(2) computed=subcone(2) anticanonical_in_fixed=false")],
-        ids=["4.2-identity-classes", "3.9-anticanonical-outside"])
+         "expected=subcone(2) computed=subcone(2) anticanonical_in_fixed=false"),
+        # a product computes -K's membership too: a = b = c = 1 is off the
+        # edited locus, and the scan finds no zero on it
+        ("5.3", "locus = c = 3 - a - b", "locus = c = 4 - a - b",
+         "expected=subcone(4) computed=subcone(4) anticanonical_in_fixed=false "
+         "s6 scan: off_locus")],
+        ids=["4.2-identity-classes", "3.9-anticanonical-outside", "5.3-locus-off-anticanonical"])
     def test_abstract_record_verdict_is_computed(self, tmp_path, case_id, old, new,
                                                   mismatch):
         from futakizero.catalog import default_catalog_text
@@ -330,8 +337,8 @@ class TestToric:
             ["toric", "scan", "--family", "s6", "--step", "1/2"])
 
     @pytest.mark.parametrize("old,new,message", [
-        ("toric s6 :", "toric s6 : colour red :",
-         "record 5.3: bad factor clause 'colour red'"),
+        ("s6 : families", "s6 : familes",
+         "record 5.3: bad factor verdict 'familes': not one of full_cone, families"),
         ("version = 1", "version = x", "line 6: bad version value 'x'"),
         ('[case "9.1"]', '[case "2.20"]', "duplicate id '2.20'")])
     def test_scan_stops_on_what_it_reads(self, tmp_path, capsys, old, new, message):
@@ -506,10 +513,6 @@ class TestCatalogCommand:
          "finite = tau : order z : factors = (1) : map(x3", "bad finite order 'z'"),
         ("finite = tau : order 2 : factors = (1) : map(x3",
          "finite = tau : order 2 : factors = (l) : map(x3", "bad factors entry 'l'"),
-        ("factor = s6 : families 3, 2 :", "factor = s6 : families 3, z :",
-         "bad families entry 'z'"),
-        ("factor = p1 : full_cone : rank 1", "factor = p1 : full_cone : rank l",
-         "bad factor rank 'l'"),
         ("adjoint = tau : matrix(-1)", "adjoint = tau : matrix(-l)", "bad matrix entry '-l'"),
         ("variety = x4*x5 - x0*x2 + x1^2\n", "variety = x4*x5 - x0*x2 + x1^200000000\n",
          "exponent 200000000 exceeds the bound 64"),
@@ -545,12 +548,14 @@ class TestCatalogCommand:
         ([("adjoint = tau : matrix(-1)", "adjoint = tau : matrix((-1)")],
          ["catalog", "validate"], "adjoint = tau : matrix((-1)",
          "record 3.9: unbalanced parentheses in 'matrix((-1)'"),
-        ([("anticanonical_in_families yes", "anticanonical_in_families maybe")],
-         ["verify", "5.3"], "factor = s6 : families 3, 2",
-         "record 5.3: expected yes/no, got 'maybe'"),
+        ([("factor = s6 : families", "factor = s6 : familes")], ["verify", "5.3"],
+         "factor = s6 : familes",
+         "record 5.3: bad factor verdict 'familes': not one of full_cone, families"),
+        ([("factor = s6 : families", "factor = s6")], ["verify", "5.3"], "factor = s6\n",
+         "record 5.3: bad factor verdict '': not one of full_cone, families"),
         ],
         ids=["no-ambient-center", "no-ambient-finite", "ragged-adjoint", "unbalanced-adjoint",
-             "bad-bool"])
+             "factor-tag", "factor-without-tag"])
     def test_malformed_shipped_record_exits_two(self, tmp_path, capsys, edits, argv, at,
                                                 message):
         from futakizero.catalog import default_catalog_text
@@ -597,11 +602,6 @@ class TestCatalogCommand:
         # a class image listed twice
         ("3.9", "classes (1 3 2)", "classes (1 1 2)",
          "line {}: record 3.9: adjoint tau: classes (1, 1, 2) is not a permutation"),
-        # MISMATCH ... computed=subcone(31), on a threefold of Picard rank 5
-        ("5.3", "families 3, 2", "families 30, 2",
-         "line {}: record 5.3: families entry 30 outside 1..3"),
-        # both commands exited 0
-        ("5.3", "rank 4", "rank -4", "line {}: record 5.3: factor rank -4 is below 1"),
         # order 0 was a finding, and a negative order tested the map itself
         ("4.7", "order 2", "order 0", "line {}: record 4.7: finite order 0 is below 1"),
         ("4.7", "order 2", "order -2", "line {}: record 4.7: finite order -2 is below 1"),
@@ -612,11 +612,25 @@ class TestCatalogCommand:
         ("2.20", "h11 = h, E", "h11 = h", "2.20: 1 h11 labels for the Picard rank 2"),
         ("2.34", "toric_family = p1xp2", "toric_family = p1cubed",
          "2.34: toric family p1cubed has Picard rank 3, not 2"),
-        ("5.3", "full_cone : rank 1", "full_cone : rank 2",
-         "5.3: factor ranks sum to 6, not the Picard rank 5")],
-        ids=["subcone-0", "classes-repeated", "families-above-rank", "rank-negative",
-             "order-0", "order-negative", "subcone-at-rank", "classes-length", "h11-labels",
-             "toric-family-rank", "factor-ranks"])
+        # a factor's rank is its family's facets less its dimension: 1 + 4
+        ("2.34", "factor = p2 : full_cone", "factor = s6 : full_cone",
+         "2.34: factor ranks sum to 5, not the Picard rank 2"),
+        # the data a factor derives: each failure is a finding, none an
+        # internal error (a non-affine locus raised CharacterError, exit 4)
+        ("5.3", "factor = p1 : full_cone", "factor = p3 : full_cone",
+         "5.3: unknown toric family 'p3'"),
+        ("5.3", "factor = p1 : full_cone", "factor = s6 : families",
+         "5.3: 2 families factors, not one"),
+        ("5.3", "factor = s6 : families", "factor = p1xp1 : families",
+         "5.3: factor p1xp1: rank 2 is not one more than its 2 parameters"),
+        ("2.34", "factor = p2 : full_cone", "factor = p2 : families",
+         "2.34: factor p2: families verdict without a locus"),
+        ("5.3", "locus = a = b = c", "locus = a*b = c",
+         "5.3: locus 'a*b = c' is not affine in the parameters of s6")],
+        ids=["subcone-0", "classes-repeated", "order-0", "order-negative", "subcone-at-rank",
+             "classes-length", "h11-labels", "toric-family-rank", "factor-ranks",
+             "factor-unknown", "families-twice", "families-rank", "families-no-locus",
+             "locus-not-affine"])
     def test_dimension_out_of_range_exits_two(self, tmp_path, capsys, case_id, old, new,
                                               message):
         from futakizero.catalog import default_catalog_text
@@ -865,8 +879,7 @@ class TestStartup:
         (["catalog", "validate"], ["curves", "parampoly", "polyring", "products",
                                    "symmetry", "toric"]),
         # the loci come from the structure pass: no record is built
-        (["toric", "scan", "--family", "s6"], ["cells", "parampoly", "polyring", "products",
-                                               "toric"]),
+        (["toric", "scan", "--family", "s6"], ["cells", "parampoly", "polyring", "toric"]),
     ], ids=lambda modules: "-".join(modules) or "none")
     def test_command_loads_only_the_engines_its_records_use(self, argv, modules):
         assert sorted(m.removeprefix("futakizero.") for m in self.run(argv)) == modules
@@ -881,14 +894,14 @@ class TestStartup:
     @pytest.mark.parametrize("argv,lines", [
         (["verify", "6.1"], 1367),
         (["verify", "3.9"], 1477),
-        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2033),
+        (["toric", "futaki", "--family", "s6", "--params", "a=1,b=1,c=1"], 2036),
         (["report", "2.24", "--format", "json-lines"], 2311),
-        (["verify", "2.34"], 2330),
+        (["verify", "2.34"], 2292),
         (["verify", "2.20"], 2548),
         (["verify", "3.13"], 2830),
-        (["toric", "scan", "--family", "s6"], 3793),
-        (["catalog", "validate"], 3920),
-        (["verify", "--all"], 4341),
+        (["toric", "scan", "--family", "s6"], 3637),
+        (["catalog", "validate"], 3882),
+        (["verify", "--all"], 4331),
     ], ids=["verify-6.1", "verify-3.9", "toric-futaki", "report-2.24-json-lines",
             "verify-2.34", "verify-2.20", "verify-3.13", "toric-scan", "catalog-validate",
             "verify-all"])

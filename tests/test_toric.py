@@ -431,20 +431,20 @@ class TestAnticanonical:
         assert {name: fam.anticanonical() for name, fam in FAMILIES.items()} == self.POINTS
 
     def test_each_system_has_full_column_rank(self, monkeypatch):
+        # one elimination per family, pivoting on every unknown
         from futakizero import ratlinalg
-        real = ratlinalg.solve_generic
+        real = ratlinalg.rref
         systems = []
 
-        def recorded(rows, targets):
-            systems.append(rows)
-            return real(rows, targets)
+        def recorded(rows, ncols=None):
+            reduced, pivots = real(rows, ncols)
+            systems.append((ncols, len(pivots)))
+            return reduced, pivots
 
-        monkeypatch.setattr(ratlinalg, "solve_generic", recorded)
+        monkeypatch.setattr(ratlinalg, "rref", recorded)
         for fam in FAMILIES.values():
             fam.anticanonical()
-            rows = systems[-1]
-            assert len(rows[0]) == len(fam.param_names) + fam.dim
-            assert len(ratlinalg.rref(rows)[1]) == len(rows[0]), fam.name
+            assert systems[-1] == (len(fam.param_names) + fam.dim,) * 2, fam.name
         assert len(systems) == len(FAMILIES)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -494,6 +494,16 @@ class TestAnticanonical:
         interval = ToricFamily("unit", (), (((-1,), _aff()), ((1,), _aff(1))), {}, {})
         with pytest.raises(ToricError, match="^unit: no parameters give the anticanonical "
                                              "polytope$"):
+            interval.anticanonical()
+
+    def test_free_parameter_raises(self):
+        # [0, a + b] needs only a + b = 2: a free variable set to 0 gave
+        # {a: 2, b: 0}, and b = 0 lies outside the family's own scan box
+        from futakizero.toric import ToricFamily, _aff
+        interval = ToricFamily("sum", ("a", "b"), (((-1,), _aff()), ((1,), _aff(a=1, b=1))),
+                               {"a": 3, "b": 3}, {})
+        with pytest.raises(ToricError, match="^sum: the anticanonical parameters are not "
+                                             "unique$"):
             interval.anticanonical()
 
 
